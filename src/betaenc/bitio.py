@@ -2,7 +2,8 @@
 
 Words are ints read MSB-first: a word w of length n stands for the bits
 (b_1 .. b_n) with b_1 the most significant.  Bit files carry an 8-byte
-little-endian bit count followed by the bits packed MSB-first into bytes.
+little-endian bit count followed by the bits packed MSB-first into bytes;
+a file with trailing bytes or nonzero padding bits is rejected on read.
 """
 
 from __future__ import annotations
@@ -56,8 +57,13 @@ def unpack_bits(blob: bytes) -> np.ndarray:
         raise DomainError("bit file too short for its header")
     count = int.from_bytes(blob[:8], "little")
     body = np.frombuffer(blob[8:], dtype=np.uint8)
-    if body.size * 8 < count:
+    n_bytes = (count + 7) // 8
+    if body.size < n_bytes:
         raise DomainError("bit file truncated")
+    if body.size > n_bytes:
+        raise DomainError(f"bit file has {body.size - n_bytes} trailing bytes")
+    if count % 8 and body[-1] & (0xFF >> (count % 8)):
+        raise DomainError("bit file has nonzero padding bits")
     return np.unpackbits(body)[:count]
 
 

@@ -76,6 +76,13 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _read_input(path: Path, read):
+    try:
+        return read(path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _write_csv(path: Path, rows, fieldnames) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
@@ -243,7 +250,7 @@ def _run_entropy(args, out: Path):
 
 
 def _run_extract(args, out: Path):
-    bits = read_bit_file(args.input)
+    bits = _read_input(args.input, read_bit_file)
     pipeline = PipelineConfig(
         mode=args.mode,
         block_bits=args.block_bits,
@@ -265,7 +272,7 @@ def _run_extract(args, out: Path):
 
 
 def _run_battery(args, out: Path):
-    bits = read_bit_file(args.input)
+    bits = _read_input(args.input, read_bit_file)
     results = run_battery(bits, args.alpha)
     report = battery_report(results, int(bits.size))
     _write_json(out / "battery.json", report)
@@ -386,20 +393,32 @@ def _resolve_out_dir(args) -> Path:
     return out
 
 
-def _dispatch(argv) -> int:
+def _manifest_argv(path: Path) -> list:
+    text = _read_input(path, lambda p: p.read_text(encoding="utf-8"))
+    try:
+        return list(json.loads(text)["argv"])
+    except (ValueError, KeyError, TypeError):
+        raise ConfigurationError(f"{path} is not a betaenc manifest") from None
+
+
+def _dispatch(argv, replaying: bool = False) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "replay":
-        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-        replay_argv = list(manifest["argv"])
+        if replaying:
+            raise ConfigurationError("a manifest may not record another replay")
+        replay_argv = _manifest_argv(args.manifest)
         if args.out_dir is not None:
             replay_argv += ["--out-dir", args.out_dir]
-        return _dispatch(replay_argv)
+        return _dispatch(replay_argv, replaying=True)
 
     if args.command == "lochs" and args.workers is None:
         env = os.environ.get("BETAENC_WORKERS")
-        args.workers = int(env) if env else (os.cpu_count() or 1)
+        try:
+            args.workers = int(env) if env else len(os.sched_getaffinity(0))
+        except ValueError:
+            raise ConfigurationError(f"BETAENC_WORKERS={env!r} is not an integer") from None
 
     out = _resolve_out_dir(args)
     config, outputs = _HANDLERS[args.command](args, out)

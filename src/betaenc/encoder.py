@@ -447,9 +447,24 @@ def reconstruct_partial(trace: EncoderTrace, n: int) -> Fraction:
 def encode_bits(x0, beta, u, n_bits: int) -> np.ndarray:
     """Fast exact bit stream for fixed gain and constant threshold.
 
-    Runs the loop on scaled integers (state = A/D) so no Fraction objects
-    are built; intended for the long streams the statistical tests and the
-    extraction pipeline consume.
+    The state is kept exactly as A/D with integers, but bits are decided in
+    blocks on a small window of it.  A block reads X = 2**W * A/D from the
+    top W bits of D (and the matching bits of A) as an integer interval
+    [lo, hi] that contains X, then steps the interval alone: bit 1 when
+    lo already clears the threshold 2**W * u/beta, bit 0 when hi falls
+    below it, and after each decided step lo is rounded down and hi up, so
+    the interval still contains the true scaled state.  Every decided bit
+    is therefore the bit of every point of the interval, the true state
+    included.  The block stops when the interval straddles the threshold or
+    after a fixed number of steps, chosen from W and beta so that the
+    interval stays far narrower than the state's range; the exact state
+    then takes all k decided steps at once, A <- p**k A - D S and
+    D <- q**k D with S = sum_j b_j p**(k-j) q**j.  When a freshly read
+    window straddles the threshold, one exact step on A and D decides the
+    bit, so exact ties (beta*x == u) still quantize to 1.
+
+    Intended for the long streams the statistical tests and the extraction
+    pipeline consume.
     """
     x0, beta, u = as_fraction(x0), check_beta(beta), as_fraction(u)
     if not (ZERO <= x0 <= ONE):
@@ -458,16 +473,72 @@ def encode_bits(x0, beta, u, n_bits: int) -> np.ndarray:
         raise DomainError(f"threshold {u} outside [1, {state_bound(beta)}]")
     if n_bits < 0:
         raise DomainError("n_bits must be nonnegative")
+    return _stream_kernel(x0, beta, u, n_bits)[0]
+
+
+_WINDOW_BITS = 128
+
+
+def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
+                   W: int = _WINDOW_BITS):
+    """Blocked exact stream; returns (bits, number of exact fallback steps).
+
+    Exact for every window width W >= 1; W only sets how many bits a block
+    can decide before the exact state must be touched.
+    """
     p, q = beta.numerator, beta.denominator
     r, s = u.numerator, u.denominator
     A, D = x0.numerator, x0.denominator
-    out = np.empty(n_bits, dtype=np.uint8)
-    for i in range(n_bits):
-        A *= p
-        D *= q
-        if A * s >= r * D:
-            out[i] = 1
-            A -= D
+    one = 1 << W
+    qm1 = q - 1
+    # bit 1 iff p*s*X >= q*r*2**W, i.e. iff the integer X reaches t
+    t = -((-q * r << W) // (p * s))
+    # block length: the interval widens by about beta per step; stop while
+    # it is still below 2**(W/2), i.e. beta**k <= 2**(W/2), and at most W
+    k_max = 1
+    while k_max < W and p ** (k_max + 1) <= q ** (k_max + 1) << W // 2:
+        k_max += 1
+    ppow = [p**j for j in range(k_max + 1)]
+    qpow = [q**j for j in range(k_max + 1)]
+    # R accumulates b_j q**j p**(k_max-j); S = R / p**(k_max-k) for k steps
+    weight = [qpow[j + 1] * ppow[k_max - j - 1] for j in range(k_max)]
+
+    out = bytearray(n_bits)
+    fallbacks = 0
+    i = 0
+    while i < n_bits:
+        shift = D.bit_length() - W
+        if shift > 0:
+            a, d = A >> shift, D >> shift
+            lo = (a << W) // (d + 1)
+            hi = -((-(a + 1) << W) // d)
         else:
-            out[i] = 0
-    return out
+            lo, rem = divmod(A << W, D)
+            hi = lo + (rem > 0)
+        R = 0
+        k = min(k_max, n_bits - i)
+        for j in range(k):
+            if lo >= t:
+                R += weight[j]
+                out[i + j] = 1
+                lo = p * lo // q - one
+                hi = (p * hi + qm1) // q - one
+            elif hi < t:
+                lo = p * lo // q
+                hi = (p * hi + qm1) // q
+            else:
+                k = j
+                break
+        if k:
+            A = ppow[k] * A - D * (R // ppow[k_max - k])
+            D *= qpow[k]
+            i += k
+        else:
+            fallbacks += 1
+            A *= p
+            D *= q
+            if A * s >= r * D:
+                out[i] = 1
+                A -= D
+            i += 1
+    return np.frombuffer(out, dtype=np.uint8), fallbacks

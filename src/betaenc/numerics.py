@@ -17,7 +17,6 @@ Conventions, fixed once here and used everywhere:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from enum import Enum
@@ -269,11 +268,6 @@ def decimal_str(value: Decimal, places: int = 12) -> str:
     return format(q, "f")
 
 
-def float_estimate(value: Fraction) -> float:
-    """Lossy float view, for logs and summaries only."""
-    return value.numerator / value.denominator
-
-
 def round_to_bits(x: Fraction, bits: int) -> Fraction:
     """Round-to-nearest-even at `bits` significant binary digits.
 
@@ -308,8 +302,3 @@ def round_to_bits(x: Fraction, bits: int) -> Fraction:
     else:
         out = Fraction(q << (-shift))
     return sign * out
-
-
-def math_ceil_hint(x: float) -> int:
-    """Float ceiling used only to seed exact searches, never as an answer."""
-    return math.ceil(x)

@@ -45,6 +45,29 @@ def encoder_bits(x: Fraction, beta: Fraction, u_values, n: int) -> tuple:
     return tuple(bits)
 
 
+def encoder_stream_scaled(x, beta, u, n: int) -> tuple:
+    """Fixed-gain stream by one exact scaled-integer step per bit.
+
+    The state is A/D; each step multiplies A by p and D by q (beta = p/q)
+    and emits 1 iff A/D >= u, i.e. A*s >= r*D for u = r/s.  This is the
+    per-step loop the blocked stream kernel replaced; quadratic in n.
+    """
+    x, beta, u = Fraction(x), Fraction(beta), Fraction(u)
+    p, q = beta.numerator, beta.denominator
+    r, s = u.numerator, u.denominator
+    A, D = x.numerator, x.denominator
+    bits = []
+    for _ in range(n):
+        A *= p
+        D *= q
+        if A * s >= r * D:
+            bits.append(1)
+            A -= D
+        else:
+            bits.append(0)
+    return tuple(bits)
+
+
 def cylinder_k(x: Fraction, m: int, beta: Fraction, u_values=None, k_cap: int = 4096):
     """Brute-force least k making m digits of x certain, or None at the cap.
 

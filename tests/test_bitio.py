@@ -63,6 +63,24 @@ def test_unpack_rejects_truncation_and_garbage():
         unpack_bits(bad)
 
 
+def test_unpack_rejects_trailing_bytes():
+    with pytest.raises(DomainError, match="trailing"):
+        unpack_bits(pack_bits([1, 0, 1]) + b"\xff")
+    with pytest.raises(DomainError, match="trailing"):
+        unpack_bits(pack_bits([1] * 8) + b"\x00")
+    with pytest.raises(DomainError, match="trailing"):
+        unpack_bits(pack_bits([]) + b"\x00")
+
+
+def test_unpack_rejects_nonzero_padding():
+    blob = pack_bits([1, 0, 1])
+    for pad in (0x01, 0x10, 0x1F):
+        with pytest.raises(DomainError, match="padding"):
+            unpack_bits(blob[:-1] + bytes([blob[-1] | pad]))
+    # a full last byte has no padding to check
+    assert list(unpack_bits(pack_bits([1] * 8))) == [1] * 8
+
+
 def test_file_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     for n in (1, 7, 8, 9, 4096):

@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+import betaenc.cli as cli
 from betaenc.bitio import read_bit_file
 from betaenc.cli import main, rational
+from betaenc.errors import ConfigurationError
 from betaenc.extract import TWO_SOURCE_WARNING
 
 
@@ -192,6 +195,27 @@ def test_lochs_worker_env_is_read(tmp_path, monkeypatch, capsys):
     )
     assert code == 2
     assert "workers" in capsys.readouterr().err
+    monkeypatch.setenv("BETAENC_WORKERS", "two")
+    code, _ = run(
+        ["lochs", "--beta", "3/2", "--m-list", "4", "--samples", "5"], tmp_path
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: BETAENC_WORKERS='two'")
+
+
+def test_lochs_workers_default_to_the_affinity_mask(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def capture(exp):
+        seen.append(exp.workers)
+        raise ConfigurationError("stop after configuration")
+
+    monkeypatch.delenv("BETAENC_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(cli, "run_lochs", capture)
+    code, _ = run(["lochs", "--beta", "3/2", "--m-list", "4", "--samples", "5"], tmp_path)
+    assert code == 2
+    assert seen == [3]
 
 
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
@@ -240,3 +264,37 @@ def test_battery_rejects_short_streams(tmp_path, capsys):
     )
     assert code == 2
     assert "minimum" in capsys.readouterr().err
+
+
+def test_missing_input_file_is_a_one_line_error(tmp_path, capsys):
+    missing = tmp_path / "nope.bin"
+    for argv in (["battery", "--input", str(missing)],
+                 ["extract", "--input", str(missing), "--mode", "seeded",
+                  "--block-bits", "48", "--beta-min", "3/2", "--beta-max", "3/2",
+                  "--seed", "1"]):
+        code, _ = run(argv, tmp_path, "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert err.count("\n") == 1
+
+
+def test_replay_of_a_missing_or_malformed_manifest(tmp_path, capsys):
+    code = main(["replay", str(tmp_path / "manifest.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{\"tool\": \"betaenc\"}\n", encoding="utf-8")
+    code = main(["replay", str(bad)])
+    assert code == 2
+    assert "not a betaenc manifest" in capsys.readouterr().err
+
+
+def test_nested_replay_is_refused(tmp_path, capsys):
+    looped = tmp_path / "manifest.json"
+    looped.write_text(json.dumps({"argv": ["replay", str(looped)]}), encoding="utf-8")
+    code = main(["replay", str(looped), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "replay" in err
+    assert err.count("\n") == 1

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from betaenc.encoder import (
     IidSupportBetas,
     UniformBetas,
     UniformThresholds,
+    _stream_kernel,
     apply_Tu,
     encode,
     encode_bits,
@@ -137,6 +139,94 @@ def test_encode_bits_fast_path_agrees(x0, beta, n):
     assert isinstance(fast, np.ndarray) and fast.dtype == np.uint8
     slow = encode(x0, FixedBeta(beta), ConstantThreshold(1), n).bits
     assert tuple(int(b) for b in fast) == slow
+
+
+@st.composite
+def stream_cases(draw):
+    """(x0, beta, u, n) for the blocked stream kernel, spread over its inputs."""
+    x0 = draw(st.one_of(
+        st.sampled_from([F(0), F(1)]),
+        unit_fractions,
+        st.integers(min_value=1, max_value=200).flatmap(
+            lambda k: st.integers(min_value=0, max_value=1 << k).map(lambda a: F(a, 1 << k))),
+        st.fractions(min_value=0, max_value=1, max_denominator=10**40),
+    ))
+    beta = draw(st.one_of(
+        small_betas,
+        st.integers(min_value=2, max_value=1 << 48).flatmap(
+            lambda q: st.integers(min_value=q + 1, max_value=2 * q - 1).map(lambda p: F(p, q))),
+    ))
+    kappa = 1 / (beta - 1)
+    frac = draw(st.one_of(st.sampled_from([F(0), F(1)]),
+                          st.fractions(min_value=0, max_value=1, max_denominator=1 << 20)))
+    u = 1 + (kappa - 1) * frac
+    if draw(st.booleans()):
+        # near tie: pull u/beta +- delta, closer to the threshold than a
+        # 128-bit window resolves, back through random admissible steps
+        delta = F(draw(st.sampled_from([-1, 1])), 3 << draw(st.integers(110, 150)))
+        x = u / beta + delta
+        for b in draw(st.lists(st.booleans(), max_size=150)):
+            x = (x + 1) / beta if (b or x >= u) and x + 1 >= u else x / beta
+        x0 = min(x, F(1))
+    n = draw(st.integers(min_value=0, max_value=3000))
+    return x0, beta, u, n
+
+
+@given(stream_cases())
+def test_encode_bits_matches_scaled_loop_oracle(case):
+    x0, beta, u, n = case
+    fast = encode_bits(x0, beta, u, n)
+    assert fast.dtype == np.uint8 and fast.shape == (n,)
+    assert tuple(int(b) for b in fast) == oracles.encoder_stream_scaled(x0, beta, u, n)
+
+
+@given(stream_cases(), st.integers(min_value=1, max_value=24))
+def test_stream_kernel_is_exact_with_narrow_windows(case, window_bits):
+    # narrow windows straddle often and round at every step, so each
+    # outward rounding and the exact fallback are exercised constantly
+    x0, beta, u, n = case
+    n = min(n, 600)
+    bits, _ = _stream_kernel(x0, beta, u, n, window_bits)
+    assert tuple(int(b) for b in bits) == oracles.encoder_stream_scaled(x0, beta, u, n)
+
+
+def test_stream_kernel_sweep_of_small_gains_and_windows():
+    # a rounding slip in the interval steps shows only when the threshold
+    # falls in a sliver below one window unit; small p/q, u on a 1/8 grid
+    # and 1..10-bit windows hit such slivers often enough to expose it
+    rnd = random.Random(2024)
+    for q in range(2, 13):
+        for p in range(q + 1, 2 * q):
+            beta = F(p, q)
+            kappa = 1 / (beta - 1)
+            for eighths in range(9):
+                u = 1 + (kappa - 1) * F(eighths, 8)
+                for window_bits in range(1, 11):
+                    x0 = F(rnd.randint(0, 1000), rnd.randint(1000, 3000))
+                    bits, _ = _stream_kernel(x0, beta, u, 40, window_bits)
+                    assert tuple(int(b) for b in bits) == \
+                        oracles.encoder_stream_scaled(x0, beta, u, 40), (x0, beta, u, window_bits)
+
+
+@pytest.mark.parametrize("x0, beta, u", [
+    (F(2, 3), F(3, 2), F(1)),            # beta*x0 == u at the first step
+    (F(4, 3) / F(8, 5), F(8, 5), F(4, 3)),   # x0 == u/beta, u inside (1, kappa)
+    (F(5, 4) / F(9, 5), F(9, 5), F(5, 4)),   # x0 == u/beta, u == kappa
+    (F(4, 9), F(3, 2), F(1)),            # the tie arrives at the second step
+])
+def test_stream_kernel_takes_exact_steps_on_ties(x0, beta, u):
+    n = 400
+    bits, fallbacks = _stream_kernel(x0, beta, u, n)
+    assert tuple(int(b) for b in bits) == oracles.encoder_stream_scaled(x0, beta, u, n)
+    assert fallbacks > 0
+
+
+def test_stream_kernel_needs_no_exact_steps_on_a_dyadic_orbit():
+    x0 = F(SplitMix64(7).derive("x0").odd_dyadic(64))
+    n = 5000
+    bits, fallbacks = _stream_kernel(x0, F(3, 2), F(1), n)
+    assert fallbacks == 0
+    assert tuple(int(b) for b in bits) == oracles.encoder_stream_scaled(x0, F(3, 2), 1, n)
 
 
 @given(unit_fractions, small_betas, st.integers(min_value=1, max_value=40))
