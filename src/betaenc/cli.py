@@ -44,21 +44,17 @@ from .numerics import (
     PrecisionMode,
     PrecisionPolicy,
     format_rational,
+    parse_rational,
     state_bound,
 )
 from .prng import PRNG_ID, SplitMix64
 
 
 def rational(text: str):
-    t = text.strip()
-    if any(c in t for c in ".eE"):
-        raise argparse.ArgumentTypeError(
-            f"{text!r}: write rationals as p/q; decimals are rejected here"
-        )
     try:
-        return Fraction(t)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"{text!r}: {exc}")
+        return parse_rational(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def rational_list(text: str) -> tuple:
@@ -109,6 +105,8 @@ def _gain_process(args):
         raise ConfigurationError(
             "give exactly one of --beta, --beta-list, --beta-support, --beta-uniform"
         )
+    if args.beta_probs is not None and args.beta_support is None:
+        raise ConfigurationError("--beta-probs needs --beta-support")
     if args.beta is not None:
         return FixedBeta(args.beta)
     if args.beta_list is not None:

@@ -111,6 +111,8 @@ def scan_targets(m_values, beta, k_cap: Optional[int] = None) -> list:
     inputs against the same targets.
     """
     beta = check_beta(beta)
+    if k_cap is not None and k_cap < 1:
+        raise ConfigurationError(f"k_cap must be at least 1, got {k_cap}")
     pmq = beta.numerator - beta.denominator
     inv_kappa = Fraction(pmq, beta.denominator)
     out = []

@@ -5,8 +5,10 @@ beta*x >= u (a tie quantizes to 1).  The gain beta stays in (1,2) and the
 threshold u may move anywhere in [1, 1/(beta_max-1)] from step to step;
 under those constraints the state never leaves [0, 1/(beta_max-1)], so the
 loop runs forever without saturating.  Gains and thresholds are described
-by small process objects that either hold fixed values or draw them through
-the named PRNG, which keeps every run replayable from a seed.
+by small process objects of three shapes - one value, a listed sequence,
+uniform dyadic draws - each in a gain role and a threshold role; random
+ones draw through the named PRNG, which keeps every run replayable from a
+seed.
 """
 
 from __future__ import annotations
@@ -34,13 +36,6 @@ from .numerics import (
 from .prng import PRNG_ID, SplitMix64
 
 
-def _coerce_tuple(values, check) -> tuple:
-    out = tuple(check(as_fraction(v)) for v in values)
-    if not out:
-        raise ConfigurationError("explicit sequences must be non-empty")
-    return out
-
-
 def _resolve_rng(seed, rng, label: str) -> SplitMix64:
     if seed is not None:
         return SplitMix64(seed).derive(label)
@@ -52,82 +47,168 @@ def _resolve_rng(seed, rng, label: str) -> SplitMix64:
 
 
 # ---------------------------------------------------------------------------
-# gain processes
+# processes: three shapes (one value, a listed sequence, uniform dyadic
+# draws), each taken in a gain role and in a threshold role
 
 
-@dataclass(frozen=True)
-class FixedBeta:
-    value: Fraction
+class _GainRole:
+    """Gains lie strictly in (1, 2); a bad gain is a DomainError."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", check_beta(as_fraction(self.value)))
-
-    is_random = False
+    _key, _label = "beta", "gain"
+    _check = staticmethod(check_beta)
 
     @property
     def beta_range(self) -> tuple:
+        return self._range()
+
+
+class _ThresholdRole:
+    """Thresholds start at 1; their upper limit depends on the gain."""
+
+    _key, _label = "u", "threshold"
+
+    @staticmethod
+    def _check(u) -> Fraction:
+        u = as_fraction(u)
+        if u < 1:
+            raise ConfigurationError(f"thresholds start at 1, got {u}")
+        return u
+
+    @property
+    def threshold_range(self) -> tuple:
+        return self._range()
+
+
+@dataclass(frozen=True)
+class _One:
+    """The same value at every step."""
+
+    value: Fraction
+
+    is_random = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", self._check(self.value))
+
+    def _range(self) -> tuple:
         return (self.value, self.value)
 
     def realize(self, n_steps: int, rng: Optional[SplitMix64] = None) -> tuple:
         return (self.value,) * n_steps
 
     def to_json(self) -> dict:
-        return {"kind": "fixed", "beta": format_rational(self.value)}
+        return {"kind": self._kind, self._key: format_rational(self.value)}
 
 
 @dataclass(frozen=True)
-class ExplicitBetas:
-    values: tuple
+class _Listed:
+    """Explicit per-step values, consumed from the start."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _coerce_tuple(self.values, check_beta))
+    values: tuple
 
     is_random = False
 
-    @property
-    def beta_range(self) -> tuple:
+    def __post_init__(self):
+        values = tuple(map(self._check, self.values))
+        if not values:
+            raise ConfigurationError("explicit sequences must be non-empty")
+        object.__setattr__(self, "values", values)
+
+    def _range(self) -> tuple:
         return (min(self.values), max(self.values))
 
     def realize(self, n_steps: int, rng: Optional[SplitMix64] = None) -> tuple:
         if n_steps > len(self.values):
             raise ConfigurationError(
-                f"need {n_steps} gain values, sequence has {len(self.values)}"
+                f"need {n_steps} {self._label} values, sequence has {len(self.values)}"
             )
         return self.values[:n_steps]
 
     def to_json(self) -> dict:
-        return {"kind": "explicit", "betas": [format_rational(v) for v in self.values]}
+        return {"kind": "explicit", self._key + "s": [format_rational(v) for v in self.values]}
 
 
 @dataclass(frozen=True)
-class IidSupportBetas:
-    """I.i.d. gains on a finite support; the exact-enumeration model."""
+class _Uniform:
+    """Fresh dyadic draw from [lo, hi] at every step, kept rational."""
 
-    values: tuple
-    probs: Optional[tuple] = None
+    lo: Fraction
+    hi: Fraction
     seed: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _coerce_tuple(self.values, check_beta))
-        if self.probs is None:
-            n = len(self.values)
-            object.__setattr__(self, "probs", (Fraction(1, n),) * n)
-        else:
-            probs = tuple(as_fraction(p) for p in self.probs)
-            if len(probs) != len(self.values):
-                raise ConfigurationError("one probability per support value")
-            if any(p < 0 for p in probs) or sum(probs) != 1:
-                raise ConfigurationError("probabilities must be >= 0 and sum to 1")
-            object.__setattr__(self, "probs", probs)
+    precision_bits: int = 64
 
     is_random = True
 
-    @property
-    def beta_range(self) -> tuple:
-        return (min(self.values), max(self.values))
+    def __post_init__(self):
+        lo, hi = self._check(self.lo), self._check(self.hi)
+        if lo > hi:
+            raise ConfigurationError(f"need lo <= hi, got [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def _range(self) -> tuple:
+        return (self.lo, self.hi)
 
     def realize(self, n_steps: int, rng: Optional[SplitMix64] = None) -> tuple:
-        rng = _resolve_rng(self.seed, rng, "gain")
+        rng = _resolve_rng(self.seed, rng, self._label)
+        span = self.hi - self.lo
+        return tuple(self.lo + span * rng.odd_dyadic(self.precision_bits) for _ in range(n_steps))
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "uniform",
+            "lo": format_rational(self.lo),
+            "hi": format_rational(self.hi),
+            "seed": self.seed,
+            "precision_bits": self.precision_bits,
+        }
+
+
+class FixedBeta(_GainRole, _One):
+    _kind = "fixed"
+
+
+class ExplicitBetas(_GainRole, _Listed):
+    pass
+
+
+class UniformBetas(_GainRole, _Uniform):
+    """Monte-Carlo gain model."""
+
+
+class ConstantThreshold(_ThresholdRole, _One):
+    _kind = "constant"
+
+
+class ExplicitThresholds(_ThresholdRole, _Listed):
+    pass
+
+
+class UniformThresholds(_ThresholdRole, _Uniform):
+    """Fresh threshold draw at every step."""
+
+
+@dataclass(frozen=True)
+class IidSupportBetas(_GainRole, _Listed):
+    """I.i.d. gains on a finite support; the exact-enumeration model."""
+
+    probs: Optional[tuple] = None
+    seed: Optional[int] = None
+
+    is_random = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        n = len(self.values)
+        probs = (Fraction(1, n),) * n if self.probs is None else tuple(map(as_fraction, self.probs))
+        if len(probs) != n:
+            raise ConfigurationError("one probability per support value")
+        if any(p < 0 for p in probs) or sum(probs) != 1:
+            raise ConfigurationError("probabilities must be >= 0 and sum to 1")
+        object.__setattr__(self, "probs", probs)
+
+    def realize(self, n_steps: int, rng: Optional[SplitMix64] = None) -> tuple:
+        rng = _resolve_rng(self.seed, rng, self._label)
         return tuple(self.values[rng.choose_weighted(self.probs)] for _ in range(n_steps))
 
     def to_json(self) -> dict:
@@ -136,136 +217,6 @@ class IidSupportBetas:
             "values": [format_rational(v) for v in self.values],
             "probs": [format_rational(p) for p in self.probs],
             "seed": self.seed,
-        }
-
-
-@dataclass(frozen=True)
-class UniformBetas:
-    """Monte-Carlo gain model: dyadic draws from [lo, hi], kept rational."""
-
-    lo: Fraction
-    hi: Fraction
-    seed: Optional[int] = None
-    precision_bits: int = 64
-
-    def __post_init__(self):
-        lo, hi = check_beta(as_fraction(self.lo)), check_beta(as_fraction(self.hi))
-        if lo > hi:
-            raise ConfigurationError("need lo <= hi")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    is_random = True
-
-    @property
-    def beta_range(self) -> tuple:
-        return (self.lo, self.hi)
-
-    def realize(self, n_steps: int, rng: Optional[SplitMix64] = None) -> tuple:
-        rng = _resolve_rng(self.seed, rng, "gain")
-        span = self.hi - self.lo
-        return tuple(self.lo + span * rng.odd_dyadic(self.precision_bits) for _ in range(n_steps))
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "uniform",
-            "lo": format_rational(self.lo),
-            "hi": format_rational(self.hi),
-            "seed": self.seed,
-            "precision_bits": self.precision_bits,
-        }
-
-
-# ---------------------------------------------------------------------------
-# threshold processes
-
-
-@dataclass(frozen=True)
-class ConstantThreshold:
-    value: Fraction
-
-    def __post_init__(self):
-        value = as_fraction(self.value)
-        if value < 1:
-            raise ConfigurationError(f"thresholds start at 1, got {value}")
-        object.__setattr__(self, "value", value)
-
-    is_random = False
-
-    @property
-    def threshold_range(self) -> tuple:
-        return (self.value, self.value)
-
-    def realize(self, n_steps: int, rng: Optional[SplitMix64] = None) -> tuple:
-        return (self.value,) * n_steps
-
-    def to_json(self) -> dict:
-        return {"kind": "constant", "u": format_rational(self.value)}
-
-
-@dataclass(frozen=True)
-class ExplicitThresholds:
-    values: tuple
-
-    def __post_init__(self):
-        def check(u):
-            if u < 1:
-                raise ConfigurationError(f"thresholds start at 1, got {u}")
-            return u
-
-        object.__setattr__(self, "values", _coerce_tuple(self.values, check))
-
-    is_random = False
-
-    @property
-    def threshold_range(self) -> tuple:
-        return (min(self.values), max(self.values))
-
-    def realize(self, n_steps: int, rng: Optional[SplitMix64] = None) -> tuple:
-        if n_steps > len(self.values):
-            raise ConfigurationError(
-                f"need {n_steps} threshold values, sequence has {len(self.values)}"
-            )
-        return self.values[:n_steps]
-
-    def to_json(self) -> dict:
-        return {"kind": "explicit", "us": [format_rational(v) for v in self.values]}
-
-
-@dataclass(frozen=True)
-class UniformThresholds:
-    """Fresh dyadic threshold draw from [lo, hi] at every step."""
-
-    lo: Fraction
-    hi: Fraction
-    seed: Optional[int] = None
-    precision_bits: int = 64
-
-    def __post_init__(self):
-        lo, hi = as_fraction(self.lo), as_fraction(self.hi)
-        if not (1 <= lo <= hi):
-            raise ConfigurationError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    is_random = True
-
-    @property
-    def threshold_range(self) -> tuple:
-        return (self.lo, self.hi)
-
-    def realize(self, n_steps: int, rng: Optional[SplitMix64] = None) -> tuple:
-        rng = _resolve_rng(self.seed, rng, "threshold")
-        span = self.hi - self.lo
-        return tuple(self.lo + span * rng.odd_dyadic(self.precision_bits) for _ in range(n_steps))
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "uniform",
-            "lo": format_rational(self.lo),
-            "hi": format_rational(self.hi),
-            "seed": self.seed,
-            "precision_bits": self.precision_bits,
         }
 
 

@@ -9,6 +9,9 @@ that forward tree gives the exact probability of every word of length m
 under Lebesgue-uniform input, from which the min-entropy and the
 kappa / beta_min**m ceiling on word probabilities are checked as pure
 rational inequalities.  Logarithms only ever appear in reports.
+
+The walk (``prefix_leaves``) also drives the exact tail-set measure in
+``lochs``, and ``WordDistribution`` is also the source type of ``extract``.
 """
 
 from __future__ import annotations
@@ -16,15 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from .bitio import word_to_str
-from .encoder import (
-    ConstantThreshold,
-    ExplicitBetas,
-    ExplicitThresholds,
-    FixedBeta,
-    IidSupportBetas,
-)
+from .encoder import ConstantThreshold, IidSupportBetas, _check_thresholds
 from .errors import ConfigurationError, ResourceBudgetError
 from .numerics import (
     ONE,
@@ -42,7 +40,7 @@ ENUMERATION_BUDGET = 1 << 24
 
 @dataclass(frozen=True)
 class WordDistribution:
-    """Exact law of the first m output bits; only attained words are stored."""
+    """Exact law on m-bit words; only positive-probability words are stored."""
 
     m: int
     entries: dict
@@ -60,15 +58,34 @@ class WordDistribution:
         if total != 1:
             raise ConfigurationError(f"probabilities sum to {total}, not 1")
 
+    @classmethod
+    def uniform(cls, m: int) -> "WordDistribution":
+        p = Fraction(1, 1 << m)
+        return cls(m, {w: p for w in range(1 << m)})
+
+    @classmethod
+    def point_mass(cls, word: int, m: int) -> "WordDistribution":
+        return cls(m, {word: ONE})
+
+    @classmethod
+    def flat(cls, support: Sequence[int], m: int) -> "WordDistribution":
+        words = sorted(set(int(w) for w in support))
+        if not words:
+            raise ConfigurationError("flat source needs a non-empty support")
+        p = Fraction(1, len(words))
+        return cls(m, {w: p for w in words})
+
     def prob(self, word: int) -> Fraction:
         return self.entries.get(word, ZERO)
 
     def max_probability(self):
         """(word, probability) of the likeliest word; smallest word on ties."""
-        best = min(
-            self.entries.items(), key=lambda item: (-item[1], item[0])
-        )
-        return best
+        return min(self.entries.items(), key=lambda item: (-item[1], item[0]))
+
+    def min_entropy_at_least(self, k) -> bool:
+        """True iff max prob <= 2**(-k), decided exactly."""
+        _, p = self.max_probability()
+        return cmp_pow2(p, -as_fraction(k)) <= 0
 
     def min_entropy_decimal(self, digits: int = 50) -> Decimal:
         _, p = self.max_probability()
@@ -88,11 +105,47 @@ class WordDistribution:
         return rows
 
 
+def prefix_leaves(choices, u_seq, node_budget: Optional[int] = None):
+    """Leaves of the forward tree of output prefixes over inputs in [0, 1).
+
+    ``choices[j]`` lists the (gain, weight) branches of step j and
+    ``u_seq[j]`` is its threshold.  Yields (word, lo, hi, weight, slope,
+    shift) for every attained word of length len(u_seq): each input x in
+    [lo, hi) emits ``word`` along a gain path of probability ``weight``,
+    and its state is then slope*x - shift.  With ``node_budget`` set, the
+    walk stops with ResourceBudgetError once it has visited that many nodes.
+    """
+    m = len(u_seq)
+    # per step and branch: gain, weight, and u/gain, the state the bit turns 1 at
+    steps = [[(g, w, u / g) for g, w in options] for options, u in zip(choices, u_seq)]
+    visited = 0
+    stack = [(0, 0, ZERO, ONE, ONE, ONE, ZERO)]
+    while stack:
+        visited += 1
+        if node_budget is not None and visited > node_budget:
+            raise ResourceBudgetError(
+                f"prefix-tree walk passed {node_budget} nodes; shrink the depth"
+            )
+        depth, word, lo, hi, weight, slope, shift = stack.pop()
+        if depth == m:
+            yield word, lo, hi, weight, slope, shift
+            continue
+        for gain, gweight, turn in steps[depth]:
+            split = (turn + shift) / slope
+            w = weight * gweight
+            zero_hi = min(hi, split)
+            if zero_hi > lo:
+                stack.append((depth + 1, word << 1, lo, zero_hi, w, slope * gain, shift * gain))
+            one_lo = max(lo, split)
+            if hi > one_lo:
+                stack.append(
+                    (depth + 1, (word << 1) | 1, one_lo, hi, w, slope * gain, shift * gain + 1)
+                )
+
+
 def _gain_choices(betas, m: int) -> list:
     """Per-depth list of (gain, weight) branch options."""
-    if isinstance(betas, FixedBeta):
-        return [[(betas.value, ONE)]] * m
-    if isinstance(betas, ExplicitBetas):
+    if not betas.is_random:
         return [[(g, ONE)] for g in betas.realize(m)]
     if isinstance(betas, IidSupportBetas):
         return [list(zip(betas.values, betas.probs))] * m
@@ -112,7 +165,7 @@ def word_distribution(betas, thresholds=None, m: int = 1) -> WordDistribution:
         raise ConfigurationError(f"m must be a positive integer, got {m!r}")
     if thresholds is None:
         thresholds = ConstantThreshold(1)
-    if not isinstance(thresholds, (ConstantThreshold, ExplicitThresholds)):
+    if thresholds.is_random:
         raise ConfigurationError("exact enumeration needs deterministic thresholds")
 
     choices = _gain_choices(betas, m)
@@ -121,43 +174,12 @@ def word_distribution(betas, thresholds=None, m: int = 1) -> WordDistribution:
         raise ResourceBudgetError(
             f"(2*{width})**{m} enumeration nodes exceed the budget of 2**24"
         )
-    kappa = state_bound(betas.beta_range[1])
     u_seq = thresholds.realize(m)
-    for u in u_seq:
-        if u > kappa:
-            raise ConfigurationError(f"threshold {u} above the state bound {kappa}")
+    _check_thresholds(u_seq, state_bound(betas.beta_range[1]))
 
     entries: dict = {}
-    # node: (depth, word, consistency lo, hi, weight, slope, shift)
-    # state_depth(x) = slope*x - shift on [lo, hi)
-    stack = [(0, 0, ZERO, ONE, ONE, ONE, ZERO)]
-    while stack:
-        depth, word, lo, hi, weight, slope, shift = stack.pop()
-        if depth == m:
-            entries[word] = entries.get(word, ZERO) + weight * (hi - lo)
-            continue
-        u = u_seq[depth]
-        for gain, gweight in choices[depth]:
-            split = (u / gain + shift) / slope
-            w = weight * gweight
-            zero_hi = min(hi, split)
-            if zero_hi > lo:
-                stack.append(
-                    (depth + 1, word << 1, lo, zero_hi, w, slope * gain, shift * gain)
-                )
-            one_lo = max(lo, split)
-            if hi > one_lo:
-                stack.append(
-                    (
-                        depth + 1,
-                        (word << 1) | 1,
-                        one_lo,
-                        hi,
-                        w,
-                        slope * gain,
-                        shift * gain + 1,
-                    )
-                )
+    for word, lo, hi, weight, _, _ in prefix_leaves(choices, u_seq):
+        entries[word] = entries.get(word, ZERO) + weight * (hi - lo)
     return WordDistribution(m, entries)
 
 
@@ -211,5 +233,4 @@ def is_mk_source(dist: WordDistribution, k) -> bool:
     k = as_fraction(k)
     if k < 0:
         raise ConfigurationError(f"entropy target must be nonnegative, got {k}")
-    _, p = dist.max_probability()
-    return cmp_pow2(p, -k) <= 0
+    return dist.min_entropy_at_least(k)

@@ -26,10 +26,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bitio import word_to_bits
+from .bitio import bits_to_word, word_to_bits
+from .entropy import WordDistribution
 from .errors import ConfigurationError, DomainError, ResourceBudgetError
 from .numerics import (
-    ONE,
     ZERO,
     as_fraction,
     check_beta,
@@ -60,67 +60,23 @@ def _parity16() -> np.ndarray:
     return _PARITY16
 
 
-@dataclass(frozen=True)
-class FiniteDistribution:
-    """Exact law on n-bit words; only positive-probability words stored."""
-
-    n: int
-    entries: dict
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConfigurationError("word length must be positive")
-        total = ZERO
-        for word, p in self.entries.items():
-            if not (0 <= word < (1 << self.n)):
-                raise ConfigurationError(f"word {word} does not fit in {self.n} bits")
-            if p <= 0:
-                raise ConfigurationError("stored probabilities must be positive")
-            total += p
-        if total != 1:
-            raise ConfigurationError(f"probabilities sum to {total}, not 1")
-
-    @classmethod
-    def uniform(cls, n: int) -> "FiniteDistribution":
-        p = Fraction(1, 1 << n)
-        return cls(n, {w: p for w in range(1 << n)})
-
-    @classmethod
-    def point_mass(cls, word: int, n: int) -> "FiniteDistribution":
-        return cls(n, {word: ONE})
-
-    @classmethod
-    def flat(cls, support: Sequence[int], n: int) -> "FiniteDistribution":
-        words = sorted(set(int(w) for w in support))
-        if not words:
-            raise ConfigurationError("flat source needs a non-empty support")
-        p = Fraction(1, len(words))
-        return cls(n, {w: p for w in words})
-
-    def prob(self, word: int) -> Fraction:
-        return self.entries.get(word, ZERO)
-
-    def max_probability(self):
-        return min(self.entries.items(), key=lambda item: (-item[1], item[0]))
-
-    def min_entropy_at_least(self, k) -> bool:
-        _, p = self.max_probability()
-        return cmp_pow2(p, -as_fraction(k)) <= 0
+# a source is an exact law on m-bit words, the type the entropy module computes
+FiniteDistribution = WordDistribution
 
 
 def tv_distance(p: FiniteDistribution, q: FiniteDistribution) -> Fraction:
     """Exact (1/2) * sum over words of |p - q|."""
-    if p.n != q.n:
-        raise DomainError(f"length mismatch: {p.n} vs {q.n}")
+    if p.m != q.m:
+        raise DomainError(f"length mismatch: {p.m} vs {q.m}")
     words = set(p.entries) | set(q.entries)
     return sum((abs(p.prob(w) - q.prob(w)) for w in words), ZERO) / 2
 
 
 def tv_from_uniform(dist: FiniteDistribution) -> Fraction:
-    n = dist.n
-    u = Fraction(1, 1 << n)
+    m = dist.m
+    u = Fraction(1, 1 << m)
     onsupport = sum((abs(p - u) for p in dist.entries.values()), ZERO)
-    return (onsupport + ((1 << n) - len(dist.entries)) * u) / 2
+    return (onsupport + ((1 << m) - len(dist.entries)) * u) / 2
 
 
 def adversarial_source(ext: Callable, m: int) -> FiniteDistribution:
@@ -190,17 +146,7 @@ def seeded_extract(x_bits: Sequence[int], z_bits: Sequence[int], n: int):
     ext = SeededExtractor(m, n)
     if len(z_bits) != ext.d:
         raise DomainError(f"seed must have m+n-1 = {ext.d} bits, got {len(z_bits)}")
-    x = 0
-    for b in x_bits:
-        if b not in (0, 1):
-            raise DomainError(f"bits must be 0 or 1, got {b!r}")
-        x = (x << 1) | b
-    z = 0
-    for b in z_bits:
-        if b not in (0, 1):
-            raise DomainError(f"bits must be 0 or 1, got {b!r}")
-        z = (z << 1) | b
-    return word_to_bits(ext.apply(x, z), n)
+    return word_to_bits(ext.apply(bits_to_word(x_bits), bits_to_word(z_bits)), n)
 
 
 def avg_seed_tv(source: FiniteDistribution, n: int) -> Fraction:
@@ -210,7 +156,7 @@ def avg_seed_tv(source: FiniteDistribution, n: int) -> Fraction:
     Enumerates every seed; meant for small m (the flat-source harness
     below is the fast path).
     """
-    ext = SeededExtractor(source.n, n)
+    ext = SeededExtractor(source.m, n)
     if ext.d > 20:
         raise ResourceBudgetError(f"2**{ext.d} seeds is past the exhaustive budget")
     u = Fraction(1, 1 << n)

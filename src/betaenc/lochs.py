@@ -8,11 +8,12 @@ every requested digit order m.  All reported inequalities against the
 irrational rate log2/log(beta) are decided by integer power comparisons;
 logarithms appear only as 50-digit decimals in the report text.
 
-The exact side (``pm_measure_exact``) enumerates every attainable bit
-prefix of a chosen depth together with its interval of consistent inputs
-and returns the exact Lebesgue measure of the set of inputs whose prefix
-cylinder still straddles a dyadic cell boundary - the quantity the
-tail-set bound 2*2**(-eps*m) is about.
+The exact side (``pm_measure_exact``) walks the prefix tree of
+``entropy.prefix_leaves`` to every attainable bit prefix of a chosen depth
+together with its interval of consistent inputs and returns the exact
+Lebesgue measure of the set of inputs whose prefix cylinder still
+straddles a dyadic cell boundary - the quantity the tail-set bound
+2*2**(-eps*m) is about.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import Optional
 
 from .converter import _scan, scan_targets
 from .encoder import ConstantThreshold
-from .errors import ConfigurationError, DomainError, ResourceBudgetError
+from .entropy import prefix_leaves
+from .errors import ConfigurationError, DomainError
 from .numerics import (
     ONE,
     ZERO,
@@ -37,7 +39,7 @@ from .numerics import (
     check_beta,
     cmp_pow2,
     decimal_str,
-    dyadic_index,
+    dyadic_cell,
     format_rational,
     interval_in_dyadic_cell,
     least_power_at_least,
@@ -148,19 +150,19 @@ class LochsReport:
         }
 
     def csv_rows(self) -> list:
+        """One record per m; an m whose every sample hit the cap has only m and cap_hits."""
         out = []
         for row in self.rows:
-            out.append(
-                {
-                    "m": row["m"],
-                    "mean_k_over_m": row["mean_k_over_m"],
-                    "target": row["target"],
-                    "mean_k": row["mean_k"],
-                    "min_deviation": row["min_deviation"],
-                    "tail_mass": row["tail"]["mass_decimal"],
-                    "cap_hits": row["cap_hits"],
-                }
-            )
+            rec = {"m": row["m"], "cap_hits": row["cap_hits"]}
+            if row["samples"]:
+                rec.update(
+                    mean_k_over_m=row["mean_k_over_m"],
+                    target=row["target"],
+                    mean_k=row["mean_k"],
+                    min_deviation=row["min_deviation"],
+                    tail_mass=row["tail"]["mass_decimal"],
+                )
+            out.append(rec)
         return out
 
 
@@ -399,38 +401,15 @@ def pm_measure_exact(
         raise DomainError("kbar must be at least 1")
 
     tail_length = kappa * beta**-kbar
-    cell_den = 1 << m
     bad = ZERO
-    visited = 0
-    # node: (depth, consistency lo, hi, cylinder lo)
-    stack = [(0, ZERO, ONE, ZERO)]
-    while stack:
-        visited += 1
-        if visited > node_budget:
-            raise ResourceBudgetError(
-                f"tail-set enumeration passed {node_budget} nodes; shrink m or kbar"
-            )
-        depth, jlo, jhi, clo = stack.pop()
-        if depth == kbar:
-            cylinder = Interval(clo, clo + tail_length)
-            idx = dyadic_index(clo, m)
-            cell = Interval(Fraction(idx, cell_den), Fraction(idx + 1, cell_den))
-            if interval_in_dyadic_cell(cylinder, cell):
-                good_lo = max(jlo, cell.lo)
-                good_hi = min(jhi, cell.hi)
-                good = good_hi - good_lo if good_hi > good_lo else ZERO
-                bad += (jhi - jlo) - good
-            else:
-                bad += jhi - jlo
-            continue
-        step = beta ** -(depth + 1)
-        split = clo + u * step
-        zero_hi = min(jhi, split)
-        if zero_hi > jlo:
-            stack.append((depth + 1, jlo, zero_hi, clo))
-        one_lo = max(jlo, split)
-        if jhi > one_lo:
-            stack.append((depth + 1, one_lo, jhi, clo + step))
+    leaves = prefix_leaves([[(beta, ONE)]] * kbar, (u,) * kbar, node_budget)
+    for _, jlo, jhi, _, slope, shift in leaves:
+        clo = shift / slope  # cylinder lower end, sum of b_i beta**-i
+        cell = dyadic_cell(clo, m)
+        bad += jhi - jlo
+        if interval_in_dyadic_cell(Interval(clo, clo + tail_length), cell):
+            # the leaf's inputs inside the cylinder's cell are not in the tail set
+            bad -= max(ZERO, min(jhi, cell.hi) - max(jlo, cell.lo))
     return bad
 
 

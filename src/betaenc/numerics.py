@@ -25,7 +25,6 @@ from typing import Sequence, Union
 
 from .errors import DomainError
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
@@ -35,16 +34,12 @@ TWO = Fraction(2)
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" (decimals rejected: exact inputs only)."""
-    s = text.strip()
+    if any(c in text for c in ".eE"):
+        raise DomainError(f"{text!r}: write rationals as p/q; decimals are rejected here")
     try:
-        if "/" in s:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(
-            f"expected an exact rational like '3/2', got {text!r}"
-        ) from exc
+        raise DomainError(f"{text!r}: {exc}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -247,16 +242,6 @@ def log_ratio_decimal(beta: Fraction, digits: int = 50) -> Decimal:
         ctx.prec = digits + 10
         lnb = Decimal(beta.numerator).ln() - Decimal(beta.denominator).ln()
         return Decimal(2).ln() / lnb
-
-
-def fraction_decimal(value: Fraction, places: int = 12) -> str:
-    """Deterministic fixed-point decimal rendering of an exact rational."""
-    value = as_fraction(value)
-    with localcontext() as ctx:
-        ctx.prec = places + 30
-        d = Decimal(value.numerator) / Decimal(value.denominator)
-        q = d.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN)
-    return format(q, "f")
 
 
 def decimal_str(value: Decimal, places: int = 12) -> str:

@@ -188,6 +188,44 @@ def test_lochs_outputs(tmp_path):
     assert len(doc["rows"]) == 2
 
 
+def test_lochs_m_with_every_sample_capped(tmp_path):
+    code, out = run(
+        ["lochs", "--beta", "3/2", "--samples", "3", "--k-cap", "5",
+         "--m-list", "8,16", "--workers", "1"],
+        tmp_path,
+    )
+    assert code == 0
+    with open(out / "lochs.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    empty = {"mean_k_over_m": "", "target": "", "mean_k": "",
+             "min_deviation": "", "tail_mass": ""}
+    assert rows == [dict(m="8", cap_hits="3", **empty), dict(m="16", cap_hits="3", **empty)]
+    assert read_json(out / "manifest.json")["outputs"] == ["lochs.csv", "lochs.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "--x", "1/3", "--beta", "3/2", "--m-list", "4", "--k-cap", "-1"],
+    ["lochs", "--beta", "3/2", "--m-list", "4", "--samples", "3", "--k-cap", "0",
+     "--workers", "1"],
+])
+def test_k_cap_below_one_is_a_usage_error(tmp_path, capsys, argv):
+    code, out = run(argv, tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: k_cap") and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+def test_beta_probs_needs_beta_support(tmp_path, capsys):
+    code, out = run(
+        ["encode", "--x", "1/2", "--beta", "3/2", "--beta-probs", "1/2", "--steps", "3"],
+        tmp_path,
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: --beta-probs needs --beta-support\n"
+    assert not (out / "encode.json").exists()
+
+
 def test_lochs_worker_env_is_read(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BETAENC_WORKERS", "0")
     code, _ = run(

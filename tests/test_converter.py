@@ -123,6 +123,16 @@ def test_cap_hit_reports_exceeded():
     assert k_of_m(F(0), 1, F(3, 2), k_cap=4) == KResult(4, False)
 
 
+@pytest.mark.parametrize("k_cap", [0, -1])
+def test_cap_below_one_rejected(k_cap):
+    with pytest.raises(ConfigurationError):
+        scan_targets([1], F(3, 2), k_cap)
+    with pytest.raises(ConfigurationError):
+        k_profile(F(1, 3), [1], F(3, 2), k_cap=k_cap)
+    with pytest.raises(ConfigurationError):
+        transfer_rows(F(1, 3), [1], F(3, 2), k_cap=k_cap)
+
+
 def test_short_explicit_thresholds_rejected():
     # the cap for m=1 needs far more than three values
     with pytest.raises(ConfigurationError):

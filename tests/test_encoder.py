@@ -10,6 +10,7 @@ import oracles
 from betaenc.encoder import (
     ConstantThreshold,
     ExplicitBetas,
+    ExplicitThresholds,
     FixedBeta,
     IidSupportBetas,
     UniformBetas,
@@ -287,3 +288,63 @@ def test_encode_bits_input_validation():
         encode_bits(F(3, 2), F(3, 2), F(1), 4)
     with pytest.raises(DomainError):
         encode_bits(F(1, 2), F(3, 2), F(5, 2), 4)  # u above kappa
+
+
+# one instance of each process kind, with its frozen repr and JSON
+FROZEN_PROCESSES = [
+    (FixedBeta(F(3, 2)),
+     "FixedBeta(value=Fraction(3, 2))",
+     {"kind": "fixed", "beta": "3/2"}),
+    (ExplicitBetas((F(3, 2), F(8, 5))),
+     "ExplicitBetas(values=(Fraction(3, 2), Fraction(8, 5)))",
+     {"kind": "explicit", "betas": ["3/2", "8/5"]}),
+    (IidSupportBetas((F(3, 2), F(8, 5)), (F(1, 4), F(3, 4)), seed=5),
+     "IidSupportBetas(values=(Fraction(3, 2), Fraction(8, 5)), "
+     "probs=(Fraction(1, 4), Fraction(3, 4)), seed=5)",
+     {"kind": "iid-support", "values": ["3/2", "8/5"], "probs": ["1/4", "3/4"], "seed": 5}),
+    (UniformBetas(F(3, 2), F(9, 5), seed=1, precision_bits=8),
+     "UniformBetas(lo=Fraction(3, 2), hi=Fraction(9, 5), seed=1, precision_bits=8)",
+     {"kind": "uniform", "lo": "3/2", "hi": "9/5", "seed": 1, "precision_bits": 8}),
+    (ConstantThreshold(F(3, 2)),
+     "ConstantThreshold(value=Fraction(3, 2))",
+     {"kind": "constant", "u": "3/2"}),
+    (ExplicitThresholds((1, F(5, 4))),
+     "ExplicitThresholds(values=(Fraction(1, 1), Fraction(5, 4)))",
+     {"kind": "explicit", "us": ["1/1", "5/4"]}),
+    (UniformThresholds(1, F(5, 4), seed=1, precision_bits=8),
+     "UniformThresholds(lo=Fraction(1, 1), hi=Fraction(5, 4), seed=1, precision_bits=8)",
+     {"kind": "uniform", "lo": "1/1", "hi": "5/4", "seed": 1, "precision_bits": 8}),
+]
+
+
+@pytest.mark.parametrize("process, text, doc", FROZEN_PROCESSES)
+def test_process_repr_and_json_are_frozen(process, text, doc):
+    assert repr(process) == text
+    assert process.to_json() == doc
+    assert process == type(process)(*[getattr(process, f) for f in process.__dataclass_fields__])
+
+
+def test_process_kinds_never_compare_equal():
+    kinds = [process for process, _, _ in FROZEN_PROCESSES]
+    kinds += [FixedBeta(F(5, 4)), ConstantThreshold(F(5, 4)),
+              ExplicitBetas((F(5, 4),)), ExplicitThresholds((F(5, 4),)),
+              UniformBetas(F(5, 4), F(5, 4)), UniformThresholds(F(5, 4), F(5, 4))]
+    for i, a in enumerate(kinds):
+        for j, b in enumerate(kinds):
+            assert (a == b) == (i == j), (a, b)
+    assert FixedBeta(F(3, 2)) != ConstantThreshold(F(3, 2))
+    assert UniformBetas(F(5, 4), F(5, 4)) != UniformThresholds(F(5, 4), F(5, 4))
+
+
+def test_process_roles_and_draws_are_frozen():
+    gains, thresholds = FROZEN_PROCESSES[:4], FROZEN_PROCESSES[4:]
+    assert [p.is_random for p, _, _ in FROZEN_PROCESSES] == [
+        False, False, True, True, False, False, True]
+    assert [p.beta_range for p, _, _ in gains] == [
+        (F(3, 2), F(3, 2)), (F(3, 2), F(8, 5)), (F(3, 2), F(8, 5)), (F(3, 2), F(9, 5))]
+    assert [p.threshold_range for p, _, _ in thresholds] == [
+        (F(3, 2), F(3, 2)), (F(1), F(5, 4)), (F(1), F(5, 4))]
+    # seeded draws pin each role's PRNG label
+    assert gains[2][0].realize(3) == (F(3, 2), F(8, 5), F(8, 5))
+    assert gains[3][0].realize(3) == (F(843, 512), F(807, 512), F(861, 512))
+    assert thresholds[2][0].realize(3) == (F(1157, 1024), F(1033, 1024), F(1155, 1024))

@@ -115,6 +115,12 @@ def test_scaling_variants():
     assert custom["scaled_variance"]["n_m_squared"] == "4/1"
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cap_below_one_rejected_at_run(workers):
+    with pytest.raises(ConfigurationError):
+        run_lochs(small_experiment(n_samples=2, k_cap=0, workers=workers))
+
+
 def test_csv_rows_shape():
     rows = run_lochs(small_experiment()).csv_rows()
     assert [r["m"] for r in rows] == [4, 8]

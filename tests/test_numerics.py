@@ -48,6 +48,13 @@ def test_as_fraction_rejects_floats_and_bools():
         as_fraction(True)
 
 
+def test_as_fraction_reads_the_cli_grammar():
+    assert as_fraction(" -3/2 ") == Fraction(-3, 2)
+    for bad in ("3 / 2", "3/-2", "0.5", "1e3", "3/0", "x"):
+        with pytest.raises(DomainError):
+            as_fraction(bad)
+
+
 def test_check_beta_range():
     assert check_beta("3/2") == Fraction(3, 2)
     for bad in (1, 2, Fraction(5, 2), Fraction(1, 2)):
