@@ -20,7 +20,7 @@ def bits_to_word(bits: Sequence[int]) -> int:
     for b in bits:
         if b not in (0, 1):
             raise DomainError(f"bits must be 0 or 1, got {b!r}")
-        w = (w << 1) | b
+        w = (w << 1) | int(b)  # a numpy uint8 bit would keep w in 8 bits
     return w
 
 

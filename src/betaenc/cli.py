@@ -384,11 +384,12 @@ def _strip_out_dir(argv) -> list:
     return kept
 
 
-def _resolve_out_dir(args) -> Path:
-    target = args.out_dir or os.environ.get("BETAENC_OUT_DIR") or "."
-    out = Path(target)
+def _resolve_out_dir(args) -> tuple:
+    """The output directory, created if needed, and the directories created, deepest first."""
+    out = Path(args.out_dir or os.environ.get("BETAENC_OUT_DIR") or ".")
+    created = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return out, created
 
 
 def _manifest_argv(path: Path) -> list:
@@ -418,8 +419,17 @@ def _dispatch(argv, replaying: bool = False) -> int:
         except ValueError:
             raise ConfigurationError(f"BETAENC_WORKERS={env!r} is not an integer") from None
 
-    out = _resolve_out_dir(args)
-    config, outputs = _HANDLERS[args.command](args, out)
+    out, created = _resolve_out_dir(args)
+    try:
+        config, outputs = _HANDLERS[args.command](args, out)
+    except BaseException:
+        # a refused run leaves no directory behind; one that existed stays
+        for d in created:
+            try:
+                d.rmdir()
+            except OSError:
+                break
+        raise
     manifest = {
         "tool": "betaenc",
         "version": __version__,

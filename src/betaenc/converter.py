@@ -206,8 +206,8 @@ def k_profile(
             f"thresholds must stay within [1, {state_bound(beta)}]"
         )
     targets = scan_targets(ms, beta, k_cap)
-    seq = thresholds.realize(targets[-1][1], rng.derive("thresholds") if rng else None)
-    return _scan(x, targets, beta, iter([(u.numerator, u.denominator) for u in seq]))
+    seq = thresholds.scaled(targets[-1][1], rng.derive("thresholds") if rng else None)
+    return _scan(x, targets, beta, iter(seq))
 
 
 def k_of_m(

@@ -14,6 +14,7 @@ seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -96,6 +97,9 @@ class _One:
     def realize(self, n_steps: int, rng: Optional[SplitMix64] = None) -> tuple:
         return (self.value,) * n_steps
 
+    def scaled(self, n_steps: int, rng: Optional[SplitMix64] = None) -> list:
+        return [(self.value.numerator, self.value.denominator)] * n_steps
+
     def to_json(self) -> dict:
         return {"kind": self._kind, self._key: format_rational(self.value)}
 
@@ -124,6 +128,9 @@ class _Listed:
             )
         return self.values[:n_steps]
 
+    def scaled(self, n_steps: int, rng: Optional[SplitMix64] = None) -> list:
+        return [(v.numerator, v.denominator) for v in self.realize(n_steps, rng)]
+
     def to_json(self) -> dict:
         return {"kind": "explicit", self._key + "s": [format_rational(v) for v in self.values]}
 
@@ -150,9 +157,25 @@ class _Uniform:
         return (self.lo, self.hi)
 
     def realize(self, n_steps: int, rng: Optional[SplitMix64] = None) -> tuple:
+        return tuple(Fraction(r, d) for r, d in self.scaled(n_steps, rng))
+
+    def scaled(self, n_steps: int, rng: Optional[SplitMix64] = None) -> list:
+        """The draws lo + span*odd/2**P as unreduced integer pairs (num, den).
+
+        odd is the numerator of rng.odd_dyadic(P), drawn in the same order;
+        every pair shares the denominator lo_d*span_d*2**P.
+        """
         rng = _resolve_rng(self.seed, rng, self._label)
-        span = self.hi - self.lo
-        return tuple(self.lo + span * rng.odd_dyadic(self.precision_bits) for _ in range(n_steps))
+        base, step, den = self._scale
+        return [(base + step * odd, den) for odd in rng.odd_numerators(self.precision_bits, n_steps)]
+
+    @cached_property
+    def _scale(self) -> tuple:
+        """(lo_n*span_d*2**P, span_n*lo_d, lo_d*span_d*2**P), fixed per process."""
+        P, lo = self.precision_bits, self.lo
+        span = self.hi - lo
+        return (lo.numerator * span.denominator << P, span.numerator * lo.denominator,
+                lo.denominator * span.denominator << P)
 
     def to_json(self) -> dict:
         return {

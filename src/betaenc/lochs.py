@@ -167,13 +167,9 @@ class LochsReport:
 
 
 def _lazy_scaled(process, rng, cap: int):
-    """Draw thresholds in chunks, scaled to integer pairs, only as consumed."""
-    done = 0
-    while done < cap:
-        n = min(32, cap - done)
-        for u in process.realize(n, rng):
-            yield (u.numerator, u.denominator)
-        done += n
+    """Draw thresholds as integer pairs in chunks of 32, only as consumed."""
+    for done in range(0, cap, 32):
+        yield from process.scaled(min(32, cap - done), rng)
 
 
 def _chunk(exp: LochsExperiment, bounds) -> tuple:
@@ -181,10 +177,7 @@ def _chunk(exp: LochsExperiment, bounds) -> tuple:
     targets = scan_targets(exp.m_values, exp.beta, exp.k_cap)
     cap_max = targets[-1][1]
     per_sample = exp.thresholds.is_random and getattr(exp.thresholds, "seed", None) is None
-    shared = None
-    if not per_sample:
-        seq = exp.thresholds.realize(cap_max)
-        shared = [(u.numerator, u.denominator) for u in seq]
+    shared = None if per_sample else exp.thresholds.scaled(cap_max)
     base = SplitMix64(exp.rng_seed).derive("lochs")
     precision = exp.resolved_precision()
     hists = [Counter() for _ in exp.m_values]

@@ -120,10 +120,21 @@ class SplitMix64:
         Full-depth numerators keep samples off every coarser dyadic grid,
         so no draw ever sits on a probed cell boundary.
         """
+        return Fraction(self.odd_numerators(precision_bits, 1)[0], 1 << precision_bits)
+
+    def odd_numerators(self, precision_bits: int, count: int) -> list:
+        """Numerators of the next `count` odd_dyadic(precision_bits) draws.
+
+        Each is 2*w + 1 with w = bits(precision_bits - 1), so up to 64
+        precision bits a draw takes one word and the whole batch is one
+        next64_array read, in the order of `count` scalar draws.
+        """
         if precision_bits < 2:
             raise ValueError("need at least 2 precision bits")
-        num = (self.bits(precision_bits - 1) << 1) | 1
-        return Fraction(num, 1 << precision_bits)
+        if precision_bits > 64:
+            return [(self.bits(precision_bits - 1) << 1) | 1 for _ in range(count)]
+        words = self.next64_array(count) & np.uint64((1 << precision_bits - 1) - 1)
+        return ((words << np.uint64(1)) | np.uint64(1)).tolist()
 
     def randbelow(self, n: int) -> int:
         if n <= 0:

@@ -68,6 +68,26 @@ def encoder_stream_scaled(x, beta, u, n: int) -> tuple:
     return tuple(bits)
 
 
+def uniform_draws(lo, hi, precision_bits: int, rng, n: int) -> tuple:
+    """n Fraction draws lo + (hi - lo) * odd / 2**P, one scalar word at a time.
+
+    odd = 2*w + 1 where w is the low P - 1 bits of the next ceil((P-1)/64)
+    words of ``rng.next64()``, least significant word first.  This is the
+    per-draw Fraction loop the integer draws of the uniform processes
+    replaced.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    k = precision_bits - 1
+    out = []
+    for _ in range(n):
+        w = 0
+        for shift in range(0, k, 64):
+            w |= rng.next64() << shift
+        odd = ((w & ((1 << k) - 1)) << 1) | 1
+        out.append(lo + (hi - lo) * Fraction(odd, 1 << precision_bits))
+    return tuple(out)
+
+
 def cylinder_k(x: Fraction, m: int, beta: Fraction, u_values=None, k_cap: int = 4096):
     """Brute-force least k making m digits of x certain, or None at the cap.
 

@@ -28,6 +28,13 @@ def test_word_round_trip_msb_first():
     assert bits_to_str((1, 1, 0)) == "110"
 
 
+def test_bits_to_word_on_numpy_bits():
+    assert bits_to_word(np.ones(12, dtype=np.uint8)) == 4095
+    assert bits_to_word(np.array([1, 0, 1], dtype=np.uint8)) == 5
+    with pytest.raises(DomainError):
+        bits_to_word(np.array([1, 2], dtype=np.uint8))
+
+
 def test_word_to_bits_rejects_overflow():
     with pytest.raises(DomainError):
         word_to_bits(8, 3)

@@ -216,6 +216,24 @@ def test_k_cap_below_one_is_a_usage_error(tmp_path, capsys, argv):
     assert not (out / "manifest.json").exists()
 
 
+REFUSED_LOCHS = ["lochs", "--beta", "3/2", "--m-list", "4", "--samples", "4", "--k-cap", "0",
+                 "--workers", "2"]
+
+
+def test_refused_run_creates_no_out_dir(tmp_path, capsys):
+    code, out = run(REFUSED_LOCHS, tmp_path, "kc/nested")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: k_cap")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_refused_run_keeps_an_existing_out_dir(tmp_path, capsys):
+    (tmp_path / "kc").mkdir()
+    code, out = run(REFUSED_LOCHS, tmp_path, "kc")
+    assert code == 2
+    assert out.is_dir() and list(out.iterdir()) == []
+
+
 def test_beta_probs_needs_beta_support(tmp_path, capsys):
     code, out = run(
         ["encode", "--x", "1/2", "--beta", "3/2", "--beta-probs", "1/2", "--steps", "3"],

@@ -348,3 +348,42 @@ def test_process_roles_and_draws_are_frozen():
     assert gains[2][0].realize(3) == (F(3, 2), F(8, 5), F(8, 5))
     assert gains[3][0].realize(3) == (F(843, 512), F(807, 512), F(861, 512))
     assert thresholds[2][0].realize(3) == (F(1157, 1024), F(1033, 1024), F(1155, 1024))
+
+
+# (role, lo, hi): lo == hi, non-dyadic endpoints, and the lochs range [1, kappa]
+UNIFORM_CASES = [
+    (UniformBetas, F(7, 6), F(5, 4)),
+    (UniformBetas, F(5, 4), F(5, 4)),
+    (UniformBetas, F(3, 2), F(9, 5)),
+    (UniformThresholds, F(7, 6), F(5, 4)),
+    (UniformThresholds, F(1), F(5, 4)),
+    (UniformThresholds, F(5, 4), F(5, 4)),
+    (UniformThresholds, F(1), F(2)),
+    (UniformThresholds, F(1), F(10, 3)),
+]
+
+
+@given(
+    st.sampled_from(UNIFORM_CASES),
+    st.sampled_from([2, 17, 63, 64, 65, 130]),
+    st.lists(st.integers(min_value=0, max_value=70), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=(1 << 64) - 1),
+)
+def test_uniform_integer_draws_match_the_fraction_oracle(case, precision_bits, chunks, seed):
+    role, lo, hi = case
+    process = role(lo, hi, precision_bits=precision_bits)
+    span = hi - lo
+    den = lo.denominator * span.denominator << precision_bits
+    expected = oracles.uniform_draws(lo, hi, precision_bits, SplitMix64(seed), sum(chunks))
+    # chunked draws from one stream continue each other, whatever the chunk sizes
+    rng = SplitMix64(seed)
+    pairs = [pair for n in chunks for pair in process.scaled(n, rng)]
+    assert all(d == den for _, d in pairs)
+    assert tuple(F(r, d) for r, d in pairs) == expected
+    rng = SplitMix64(seed)
+    assert tuple(v for n in chunks for v in process.realize(n, rng)) == expected
+    # a seeded process draws from its own stream under the role's label
+    seeded = role(lo, hi, seed=seed, precision_bits=precision_bits)
+    label_rng = SplitMix64(seed).derive(role._label)
+    assert seeded.realize(chunks[0]) == oracles.uniform_draws(
+        lo, hi, precision_bits, label_rng, chunks[0])

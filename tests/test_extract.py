@@ -175,6 +175,15 @@ def test_seeded_extract_validation():
         seeded_extract([0, 1], [0], 1)
     with pytest.raises(DomainError):
         seeded_extract([0, 2], [0, 0], 1)
+    with pytest.raises(DomainError):
+        seeded_extract(np.array([0, 2], dtype=np.uint8), np.zeros(2, dtype=np.uint8), 1)
+
+
+def test_seeded_extract_reads_numpy_bits_like_tuples():
+    # words wider than 8 bits must not wrap in the uint8 dtype
+    expected = seeded_extract((1,) * 12, (1,) * 15, 4)
+    assert expected == oracles.toeplitz_apply((1,) * 12, (1,) * 15, 4)
+    assert seeded_extract(np.ones(12, dtype=np.uint8), np.ones(15, dtype=np.uint8), 4) == expected
 
 
 def test_average_tv_frozen_prefix_case():

@@ -1,18 +1,23 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from betaenc.converter import k_profile
 from betaenc.encoder import ConstantThreshold, UniformThresholds
 from betaenc.errors import ConfigurationError, DomainError, ResourceBudgetError
 from betaenc.lochs import (
     LochsExperiment,
+    _lazy_scaled,
     default_kbar,
     pm_bound_holds,
     pm_measure_exact,
     run_lochs,
 )
 from betaenc.numerics import Interval, dyadic_index, interval_in_dyadic_cell, state_bound
+from betaenc.prng import SplitMix64
 
 F = Fraction
 
@@ -101,6 +106,49 @@ def test_random_thresholds_per_sample():
     # unseeded process: fresh thresholds per sample, still deterministic
     again = run_lochs(small_experiment(thresholds=thresholds, n_samples=15))
     assert report.rows == again.rows
+
+
+# sha256 of the sorted-key JSON report and k_profile(1/3, (4, 8, 16)) under
+# UniformThresholds(1, kappa), recorded before the draws became integer pairs
+FROZEN_UNIFORM_RUNS = [
+    (F(3, 2), None, 17, "60acfb4a61627cbb52b45acd3571d09e4f9e89a2a09667a113c88d05d3ddcdbe",
+     [(11, False), (18, False), (32, False)]),
+    (F(3, 2), None, 64, "f3050b029e32385c4f2872db4d1a9b5616f3307597951ad6dbed8d1fe61f1f42",
+     [(11, False), (17, False), (30, False)]),
+    (F(3, 2), 3, 17, "222e6d9e6dc2eac20400ed30f3345066f997495e197a5f7365982e946422073e",
+     [(10, False), (18, False), (31, False)]),
+    (F(3, 2), 3, 64, "30549ba2c49c1ee4612c70086ccb9f412812b675a967bbf936878396234bfb87",
+     [(10, False), (16, False), (31, False)]),
+    (F(9, 5), None, 17, "bc7ae440316ab9d90025c452ad5d2a40e62d8512b5d08100b74c19d7d6eaa635",
+     [(7, False), (11, False), (20, False)]),
+    (F(9, 5), None, 64, "fb491b9ec02d29e39ad6bc32e32c66d6d89bea0fff5ef9c6f2ad2aff74de2053",
+     [(6, False), (11, False), (21, False)]),
+    (F(9, 5), 3, 17, "92a1d9459d600fa8925edd80fde246b56d323045377241313739b53f8f3fec13",
+     [(7, False), (11, False), (20, False)]),
+    (F(9, 5), 3, 64, "0b92fce15bc3a56dc405387697b38c0d90e9b97774a8e15f9ba84f4abe03151f",
+     [(6, False), (11, False), (21, False)]),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("beta, seed, precision_bits, digest, profile", FROZEN_UNIFORM_RUNS)
+def test_uniform_threshold_reports_are_frozen(beta, seed, precision_bits, digest, profile,
+                                              workers):
+    thresholds = UniformThresholds(1, state_bound(beta), seed=seed, precision_bits=precision_bits)
+    exp = LochsExperiment(beta=beta, thresholds=thresholds, m_values=(4, 8), n_samples=24,
+                          rng_seed=7, workers=workers)
+    doc = json.dumps(run_lochs(exp).to_json(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+    results = k_profile(F(1, 3), (4, 8, 16), beta, thresholds, rng=SplitMix64(5))
+    assert [tuple(r) for r in results] == profile
+
+
+@pytest.mark.parametrize("cap", [1, 31, 32, 33, 70, 502])
+def test_lazy_thresholds_match_the_fraction_oracle(cap):
+    thresholds = UniformThresholds(F(7, 6), F(5, 4))
+    pairs = list(_lazy_scaled(thresholds, SplitMix64(3), cap))
+    expected = oracles.uniform_draws(F(7, 6), F(5, 4), 64, SplitMix64(3), cap)
+    assert tuple(F(r, d) for r, d in pairs) == expected
 
 
 def test_scaling_variants():
