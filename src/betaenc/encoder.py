@@ -150,6 +150,8 @@ class _Uniform:
         lo, hi = self._check(self.lo), self._check(self.hi)
         if lo > hi:
             raise ConfigurationError(f"need lo <= hi, got [{lo}, {hi}]")
+        if self.precision_bits < 2:
+            raise ConfigurationError(f"need precision_bits >= 2, got {self.precision_bits}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -173,45 +173,90 @@ def avg_seed_tv(source: FiniteDistribution, n: int) -> Fraction:
     return total / (1 << ext.d)
 
 
-def _output_table(m: int, n: int) -> np.ndarray:
-    """Y[z, x] for every seed and input word, as a (2**d, 2**m) uint8 array."""
+# entries of the gathered (character, seed, support) block per batch
+_GATHER_ENTRIES = 1 << 18
+
+
+def _walsh(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along axis 0 of a (2**k, ...) array.
+
+    Butterflies ping-pong between ``a`` and one scratch array, so ``a`` is
+    overwritten; the result is whichever of the two holds the last stage.
+    """
+    size = a.shape[0]
+    a = a.reshape(size, -1)
+    out = np.empty_like(a)
+    h = 1
+    while h < size:
+        src = a.reshape(size // (2 * h), 2, -1)
+        dst = out.reshape(src.shape)
+        np.add(src[:, 0], src[:, 1], out=dst[:, 0])
+        np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
+        a, out = out, a
+        h *= 2
+    return a
+
+
+def _hash_characters(m: int, n: int) -> np.ndarray:
+    """w[c, z] = T_z^T c: the XOR of the rows (z >> i) & mask that c selects.
+
+    Bit n-1-i of c picks row i, matching the MSB-first output order of
+    SeededExtractor.apply, so c . T_z x = w[c, z] . x for every input x.
+    """
     d = m + n - 1
     if m > 14 or d > 16:
-        raise ResourceBudgetError(f"output table for m={m}, n={n} is past the budget")
-    par = _parity16()
-    mask = (1 << m) - 1
-    zs = np.arange(1 << d, dtype=np.uint16)[:, None]
-    xs = np.arange(1 << m, dtype=np.uint16)[None, :]
-    table = np.zeros((1 << d, 1 << m), dtype=np.uint8)
-    for i in range(n):
-        rows = (zs >> i) & mask
-        table = (table << 1) | par[rows & xs]
-    return table
+        raise ResourceBudgetError(f"seed table for m={m}, n={n} is past the budget")
+    zs = np.arange(1 << d, dtype=np.uint16)
+    w = np.zeros((1, 1 << d), dtype=np.uint16)
+    for i in range(n - 1, -1, -1):
+        w = np.concatenate((w, w ^ ((zs >> i) & ((1 << m) - 1))))
+    return w
 
 
-def flat_avg_seed_tv(m: int, n: int, supports: Sequence) -> list:
+def _indicators(m: int, batch: list) -> tuple:
+    """Indicator columns (2**m, len(batch)) of the supports and their sizes."""
+    sizes = np.array([len(s) for s in batch], dtype=np.int32)
+    if sizes.min() == 0:
+        raise ConfigurationError("flat source needs a non-empty support")
+    words = np.asarray([w for s in batch for w in s])
+    if words.dtype.kind not in "iu" or words.min() < 0 or words.max() >= 1 << m:
+        raise DomainError(f"support words must be integers in [0, 2**{m})")
+    cols = np.zeros((1 << m, len(batch)), dtype=np.int32)
+    cols[words, np.repeat(np.arange(len(batch)), sizes)] = 1
+    if (cols.sum(axis=0) != sizes).any():
+        raise DomainError("a flat support lists a word twice")
+    return cols, sizes
+
+
+def flat_avg_seed_tv(m: int, n: int, supports: Iterable) -> list:
     """avg_seed_tv for many flat sources at once; exact Fractions out.
 
     For each support S the conditional output law given seed z is
-    count/|S|, so the seed-averaged TV is an integer sum divided by
-    2**(d+1) * |S| * 2**n; everything stays in integers until the end.
+    N_z(y)/|S|, so the seed-averaged TV is sum_z,y |2**n N_z(y) - |S||
+    over 2**(d+1) * |S| * 2**n.  The counts come from the XOR lemma,
+    2**n N_z(y) = sum_c (-1)**(c.y) S^(w[c, z]), with S^ the Walsh
+    transform of the support's indicator: per batch of supports one
+    transform over the 2**m words, one gather through w, and one
+    transform over the 2**n characters.  Every value is an integer of at
+    most 2**(d+1) in magnitude, so int32 holds it exactly.
     """
-    table = _output_table(m, n)
-    d = m + n - 1
-    seed_ids = np.arange(1 << d, dtype=np.int64)[:, None] << n
+    ext = SeededExtractor(m, n)
+    w = _hash_characters(m, n)
+    rows = 1 << (ext.d + n)
+    per_batch = max(1, _GATHER_ENTRIES >> (ext.d + n))
+    # fold rows into lines ~4096 wide: ufuncs down a few narrow columns are slow
+    fold = min(rows, max(1, 4096 // per_batch))
+    supports = iter(supports)
     out = []
-    for support in supports:
-        sup = np.asarray(sorted(support), dtype=np.int64)
-        size = len(sup)
-        if size == 0:
-            raise ConfigurationError("flat source needs a non-empty support")
-        cols = table[:, sup].astype(np.int64)
-        counts = np.bincount((seed_ids | cols).ravel(), minlength=(1 << (d + n)))
-        deviation = np.abs(counts * (1 << n) - size).sum()
-        # the zero-count rows of each seed block contribute |0 - size/2**n|
-        # per missing word; bincount already yields zeros there, and
-        # |0*2**n - size| = size covers exactly that term
-        out.append(Fraction(int(deviation), (1 << (d + 1)) * size * (1 << n)))
+    while batch := list(itertools.islice(supports, per_batch)):
+        cols, sizes = _indicators(m, batch)
+        counts = _walsh(np.take(_walsh(cols), w, axis=0))
+        lines = counts.reshape(rows // fold, fold * len(batch))
+        lines -= np.tile(sizes, fold)
+        np.abs(lines, out=lines)
+        deviation = lines.sum(axis=0, dtype=np.int64).reshape(fold, len(batch)).sum(axis=0)
+        for size, dev in zip(sizes.tolist(), deviation.tolist()):
+            out.append(Fraction(dev, (1 << (ext.d + 1)) * size * (1 << n)))
     return out
 
 

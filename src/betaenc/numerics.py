@@ -193,6 +193,14 @@ def cmp_pow2(value: Fraction, exponent: Union[Fraction, int]) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
+_POWER_SEARCH_LIMIT = 1 << 20
+
+
+def _bit_log2(x: Fraction) -> int:
+    """bitlen(p) - bitlen(q) for x = p/q > 0; log2(x) lies strictly within 1 of it."""
+    return x.numerator.bit_length() - x.denominator.bit_length()
+
+
 def least_power_at_least(
     beta: Fraction,
     exponent2: Union[Fraction, int],
@@ -203,22 +211,48 @@ def least_power_at_least(
     """Least k >= 0 with coefficient * beta**k >= 2**exponent2 (or > if strict).
 
     This is the exact evaluation of ceilings like ``ceil(s * log2/log(beta))``
-    without touching floating point.
+    without touching floating point.  Bit lengths give a first guess; every
+    decision after it is an exact ``cmp_pow2`` test: gallop from the guess
+    until k is bracketed, then bisect.  Answers above 2**20 are refused.
     """
     beta = as_fraction(beta)
     coefficient = as_fraction(coefficient)
     if beta <= ONE or coefficient <= ZERO:
         raise DomainError("need beta > 1 and a positive coefficient")
-    k = 0
-    value = coefficient
-    while True:
-        c = cmp_pow2(value, exponent2)
-        if c > 0 or (c == 0 and not strict):
-            return k
-        k += 1
-        value *= beta
-        if k > 1 << 20:
-            raise DomainError("power search ran away; check arguments")
+
+    def reaches(k: int) -> bool:
+        c = cmp_pow2(coefficient * beta**k, exponent2)
+        return c > 0 or (c == 0 and not strict)
+
+    if reaches(0):
+        return 0
+    # log2 of beta**64 to within 1, so of beta to within 1/64
+    scaled_log = _bit_log2(beta**64)
+    need = as_fraction(exponent2) - _bit_log2(coefficient)
+    guess = -(-need * 64 // scaled_log) if scaled_log > 0 and need > 0 else 1
+    # gallop from the guess until lo does not reach and hi does, then bisect
+    lo, hi = 0, min(guess, _POWER_SEARCH_LIMIT)
+    step = 1
+    if reaches(hi):
+        while hi - step > lo and reaches(hi - step):
+            hi -= step
+            step *= 2
+        lo = max(lo, hi - step)
+    else:
+        while True:
+            if hi >= _POWER_SEARCH_LIMIT:
+                raise DomainError("power search ran away; check arguments")
+            lo, hi = hi, min(hi + step, _POWER_SEARCH_LIMIT)
+            if reaches(hi):
+                break
+            step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def log2_decimal(value: Fraction, digits: int = 50) -> Decimal:

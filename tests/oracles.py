@@ -12,6 +12,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 ONE = Fraction(1)
 
 
@@ -86,6 +88,26 @@ def uniform_draws(lo, hi, precision_bits: int, rng, n: int) -> tuple:
         odd = ((w & ((1 << k) - 1)) << 1) | 1
         out.append(lo + (hi - lo) * Fraction(odd, 1 << precision_bits))
     return tuple(out)
+
+
+def least_power_at_least(beta, exponent2, coefficient=ONE, strict=False) -> int:
+    """Least k >= 0 with coefficient * beta**k >= 2**exponent2, by linear search.
+
+    ``strict`` asks for > instead.  value >= 2**(a/b) is decided as
+    value**b >= 2**a.  This is the search the bracketed one in the package
+    replaced; it gives up (ValueError) past k = 2**20.
+    """
+    beta, value, e = Fraction(beta), Fraction(coefficient), Fraction(exponent2)
+    a, b = e.numerator, e.denominator
+    k = 0
+    while True:
+        lhs, rhs = value**b, Fraction(2) ** a
+        if lhs > rhs or (lhs == rhs and not strict):
+            return k
+        k += 1
+        value *= beta
+        if k > 1 << 20:
+            raise ValueError("no power up to 2**20")
 
 
 def cylinder_k(x: Fraction, m: int, beta: Fraction, u_values=None, k_cap: int = 4096):
@@ -177,6 +199,33 @@ def toeplitz_apply(x_bits, z_bits, n: int) -> tuple:
             acc ^= z_bits[n - 1 + j - i] & x_bits[j]
         out.append(acc)
     return tuple(out)
+
+
+def flat_avg_seed_tv_table(m: int, n: int, supports) -> list:
+    """Seed-averaged TV of the Toeplitz hash over flat sources, by counting.
+
+    Builds the output table Y[z, x] of every seed and input word, then for
+    each support bincounts its columns into (seed, output) cells and sums
+    |2**n * count - |S||.  This is the table path the Walsh-Hadamard
+    evaluation of ``flat_avg_seed_tv`` replaced.
+    """
+    d = m + n - 1
+    mask = (1 << m) - 1
+    zs = np.arange(1 << d, dtype=np.uint16)[:, None]
+    xs = np.arange(1 << m, dtype=np.uint16)[None, :]
+    table = np.zeros((1 << d, 1 << m), dtype=np.uint8)
+    for i in range(n):
+        parity = np.bitwise_count(((zs >> i) & mask) & xs) & 1
+        table = (table << 1) | parity.astype(np.uint8)
+    seed_ids = np.arange(1 << d, dtype=np.int64)[:, None] << n
+    out = []
+    for support in supports:
+        sup = np.asarray(sorted(support), dtype=np.int64)
+        cols = table[:, sup].astype(np.int64)
+        counts = np.bincount((seed_ids | cols).ravel(), minlength=1 << (d + n))
+        deviation = np.abs(counts * (1 << n) - len(sup)).sum()
+        out.append(Fraction(int(deviation), (1 << (d + 1)) * len(sup) * (1 << n)))
+    return out
 
 
 def inner_product(x_bits, y_bits) -> int:

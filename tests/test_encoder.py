@@ -80,6 +80,16 @@ def test_threshold_process_validation():
         UniformThresholds(F(3, 2), F(5, 4))
 
 
+def test_uniform_processes_need_two_precision_bits():
+    # refused when built, not at the first draw with a bare ValueError
+    for process in (UniformThresholds, UniformBetas):
+        lo, hi = (1, 2) if process is UniformThresholds else (F(3, 2), F(9, 5))
+        for bits in (1, 0, -3):
+            with pytest.raises(ConfigurationError, match="precision_bits >= 2"):
+                process(lo, hi, seed=1, precision_bits=bits)
+        assert len(process(lo, hi, seed=1, precision_bits=2).realize(3)) == 3
+
+
 def test_explicit_sequences_must_cover_run():
     betas = ExplicitBetas((F(3, 2), F(8, 5)))
     with pytest.raises(ConfigurationError):

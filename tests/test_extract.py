@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from betaenc import extract
 from betaenc.bitio import word_to_bits
 from betaenc.encoder import encode_bits
 from betaenc.errors import ConfigurationError, DomainError, ResourceBudgetError
@@ -211,9 +212,82 @@ def test_every_tiny_flat_source_obeys_the_hash_bound():
             assert leftover_hash_bound_ok(tv, n, 2)
 
 
+def test_every_tiny_flat_source_matches_the_table_oracle():
+    supports = list(all_flat_sources(4, 2))
+    for n in (1, 2, 3, 4):
+        assert flat_avg_seed_tv(4, n, supports) == oracles.flat_avg_seed_tv_table(4, n, supports)
+
+
+@st.composite
+def flat_cases(draw):
+    m = draw(st.integers(min_value=1, max_value=8))
+    n = draw(st.integers(min_value=1, max_value=m))
+    support = st.sets(st.integers(min_value=0, max_value=(1 << m) - 1), min_size=1)
+    return m, n, draw(st.lists(support, min_size=1, max_size=5))
+
+
+@given(flat_cases())
+@settings(max_examples=80, deadline=None)
+def test_walsh_path_matches_the_oracles(case):
+    m, n, supports = case
+    fast = flat_avg_seed_tv(m, n, supports)
+    assert fast == oracles.flat_avg_seed_tv_table(m, n, supports)
+    if m + n - 1 <= 7:
+        for support, tv in zip(supports, fast):
+            assert tv == avg_seed_tv(FiniteDistribution.flat(support, m), n)
+
+
+def test_walsh_path_on_uneven_support_sizes():
+    m = 6
+    rng = np.random.default_rng(6)
+    supports = [(37,), (0, 63), tuple(range(3)), tuple(range(64)), tuple(range(1, 64)),
+                tuple(sorted(rng.choice(64, 37, replace=False).tolist()))]
+    for n in range(1, m + 1):
+        fast = flat_avg_seed_tv(m, n, supports)
+        assert fast == oracles.flat_avg_seed_tv_table(m, n, supports)
+        # a point mass sits at 1 - 2**-n from uniform whatever the seed
+        assert fast[0] == 1 - F(1, 1 << n)
+        if n <= 2:
+            for support, tv in zip(supports, fast):
+                assert tv == avg_seed_tv(FiniteDistribution.flat(support, m), n)
+
+
+def test_walsh_path_batch_boundaries_and_generators():
+    m, n = 8, 3
+    per_batch = max(1, extract._GATHER_ENTRIES >> (m + n - 1 + n))
+    assert per_batch > 1
+    rng = np.random.default_rng(8)
+    supports = [tuple(rng.choice(256, int(size), replace=False).tolist())
+                for size in rng.integers(1, 257, size=per_batch + 1)]
+    expected = oracles.flat_avg_seed_tv_table(m, n, supports)
+    assert flat_avg_seed_tv(m, n, []) == []
+    assert flat_avg_seed_tv(m, n, supports[:1]) == expected[:1]
+    assert flat_avg_seed_tv(m, n, supports) == expected
+    assert flat_avg_seed_tv(m, n, (s for s in supports)) == expected
+    tiny = list(all_flat_sources(4, 2))
+    assert flat_avg_seed_tv(4, 2, all_flat_sources(4, 2)) == flat_avg_seed_tv(4, 2, tiny)
+
+
+def test_flat_supports_are_strict():
+    with pytest.raises(DomainError):
+        flat_avg_seed_tv(4, 1, [(-1, 0)])  # was read as word 15
+    with pytest.raises(DomainError):
+        flat_avg_seed_tv(4, 1, [(16, 0)])  # was a bare IndexError
+    with pytest.raises(DomainError):
+        flat_avg_seed_tv(4, 1, [(0, 0, 1)])  # was scored as a multiset
+    with pytest.raises(DomainError):
+        flat_avg_seed_tv(4, 1, [(0, 1), (2**70,)])
+    with pytest.raises(DomainError):
+        flat_avg_seed_tv(4, 1, [(0.5, 1)])
+
+
 def test_output_table_budget():
     with pytest.raises(ResourceBudgetError):
         flat_avg_seed_tv(15, 2, [(0, 1)])
+    with pytest.raises(ResourceBudgetError):
+        flat_avg_seed_tv(14, 4, [(0, 1)])
+    # m = 14 with d = 16 is the largest table; a point mass gives 1 - 2**-n
+    assert flat_avg_seed_tv(14, 3, [(12345,)]) == [F(7, 8)]
     with pytest.raises(ResourceBudgetError):
         avg_seed_tv(FiniteDistribution.flat(range(4), 12), 12)
     with pytest.raises(ConfigurationError):

@@ -3,9 +3,10 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from betaenc.errors import DomainError
 from betaenc.numerics import (
     EXACT_POLICY,
@@ -129,6 +130,41 @@ def test_least_power_is_the_least(beta, e):
     assert beta**k >= 2**e
     if k:
         assert beta ** (k - 1) < 2**e
+
+
+power_bases = st.one_of(
+    betas,
+    st.fractions(min_value=Fraction(11, 10), max_value=Fraction(7, 2), max_denominator=1000),
+    st.sampled_from([Fraction(2), Fraction(4), Fraction(8), Fraction(3, 2), Fraction(9, 4)]),
+)
+power_exponents = st.one_of(
+    st.integers(min_value=-40, max_value=200),
+    st.fractions(min_value=-20, max_value=60, max_denominator=12),
+)
+power_coefficients = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(8), Fraction(1, 64)]),
+    st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1, 1)),
+    st.fractions(min_value=1, max_value=10**6, max_denominator=97),
+)
+
+
+@given(power_bases, power_exponents, power_coefficients, st.booleans())
+@settings(max_examples=300)
+def test_least_power_matches_linear_search(beta, e, coefficient, strict):
+    expected = oracles.least_power_at_least(beta, e, coefficient, strict)
+    assert least_power_at_least(beta, e, coefficient=coefficient, strict=strict) == expected
+
+
+def test_least_power_refuses_exactly_past_two_to_the_twenty():
+    limit = 1 << 20
+    two = Fraction(2)
+    assert least_power_at_least(two, limit) == limit
+    assert least_power_at_least(two, limit - 1, coefficient=Fraction(1, 2)) == limit
+    assert least_power_at_least(two, limit - 1, strict=True) == limit
+    with pytest.raises(DomainError):
+        least_power_at_least(two, limit + 1)
+    with pytest.raises(DomainError):
+        least_power_at_least(two, limit, strict=True)
 
 
 # -- dyadic cells ------------------------------------------------------------
