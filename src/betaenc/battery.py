@@ -2,8 +2,10 @@
 
 Monobit, runs, serial (order 2), and approximate entropy (order 2):
 chosen so every p-value is an erfc / exponential expression and no
-incomplete-gamma tables are needed.  This is supporting evidence for the
-extraction pipeline, not a conformance suite.
+incomplete-gamma tables are needed.  All four read one cyclic order-3
+pattern count of the stream, built once per battery run from exact
+integer moments.  This is supporting evidence for the extraction
+pipeline, not a conformance suite.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bitio import as_bit_array
 from .errors import DomainError, InsufficientLengthError
 from .numerics import decimal_str
 from .prng import PRNG_ID, SplitMix64
@@ -48,48 +51,70 @@ class TestResult:
         }
 
 
-def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise DomainError("bit stream must be one-dimensional")
-    if arr.size and arr.max() > 1:
-        raise DomainError("bit stream contains non-bits")
-    return arr
+@dataclass(frozen=True)
+class PatternCounts:
+    """Cyclic order-3 pattern counts of one stream; lower orders are marginals.
+
+    ``order3[4a + 2b + c]`` counts the windows (b_i, b_i+1, b_i+2) reading
+    abc, indices mod n.  ``wraps`` is 1 when b_n != b_1: the one cyclic
+    transition the runs test leaves out.
+    """
+
+    n: int
+    order3: tuple
+    wraps: int
+
+    def order(self, k: int) -> tuple:
+        counts = self.order3
+        for _ in range(3 - k):
+            counts = tuple(counts[i] + counts[i + 1] for i in range(0, len(counts), 2))
+        return counts
 
 
-def _pattern_counts(bits: np.ndarray, order: int) -> np.ndarray:
-    """Overlapping order-bit pattern counts with wraparound (n windows)."""
-    ext = np.concatenate([bits, bits[: order - 1]]) if order > 1 else bits
-    idx = np.zeros(bits.size, dtype=np.int64)
-    for j in range(order):
-        idx = (idx << 1) | ext[j : j + bits.size]
-    return np.bincount(idx, minlength=1 << order)
+def pattern_counts(bits) -> PatternCounts:
+    """Validate a bit stream once and count its order-3 patterns.
+
+    With p, q, r the stream and its cyclic shifts by 1 and 2, each count is
+    an inclusion-exclusion of n, #p, #(p&q) = #(q&r), #(p&r) and #(p&q&r).
+    """
+    if isinstance(bits, PatternCounts):
+        return bits
+    arr = as_bit_array(bits)
+    n = arr.size
+    ext = np.resize(arr, n + 2)  # b_1 .. b_n, b_1, b_2 (cyclically for n < 2)
+    p, q, r = ext[:n], ext[1 : n + 1], ext[2:]
+    pq = p & q
+    s1, s_pq, s_pr, s_pqr = (int(np.count_nonzero(a)) for a in (p, pq, p & r, pq & r))
+    x, y, z = s_pq - s_pqr, s_pr - s_pqr, s_pqr  # #011 = #110, #101, #111
+    e = s1 - x - y - z  # #100 = #001
+    order3 = (n - 2 * e - s1 - y, e, s1 - 2 * x - z, x, e, y, x, z)
+    return PatternCounts(n, order3, int(n > 0 and arr[-1] != arr[0]))
 
 
-def _psi_sq(bits: np.ndarray, order: int) -> float:
-    counts = _pattern_counts(bits, order)
-    n = bits.size
-    return float((1 << order) / n * int((counts.astype(object) ** 2).sum()) - n)
+def _psi_sq(counts: PatternCounts, order: int) -> float:
+    n = counts.n
+    return float((1 << order) / n * sum(c * c for c in counts.order(order)) - n)
 
 
 def monobit_test(bits, alpha: float = 0.01) -> TestResult:
-    arr = _as_bits(bits)
-    n = arr.size
-    total = 2 * int(arr.sum()) - n
+    counts = pattern_counts(bits)
+    n = counts.n
+    total = 2 * counts.order(1)[1] - n
     s_obs = abs(total) / math.sqrt(n)
     p = math.erfc(s_obs / math.sqrt(2))
     return TestResult("monobit", s_obs, p, p >= alpha, alpha, {"bit_sum": total})
 
 
 def runs_test(bits, alpha: float = 0.01) -> TestResult:
-    arr = _as_bits(bits)
-    n = arr.size
-    pi = int(arr.sum()) / n
+    counts = pattern_counts(bits)
+    n = counts.n
+    pi = counts.order(1)[1] / n
     if abs(pi - 0.5) >= 2 / math.sqrt(n):
         # monobit prerequisite failed; the runs statistic is meaningless here
         return TestResult("runs", float("nan"), 0.0, False, alpha,
                           {"ones_fraction": pi, "prerequisite": "failed"})
-    v = 1 + int((arr[1:] != arr[:-1]).sum())
+    pairs = counts.order(2)
+    v = 1 + pairs[0b01] + pairs[0b10] - counts.wraps
     num = abs(v - 2 * n * pi * (1 - pi))
     den = 2 * math.sqrt(2 * n) * pi * (1 - pi)
     p = math.erfc(num / den)
@@ -98,8 +123,8 @@ def runs_test(bits, alpha: float = 0.01) -> TestResult:
 
 def serial_test(bits, alpha: float = 0.01) -> TestResult:
     """Order-2 overlapping serial test; p = exp(-delta_psi2 / 2)."""
-    arr = _as_bits(bits)
-    delta = _psi_sq(arr, 2) - _psi_sq(arr, 1)
+    counts = pattern_counts(bits)
+    delta = _psi_sq(counts, 2) - _psi_sq(counts, 1)
     # delta >= 0 up to rounding; clamp so p stays a probability
     p = min(1.0, math.exp(-delta / 2))
     return TestResult("serial", delta, p, p >= alpha, alpha, {})
@@ -107,12 +132,12 @@ def serial_test(bits, alpha: float = 0.01) -> TestResult:
 
 def approximate_entropy_test(bits, alpha: float = 0.01) -> TestResult:
     """Order-2 approximate entropy; p = exp(-x/2) * (1 + x/2) for x = chi2."""
-    arr = _as_bits(bits)
-    n = arr.size
+    counts = pattern_counts(bits)
+    n = counts.n
 
     def phi(order: int) -> float:
         acc = 0.0
-        for c in _pattern_counts(arr, order).tolist():
+        for c in counts.order(order):
             if c:
                 acc += (c / n) * math.log(c / n)
         return acc
@@ -132,14 +157,14 @@ def run_battery(bits, significance: float = 0.01) -> list:
     """All four tests on one stream; deterministic; pass iff p >= significance."""
     if not (0 < significance < 1):
         raise DomainError(f"significance must lie in (0,1), got {significance}")
-    arr = _as_bits(bits)
+    counts = pattern_counts(bits)
     needed = max(MINIMUM_BITS.values())
-    if arr.size < needed:
+    if counts.n < needed:
         mins = ", ".join(f"{name} {m}" for name, m in MINIMUM_BITS.items())
         raise InsufficientLengthError(
-            f"stream of {arr.size} bits is below the battery minimums ({mins})"
+            f"stream of {counts.n} bits is below the battery minimums ({mins})"
         )
-    return [test(arr, significance) for test in _TESTS]
+    return [test(counts, significance) for test in _TESTS]
 
 
 def battery_report(results, n_bits: int) -> dict:
@@ -164,14 +189,10 @@ def rejection_rates(n_runs: int = 1000, n_bits: int = 1 << 15,
     sit within calibration_tolerance of the significance level.
     """
     rng = SplitMix64(seed).derive("battery-calibration")
-    counts = {test.__name__: 0 for test in _TESTS}
-    names = {}
+    rejected = {}
     for i in range(n_runs):
-        bits = rng.derive("run", i).bit_array(n_bits)
-        for test, result in zip(_TESTS, run_battery(bits, significance)):
-            names[test.__name__] = result.name
-            if not result.passed:
-                counts[test.__name__] += 1
+        for result in run_battery(rng.derive("run", i).bit_array(n_bits), significance):
+            rejected[result.name] = rejected.get(result.name, 0) + (not result.passed)
     return {
         "prng": PRNG_ID,
         "seed": seed,
@@ -179,5 +200,5 @@ def rejection_rates(n_runs: int = 1000, n_bits: int = 1 << 15,
         "n_bits": n_bits,
         "alpha": significance,
         "tolerance": calibration_tolerance(significance, n_runs),
-        "rates": {names[k]: Fraction(v, n_runs) for k, v in counts.items()},
+        "rates": {name: Fraction(v, n_runs) for name, v in rejected.items()},
     }

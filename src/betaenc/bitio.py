@@ -44,10 +44,18 @@ def bits_to_str(bits: Sequence[int]) -> str:
     return "".join(str(int(b)) for b in bits)
 
 
-def pack_bits(bits: Sequence[int]) -> bytes:
+def as_bit_array(bits) -> np.ndarray:
+    """A one-dimensional uint8 array of 0/1 values, or DomainError."""
     arr = np.asarray(bits, dtype=np.uint8)
+    if arr.ndim != 1:
+        raise DomainError("bit stream must be one-dimensional")
     if arr.size and arr.max() > 1:
         raise DomainError("bit stream contains non-bits")
+    return arr
+
+
+def pack_bits(bits: Sequence[int]) -> bytes:
+    arr = as_bit_array(bits)
     header = int(arr.size).to_bytes(8, "little")
     return header + np.packbits(arr).tobytes()
 

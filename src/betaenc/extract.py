@@ -18,6 +18,7 @@ n <= m*log2(beta_min) - log2(kappa) as an exact power inequality.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -26,7 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bitio import bits_to_word, word_to_bits
+from .bitio import as_bit_array, bits_to_word, word_to_bits
 from .entropy import WordDistribution
 from .errors import ConfigurationError, DomainError, ResourceBudgetError
 from .numerics import (
@@ -44,20 +45,14 @@ from .prng import PRNG_ID, SplitMix64
 
 TWO_SOURCE_WARNING = "two-source extraction requires beta_min > sqrt(2)"
 
-_PARITY16 = None
 
-
+@functools.cache
 def _parity16() -> np.ndarray:
     """Parity lookup for 16-bit words, built once."""
-    global _PARITY16
-    if _PARITY16 is None:
-        t = np.arange(1 << 16, dtype=np.uint16)
-        t ^= t >> 8
-        t ^= t >> 4
-        t ^= t >> 2
-        t ^= t >> 1
-        _PARITY16 = (t & 1).astype(np.uint8)
-    return _PARITY16
+    t = np.arange(1 << 16, dtype=np.uint16)
+    for shift in (8, 4, 2, 1):
+        t ^= t >> shift
+    return (t & 1).astype(np.uint8)
 
 
 # a source is an exact law on m-bit words, the type the entropy module computes
@@ -70,13 +65,6 @@ def tv_distance(p: FiniteDistribution, q: FiniteDistribution) -> Fraction:
         raise DomainError(f"length mismatch: {p.m} vs {q.m}")
     words = set(p.entries) | set(q.entries)
     return sum((abs(p.prob(w) - q.prob(w)) for w in words), ZERO) / 2
-
-
-def tv_from_uniform(dist: FiniteDistribution) -> Fraction:
-    m = dist.m
-    u = Fraction(1, 1 << m)
-    onsupport = sum((abs(p - u) for p in dist.entries.values()), ZERO)
-    return (onsupport + ((1 << m) - len(dist.entries)) * u) / 2
 
 
 def adversarial_source(ext: Callable, m: int) -> FiniteDistribution:
@@ -213,14 +201,19 @@ def _hash_characters(m: int, n: int) -> np.ndarray:
     return w
 
 
+def _check_words(words: np.ndarray, m: int) -> None:
+    """Support words are integers in [0, 2**m); ``words`` is non-empty."""
+    if words.ndim != 1 or words.dtype.kind not in "iu" or words.min() < 0 or words.max() >= 1 << m:
+        raise DomainError(f"support words must be integers in [0, 2**{m})")
+
+
 def _indicators(m: int, batch: list) -> tuple:
     """Indicator columns (2**m, len(batch)) of the supports and their sizes."""
     sizes = np.array([len(s) for s in batch], dtype=np.int32)
     if sizes.min() == 0:
         raise ConfigurationError("flat source needs a non-empty support")
     words = np.asarray([w for s in batch for w in s])
-    if words.dtype.kind not in "iu" or words.min() < 0 or words.max() >= 1 << m:
-        raise DomainError(f"support words must be integers in [0, 2**{m})")
+    _check_words(words, m)
     cols = np.zeros((1 << m, len(batch)), dtype=np.int32)
     cols[words, np.repeat(np.arange(len(batch)), sizes)] = 1
     if (cols.sum(axis=0) != sizes).any():
@@ -264,15 +257,6 @@ def leftover_hash_bound_ok(avg_tv: Fraction, n: int, k) -> bool:
     """avg_tv <= (1/2) * sqrt(2**(n-k)), decided exactly."""
     k = as_fraction(k)
     return cmp_pow2(avg_tv, (Fraction(n) - k - 2) / 2) <= 0
-
-
-def all_flat_sources(m: int, k: int):
-    """Every flat (m, k)-source; only sane for tiny 2**m."""
-    size = 1 << k
-    if (1 << m) > 64:
-        raise ResourceBudgetError("full flat-source enumeration needs 2**m <= 64")
-    for support in itertools.combinations(range(1 << m), size):
-        yield support
 
 
 def subcube_supports(m: int, k: int) -> list:
@@ -325,10 +309,6 @@ def flat_source_family(m: int, k: int, seed: int = 0, random_count: int = 16) ->
 # two-source extraction
 
 
-def inner_product_bit(x: int, y: int) -> int:
-    return (x & y).bit_count() & 1
-
-
 def two_source_extract(x_bits: Sequence[int], y_bits: Sequence[int]) -> int:
     """GF(2) inner product of two equal-length words: one output bit."""
     if len(x_bits) != len(y_bits):
@@ -341,12 +321,20 @@ def two_source_extract(x_bits: Sequence[int], y_bits: Sequence[int]) -> int:
     return acc
 
 
+def _flat_support(support: Sequence[int]) -> np.ndarray:
+    """The words of a flat support on at most 16 bits, checked, as uint16."""
+    words = np.asarray(list(support))
+    if words.size == 0:
+        raise ConfigurationError("flat source needs a non-empty support")
+    _check_words(words, 16)
+    if np.unique(words).size != words.size:
+        raise DomainError("a flat support lists a word twice")
+    return words.astype(np.uint16)
+
+
 def two_source_tv(support_x: Sequence[int], support_y: Sequence[int]) -> Fraction:
     """Exact TV from uniform of the inner-product bit over flat sources."""
-    xs = np.asarray(sorted(support_x), dtype=np.uint16)
-    ys = np.asarray(sorted(support_y), dtype=np.uint16)
-    if xs.size == 0 or ys.size == 0:
-        raise ConfigurationError("flat source needs a non-empty support")
+    xs, ys = _flat_support(support_x), _flat_support(support_y)
     par = _parity16()
     odd = int(par[xs[:, None] & ys[None, :]].sum())
     return abs(Fraction(odd, xs.size * ys.size) - Fraction(1, 2))
@@ -432,11 +420,10 @@ def required_block_length(n: int, alpha, beta_min) -> int:
     return -(-least // (b - a))
 
 
-def _word_from_bits(chunk: np.ndarray) -> int:
-    word = 0
-    for b in chunk:
-        word = (word << 1) | int(b)
-    return word
+def _toeplitz_matrix(seed_word: int, m: int, n: int) -> np.ndarray:
+    """SeededExtractor.apply as an n x m uint8 matrix: R[i, j] = bit i + m - 1 - j of z."""
+    seed_bits = np.array(word_to_bits(seed_word, m + n - 1)[::-1], dtype=np.uint8)
+    return seed_bits[np.arange(n)[:, None] + np.arange(m - 1, -1, -1)]
 
 
 def pipeline_extract(bits, config: PipelineConfig):
@@ -445,11 +432,11 @@ def pipeline_extract(bits, config: PipelineConfig):
     Returns (extracted bits as a uint8 array, report dict).  Two-source
     mode pairs consecutive blocks; seeded mode hashes every block with one
     Toeplitz seed (explicit from the PRNG, or - experimentally, with no
-    uniformity claim - read off the head of the stream itself).
+    uniformity claim - read off the head of the stream itself).  Seeded mode
+    is one GF(2) matrix product over all blocks, two-source mode one
+    AND-and-parity over all block pairs.
     """
-    stream = np.asarray(bits, dtype=np.uint8)
-    if stream.size and stream.max() > 1:
-        raise DomainError("bit stream contains non-bits")
+    stream = np.ascontiguousarray(as_bit_array(bits))
     m, g, n = config.block_bits, config.gap_bits, config.out_bits
 
     warnings = []
@@ -474,7 +461,7 @@ def pipeline_extract(bits, config: PipelineConfig):
                 raise ConfigurationError(
                     f"stream too short to carve a {ext.d}-bit seed from"
                 )
-            seed_word = _word_from_bits(stream[: ext.d])
+            seed_word = bits_to_word(stream[: ext.d])
             start = ext.d + g
             seed_origin = {
                 "mode": "stream",
@@ -482,23 +469,19 @@ def pipeline_extract(bits, config: PipelineConfig):
                 "no uniformity claim",
             }
 
-    step = m + g
-    blocks = []
-    pos = start
-    while pos + m <= stream.size:
-        blocks.append(stream[pos : pos + m])
-        pos += step
-
-    out = []
-    pairs = 0
+    # block j is stream[start + j*(m + g) :][:m], one read-only strided view
+    count = (stream.size - start - m) // (m + g) + 1 if stream.size >= start + m else 0
+    (stride,) = stream.strides
+    blocks = np.lib.stride_tricks.as_strided(
+        stream[start:], shape=(count, m), strides=((m + g) * stride, stride), writeable=False
+    )
+    pairs = len(blocks) // 2
     if config.mode == "seeded":
-        for block in blocks:
-            out.extend(word_to_bits(ext.apply(_word_from_bits(block), seed_word), n))
+        # uint8 products wrap mod 256, which keeps their parity
+        out = ((blocks @ _toeplitz_matrix(seed_word, m, n).T) & 1).ravel()
     else:
-        pairs = len(blocks) // 2
-        for j in range(pairs):
-            x, y = blocks[2 * j], blocks[2 * j + 1]
-            out.append(int(np.bitwise_and(x, y).sum()) & 1)
+        x, y = blocks[0 : 2 * pairs : 2], blocks[1 : 2 * pairs : 2]
+        out = np.bitwise_and(x, y).sum(axis=1, dtype=np.uint8) & 1
 
     kappa = state_bound(config.beta_max)
     with localcontext() as ctx:
@@ -529,4 +512,4 @@ def pipeline_extract(bits, config: PipelineConfig):
             "seed": seed_origin,
             "warnings": warnings,
         }
-    return np.array(out, dtype=np.uint8), report
+    return out, report

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import DomainError
 
@@ -144,30 +144,6 @@ def dyadic_cell(x: Fraction, m: int) -> Interval:
     return Interval(Fraction(k, den), Fraction(k + 1, den))
 
 
-def cylinder_length(k: int, beta: Fraction) -> Fraction:
-    beta = check_beta(beta)
-    if k < 0:
-        raise DomainError("cylinder depth must be nonnegative")
-    return beta ** (-k) / (beta - ONE)
-
-
-def beta_cylinder(bits: Sequence[int], beta: Fraction) -> Interval:
-    """Closed interval of points consistent with the given expansion bits."""
-    beta = check_beta(beta)
-    if len(bits) < 1:
-        raise DomainError("cylinder needs at least one bit")
-    inv = 1 / beta
-    power = ONE
-    lo = ZERO
-    for b in bits:
-        if b not in (0, 1):
-            raise DomainError(f"bits must be 0 or 1, got {b!r}")
-        power *= inv
-        if b:
-            lo += power
-    return Interval(lo, lo + power / (beta - ONE))
-
-
 def interval_in_dyadic_cell(interval: Interval, cell: Interval) -> bool:
     """Containment under the half-open cell convention (last cell closed)."""
     if cell.lo > interval.lo:
@@ -213,19 +189,27 @@ def least_power_at_least(
     This is the exact evaluation of ceilings like ``ceil(s * log2/log(beta))``
     without touching floating point.  Bit lengths give a first guess; every
     decision after it is an exact ``cmp_pow2`` test: gallop from the guess
-    until k is bracketed, then bisect.  Answers above 2**20 are refused.
+    until k is bracketed, then bisect.  Answers above 2**20 are refused, at
+    once when beta is too close to 1 for the bound (1 + e)**K <= 1/(1 - K*e).
     """
     beta = as_fraction(beta)
     coefficient = as_fraction(coefficient)
     if beta <= ONE or coefficient <= ZERO:
         raise DomainError("need beta > 1 and a positive coefficient")
 
-    def reaches(k: int) -> bool:
-        c = cmp_pow2(coefficient * beta**k, exponent2)
+    def meets(value: Fraction) -> bool:
+        c = cmp_pow2(value, exponent2)
         return c > 0 or (c == 0 and not strict)
+
+    def reaches(k: int) -> bool:
+        return meets(coefficient * beta**k)
 
     if reaches(0):
         return 0
+    # beta = 1 + e with K*e < 1 gives beta**K <= 1/(1 - K*e): refuse without the power
+    slack = 1 - _POWER_SEARCH_LIMIT * (beta - 1)
+    if slack > 0 and not meets(coefficient / slack):
+        raise DomainError("power search ran away; check arguments")
     # log2 of beta**64 to within 1, so of beta to within 1/64
     scaled_log = _bit_log2(beta**64)
     need = as_fraction(exponent2) - _bit_log2(coefficient)

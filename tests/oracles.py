@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,28 @@ def doubling_digits(x: Fraction, m: int) -> tuple:
         digits.append(d)
         y -= d
     return tuple(digits)
+
+
+class Cylinder(NamedTuple):
+    """Closed interval [lo, hi] of the points a run of expansion bits allows."""
+
+    lo: Fraction
+    hi: Fraction
+
+    @property
+    def length(self) -> Fraction:
+        return self.hi - self.lo
+
+
+def cylinder_length(k: int, beta: Fraction) -> Fraction:
+    """Length beta**-k / (beta - 1) of every depth-k expansion cylinder."""
+    return beta ** (-k) / (beta - 1)
+
+
+def beta_cylinder(bits, beta: Fraction) -> Cylinder:
+    """[sum b_i beta**-i, that + beta**-k / (beta - 1)] for bits b_1..b_k."""
+    lo = sum((b * beta ** -(i + 1) for i, b in enumerate(bits)), Fraction(0))
+    return Cylinder(lo, lo + cylinder_length(len(bits), beta))
 
 
 def encoder_bits(x: Fraction, beta: Fraction, u_values, n: int) -> tuple:
@@ -90,12 +113,12 @@ def uniform_draws(lo, hi, precision_bits: int, rng, n: int) -> tuple:
     return tuple(out)
 
 
-def least_power_at_least(beta, exponent2, coefficient=ONE, strict=False) -> int:
+def least_power_at_least(beta, exponent2, coefficient=ONE, strict=False, limit=1 << 20) -> int:
     """Least k >= 0 with coefficient * beta**k >= 2**exponent2, by linear search.
 
     ``strict`` asks for > instead.  value >= 2**(a/b) is decided as
     value**b >= 2**a.  This is the search the bracketed one in the package
-    replaced; it gives up (ValueError) past k = 2**20.
+    replaced; it gives up (ValueError) past k = ``limit``.
     """
     beta, value, e = Fraction(beta), Fraction(coefficient), Fraction(exponent2)
     a, b = e.numerator, e.denominator
@@ -106,8 +129,8 @@ def least_power_at_least(beta, exponent2, coefficient=ONE, strict=False) -> int:
             return k
         k += 1
         value *= beta
-        if k > 1 << 20:
-            raise ValueError("no power up to 2**20")
+        if k > limit:
+            raise ValueError(f"no power up to {limit}")
 
 
 def cylinder_k(x: Fraction, m: int, beta: Fraction, u_values=None, k_cap: int = 4096):
@@ -228,11 +251,71 @@ def flat_avg_seed_tv_table(m: int, n: int, supports) -> list:
     return out
 
 
+def all_flat_sources(m: int, k: int):
+    """Every flat (m, k)-source as a sorted word tuple; only sane for tiny 2**m."""
+    if (1 << m) > 64:
+        raise ValueError("full flat-source enumeration needs 2**m <= 64")
+    yield from itertools.combinations(range(1 << m), 1 << k)
+
+
 def inner_product(x_bits, y_bits) -> int:
     acc = 0
     for a, b in zip(x_bits, y_bits):
         acc ^= a & b
     return acc
+
+
+def inner_product_bit(x: int, y: int) -> int:
+    return (x & y).bit_count() & 1
+
+
+def pipeline_extract_blocks(bits, mode, block_bits, out_bits=1, gap_bits=0, seed_word=None):
+    """Stream extraction one block at a time, by the textbook primitives.
+
+    Blocks of ``block_bits`` start every ``block_bits + gap_bits`` bits.
+    Seeded mode hashes each block with ``toeplitz_apply`` under the
+    (block_bits + out_bits - 1)-bit ``seed_word``; with no seed word the
+    seed is the head of the stream and the blocks start after it and one
+    gap.  Two-source mode takes the inner product of blocks 2j and 2j + 1.
+    This is the per-block loop the strided-block matrix product replaced.
+    Returns the bits and the block accounting of the pipeline report.
+    """
+    stream = [int(b) for b in bits]
+    m, g, n = block_bits, gap_bits, out_bits
+    start = 0
+    if mode == "seeded":
+        d = m + n - 1
+        if seed_word is None:
+            seed_bits, start = tuple(stream[:d]), d + g
+        else:
+            seed_bits = tuple((seed_word >> (d - 1 - t)) & 1 for t in range(d))
+    blocks = []
+    pos = start
+    while pos + m <= len(stream):
+        blocks.append(stream[pos : pos + m])
+        pos += m + g
+    out = []
+    if mode == "seeded":
+        for block in blocks:
+            out.extend(toeplitz_apply(block, seed_bits, n))
+    else:
+        for j in range(len(blocks) // 2):
+            out.append(inner_product(blocks[2 * j], blocks[2 * j + 1]))
+    report = {
+        "blocks": len(blocks),
+        "pairs": len(blocks) // 2 if mode == "two-source" else None,
+        "bits_in": len(stream),
+        "bits_out": len(out),
+    }
+    return np.array(out, dtype=np.uint8), report
+
+
+def tv_from_uniform(dist) -> Fraction:
+    """TV from uniform of a word law with ``.m`` and ``.entries``."""
+    m = dist.m
+    u = Fraction(1, 1 << m)
+    onsupport = sum((abs(p - u) for p in dist.entries.values()), Fraction(0))
+    return (onsupport + ((1 << m) - len(dist.entries)) * u) / 2
 
 
 def tv_direct(p: dict, q: dict) -> Fraction:
@@ -294,3 +377,67 @@ def approximate_entropy_p(bits) -> float:
 
     x = n * (math.log(2) - (phi(2) - phi(3)))
     return min(1.0, math.exp(-x) * (1 + x))
+
+
+# -- the battery as it was: one numpy histogram per order and test -----------
+
+
+def pattern_histogram(bits: np.ndarray, order: int) -> np.ndarray:
+    """Overlapping order-bit pattern counts with wraparound (n windows)."""
+    ext = np.concatenate([bits, bits[: order - 1]]) if order > 1 else bits
+    idx = np.zeros(bits.size, dtype=np.int64)
+    for j in range(order):
+        idx = (idx << 1) | ext[j : j + bits.size]
+    return np.bincount(idx, minlength=1 << order)
+
+
+def _psi_sq_histogram(bits: np.ndarray, order: int) -> float:
+    counts = pattern_histogram(bits, order)
+    n = bits.size
+    return float((1 << order) / n * int((counts.astype(object) ** 2).sum()) - n)
+
+
+def battery_four_histograms(bits, alpha: float = 0.01) -> list:
+    """The four tests with a histogram per order and per test.
+
+    Returns (name, statistic, p_value, passed, alpha, extras) per test, in
+    battery order.  This is the per-test path the one-histogram battery
+    replaced, kept with its exact float expressions.
+    """
+    arr = np.asarray(bits, dtype=np.uint8)
+    n = arr.size
+    out = []
+
+    total = 2 * int(arr.sum()) - n
+    s_obs = abs(total) / math.sqrt(n)
+    p = math.erfc(s_obs / math.sqrt(2))
+    out.append(("monobit", s_obs, p, p >= alpha, alpha, {"bit_sum": total}))
+
+    pi = int(arr.sum()) / n
+    if abs(pi - 0.5) >= 2 / math.sqrt(n):
+        out.append(("runs", float("nan"), 0.0, False, alpha,
+                    {"ones_fraction": pi, "prerequisite": "failed"}))
+    else:
+        v = 1 + int((arr[1:] != arr[:-1]).sum())
+        num = abs(v - 2 * n * pi * (1 - pi))
+        den = 2 * math.sqrt(2 * n) * pi * (1 - pi)
+        p = math.erfc(num / den)
+        out.append(("runs", float(v), p, p >= alpha, alpha, {"ones_fraction": pi}))
+
+    delta = _psi_sq_histogram(arr, 2) - _psi_sq_histogram(arr, 1)
+    p = min(1.0, math.exp(-delta / 2))
+    out.append(("serial", delta, p, p >= alpha, alpha, {}))
+
+    def phi(order: int) -> float:
+        acc = 0.0
+        for c in pattern_histogram(arr, order).tolist():
+            if c:
+                acc += (c / n) * math.log(c / n)
+        return acc
+
+    ap_en = phi(2) - phi(3)
+    chi2 = 2 * n * (math.log(2) - ap_en)
+    x = chi2 / 2
+    p = min(1.0, math.exp(-x) * (1 + x))
+    out.append(("approximate-entropy", chi2, p, p >= alpha, alpha, {"ap_en": ap_en}))
+    return out

@@ -22,7 +22,7 @@ from betaenc.extract import (TWO_SOURCE_WARNING, FiniteDistribution,
                              PipelineConfig, adversarial_source,
                              flat_avg_seed_tv, flat_source_family,
                              leftover_hash_bound_ok, pipeline_extract,
-                             subcube_supports, tv_from_uniform,
+                             subcube_supports,
                              two_source_bound_ok, two_source_tv, word_to_bits)
 from betaenc.lochs import (LochsExperiment, pm_bound_holds, pm_measure_exact,
                            run_lochs)
@@ -284,7 +284,7 @@ def test_criterion_08_one_function_postprocessing_fails():
         for word, p in source.entries.items():
             y = ext(word_to_bits(word, 10))
             out[y] = out.get(y, Fraction(0)) + p
-        assert tv_from_uniform(FiniteDistribution(1, out)) == half, i
+        assert oracles.tv_from_uniform(FiniteDistribution(1, out)) == half, i
     line = record(
         8, True,
         f"100 random 10-bit tables: adversarial flat source always has "

@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 
 import oracles
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from betaenc.battery import (
     MINIMUM_BITS,
     approximate_entropy_test,
     battery_report,
     calibration_tolerance,
     monobit_test,
+    pattern_counts,
     rejection_rates,
     run_battery,
     runs_test,
     serial_test,
 )
+from betaenc import battery
 from betaenc.encoder import encode_bits
 from betaenc.errors import DomainError, InsufficientLengthError
 from betaenc.prng import SplitMix64
@@ -156,3 +161,82 @@ def test_rejection_rates_smoke():
     # deterministic
     again = rejection_rates(n_runs=40, n_bits=4096, seed=0)
     assert doc == again
+
+
+def test_rejection_rates_frozen():
+    # recorded with the four-histogram battery, before the one-count battery
+    doc = rejection_rates(n_runs=40, n_bits=4096, seed=0)
+    assert doc["rates"] == {name: F(0) for name in MINIMUM_BITS}
+    loose = rejection_rates(n_runs=40, n_bits=4096, significance=0.25, seed=0)
+    assert loose["rates"] == {
+        "monobit": F(7, 40),
+        "runs": F(9, 40),
+        "serial": F(3, 20),
+        "approximate-entropy": F(7, 40),
+    }
+
+
+def _same_as_four_histograms(bits, alpha=0.01):
+    """run_battery equals the per-test histogram oracle, floats and JSON."""
+    got = run_battery(bits, significance=alpha)
+    want = [battery.TestResult(*row) for row in oracles.battery_four_histograms(bits, alpha)]
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    for a, b in zip(got, want):
+        assert (a.name, a.passed, a.extras) == (b.name, b.passed, b.extras)
+        assert a.p_value == b.p_value
+        assert a.statistic == b.statistic or (math.isnan(a.statistic) and math.isnan(b.statistic))
+    return got
+
+
+def _same_as_textbook(bits, results):
+    listed = [int(b) for b in bits]
+    expected = (oracles.monobit_p(listed), oracles.runs_p(listed),
+                oracles.serial_p(listed), oracles.approximate_entropy_p(listed))
+    for result, p in zip(results, expected):
+        assert result.p_value == pytest.approx(p, abs=1e-9)
+
+
+@given(st.integers(min_value=256, max_value=5000), st.integers(min_value=0, max_value=2**64 - 1),
+       st.sampled_from([1, 2, 4]))
+@settings(max_examples=60)
+def test_battery_matches_the_four_histogram_oracle(n, seed, bias):
+    rng = SplitMix64(seed).derive("battery-oracle-fuzz")
+    bits = rng.bit_array(n)
+    for i in range(1, bias):
+        bits &= rng.derive("bias", i).bit_array(n)  # p(1) = 1/2, 1/4 or 1/8
+    _same_as_textbook(bits, _same_as_four_histograms(bits))
+
+
+@pytest.mark.parametrize("pattern", [[0], [1], [1, 0], [0, 1], [1, 1, 0], [1, 0, 0]])
+@pytest.mark.parametrize("n", [256, 257, 1000, 4096, 5000])
+def test_battery_matches_the_oracles_on_periodic_streams(pattern, n):
+    bits = np.resize(np.array(pattern, dtype=np.uint8), n)
+    _same_as_textbook(bits, _same_as_four_histograms(bits))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64])
+def test_pattern_counts_match_the_histograms(n):
+    for seed in range(8):
+        bits = SplitMix64(seed).derive("tiny").bit_array(n)
+        counts = pattern_counts(bits)
+        assert counts.n == n and counts.order(1)[1] == int(bits.sum())
+        for order in (1, 2, 3):
+            if n == 1 and order == 3:
+                # the histogram's wraparound is one bit short here and counts no window
+                window = 7 if bits[0] else 0
+                assert counts.order(3) == tuple(int(i == window) for i in range(8))
+                continue
+            assert list(counts.order(order)) == oracles.pattern_histogram(bits, order).tolist()
+        assert counts.wraps == int(bits[-1] != bits[0])
+
+
+def test_tests_accept_prebuilt_counts():
+    bits = prng_bits(3000)
+    counts = pattern_counts(bits)
+    assert pattern_counts(counts) is counts
+    for test in ALL_TESTS:
+        assert test(counts, 0.05) == test(bits, 0.05) == test(bits.tolist(), 0.05)
+    with pytest.raises(DomainError):
+        monobit_test([0, 1, 2])
+    with pytest.raises(DomainError):
+        serial_test(np.zeros((2, 300), dtype=np.uint8))

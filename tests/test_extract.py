@@ -16,12 +16,10 @@ from betaenc.extract import (
     PipelineConfig,
     SeededExtractor,
     adversarial_source,
-    all_flat_sources,
     avg_seed_tv,
     entropy_budget_ok,
     flat_avg_seed_tv,
     flat_source_family,
-    inner_product_bit,
     leftover_hash_bound_ok,
     max_extractable_bits,
     pipeline_extract,
@@ -29,11 +27,11 @@ from betaenc.extract import (
     seeded_extract,
     subcube_supports,
     tv_distance,
-    tv_from_uniform,
     two_source_bound_ok,
     two_source_extract,
     two_source_tv,
 )
+from betaenc.prng import SplitMix64
 
 F = Fraction
 
@@ -64,8 +62,8 @@ def test_tv_basics():
     point = FiniteDistribution.point_mass(0, 2)
     assert tv_distance(u, u) == 0
     assert tv_distance(u, point) == F(3, 4)
-    assert tv_from_uniform(point) == F(3, 4)
-    assert tv_from_uniform(u) == 0
+    assert oracles.tv_from_uniform(point) == F(3, 4)
+    assert oracles.tv_from_uniform(u) == 0
     with pytest.raises(DomainError):
         tv_distance(u, FiniteDistribution.uniform(3))
 
@@ -84,8 +82,8 @@ def test_tv_matches_direct_oracle(n, data):
     dist = FiniteDistribution(n, entries)
     full = {w: dist.prob(w) for w in range(words)}
     uniform = {w: F(1, words) for w in range(words)}
-    assert tv_from_uniform(dist) == oracles.tv_direct(full, uniform)
-    assert tv_distance(dist, FiniteDistribution.uniform(n)) == tv_from_uniform(dist)
+    assert oracles.tv_from_uniform(dist) == oracles.tv_direct(full, uniform)
+    assert tv_distance(dist, FiniteDistribution.uniform(n)) == oracles.tv_from_uniform(dist)
 
 
 def test_adversarial_source_parity():
@@ -99,7 +97,7 @@ def test_adversarial_source_parity():
     # the extractor is constant on the support, so its output is a point mass
     out = {parity(word_to_bits(w, 2)) for w in src.entries}
     assert len(out) == 1
-    assert tv_from_uniform(FiniteDistribution.point_mass(out.pop(), 1)) == F(1, 2)
+    assert oracles.tv_from_uniform(FiniteDistribution.point_mass(out.pop(), 1)) == F(1, 2)
 
 
 def test_adversarial_source_first_bit():
@@ -205,7 +203,7 @@ def test_fast_harness_agrees_with_slow_path():
 
 def test_every_tiny_flat_source_obeys_the_hash_bound():
     # all C(16,4) = 1820 flat (4,2)-sources, both output widths, exactly
-    supports = list(all_flat_sources(4, 2))
+    supports = list(oracles.all_flat_sources(4, 2))
     assert len(supports) == 1820
     for n in (1, 2):
         for tv in flat_avg_seed_tv(4, n, supports):
@@ -213,7 +211,7 @@ def test_every_tiny_flat_source_obeys_the_hash_bound():
 
 
 def test_every_tiny_flat_source_matches_the_table_oracle():
-    supports = list(all_flat_sources(4, 2))
+    supports = list(oracles.all_flat_sources(4, 2))
     for n in (1, 2, 3, 4):
         assert flat_avg_seed_tv(4, n, supports) == oracles.flat_avg_seed_tv_table(4, n, supports)
 
@@ -264,8 +262,8 @@ def test_walsh_path_batch_boundaries_and_generators():
     assert flat_avg_seed_tv(m, n, supports[:1]) == expected[:1]
     assert flat_avg_seed_tv(m, n, supports) == expected
     assert flat_avg_seed_tv(m, n, (s for s in supports)) == expected
-    tiny = list(all_flat_sources(4, 2))
-    assert flat_avg_seed_tv(4, 2, all_flat_sources(4, 2)) == flat_avg_seed_tv(4, 2, tiny)
+    tiny = list(oracles.all_flat_sources(4, 2))
+    assert flat_avg_seed_tv(4, 2, oracles.all_flat_sources(4, 2)) == flat_avg_seed_tv(4, 2, tiny)
 
 
 def test_flat_supports_are_strict():
@@ -319,7 +317,7 @@ def test_inner_product_matches_oracle():
     for x in range(8):
         for y in range(8):
             expected = oracles.inner_product(word_to_bits(x, 3), word_to_bits(y, 3))
-            assert inner_product_bit(x, y) == expected
+            assert oracles.inner_product_bit(x, y) == expected
             assert two_source_extract(word_to_bits(x, 3), word_to_bits(y, 3)) == expected
     with pytest.raises(DomainError):
         two_source_extract([0, 1], [0])
@@ -467,3 +465,124 @@ def test_pipeline_rejects_non_bits():
     config = PipelineConfig(mode="seeded", block_bits=4, beta_min=F(3, 2), beta_max=F(3, 2), seed=1)
     with pytest.raises(DomainError):
         pipeline_extract([0, 1, 2, 0], config)
+
+
+def test_two_source_tv_refuses_a_repeated_word():
+    # scored as a multiset this gave 1/6; the flat source on {0, 1} gives 0
+    with pytest.raises(DomainError):
+        two_source_tv([0, 0, 1], [1])
+
+
+def test_two_source_tv_refuses_words_outside_sixteen_bits():
+    for bad in ([-1], [70000], [1 << 16]):
+        with pytest.raises(DomainError):
+            two_source_tv(bad, [1])
+        with pytest.raises(DomainError):
+            two_source_tv([1], bad)
+    assert two_source_tv([(1 << 16) - 1], [(1 << 16) - 1]) == F(1, 2)
+
+
+def test_two_source_tv_refuses_non_integer_words():
+    for bad in ([1.5], [0.0, 1.0], ["1"], [1 << 80]):
+        with pytest.raises(DomainError):
+            two_source_tv(bad, [1])
+
+
+# -- the stream pipeline against the per-block oracle --------------------------
+
+PIPE_BETA = F(19, 10)
+
+
+def _pipeline_case(bits, mode, m, g, n=1, seed=None, seed_mode="explicit"):
+    """Run the pipeline and the per-block oracle on the same stream."""
+    config = PipelineConfig(mode=mode, block_bits=m, gap_bits=g, out_bits=n,
+                            beta_min=PIPE_BETA, beta_max=PIPE_BETA,
+                            seed=seed, seed_mode=seed_mode)
+    seed_word = None
+    if mode == "seeded" and seed_mode == "explicit":
+        seed_word = SplitMix64(seed).derive("toeplitz").bits(m + n - 1)
+    out, report = pipeline_extract(bits, config)
+    want, counts = oracles.pipeline_extract_blocks(bits, mode, m, n, g, seed_word)
+    assert out.dtype == np.uint8 and out.ndim == 1
+    assert np.array_equal(out, want)
+    assert {key: report[key] for key in counts} == counts
+    return report
+
+
+@given(
+    st.integers(min_value=1, max_value=130),
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from([("seeded", "explicit"), ("seeded", "stream"), ("two-source", None)]),
+    st.sampled_from(["array", "list", "strided"]),
+    st.data(),
+)
+@settings(max_examples=150)
+def test_pipeline_matches_the_per_block_oracle(m, g, kind, form, data):
+    mode, seed_mode = kind
+    length = data.draw(st.integers(min_value=0, max_value=8 * (m + g) + 40))
+    raw = np.frombuffer(data.draw(st.binary(min_size=length, max_size=length)),
+                        dtype=np.uint8) & 1
+    if form == "list":
+        bits = raw.tolist()
+    elif form == "strided":
+        wide = np.empty(2 * length, dtype=np.uint8)
+        wide[0::2], wide[1::2] = raw, 1 - raw
+        bits = wide[0::2]
+        assert not bits.flags.c_contiguous or length < 2
+    else:
+        bits = raw
+    most = max_extractable_bits(m, PIPE_BETA, PIPE_BETA)
+    if most < 1:
+        # one bit of a 1-bit block is past the entropy budget in either mode
+        config = PipelineConfig(mode=mode, block_bits=m, beta_min=PIPE_BETA,
+                                beta_max=PIPE_BETA, seed=0)
+        with pytest.raises(ConfigurationError):
+            pipeline_extract(bits, config)
+        return
+    if mode == "two-source":
+        _pipeline_case(bits, mode, m, g)
+        return
+    n = data.draw(st.integers(min_value=1, max_value=most))
+    seed = data.draw(st.integers(min_value=0, max_value=1 << 64))
+    if seed_mode == "stream" and length < m + n - 1:
+        with pytest.raises(ConfigurationError):
+            _pipeline_case(bits, mode, m, g, n, seed, seed_mode)
+        return
+    _pipeline_case(bits, mode, m, g, n, seed, seed_mode)
+
+
+def test_pipeline_block_count_edges():
+    bits = encode_bits(F(5, 17), F(3, 2), F(1), 700)
+    # odd block count: the last block has no partner in two-source mode
+    report = _pipeline_case(bits[: 5 * 23 + 20], "two-source", 20, 3)
+    assert (report["blocks"], report["pairs"], report["bits_out"]) == (6, 3, 3)
+    report = _pipeline_case(bits[: 4 * 23 + 20], "two-source", 20, 3)
+    assert (report["blocks"], report["pairs"]) == (5, 2)
+    # shorter than one block, exactly one block, empty
+    for length, blocks in ((19, 0), (20, 1), (0, 0)):
+        for mode in ("seeded", "two-source"):
+            report = _pipeline_case(bits[:length], mode, 20, 3, seed=5)
+            assert report["blocks"] == blocks
+    # a stream seed that leaves less than one block, and blocks wider than 64 bits
+    report = _pipeline_case(bits[:21 + 3 + 19], "seeded", 20, 3, 2, seed_mode="stream")
+    assert report["blocks"] == 0
+    for m in (63, 64, 65, 127, 128, 129, 130):
+        _pipeline_case(bits, "seeded", m, 1, 9, seed=m)
+        _pipeline_case(bits, "seeded", m, 2, 4, seed_mode="stream")
+        _pipeline_case(bits, "two-source", m, 0)
+
+
+def test_pipeline_reads_strided_and_list_input_like_arrays():
+    raw = encode_bits(F(5, 17), F(3, 2), F(1), 2000)
+    config = PipelineConfig(mode="seeded", block_bits=48, out_bits=8,
+                            beta_min=F(3, 2), beta_max=F(3, 2), seed=3)
+    want, report = pipeline_extract(raw[::2].copy(), config)
+    for bits in (raw[::2], raw[::2].tolist()):
+        out, again = pipeline_extract(bits, config)
+        assert np.array_equal(out, want) and again == report
+
+
+def test_pipeline_rejects_a_two_dimensional_stream():
+    config = PipelineConfig(mode="two-source", block_bits=4, beta_min=F(3, 2), beta_max=F(3, 2))
+    with pytest.raises(DomainError):
+        pipeline_extract(np.zeros((4, 8), dtype=np.uint8), config)

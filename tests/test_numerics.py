@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from betaenc import numerics
 from betaenc.errors import DomainError
 from betaenc.numerics import (
     EXACT_POLICY,
@@ -14,10 +15,8 @@ from betaenc.numerics import (
     PrecisionMode,
     PrecisionPolicy,
     as_fraction,
-    beta_cylinder,
     check_beta,
     cmp_pow2,
-    cylinder_length,
     decimal_str,
     dyadic_cell,
     dyadic_index,
@@ -167,6 +166,53 @@ def test_least_power_refuses_exactly_past_two_to_the_twenty():
         least_power_at_least(two, limit, strict=True)
 
 
+def test_least_power_refuses_a_base_near_one_at_once():
+    # (1 + 2**-40)**(2**20) < 1 + 2**-19 is far from 2; the exact power
+    # (43-million-bit terms) is never formed
+    near_one = Fraction(2**40 + 1, 2**40)
+    with pytest.raises(DomainError):
+        least_power_at_least(near_one, 1)
+    with pytest.raises(DomainError):
+        least_power_at_least(near_one, Fraction(1, 3), coefficient=Fraction(99, 100))
+    # the bound 1/(1 - 2**20 * 2**-21) = 2 meets 2**0 / (1/2) exactly: refused only when strict
+    half_step = Fraction(2**21 + 1, 2**21)
+    with pytest.raises(DomainError):
+        least_power_at_least(half_step, 0, coefficient=Fraction(1, 2), strict=True)
+
+
+def test_least_power_near_one_still_finds_reachable_answers():
+    # the bound (1 - 2**20 * 2**-24)**-1 = 16/15 clears the target, so the exact search runs
+    beta = Fraction(2**24 + 1, 2**24)
+    coefficient = 2 - Fraction(1, 2**10)
+    k = least_power_at_least(beta, 1, coefficient=coefficient)
+    assert coefficient * beta**k >= 2 > coefficient * beta ** (k - 1)
+    assert 0 < k <= 1 << 20
+
+
+@given(
+    st.integers(min_value=(1 << 8) + 1, max_value=1 << 10),
+    st.fractions(min_value=0, max_value=Fraction(3, 2), max_denominator=4),
+    st.fractions(min_value=Fraction(1, 2), max_value=1, max_denominator=16),
+    st.booleans(),
+)
+@settings(max_examples=100)
+def test_least_power_fast_refusal_is_exact_at_a_small_limit(big, e, coefficient, strict):
+    # with the search limit K = 2**8, bases 1 + 1/big have K*(beta - 1) in (1/4, 1),
+    # so the refusal bound is live and cheap to check against the linear search
+    beta = Fraction(big + 1, big)
+    try:
+        expected = oracles.least_power_at_least(beta, e, coefficient, strict, limit=1 << 8)
+    except ValueError:
+        expected = None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_POWER_SEARCH_LIMIT", 1 << 8)
+        if expected is None:
+            with pytest.raises(DomainError):
+                least_power_at_least(beta, e, coefficient=coefficient, strict=strict)
+        else:
+            assert least_power_at_least(beta, e, coefficient=coefficient, strict=strict) == expected
+
+
 # -- dyadic cells ------------------------------------------------------------
 
 
@@ -199,10 +245,10 @@ def test_interval_in_dyadic_cell_half_open_rule():
 
 def test_beta_cylinder_and_length():
     beta = Fraction(3, 2)
-    cyl = beta_cylinder([1, 0], beta)
+    cyl = oracles.beta_cylinder([1, 0], beta)
     assert cyl.lo == Fraction(2, 3)
-    assert cyl.length == cylinder_length(2, beta)
-    assert cylinder_length(0, beta) == state_bound(beta)
+    assert cyl.length == oracles.cylinder_length(2, beta)
+    assert oracles.cylinder_length(0, beta) == state_bound(beta)
 
 
 # -- decimal helpers ---------------------------------------------------------
