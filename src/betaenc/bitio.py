@@ -34,16 +34,6 @@ def word_to_str(word: int, n: int) -> str:
     return format(word, f"0{n}b") if n else ""
 
 
-def str_to_bits(text: str) -> tuple:
-    if any(c not in "01" for c in text):
-        raise DomainError("bit strings may contain only 0 and 1")
-    return tuple(int(c) for c in text)
-
-
-def bits_to_str(bits: Sequence[int]) -> str:
-    return "".join(str(int(b)) for b in bits)
-
-
 def as_bit_array(bits) -> np.ndarray:
     """A one-dimensional uint8 array of 0/1 values, or DomainError."""
     arr = np.asarray(bits, dtype=np.uint8)

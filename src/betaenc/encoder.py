@@ -13,13 +13,15 @@ seed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .bitio import word_to_bits
 from .errors import ConfigurationError, DomainError
 from .numerics import (
     EXACT_POLICY,
@@ -31,6 +33,7 @@ from .numerics import (
     check_beta,
     cmp_pow2,
     format_rational,
+    least_power_at_least,
     round_to_bits,
     state_bound,
 )
@@ -423,21 +426,28 @@ def reconstruct_partial(trace: EncoderTrace, n: int) -> Fraction:
 def encode_bits(x0, beta, u, n_bits: int) -> np.ndarray:
     """Fast exact bit stream for fixed gain and constant threshold.
 
-    The state is kept exactly as A/D with integers, but bits are decided in
-    blocks on a small window of it.  A block reads X = 2**W * A/D from the
-    top W bits of D (and the matching bits of A) as an integer interval
-    [lo, hi] that contains X, then steps the interval alone: bit 1 when
-    lo already clears the threshold 2**W * u/beta, bit 0 when hi falls
-    below it, and after each decided step lo is rounded down and hi up, so
-    the interval still contains the true scaled state.  Every decided bit
-    is therefore the bit of every point of the interval, the true state
-    included.  The block stops when the interval straddles the threshold or
-    after a fixed number of steps, chosen from W and beta so that the
-    interval stays far narrower than the state's range; the exact state
-    then takes all k decided steps at once, A <- p**k A - D S and
-    D <- q**k D with S = sum_j b_j p**(k-j) q**j.  When a freshly read
-    window straddles the threshold, one exact step on A and D decides the
-    bit, so exact ties (beta*x == u) still quantize to 1.
+    The state is kept exactly as A/D with integers, but bits are decided on
+    two integer windows of it, each an interval that contains the scaled
+    state and is rounded outward after every step, so every decided bit is
+    the bit of every point of the interval, the true state included.
+
+    * The inner window [lo, hi] holds X = 2**W * x (W = 256).  A cylinder
+      table splits the state range [0, kappa) into the cylinders of the
+      next K bits (beta**K <= 2**8, K <= 16); when lo and hi fall in one
+      cylinder, one bisection decides all K bits and the cylinder's affine
+      map x -> beta**K * x - S / q**K steps the window.  Otherwise one bit is
+      decided when lo clears the threshold 2**W * u/beta or hi falls below
+      it.  A block stops when the window straddles the threshold or after
+      a fixed number of steps that keeps it far narrower than 2**W.
+    * The mid window holds 2**(16 W) * x.  Each block steps it by the
+      block's k bits at once (x -> beta**k * x - S / q**k), and the next
+      block's inner window is read off its top bits.
+    * The exact state takes the composed steps, A <- p**k A - D S and
+      D <- q**k D, only once beta**k passes 2**(8 W), and then the mid
+      window is read afresh from it.  When the inner window straddles the
+      threshold at the start of a block, the exact state is brought up to
+      date and read afresh; if it still straddles, one exact step on A and
+      D decides the bit, so exact ties (beta*x == u) still quantize to 1.
 
     Intended for the long streams the statistical tests and the extraction
     pipeline consume.
@@ -452,64 +462,206 @@ def encode_bits(x0, beta, u, n_bits: int) -> np.ndarray:
     return _stream_kernel(x0, beta, u, n_bits)[0]
 
 
-_WINDOW_BITS = 128
+_WINDOW_BITS = 256
+_MID_FACTOR = 16  # the mid window has _MID_FACTOR * W bits
+_TABLE_DEPTH_CAP = 16  # near beta = 1 the walk's node count grows as K**2
+
+
+class StreamCounts(int):
+    """What one ``_stream_kernel`` run did; as an int, its fallback count.
+
+    ``fallbacks`` bits took one exact step on A/D, ``commits`` times the
+    composed steps of the mid window went into A/D, ``table_steps`` bits
+    were decided by cylinder lookups and ``bit_steps`` one at a time on
+    the inner window.  The three bit counts add up to the stream length.
+    """
+
+    def __new__(cls, fallbacks: int, commits: int, table_steps: int, bit_steps: int):
+        self = super().__new__(cls, fallbacks)
+        self.commits, self.table_steps, self.bit_steps = commits, table_steps, bit_steps
+        return self
+
+    @property
+    def fallbacks(self) -> int:
+        return int(self)
+
+    def __repr__(self) -> str:
+        return (f"StreamCounts(fallbacks={int(self)}, commits={self.commits}, "
+                f"table_steps={self.table_steps}, bit_steps={self.bit_steps})")
+
+
+def _window(A: int, D: int, W: int) -> tuple:
+    """(lo, w) with 2**W * A/D in [lo, lo + w], read off the top W bits of D."""
+    shift = D.bit_length() - W
+    if shift > 0:
+        a, d = A >> shift, D >> shift
+        lo = (a << W) // (d + 1)
+        return lo, -((-(a + 1) << W) // d) - lo
+    lo, rem = divmod(A << W, D)
+    return lo, int(rem > 0)
+
+
+def _map_window(lo: int, w: int, P: int, Q: int, off: int) -> tuple:
+    """(lo', w') with (P*X - off)/Q in [lo', lo' + w'] for every X in [lo, lo + w].
+
+    Only lo is divided exactly; the width is carried as an upper bound,
+    ceil(P*w/Q) + 1, which spares the second long division a hi end costs.
+    """
+    return (P * lo - off) // Q, -(-P * w // Q) + 1
+
+
+def _steps_above(beta: Fraction, e: int, cap: int) -> int:
+    """Least k >= 1 with beta**k > 2**e, or cap + 1 when beta**cap is not past it.
+
+    The cap keeps the exact search far below its refusal limit, whatever
+    the gain's distance from 1.
+    """
+    p, q = beta.numerator, beta.denominator
+    if p**cap <= q**cap << e:
+        return cap + 1
+    return max(1, least_power_at_least(beta, e, strict=True))
+
+
+@lru_cache(maxsize=64)
+def _cylinder_table(beta: Fraction, u: Fraction, K: int, W: int) -> tuple:
+    """The depth-K cylinders of the state range [0, kappa), scaled to a W-bit window.
+
+    Returns (bounds, words, offsets, scaled_offsets) with one entry per
+    cylinder, lowest first.  Cylinder i holds the states x with c_i <= x <
+    c_(i+1); bounds[i - 1] is ceil(2**W * c_i) (the first cylinder is open
+    below), and the last entry, far above 2**W * kappa, stands in for the
+    open upper end of the last cylinder.  For integers lo <= hi, lo >= ceil(2**W c) iff lo >= 2**W c
+    and hi < ceil(2**W c') iff hi < 2**W c', so a window [lo, hi] with
+    bounds[i - 1] <= lo and hi < bounds[i] lies in cylinder i exactly.
+    Its states then emit the K bytes words[i] and move to beta**K * x -
+    offsets[i] / q**K; scaled_offsets[i] is offsets[i] * 2**W.
+    """
+    from .entropy import prefix_leaves  # entropy imports this module
+
+    kappa = state_bound(beta)
+    qK = beta.denominator**K
+    bounds, words, offsets = [], [], []
+    for word, c, _, _, _, shift in prefix_leaves([[(beta, ONE)]] * K, (u,) * K,
+                                                  start=(ZERO, kappa)):
+        bounds.append(-((-c.numerator << W) // c.denominator))
+        words.append(bytes(word_to_bits(word, K)))
+        offsets.append((shift * qK).numerator)
+    # the walk yields the highest cylinder first; the lowest is open below
+    bounds = bounds[-2::-1] + [(kappa.numerator // kappa.denominator + 2) << (W + 4)]
+    words.reverse()
+    offsets.reverse()
+    # tuples: the cache hands the same table to every caller
+    return tuple(bounds), tuple(words), tuple(offsets), tuple(s << W for s in offsets)
+
+
+class _Plan(NamedTuple):
+    """Threshold, spans, powers and weights of the stream kernel for one (beta, u, W)."""
+
+    t: int  # bit 1 iff the scaled state reaches t
+    K: int  # table depth
+    k_blk: int  # steps per inner block, a multiple of K
+    k_mid: int  # steps of the mid window between commits
+    ppow: tuple  # p**j and q**j for j <= k_blk
+    qpow: tuple
+    weight: tuple  # see _kernel_plan
+    tweight: tuple
+
+
+@lru_cache(maxsize=64)
+def _kernel_plan(beta: Fraction, u: Fraction, W: int) -> _Plan:
+    """The stream kernel's constants for one (beta, u, W)."""
+    p, q = beta.numerator, beta.denominator
+    r, s = u.numerator, u.denominator
+    # bit 1 iff p*s*X >= q*r*2**W, i.e. iff the integer X reaches t
+    t = -((-q * r << W) // (p * s))
+    # an inner block widens the window by about beta per step: stop while
+    # it is below 2**(W/2), i.e. beta**k <= 2**(W/2), and at most W steps
+    k_max = min(W, _steps_above(beta, W // 2, W) - 1) or 1
+    # table depth: beta**K <= 2**8, at most one block; blocks are whole tables
+    K = max(1, min(k_max, _steps_above(beta, 8, _TABLE_DEPTH_CAP) - 1))
+    k_blk = K * (k_max // K)
+    # the mid window commits once beta**k passes 2**(W2/2), or after W2 steps
+    W2 = _MID_FACTOR * W
+    k_mid = min(W2, _steps_above(beta, W2 // 2, W2))
+    ppow = tuple(p**j for j in range(k_blk + 1))
+    qpow = tuple(q**j for j in range(k_blk + 1))
+    # R accumulates S * p**(k_blk - k) over a block of k steps: a 1 at
+    # step j adds weight[j], a table step at j adds its offset * tweight[j]
+    weight = tuple(qpow[j + 1] * ppow[k_blk - j - 1] for j in range(k_blk))
+    tweight = tuple(qpow[j] * ppow[k_blk - j - K] for j in range(k_blk - K + 1))
+    return _Plan(t, K, k_blk, k_mid, ppow, qpow, weight, tweight)
 
 
 def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
                    W: int = _WINDOW_BITS):
-    """Blocked exact stream; returns (bits, number of exact fallback steps).
+    """Three-level exact stream; returns (bits, StreamCounts).
 
-    Exact for every window width W >= 1; W only sets how many bits a block
-    can decide before the exact state must be touched.
+    Exact for every inner window width W >= 1; W only sets how many bits
+    the windows decide before a wider level must be read.
     """
     p, q = beta.numerator, beta.denominator
     r, s = u.numerator, u.denominator
-    A, D = x0.numerator, x0.denominator
+    t, K, k_blk, k_mid, ppow, qpow, weight, tweight = _kernel_plan(beta, u, W)
+    bounds, words, offsets, scaled = _cylinder_table(beta, u, K, W)
+    PK, QK = ppow[K], qpow[K]
+    top = len(bounds) - 1
+    W2 = _MID_FACTOR * W
+    drop = W2 - W
     one = 1 << W
     qm1 = q - 1
-    # bit 1 iff p*s*X >= q*r*2**W, i.e. iff the integer X reaches t
-    t = -((-q * r << W) // (p * s))
-    # block length: the interval widens by about beta per step; stop while
-    # it is still below 2**(W/2), i.e. beta**k <= 2**(W/2), and at most W
-    k_max = 1
-    while k_max < W and p ** (k_max + 1) <= q ** (k_max + 1) << W // 2:
-        k_max += 1
-    ppow = [p**j for j in range(k_max + 1)]
-    qpow = [q**j for j in range(k_max + 1)]
-    # R accumulates b_j q**j p**(k_max-j); S = R / p**(k_max-k) for k steps
-    weight = [qpow[j + 1] * ppow[k_max - j - 1] for j in range(k_max)]
 
+    A, D = x0.numerator, x0.denominator
+    # the mid window is [L2, L2 + w2]
+    L2, w2 = _window(A, D, W2)
+    # steps taken by the mid window since A/D was last brought up to date:
+    # A/D must still take A <- p**k_tot A - D S_tot, D <- q_tot D
+    S_tot, q_tot, k_tot = 0, 1, 0
     out = bytearray(n_bits)
-    fallbacks = 0
+    fallbacks = commits = bit_steps = 0
     i = 0
     while i < n_bits:
-        shift = D.bit_length() - W
-        if shift > 0:
-            a, d = A >> shift, D >> shift
-            lo = (a << W) // (d + 1)
-            hi = -((-(a + 1) << W) // d)
-        else:
-            lo, rem = divmod(A << W, D)
-            hi = lo + (rem > 0)
+        lo = L2 >> drop
+        hi = -(-(L2 + w2) >> drop)
+        end = min(i + k_blk, n_bits)
+        last_lookup = end - K
         R = 0
-        k = min(k_max, n_bits - i)
-        for j in range(k):
+        j = i
+        while j < end:
+            if j <= last_lookup:
+                # the window lies in one cylinder: K bits at once
+                c = bisect_right(bounds, lo, 0, top)
+                if hi < bounds[c]:
+                    off = scaled[c]
+                    lo = (PK * lo - off) // QK
+                    hi = -((off - PK * hi) // QK)
+                    out[j:j + K] = words[c]
+                    R += offsets[c] * tweight[j - i]
+                    j += K
+                    continue
             if lo >= t:
-                R += weight[j]
-                out[i + j] = 1
+                R += weight[j - i]
+                out[j] = 1
                 lo = p * lo // q - one
                 hi = (p * hi + qm1) // q - one
             elif hi < t:
                 lo = p * lo // q
                 hi = (p * hi + qm1) // q
             else:
-                k = j
                 break
+            j += 1
+            bit_steps += 1
+        k = j - i
         if k:
-            A = ppow[k] * A - D * (R // ppow[k_max - k])
-            D *= qpow[k]
-            i += k
-        else:
+            S = R // ppow[k_blk - k]
+            L2, w2 = _map_window(L2, w2, ppow[k], qpow[k], S << W2)
+            S_tot = ppow[k] * S_tot + q_tot * S
+            q_tot *= qpow[k]
+            k_tot += k
+            i = j
+            if k_tot < k_mid:
+                continue
+        elif not k_tot:
+            # a window read fresh from A/D straddles: one exact step decides
             fallbacks += 1
             A *= p
             D *= q
@@ -517,4 +669,14 @@ def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
                 out[i] = 1
                 A -= D
             i += 1
-    return np.frombuffer(out, dtype=np.uint8), fallbacks
+            L2, w2 = _window(A, D, W2)
+            continue
+        # the mid span is used up, or a block straddled at its start on a
+        # stale mid window: bring A/D up to date and read afresh
+        commits += 1
+        A = p**k_tot * A - D * S_tot
+        D *= q_tot
+        S_tot, q_tot, k_tot = 0, 1, 0
+        L2, w2 = _window(A, D, W2)
+    counts = StreamCounts(fallbacks, commits, n_bits - fallbacks - bit_steps, bit_steps)
+    return np.frombuffer(out, dtype=np.uint8), counts

@@ -64,10 +64,6 @@ class WordDistribution:
         return cls(m, {w: p for w in range(1 << m)})
 
     @classmethod
-    def point_mass(cls, word: int, m: int) -> "WordDistribution":
-        return cls(m, {word: ONE})
-
-    @classmethod
     def flat(cls, support: Sequence[int], m: int) -> "WordDistribution":
         words = sorted(set(int(w) for w in support))
         if not words:
@@ -87,10 +83,6 @@ class WordDistribution:
         _, p = self.max_probability()
         return cmp_pow2(p, -as_fraction(k)) <= 0
 
-    def min_entropy_decimal(self, digits: int = 50) -> Decimal:
-        _, p = self.max_probability()
-        return -log2_decimal(p, digits)
-
     def to_csv_rows(self) -> list:
         rows = []
         for word in sorted(self.entries):
@@ -105,21 +97,23 @@ class WordDistribution:
         return rows
 
 
-def prefix_leaves(choices, u_seq, node_budget: Optional[int] = None):
-    """Leaves of the forward tree of output prefixes over inputs in [0, 1).
+def prefix_leaves(choices, u_seq, node_budget: Optional[int] = None, start=(ZERO, ONE)):
+    """Leaves of the forward tree of output prefixes over inputs in ``start``.
 
     ``choices[j]`` lists the (gain, weight) branches of step j and
     ``u_seq[j]`` is its threshold.  Yields (word, lo, hi, weight, slope,
     shift) for every attained word of length len(u_seq): each input x in
     [lo, hi) emits ``word`` along a gain path of probability ``weight``,
-    and its state is then slope*x - shift.  With ``node_budget`` set, the
-    walk stops with ResourceBudgetError once it has visited that many nodes.
+    and its state is then slope*x - shift.  The inputs range over the
+    half-open interval ``start``, [0, 1) by default.  With ``node_budget``
+    set, the walk stops with ResourceBudgetError once it has visited that
+    many nodes.
     """
     m = len(u_seq)
     # per step and branch: gain, weight, and u/gain, the state the bit turns 1 at
     steps = [[(g, w, u / g) for g, w in options] for options, u in zip(choices, u_seq)]
     visited = 0
-    stack = [(0, 0, ZERO, ONE, ONE, ONE, ZERO)]
+    stack = [(0, 0, *start, ONE, ONE, ZERO)]
     while stack:
         visited += 1
         if node_budget is not None and visited > node_budget:

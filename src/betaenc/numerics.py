@@ -177,6 +177,30 @@ def _bit_log2(x: Fraction) -> int:
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
+def _power_upper_bound(beta: Fraction, k: int, bits: int = 64) -> tuple:
+    """(m, e) with m * 2**e >= beta**k and m short, by square-and-multiply.
+
+    Every product is cut back to ``bits`` significant bits by rounding up,
+    so the bound costs k.bit_length() small multiplications and exceeds
+    beta**k by a factor of at most about 1 + 4*k / 2**bits.
+    """
+
+    def up(m: int, e: int) -> tuple:
+        drop = m.bit_length() - bits
+        return (-(-m >> drop), e + drop) if drop > 0 else (m, e)
+
+    scale = bits + beta.denominator.bit_length()
+    base = up(-((-beta.numerator << scale) // beta.denominator), -scale)
+    acc = (1, 0)
+    while k:
+        if k & 1:
+            acc = up(acc[0] * base[0], acc[1] + base[1])
+        k >>= 1
+        if k:
+            base = up(base[0] * base[0], 2 * base[1])
+    return acc
+
+
 def least_power_at_least(
     beta: Fraction,
     exponent2: Union[Fraction, int],
@@ -189,8 +213,9 @@ def least_power_at_least(
     This is the exact evaluation of ceilings like ``ceil(s * log2/log(beta))``
     without touching floating point.  Bit lengths give a first guess; every
     decision after it is an exact ``cmp_pow2`` test: gallop from the guess
-    until k is bracketed, then bisect.  Answers above 2**20 are refused, at
-    once when beta is too close to 1 for the bound (1 + e)**K <= 1/(1 - K*e).
+    until k is bracketed, then bisect.  Answers above K = 2**20 are refused,
+    at once when an upward-rounded bound on beta**K already misses the
+    target, so a base near 1 never forms its K-th power exactly.
     """
     beta = as_fraction(beta)
     coefficient = as_fraction(coefficient)
@@ -206,13 +231,16 @@ def least_power_at_least(
 
     if reaches(0):
         return 0
-    # beta = 1 + e with K*e < 1 gives beta**K <= 1/(1 - K*e): refuse without the power
-    slack = 1 - _POWER_SEARCH_LIMIT * (beta - 1)
-    if slack > 0 and not meets(coefficient / slack):
-        raise DomainError("power search ran away; check arguments")
+    need = as_fraction(exponent2) - _bit_log2(coefficient)
+    # beta**K <= m * 2**e: when even that misses the target, so does every k <= K
+    # (a bound more than a bit above the target surely meets it and is not formed)
+    m, e = _power_upper_bound(beta, _POWER_SEARCH_LIMIT)
+    if e + m.bit_length() < need + 2:
+        bound = Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+        if not meets(coefficient * bound):
+            raise DomainError("power search ran away; check arguments")
     # log2 of beta**64 to within 1, so of beta to within 1/64
     scaled_log = _bit_log2(beta**64)
-    need = as_fraction(exponent2) - _bit_log2(coefficient)
     guess = -(-need * 64 // scaled_log) if scaled_log > 0 and need > 0 else 1
     # gallop from the guess until lo does not reach and hi does, then bisect
     lo, hi = 0, min(guess, _POWER_SEARCH_LIMIT)

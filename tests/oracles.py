@@ -10,12 +10,47 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 ONE = Fraction(1)
+
+
+def str_to_bits(text: str) -> tuple:
+    """Bits of a '0'/'1' string, first character first; ValueError on junk."""
+    if any(c not in "01" for c in text):
+        raise ValueError("bit strings may contain only 0 and 1")
+    return tuple(int(c) for c in text)
+
+
+def bits_to_str(bits) -> str:
+    return "".join(str(int(b)) for b in bits)
+
+
+class WordLaw(NamedTuple):
+    """Bare word law: ``m`` and ``entries`` (word -> probability), like the package's."""
+
+    m: int
+    entries: dict
+
+    def prob(self, word: int) -> Fraction:
+        return self.entries.get(word, Fraction(0))
+
+
+def point_mass(word: int, m: int) -> WordLaw:
+    """The law that puts all its mass on one m-bit word."""
+    return WordLaw(m, {word: ONE})
+
+
+def min_entropy_decimal(entries: dict, digits: int = 50) -> Decimal:
+    """-log2 of the largest probability, to about ``digits`` significant digits."""
+    p = max(entries.values())
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        return -(Decimal(p.numerator).ln() - Decimal(p.denominator).ln()) / Decimal(2).ln()
 
 
 def doubling_digits(x: Fraction, m: int) -> tuple:
@@ -70,6 +105,23 @@ def encoder_bits(x: Fraction, beta: Fraction, u_values, n: int) -> tuple:
     return tuple(bits)
 
 
+def encoder_run(x, beta, u, n: int, tie_bit: int = 1) -> tuple:
+    """(bits, final state) of n fixed-gain steps by the definition.
+
+    A tie beta*s == u emits ``tie_bit``: 1 is the encoder's rule, and 0
+    gives the limit from the left, the run at the open right end of a
+    cylinder.
+    """
+    s, beta, u = Fraction(x), Fraction(beta), Fraction(u)
+    bits = []
+    for _ in range(n):
+        y = beta * s
+        b = 1 if y > u or (y == u and tie_bit) else 0
+        bits.append(b)
+        s = y - b
+    return tuple(bits), s
+
+
 def encoder_stream_scaled(x, beta, u, n: int) -> tuple:
     """Fixed-gain stream by one exact scaled-integer step per bit.
 
@@ -91,6 +143,68 @@ def encoder_stream_scaled(x, beta, u, n: int) -> tuple:
         else:
             bits.append(0)
     return tuple(bits)
+
+
+def stream_kernel_blocked(x0, beta, u, n_bits: int, W: int = 128) -> tuple:
+    """Fixed-gain stream in blocks on one W-bit window; returns (bits, fallbacks).
+
+    Each block reads an outward-rounded integer interval [lo, hi] holding
+    2**W * A/D off the top W bits of D, steps it bit by bit while it lies
+    on one side of the threshold (at most W steps, and while beta**k <=
+    2**(W/2)), then applies the k decided steps to A/D at once.  A window
+    that straddles the threshold when read takes one exact step instead.
+    This is the kernel the three-level table kernel replaced; it still
+    touches the whole exact state once per block.
+    """
+    x0, beta, u = Fraction(x0), Fraction(beta), Fraction(u)
+    p, q = beta.numerator, beta.denominator
+    r, s = u.numerator, u.denominator
+    A, D = x0.numerator, x0.denominator
+    one = 1 << W
+    t = -((-q * r << W) // (p * s))
+    k_max = 1
+    while k_max < W and p ** (k_max + 1) <= q ** (k_max + 1) << W // 2:
+        k_max += 1
+    out = [0] * n_bits
+    fallbacks = 0
+    i = 0
+    while i < n_bits:
+        shift = D.bit_length() - W
+        if shift > 0:
+            a, d = A >> shift, D >> shift
+            lo = (a << W) // (d + 1)
+            hi = -((-(a + 1) << W) // d)
+        else:
+            lo, rem = divmod(A << W, D)
+            hi = lo + (rem > 0)
+        S = 0
+        k = min(k_max, n_bits - i)
+        for j in range(k):
+            if lo >= t:
+                S = p * S + q ** (j + 1)
+                out[i + j] = 1
+                lo = p * lo // q - one
+                hi = -((-p * hi) // q) - one
+            elif hi < t:
+                S = p * S
+                lo = p * lo // q
+                hi = -((-p * hi) // q)
+            else:
+                k = j
+                break
+        if k:
+            A = p**k * A - D * S
+            D *= q**k
+            i += k
+        else:
+            fallbacks += 1
+            A *= p
+            D *= q
+            if A * s >= r * D:
+                out[i] = 1
+                A -= D
+            i += 1
+    return tuple(out), fallbacks
 
 
 def uniform_draws(lo, hi, precision_bits: int, rng, n: int) -> tuple:

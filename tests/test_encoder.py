@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -15,12 +15,16 @@ from betaenc.encoder import (
     IidSupportBetas,
     UniformBetas,
     UniformThresholds,
+    _cylinder_table,
+    _kernel_plan,
+    _map_window,
     _stream_kernel,
     apply_Tu,
     encode,
     encode_bits,
     reconstruct_partial,
 )
+from betaenc.entropy import prefix_leaves
 from betaenc.errors import ConfigurationError, DomainError
 from betaenc.numerics import EXACT_POLICY, PrecisionMode, PrecisionPolicy
 from betaenc.prng import SplitMix64
@@ -238,6 +242,110 @@ def test_stream_kernel_needs_no_exact_steps_on_a_dyadic_orbit():
     bits, fallbacks = _stream_kernel(x0, F(3, 2), F(1), n)
     assert fallbacks == 0
     assert tuple(int(b) for b in bits) == oracles.encoder_stream_scaled(x0, F(3, 2), 1, n)
+
+
+def _commit_bound(beta, u, n, W, counts):
+    """A/D takes one commit per mid span, plus at most one per fallback."""
+    k_mid = _kernel_plan(beta, u, W).k_mid
+    return counts.commits <= -(-n // k_mid) + counts.fallbacks
+
+
+@given(stream_cases(), st.integers(min_value=1, max_value=24),
+       st.integers(min_value=1000, max_value=5000))
+@settings(max_examples=60)
+def test_table_kernel_matches_the_blocked_and_scaled_oracles(case, window_bits, n):
+    # narrow windows over long streams: the table misses, the mid window
+    # commits every few hundred bits and straddles take exact steps
+    x0, beta, u, _ = case
+    bits, counts = _stream_kernel(x0, beta, u, n, window_bits)
+    assert bits.dtype == np.uint8 and bits.shape == (n,)
+    blocked, _ = oracles.stream_kernel_blocked(x0, beta, u, n, window_bits)
+    assert tuple(bits.tolist()) == blocked == oracles.encoder_stream_scaled(x0, beta, u, n)
+    assert counts.fallbacks + counts.table_steps + counts.bit_steps == n
+    assert _commit_bound(beta, u, n, window_bits, counts)
+
+
+@given(st.integers(min_value=-(1 << 40), max_value=1 << 40), st.integers(min_value=0, max_value=1 << 20),
+       st.integers(min_value=2, max_value=1 << 30), st.integers(min_value=1, max_value=1 << 30),
+       st.integers(min_value=0, max_value=1 << 50))
+def test_mid_window_step_keeps_the_image(lo, w, P, Q, off):
+    new_lo, new_w = _map_window(lo, w, P, Q, off)
+    assert new_lo <= F(P * lo - off, Q) and F(P * (lo + w) - off, Q) <= new_lo + new_w
+
+
+def test_narrow_windows_reach_every_kernel_path():
+    n = 5000
+    for x0, beta, u, window_bits in [
+        (F(5, 17), F(3, 2), F(1), 4),
+        (F(4, 3) / F(8, 5), F(8, 5), F(4, 3), 6),
+        (F(1, 3), F(9, 5), F(5, 4), 8),
+    ]:
+        bits, counts = _stream_kernel(x0, beta, u, n, window_bits)
+        assert tuple(bits.tolist()) == oracles.encoder_stream_scaled(x0, beta, u, n)
+        assert counts.fallbacks > 0 and counts.commits > 0
+        assert counts.table_steps > 0 and counts.bit_steps > 0
+        assert _commit_bound(beta, u, n, window_bits, counts)
+
+
+@pytest.mark.parametrize("beta, u, window_bits", [
+    (F(3, 2), F(1), 256),
+    (F(8, 5), F(4, 3), 24),
+    (F(9, 5), F(5, 4), 8),
+    (F(7, 4), F(4, 3), 1),
+    (F(2**40 + 1, 2**40), F(2**39), 256),
+])
+def test_cylinder_table_tiles_the_state_range(beta, u, window_bits):
+    K = _kernel_plan(beta, u, window_bits).K
+    bounds, words, offsets, scaled = _cylinder_table(beta, u, K, window_bits)
+    kappa = 1 / (beta - 1)
+    leaves = sorted(prefix_leaves([[(beta, 1)]] * K, [u] * K, start=(0, kappa)),
+                    key=lambda leaf: leaf[1])
+    assert len(words) == len(offsets) == len(scaled) == len(bounds) == len(leaves)
+    assert leaves[0][1] == 0 and leaves[-1][2] == kappa
+    assert all(a[2] == b[1] for a, b in zip(leaves, leaves[1:]))
+    scale = 1 << window_bits
+    for i, (word, lo, hi, _, slope, shift) in enumerate(leaves):
+        if i:
+            assert bounds[i - 1] == -(-lo.numerator * scale // lo.denominator)
+        assert words[i] == bytes(int(c) for c in format(word, f"0{K}b"))
+        assert slope == beta**K and offsets[i] == shift * beta.denominator**K
+        assert scaled[i] == offsets[i] * scale
+        # both ends: the run from lo, and the left limit of the runs at hi
+        for x, tie_bit in ((lo, 1), (hi, 0)):
+            run_bits, state = oracles.encoder_run(x, beta, u, K, tie_bit)
+            assert bytes(run_bits) == words[i]
+            assert state == beta**K * x - F(offsets[i], beta.denominator**K)
+    assert bounds[-1] > kappa * scale
+
+
+def test_stream_kernel_counts_its_steps():
+    n = 5000
+    x0 = F(SplitMix64(7).derive("x0").odd_dyadic(64))
+    bits, counts = _stream_kernel(x0, F(3, 2), F(1), n)
+    assert counts == counts.fallbacks == 0 and counts.bit_steps < n // 100
+    assert counts.table_steps + counts.bit_steps == n
+    assert 0 < counts.commits <= -(-n // _kernel_plan(F(3, 2), F(1), 256).k_mid)
+    ties = [(F(2, 3), F(3, 2), F(1)), (F(4, 3) / F(8, 5), F(8, 5), F(4, 3)),
+            (F(5, 4) / F(9, 5), F(9, 5), F(5, 4)), (F(4, 9), F(3, 2), F(1))]
+    for x0, beta, u in ties:
+        bits, counts = _stream_kernel(x0, beta, u, n)
+        assert tuple(bits.tolist()) == oracles.encoder_stream_scaled(x0, beta, u, n)
+        assert counts.fallbacks > 0
+        assert counts.fallbacks + counts.table_steps + counts.bit_steps == n
+        assert _commit_bound(beta, u, n, 256, counts)
+    assert "commits=" in repr(counts) and isinstance(encode_bits(x0, beta, u, n), np.ndarray)
+
+
+@pytest.mark.parametrize("beta", [F(2**40 + 1, 2**40), F(2**48 + 1, 2**48)])
+def test_encode_bits_with_gains_next_to_one(beta):
+    # the block and mid spans stop at W and 16 W steps, so the kernel never
+    # asks least_power_at_least for a power past its refusal limit
+    kappa = 1 / (beta - 1)
+    n = 3000
+    for x0, u in [(F(1, 3), F(1)), (F(1), F(1)), (beta ** -2000, F(1)),
+                  (F(1), (1 + kappa) / 2), (F(1, 3), kappa)]:
+        bits = encode_bits(x0, beta, u, n)
+        assert tuple(bits.tolist()) == oracles.encoder_stream_scaled(x0, beta, u, n)
 
 
 @given(unit_fractions, small_betas, st.integers(min_value=1, max_value=40))

@@ -39,7 +39,7 @@ F = Fraction
 def test_distribution_constructors():
     u = FiniteDistribution.uniform(2)
     assert u.prob(3) == F(1, 4)
-    point = FiniteDistribution.point_mass(5, 3)
+    point = oracles.point_mass(5, 3)
     assert point.prob(5) == 1 and point.prob(0) == 0
     flat = FiniteDistribution.flat([3, 1, 3], 2)
     assert flat.entries == {1: F(1, 2), 3: F(1, 2)}
@@ -59,7 +59,7 @@ def test_min_entropy_predicate():
 
 def test_tv_basics():
     u = FiniteDistribution.uniform(2)
-    point = FiniteDistribution.point_mass(0, 2)
+    point = oracles.point_mass(0, 2)
     assert tv_distance(u, u) == 0
     assert tv_distance(u, point) == F(3, 4)
     assert oracles.tv_from_uniform(point) == F(3, 4)
@@ -97,7 +97,7 @@ def test_adversarial_source_parity():
     # the extractor is constant on the support, so its output is a point mass
     out = {parity(word_to_bits(w, 2)) for w in src.entries}
     assert len(out) == 1
-    assert oracles.tv_from_uniform(FiniteDistribution.point_mass(out.pop(), 1)) == F(1, 2)
+    assert oracles.tv_from_uniform(oracles.point_mass(out.pop(), 1)) == F(1, 2)
 
 
 def test_adversarial_source_first_bit():

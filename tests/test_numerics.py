@@ -1,4 +1,5 @@
 import math
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -298,3 +299,51 @@ def test_precision_policy_validation():
     assert EXACT_POLICY.mode is PrecisionMode.EXACT
     with pytest.raises(DomainError):
         PrecisionPolicy(PrecisionMode.FLOAT_FAST, 2)
+
+
+def test_least_power_refuses_the_band_below_the_limit_at_once():
+    # K = 2**20 and beta = 1 + e with K*e in [1/2, 4]: beta**K is about
+    # 1.65 and 2.72, below the targets 2 and 4; the upward-rounded bound
+    # sees it, so the 2**20-th powers (20- and 21-million-bit terms) are never formed
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        least_power_at_least(Fraction(2**21 + 1, 2**21), 1)
+    with pytest.raises(DomainError):
+        least_power_at_least(Fraction(2**20 + 1, 2**20), 2)
+    with pytest.raises(DomainError):
+        least_power_at_least(Fraction(2**18 + 1, 2**18), 6, strict=True)
+    # each exact refusal took seconds; the bound takes well under a millisecond
+    assert time.perf_counter() - start < 1
+
+
+def test_power_upper_bound_is_tight_and_above():
+    for beta, k in [(Fraction(3, 2), 110), (Fraction(2**21 + 1, 2**21), 1 << 12),
+                    (Fraction(9, 5), 1), (Fraction(7, 4), 0), (Fraction(2**48 + 1, 2**48), 3000)]:
+        m, e = numerics._power_upper_bound(beta, k)
+        bound = m * Fraction(2) ** e
+        assert beta**k <= bound < beta**k * (1 + Fraction(4 * k + 4, 2**64))
+        assert m.bit_length() <= 64
+
+
+@given(
+    st.integers(min_value=1 << 6, max_value=1 << 9),
+    st.fractions(min_value=0, max_value=6, max_denominator=4),
+    st.fractions(min_value=Fraction(1, 2), max_value=2, max_denominator=16),
+    st.booleans(),
+)
+@settings(max_examples=100)
+def test_least_power_band_refusal_is_exact_at_a_small_limit(den, e, coefficient, strict):
+    # with the search limit K = 2**8, bases 1 + 1/den have K*(beta - 1) in
+    # [1/2, 4], the band the bound 1/(1 - K*e) could not decide
+    beta = Fraction(den + 1, den)
+    try:
+        expected = oracles.least_power_at_least(beta, e, coefficient, strict, limit=1 << 8)
+    except ValueError:
+        expected = None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "_POWER_SEARCH_LIMIT", 1 << 8)
+        if expected is None:
+            with pytest.raises(DomainError):
+                least_power_at_least(beta, e, coefficient=coefficient, strict=strict)
+        else:
+            assert least_power_at_least(beta, e, coefficient=coefficient, strict=strict) == expected
