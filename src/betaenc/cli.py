@@ -160,6 +160,8 @@ def _run_encode(args, out: Path):
     }
 
     if args.stream_bits is not None:
+        if args.steps is not None or args.float_bits is not None:
+            raise ConfigurationError("--stream-bits takes neither --steps nor --float-bits")
         if not isinstance(gain, FixedBeta) or not isinstance(thresholds, ConstantThreshold):
             raise ConfigurationError(
                 "--stream-bits is the fixed-gain fast path; it needs --beta and --u"

@@ -435,17 +435,17 @@ def encode_bits(x0, beta, u, n_bits: int) -> np.ndarray:
       table splits the state range [0, kappa) into the cylinders of the
       next K bits (beta**K <= 2**8, K <= 16); when lo and hi fall in one
       cylinder, one bisection decides all K bits and the cylinder's affine
-      map x -> beta**K * x - S / q**K steps the window.  Otherwise one bit is
-      decided when lo clears the threshold 2**W * u/beta or hi falls below
-      it.  A block stops when the window straddles the threshold or after
-      a fixed number of steps that keeps it far narrower than 2**W.
+      map x -> beta**K * x - S / q**K steps the window.  A block stops when
+      the window straddles two cylinders or after a fixed number of steps
+      that keeps it far narrower than 2**W.  Fewer than K last bits are
+      the first bits of their cylinder's word.
     * The mid window holds 2**(16 W) * x.  Each block steps it by the
       block's k bits at once (x -> beta**k * x - S / q**k), and the next
       block's inner window is read off its top bits.
     * The exact state takes the composed steps, A <- p**k A - D S and
       D <- q**k D, only once beta**k passes 2**(8 W), and then the mid
-      window is read afresh from it.  When the inner window straddles the
-      threshold at the start of a block, the exact state is brought up to
+      window is read afresh from it.  When the inner window straddles two
+      cylinders at the start of a block, the exact state is brought up to
       date and read afresh; if it still straddles, one exact step on A and
       D decides the bit, so exact ties (beta*x == u) still quantize to 1.
 
@@ -457,8 +457,8 @@ def encode_bits(x0, beta, u, n_bits: int) -> np.ndarray:
         raise DomainError(f"x0 must lie in [0,1], got {x0}")
     if not (ONE <= u <= state_bound(beta)):
         raise DomainError(f"threshold {u} outside [1, {state_bound(beta)}]")
-    if n_bits < 0:
-        raise DomainError("n_bits must be nonnegative")
+    if isinstance(n_bits, bool) or not isinstance(n_bits, int) or n_bits < 0:
+        raise DomainError(f"n_bits must be a nonnegative integer, got {n_bits!r}")
     return _stream_kernel(x0, beta, u, n_bits)[0]
 
 
@@ -467,27 +467,16 @@ _MID_FACTOR = 16  # the mid window has _MID_FACTOR * W bits
 _TABLE_DEPTH_CAP = 16  # near beta = 1 the walk's node count grows as K**2
 
 
-class StreamCounts(int):
-    """What one ``_stream_kernel`` run did; as an int, its fallback count.
+class StreamCounts(NamedTuple):
+    """What one ``_stream_kernel`` run did besides its table lookups.
 
-    ``fallbacks`` bits took one exact step on A/D, ``commits`` times the
-    composed steps of the mid window went into A/D, ``table_steps`` bits
-    were decided by cylinder lookups and ``bit_steps`` one at a time on
-    the inner window.  The three bit counts add up to the stream length.
+    ``fallbacks`` bits took one exact step on A/D, and ``commits`` times
+    the composed steps of the mid window went into A/D.  Every other bit
+    came from a cylinder lookup.
     """
 
-    def __new__(cls, fallbacks: int, commits: int, table_steps: int, bit_steps: int):
-        self = super().__new__(cls, fallbacks)
-        self.commits, self.table_steps, self.bit_steps = commits, table_steps, bit_steps
-        return self
-
-    @property
-    def fallbacks(self) -> int:
-        return int(self)
-
-    def __repr__(self) -> str:
-        return (f"StreamCounts(fallbacks={int(self)}, commits={self.commits}, "
-                f"table_steps={self.table_steps}, bit_steps={self.bit_steps})")
+    fallbacks: int
+    commits: int
 
 
 def _window(A: int, D: int, W: int) -> tuple:
@@ -522,58 +511,39 @@ def _steps_above(beta: Fraction, e: int, cap: int) -> int:
     return max(1, least_power_at_least(beta, e, strict=True))
 
 
-@lru_cache(maxsize=64)
-def _cylinder_table(beta: Fraction, u: Fraction, K: int, W: int) -> tuple:
-    """The depth-K cylinders of the state range [0, kappa), scaled to a W-bit window.
-
-    Returns (bounds, words, offsets, scaled_offsets) with one entry per
-    cylinder, lowest first.  Cylinder i holds the states x with c_i <= x <
-    c_(i+1); bounds[i - 1] is ceil(2**W * c_i) (the first cylinder is open
-    below), and the last entry, far above 2**W * kappa, stands in for the
-    open upper end of the last cylinder.  For integers lo <= hi, lo >= ceil(2**W c) iff lo >= 2**W c
-    and hi < ceil(2**W c') iff hi < 2**W c', so a window [lo, hi] with
-    bounds[i - 1] <= lo and hi < bounds[i] lies in cylinder i exactly.
-    Its states then emit the K bytes words[i] and move to beta**K * x -
-    offsets[i] / q**K; scaled_offsets[i] is offsets[i] * 2**W.
-    """
-    from .entropy import prefix_leaves  # entropy imports this module
-
-    kappa = state_bound(beta)
-    qK = beta.denominator**K
-    bounds, words, offsets = [], [], []
-    for word, c, _, _, _, shift in prefix_leaves([[(beta, ONE)]] * K, (u,) * K,
-                                                  start=(ZERO, kappa)):
-        bounds.append(-((-c.numerator << W) // c.denominator))
-        words.append(bytes(word_to_bits(word, K)))
-        offsets.append((shift * qK).numerator)
-    # the walk yields the highest cylinder first; the lowest is open below
-    bounds = bounds[-2::-1] + [(kappa.numerator // kappa.denominator + 2) << (W + 4)]
-    words.reverse()
-    offsets.reverse()
-    # tuples: the cache hands the same table to every caller
-    return tuple(bounds), tuple(words), tuple(offsets), tuple(s << W for s in offsets)
-
-
 class _Plan(NamedTuple):
-    """Threshold, spans, powers and weights of the stream kernel for one (beta, u, W)."""
+    """Spans, powers and cylinder table of the stream kernel for one (beta, u, W)."""
 
-    t: int  # bit 1 iff the scaled state reaches t
     K: int  # table depth
     k_blk: int  # steps per inner block, a multiple of K
     k_mid: int  # steps of the mid window between commits
     ppow: tuple  # p**j and q**j for j <= k_blk
     qpow: tuple
-    weight: tuple  # see _kernel_plan
-    tweight: tuple
+    tweight: tuple  # see _kernel_plan
+    bounds: tuple  # the cylinder table, see _kernel_plan
+    words: tuple
+    offsets: tuple
+    scaled: tuple
 
 
 @lru_cache(maxsize=64)
 def _kernel_plan(beta: Fraction, u: Fraction, W: int) -> _Plan:
-    """The stream kernel's constants for one (beta, u, W)."""
+    """The stream kernel's constants for one (beta, u, W).
+
+    The table lists the depth-K cylinders of the state range [0, kappa),
+    one entry per cylinder, lowest first.  Cylinder i holds the states x
+    with c_i <= x < c_(i+1); bounds[i - 1] is ceil(2**W * c_i) (the first
+    cylinder is open below), and the last entry, far above 2**W * kappa,
+    stands in for the open upper end of the last cylinder.  For integers
+    lo <= hi, lo >= ceil(2**W c) iff lo >= 2**W c and hi < ceil(2**W c') iff
+    hi < 2**W c', so a window [lo, hi] with bounds[i - 1] <= lo and hi <
+    bounds[i] lies in cylinder i exactly.  Its states then emit the K bytes
+    words[i] and move to beta**K * x - offsets[i] / q**K; scaled[i] is
+    offsets[i] * 2**W.
+    """
+    from .entropy import prefix_leaves  # entropy imports this module
+
     p, q = beta.numerator, beta.denominator
-    r, s = u.numerator, u.denominator
-    # bit 1 iff p*s*X >= q*r*2**W, i.e. iff the integer X reaches t
-    t = -((-q * r << W) // (p * s))
     # an inner block widens the window by about beta per step: stop while
     # it is below 2**(W/2), i.e. beta**k <= 2**(W/2), and at most W steps
     k_max = min(W, _steps_above(beta, W // 2, W) - 1) or 1
@@ -585,11 +555,24 @@ def _kernel_plan(beta: Fraction, u: Fraction, W: int) -> _Plan:
     k_mid = min(W2, _steps_above(beta, W2 // 2, W2))
     ppow = tuple(p**j for j in range(k_blk + 1))
     qpow = tuple(q**j for j in range(k_blk + 1))
-    # R accumulates S * p**(k_blk - k) over a block of k steps: a 1 at
-    # step j adds weight[j], a table step at j adds its offset * tweight[j]
-    weight = tuple(qpow[j + 1] * ppow[k_blk - j - 1] for j in range(k_blk))
+    # R accumulates S * p**(k_blk - k) over a block of k steps: a table
+    # step at j adds its offset * tweight[j]
     tweight = tuple(qpow[j] * ppow[k_blk - j - K] for j in range(k_blk - K + 1))
-    return _Plan(t, K, k_blk, k_mid, ppow, qpow, weight, tweight)
+
+    kappa = state_bound(beta)
+    bounds, words, offsets = [], [], []
+    for word, c, _, _, _, shift in prefix_leaves([[(beta, ONE)]] * K, (u,) * K,
+                                                  start=(ZERO, kappa)):
+        bounds.append(-((-c.numerator << W) // c.denominator))
+        words.append(bytes(word_to_bits(word, K)))
+        offsets.append((shift * qpow[K]).numerator)
+    # the walk yields the highest cylinder first; the lowest is open below
+    bounds = bounds[-2::-1] + [(kappa.numerator // kappa.denominator + 2) << (W + 4)]
+    words.reverse()
+    offsets.reverse()
+    # tuples: the cache hands the same plan to every caller
+    return _Plan(K, k_blk, k_mid, ppow, qpow, tweight, tuple(bounds), tuple(words),
+                 tuple(offsets), tuple(s << W for s in offsets))
 
 
 def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
@@ -601,14 +584,13 @@ def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
     """
     p, q = beta.numerator, beta.denominator
     r, s = u.numerator, u.denominator
-    t, K, k_blk, k_mid, ppow, qpow, weight, tweight = _kernel_plan(beta, u, W)
-    bounds, words, offsets, scaled = _cylinder_table(beta, u, K, W)
+    K, k_blk, k_mid, ppow, qpow, tweight, bounds, words, offsets, scaled = \
+        _kernel_plan(beta, u, W)
     PK, QK = ppow[K], qpow[K]
     top = len(bounds) - 1
     W2 = _MID_FACTOR * W
     drop = W2 - W
-    one = 1 << W
-    qm1 = q - 1
+    last = n_bits - K  # the last position where a whole word fits
 
     A, D = x0.numerator, x0.denominator
     # the mid window is [L2, L2 + w2]
@@ -617,39 +599,29 @@ def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
     # A/D must still take A <- p**k_tot A - D S_tot, D <- q_tot D
     S_tot, q_tot, k_tot = 0, 1, 0
     out = bytearray(n_bits)
-    fallbacks = commits = bit_steps = 0
+    fallbacks = commits = 0
     i = 0
     while i < n_bits:
         lo = L2 >> drop
         hi = -(-(L2 + w2) >> drop)
         end = min(i + k_blk, n_bits)
-        last_lookup = end - K
         R = 0
         j = i
         while j < end:
-            if j <= last_lookup:
-                # the window lies in one cylinder: K bits at once
-                c = bisect_right(bounds, lo, 0, top)
-                if hi < bounds[c]:
-                    off = scaled[c]
-                    lo = (PK * lo - off) // QK
-                    hi = -((off - PK * hi) // QK)
-                    out[j:j + K] = words[c]
-                    R += offsets[c] * tweight[j - i]
-                    j += K
-                    continue
-            if lo >= t:
-                R += weight[j - i]
-                out[j] = 1
-                lo = p * lo // q - one
-                hi = (p * hi + qm1) // q - one
-            elif hi < t:
-                lo = p * lo // q
-                hi = (p * hi + qm1) // q
-            else:
+            # the window lies in one cylinder, or the block ends
+            c = bisect_right(bounds, lo, 0, top)
+            if hi >= bounds[c]:
                 break
-            j += 1
-            bit_steps += 1
+            if j > last:
+                # the tail: every state of the cylinder emits its word
+                out[j:] = words[c][:n_bits - j]
+                return np.frombuffer(out, dtype=np.uint8), StreamCounts(fallbacks, commits)
+            off = scaled[c]
+            lo = (PK * lo - off) // QK
+            hi = -((off - PK * hi) // QK)
+            out[j:j + K] = words[c]
+            R += offsets[c] * tweight[j - i]
+            j += K
         k = j - i
         if k:
             S = R // ppow[k_blk - k]
@@ -661,7 +633,7 @@ def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
             if k_tot < k_mid:
                 continue
         elif not k_tot:
-            # a window read fresh from A/D straddles: one exact step decides
+            # a window read fresh from A/D misses the table: one exact step decides
             fallbacks += 1
             A *= p
             D *= q
@@ -671,12 +643,11 @@ def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
             i += 1
             L2, w2 = _window(A, D, W2)
             continue
-        # the mid span is used up, or a block straddled at its start on a
-        # stale mid window: bring A/D up to date and read afresh
+        # the mid span is used up, or a block missed the table at its start
+        # on a stale mid window: bring A/D up to date and read afresh
         commits += 1
         A = p**k_tot * A - D * S_tot
         D *= q_tot
         S_tot, q_tot, k_tot = 0, 1, 0
         L2, w2 = _window(A, D, W2)
-    counts = StreamCounts(fallbacks, commits, n_bits - fallbacks - bit_steps, bit_steps)
-    return np.frombuffer(out, dtype=np.uint8), counts
+    return np.frombuffer(out, dtype=np.uint8), StreamCounts(fallbacks, commits)

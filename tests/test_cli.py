@@ -79,6 +79,17 @@ def test_encode_rejects_two_gain_models(tmp_path, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [["--float-bits", "20"], ["--steps", "5"]])
+def test_stream_bits_refuses_trace_flags(tmp_path, capsys, extra):
+    # the stream path would silently ignore them
+    code, _ = run(["encode", "--x", "1/3", "--beta", "3/2", "--stream-bits", "100"] + extra,
+                  tmp_path, "enc/nested")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --stream-bits") and extra[0] in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_replay_is_byte_identical(tmp_path):
     args = ["encode", "--x", "2/7", "--beta-uniform", "3/2,9/5", "--u-uniform",
             "1,5/4", "--steps", "40", "--seed", "5"]
