@@ -11,19 +11,21 @@ interval, any word containing a 1 leaves a residual uncertainty that never
 shrinks, no matter how many bits are spent.
 
 The cost scan is also the Monte-Carlo kernel, so it works on scaled
-integers: with beta = p/q and state x = A/D, one step multiplies through
-by p and q and compares integers; the cylinder lower end after k bits is
-kept as L / p**k.  No Fraction objects are touched inside the loop.
+integers and touches no Fraction inside its loop.  Under a constant
+threshold it decides K bits per lookup in the stream kernel's cylinder
+table and takes one exact step where the table cannot decide; other
+thresholds take one exact step per bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .encoder import ConstantThreshold
+from .encoder import _WINDOW_BITS, ConstantThreshold, _kernel_plan, _window
 from .errors import ConfigurationError, DomainError
 from .numerics import (
     ONE,
@@ -31,6 +33,7 @@ from .numerics import (
     Interval,
     as_fraction,
     check_beta,
+    check_positive_int,
     decimal_str,
     dyadic_index,
     format_rational,
@@ -111,8 +114,8 @@ def scan_targets(m_values, beta, k_cap: Optional[int] = None) -> list:
     inputs against the same targets.
     """
     beta = check_beta(beta)
-    if k_cap is not None and k_cap < 1:
-        raise ConfigurationError(f"k_cap must be at least 1, got {k_cap}")
+    if k_cap is not None:
+        check_positive_int(k_cap, "k_cap", ConfigurationError)
     pmq = beta.numerator - beta.denominator
     inv_kappa = Fraction(pmq, beta.denominator)
     out = []
@@ -122,14 +125,27 @@ def scan_targets(m_values, beta, k_cap: Optional[int] = None) -> list:
     return out
 
 
-def _scan(x: Fraction, targets, beta: Fraction, u_iter) -> list:
+def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
     """Integer kernel: least k whose cylinder sits in x's order-m cell.
 
-    Targets ascending in m; returns one KResult per target.  Containment
-    is monotone in k for fixed m (cylinders are nested) and the per-m
-    answers are nondecreasing, so a single left-to-right scan settles
-    every target.  ``u_iter`` yields one (numerator, denominator)
-    threshold per consumed bit and must cover the largest cap.
+    Targets ascending in m and in cap, as ``scan_targets`` makes them;
+    returns one KResult per target.  Containment is monotone in k for
+    fixed m (cylinders are nested) and the per-m answers are
+    nondecreasing, so a single left-to-right scan settles every target.
+    After k bits the cylinder is [L/P, (L*(p-q) + Q*q) / (P*(p-q))] with
+    P = p**k and Q = q**k, and the state is A/D = (P*x - L)/Q.
+
+    ``thresholds`` is a constant threshold u (a Fraction) or an iterable
+    of one (numerator, denominator) pair per bit, covering the largest
+    cap, which takes one exact step on A/D per bit.  A constant u
+    reads the stream kernel's cylinder table: while the outward-rounded
+    window of 2**256 * state lies in one depth-K cylinder, one lookup
+    decides K bits, and the pending target is tested at the block end
+    only.  A block whose end settles it is stepped again through its word
+    for the least k.  A straddle, or a block that would pass the cap,
+    takes one exact step on A/D rebuilt from L, P and Q, and reads the
+    window afresh (a window widens by about beta per step, so it
+    straddles in the end).
     """
     p, q = beta.numerator, beta.denominator
     pmq = p - q
@@ -140,44 +156,91 @@ def _scan(x: Fraction, targets, beta: Fraction, u_iter) -> list:
         a = (xn << m) // xd
         if a == 1 << m:  # x == 1 sits in the closed last cell
             a -= 1
-        cells.append((m, a, a == (1 << m) - 1, cap, k_min))
+        # hi < (a + 1) / 2**m, or hi <= 1 in the closed last cell
+        cells.append((m, a, (a + 1) * pmq, int(a == (1 << m) - 1), cap, k_min))
 
+    def settles(k, L, P, Q) -> bool:
+        """Whether the cylinder after k bits sits in the pending target's cell."""
+        return (k >= k_min and (L << m) >= a * P
+                and ((L * pmq + Q * q) << m) < hi_cell * P + last_cell)
+
+    table = isinstance(thresholds, Fraction)
+    if table:
+        r, s = thresholds.numerator, thresholds.denominator
+        K, _, _, ppow, qpow, _, bounds, words, offsets, scaled = \
+            _kernel_plan(beta, thresholds, _WINDOW_BITS)
+        PK, QK = ppow[K], qpow[K]
+        top = len(bounds) - 1
+    else:
+        thresholds = iter(thresholds)
     results = []
-    A, Dq = xn, xd  # state = A / Dq, Dq = xd * q**k
-    L = 0  # cylinder lo = L / p**k
-    P, Qk = 1, 1  # p**k, q**k
-    k = 0
-    mi = 0
-    while mi < len(cells):
-        m, a, last_cell, cap, k_min = cells[mi]
-        if k >= k_min and k >= 1 and (L << m) >= a * P:
-            edge = L * pmq + Qk * q  # hi = edge / (P * pmq)
-            fits = edge <= P * pmq if last_cell else (edge << m) < (a + 1) * P * pmq
-            if fits:
-                results.append(KResult(k, False))
-                mi += 1
+    L, P, Q, k = 0, 1, 1, 0
+    A, D = xn, xd
+    fresh = False  # whether the window [lo, hi] holds the state after k bits
+    rest = None  # the bits of a block whose end settles the pending target
+    for m, a, hi_cell, last_cell, cap, k_min in cells:
+        if rest is not None and not settles(k1, L1, P1, Q1):
+            # the settling block's end does not settle this target: skip there
+            L, P, Q, k, rest = L1, P1, Q1, k1, None
+        # settles(k, L, P, Q) inline: the per-step path tests it every bit
+        while not (k >= k_min and (L << m) >= a * P
+                   and ((L * pmq + Q * q) << m) < hi_cell * P + last_cell):
+            if k >= cap:  # containment at k == cap still counts
+                results.append(KResult(cap, True))
+                break
+            if rest is not None:
+                # the block's end settles this target: step its word bit by
+                # bit, straight up to k_min, below which nothing settles
+                for b in rest:
+                    k += 1
+                    P *= p
+                    Q *= q
+                    L = L * p + Q * b
+                    if k >= k_min:
+                        break
                 continue
-        if k >= cap:  # containment at k == cap still counts
-            results.append(KResult(cap, True))
-            mi += 1
-            continue
-        try:
-            r, s = next(u_iter)
-        except StopIteration:
-            raise ConfigurationError(
-                f"threshold sequence exhausted after {k} values"
-            ) from None
-        k += 1
-        pA = p * A
-        Dq *= q
-        P *= p
-        Qk *= q
-        if pA * s >= r * Dq:
-            A = pA - Dq
-            L = L * p + Qk
+            if fresh and k + K <= cap:
+                # whole blocks while the window lies in one cylinder; the
+                # target is tested at each block end only
+                while k + K <= cap:
+                    c = bisect_right(bounds, lo, 0, top)
+                    if hi >= bounds[c]:
+                        fresh = False
+                        break
+                    off = scaled[c]
+                    lo = (PK * lo - off) // QK
+                    hi = -((off - PK * hi) // QK)
+                    L1, P1, Q1, k1 = L * PK + Q * offsets[c], P * PK, Q * QK, k + K
+                    if settles(k1, L1, P1, Q1):
+                        rest = iter(words[c])
+                        break
+                    L, P, Q, k = L1, P1, Q1, k1
+                continue
+            if table:
+                A, D = P * xn - L * xd, Q * xd
+            else:
+                try:
+                    r, s = next(thresholds)
+                except StopIteration:
+                    raise ConfigurationError(
+                        f"threshold sequence exhausted after {k} values"
+                    ) from None
+            k += 1
+            A *= p
+            D *= q
+            P *= p
+            Q *= q
+            if A * s >= r * D:
+                A -= D
+                L = L * p + Q
+            else:
+                L = L * p
+            if table:
+                lo, w = _window(A, D, _WINDOW_BITS)
+                hi = lo + w
+                fresh = True
         else:
-            A = pA
-            L = L * p
+            results.append(KResult(k, False))
     return results
 
 
@@ -206,8 +269,10 @@ def k_profile(
             f"thresholds must stay within [1, {state_bound(beta)}]"
         )
     targets = scan_targets(ms, beta, k_cap)
+    if isinstance(thresholds, ConstantThreshold):
+        return _scan(x, targets, beta, thresholds.value)
     seq = thresholds.scaled(targets[-1][1], rng.derive("thresholds") if rng else None)
-    return _scan(x, targets, beta, iter(seq))
+    return _scan(x, targets, beta, seq)
 
 
 def k_of_m(

@@ -21,7 +21,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bitio import word_to_bits
 from .errors import ConfigurationError, DomainError
 from .numerics import (
     EXACT_POLICY,
@@ -31,6 +30,7 @@ from .numerics import (
     PrecisionPolicy,
     as_fraction,
     check_beta,
+    check_positive_int,
     cmp_pow2,
     format_rational,
     least_power_at_least,
@@ -337,8 +337,7 @@ def encode(
     x0 = as_fraction(x0)
     if not (ZERO <= x0 <= ONE):
         raise DomainError(f"x0 must lie in [0,1], got {x0}")
-    if not isinstance(n_steps, int) or n_steps < 1:
-        raise DomainError(f"n_steps must be a positive integer, got {n_steps!r}")
+    check_positive_int(n_steps, "n_steps", DomainError)
 
     beta_seq = betas.realize(n_steps, rng.derive("betas") if rng else None)
     u_seq = thresholds.realize(n_steps, rng.derive("thresholds") if rng else None)
@@ -539,10 +538,8 @@ def _kernel_plan(beta: Fraction, u: Fraction, W: int) -> _Plan:
     hi < 2**W c', so a window [lo, hi] with bounds[i - 1] <= lo and hi <
     bounds[i] lies in cylinder i exactly.  Its states then emit the K bytes
     words[i] and move to beta**K * x - offsets[i] / q**K; scaled[i] is
-    offsets[i] * 2**W.
+    offsets[i] * 2**W.  ``converter._scan`` reads the same table.
     """
-    from .entropy import prefix_leaves  # entropy imports this module
-
     p, q = beta.numerator, beta.denominator
     # an inner block widens the window by about beta per step: stop while
     # it is below 2**(W/2), i.e. beta**k <= 2**(W/2), and at most W steps
@@ -559,20 +556,32 @@ def _kernel_plan(beta: Fraction, u: Fraction, W: int) -> _Plan:
     # step at j adds its offset * tweight[j]
     tweight = tuple(qpow[j] * ppow[k_blk - j - K] for j in range(k_blk - K + 1))
 
-    kappa = state_bound(beta)
-    bounds, words, offsets = [], [], []
-    for word, c, _, _, _, shift in prefix_leaves([[(beta, ONE)]] * K, (u,) * K,
-                                                  start=(ZERO, kappa)):
-        bounds.append(-((-c.numerator << W) // c.denominator))
-        words.append(bytes(word_to_bits(word, K)))
-        offsets.append((shift * qpow[K]).numerator)
-    # the walk yields the highest cylinder first; the lowest is open below
-    bounds = bounds[-2::-1] + [(kappa.numerator // kappa.denominator + 2) << (W + 4)]
-    words.reverse()
-    offsets.reverse()
-    # tuples: the cache hands the same plan to every caller
-    return _Plan(K, k_blk, k_mid, ppow, qpow, tweight, tuple(bounds), tuple(words),
-                 tuple(offsets), tuple(s << W for s in offsets))
+    # the prefix-tree walk over [0, kappa), counted in units of
+    # 1/(s p**K (p - q)) for u = r/s: a node at depth d holds the inputs
+    # [lo, hi) that emit its bits, E = sum b_j q**j p**(K-j) over them, and
+    # its next bit is 1 from split = u beta**-(d+1) + E / p**K on
+    r, s = u.numerator, u.denominator
+    g = p - q
+    V = [qpow[d + 1] * ppow[K - d - 1] for d in range(K)]
+    unit = s * ppow[K] * g
+    leaves = []
+    stack = [(0, b"", 0, s * q * ppow[K], 0)]
+    while stack:
+        d, word, lo, hi, E = stack.pop()
+        if d == K:
+            leaves.append((-((-lo << W) // unit), word, E))
+            continue
+        split = g * (r * V[d] + s * E)
+        if split > lo:
+            stack.append((d + 1, word + b"\0", lo, min(hi, split), E))
+        if hi > split:
+            stack.append((d + 1, word + b"\1", max(lo, split), hi, E + V[d]))
+    # the walk yields the highest cylinder first; the lowest is open below,
+    # and the last bound is far above 2**W * kappa = 2**W * q / (p - q).
+    # Tuples: the cache hands the same plan to every caller.
+    bounds, words, offsets = zip(*reversed(leaves))
+    return _Plan(K, k_blk, k_mid, ppow, qpow, tweight, bounds[1:] + ((q // g + 2) << (W + 4),),
+                 words, offsets, tuple(o << W for o in offsets))
 
 
 def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,

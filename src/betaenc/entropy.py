@@ -28,6 +28,7 @@ from .numerics import (
     ONE,
     ZERO,
     as_fraction,
+    check_positive_int,
     cmp_pow2,
     decimal_str,
     format_rational,
@@ -97,23 +98,22 @@ class WordDistribution:
         return rows
 
 
-def prefix_leaves(choices, u_seq, node_budget: Optional[int] = None, start=(ZERO, ONE)):
-    """Leaves of the forward tree of output prefixes over inputs in ``start``.
+def prefix_leaves(choices, u_seq, node_budget: Optional[int] = None):
+    """Leaves of the forward tree of output prefixes over inputs in [0, 1).
 
     ``choices[j]`` lists the (gain, weight) branches of step j and
     ``u_seq[j]`` is its threshold.  Yields (word, lo, hi, weight, slope,
     shift) for every attained word of length len(u_seq): each input x in
     [lo, hi) emits ``word`` along a gain path of probability ``weight``,
-    and its state is then slope*x - shift.  The inputs range over the
-    half-open interval ``start``, [0, 1) by default.  With ``node_budget``
-    set, the walk stops with ResourceBudgetError once it has visited that
-    many nodes.
+    and its state is then slope*x - shift.  With ``node_budget`` set, the
+    walk stops with ResourceBudgetError once it has visited that many
+    nodes.
     """
     m = len(u_seq)
     # per step and branch: gain, weight, and u/gain, the state the bit turns 1 at
     steps = [[(g, w, u / g) for g, w in options] for options, u in zip(choices, u_seq)]
     visited = 0
-    stack = [(0, 0, *start, ONE, ONE, ZERO)]
+    stack = [(0, 0, ZERO, ONE, ONE, ONE, ZERO)]
     while stack:
         visited += 1
         if node_budget is not None and visited > node_budget:
@@ -155,8 +155,7 @@ def word_distribution(betas, thresholds=None, m: int = 1) -> WordDistribution:
     sequences behind the same interface); a random threshold law has no
     single exact distribution to enumerate.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ConfigurationError(f"m must be a positive integer, got {m!r}")
+    check_positive_int(m, "m", ConfigurationError)
     if thresholds is None:
         thresholds = ConstantThreshold(1)
     if thresholds.is_random:

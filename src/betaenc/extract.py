@@ -34,6 +34,7 @@ from .numerics import (
     ZERO,
     as_fraction,
     check_beta,
+    check_positive_int,
     cmp_pow2,
     decimal_str,
     format_rational,
@@ -409,8 +410,7 @@ def required_block_length(n: int, alpha, beta_min) -> int:
     This is the rate statement "m = (1/(1-alpha)) * n * log2/log(beta_min)"
     rounded up, evaluated without floating point.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    check_positive_int(n, "n", DomainError)
     alpha = as_fraction(alpha)
     if not (0 <= alpha < 1):
         raise DomainError(f"alpha must lie in [0,1), got {alpha}")

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from typing import Optional
 
 from .converter import _scan, scan_targets
@@ -37,6 +38,7 @@ from .numerics import (
     Interval,
     as_fraction,
     check_beta,
+    check_positive_int,
     cmp_pow2,
     decimal_str,
     dyadic_cell,
@@ -78,8 +80,7 @@ class LochsExperiment:
         if any(lo >= hi for lo, hi in zip(ms, ms[1:])):
             raise ConfigurationError("m_values must be strictly increasing")
         object.__setattr__(self, "m_values", ms)
-        if self.n_samples < 1:
-            raise ConfigurationError("n_samples must be >= 1")
+        check_positive_int(self.n_samples, "n_samples", ConfigurationError)
         if self.scaling not in SCALINGS:
             raise ConfigurationError(f"scaling must be one of {SCALINGS}")
         if self.scaling == "custom":
@@ -100,8 +101,9 @@ class LochsExperiment:
             raise ConfigurationError(
                 f"{self.precision_bits} sample bits cannot resolve order-{ms[-1]} cells"
             )
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
+        check_positive_int(self.workers, "workers", ConfigurationError)
+        if self.k_cap is not None:
+            check_positive_int(self.k_cap, "k_cap", ConfigurationError)
         bound = state_bound(self.beta)
         if self.thresholds.threshold_range[1] > bound:
             raise ConfigurationError(f"thresholds must stay within [1, {bound}]")
@@ -166,18 +168,24 @@ class LochsReport:
         return out
 
 
-def _lazy_scaled(process, rng, cap: int):
-    """Draw thresholds as integer pairs in chunks of 32, only as consumed."""
-    for done in range(0, cap, 32):
-        yield from process.scaled(min(32, cap - done), rng)
+def _lazy_scaled(process, rng, cap: int, first: int):
+    """Thresholds as integer pairs: ``first`` drawn now, then 32 at a time as consumed."""
+    first = min(first, cap)
+    rest = (pair for done in range(first, cap, 32)
+            for pair in process.scaled(min(32, cap - done), rng))
+    return chain(process.scaled(first, rng), rest)
 
 
 def _chunk(exp: LochsExperiment, bounds) -> tuple:
     start, stop = bounds
     targets = scan_targets(exp.m_values, exp.beta, exp.k_cap)
-    cap_max = targets[-1][1]
+    # the scan always draws up to the deepest target's k_min or its cap
+    _, cap_max, first = targets[-1]
     per_sample = exp.thresholds.is_random and getattr(exp.thresholds, "seed", None) is None
-    shared = None if per_sample else exp.thresholds.scaled(cap_max)
+    if isinstance(exp.thresholds, ConstantThreshold):
+        thresholds = exp.thresholds.value  # the scan's cylinder-table path
+    elif not per_sample:
+        thresholds = exp.thresholds.scaled(cap_max)
     base = SplitMix64(exp.rng_seed).derive("lochs")
     precision = exp.resolved_precision()
     hists = [Counter() for _ in exp.m_values]
@@ -186,10 +194,8 @@ def _chunk(exp: LochsExperiment, bounds) -> tuple:
         sub = base.derive("sample", i)
         x = sub.derive("x").odd_dyadic(precision)
         if per_sample:
-            u_iter = _lazy_scaled(exp.thresholds, sub.derive("thresholds"), cap_max)
-        else:
-            u_iter = iter(shared)
-        for slot, res in enumerate(_scan(x, targets, exp.beta, u_iter)):
+            thresholds = _lazy_scaled(exp.thresholds, sub.derive("thresholds"), cap_max, first)
+        for slot, res in enumerate(_scan(x, targets, exp.beta, thresholds)):
             if res.exceeded:
                 cap_hits[slot] += 1
             else:
@@ -383,8 +389,7 @@ def pm_measure_exact(
     kappa = state_bound(beta)
     if not (ONE <= u <= kappa):
         raise DomainError(f"threshold {u} outside [1, {kappa}]")
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"m must be a positive integer, got {m!r}")
+    check_positive_int(m, "m", DomainError)
     eps = as_fraction(eps)
     if eps <= 0:
         raise DomainError("eps must be positive")

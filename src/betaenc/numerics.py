@@ -66,6 +66,13 @@ def check_beta(beta: Fraction) -> Fraction:
     return beta
 
 
+def check_positive_int(value, name: str, error: type) -> int:
+    """``value`` if it is an int of at least 1; a bool is refused like any non-int."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise error(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def state_bound(beta_max: Fraction) -> Fraction:
     """Upper bound 1/(beta_max - 1) on every encoder state."""
     beta_max = as_fraction(beta_max)
@@ -129,8 +136,7 @@ def dyadic_index(x: Fraction, m: int) -> int:
     x = as_fraction(x)
     if not (ZERO <= x <= ONE):
         raise DomainError(f"dyadic cells cover [0,1]; got {x}")
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"cell order must be a positive integer, got {m!r}")
+    check_positive_int(m, "cell order", DomainError)
     k = (x.numerator << m) // x.denominator
     if k == 1 << m:  # x == 1 belongs to the closed last cell
         k -= 1

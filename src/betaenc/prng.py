@@ -14,6 +14,7 @@ depend on draw order or worker scheduling.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +56,12 @@ def _label_chunks(label) -> list:
     raise TypeError(f"unsupported label type: {type(label)!r}")
 
 
+@lru_cache(maxsize=64, typed=True)
+def _premixed(label) -> tuple:
+    """Mixed chunks of one label; typed, so a bool never gets its int's entry."""
+    return tuple(map(_mix64, _label_chunks(label)))
+
+
 class SplitMix64:
     """Counter-mode SplitMix64 stream with pure label-based splitting."""
 
@@ -70,8 +77,8 @@ class SplitMix64:
         """Child stream for a label path; independent of draws made so far."""
         key = self._key
         for label in labels:
-            for chunk in _label_chunks(label):
-                key = _mix64(key ^ _mix64(chunk))
+            for mixed in _premixed(label):
+                key = _mix64(key ^ mixed)
         child = SplitMix64(self.root_seed, self.path + tuple(labels), key)
         return child
 

@@ -207,6 +207,111 @@ def stream_kernel_blocked(x0, beta, u, n_bits: int, W: int = 128) -> tuple:
     return tuple(out), fallbacks
 
 
+def cylinder_table_fraction(beta, u, K: int) -> list:
+    """The depth-K cylinders of [0, kappa) under constant threshold u, lowest first.
+
+    One (word, lo, hi, slope, shift) per cylinder: every state x in [lo, hi)
+    emits the K-bit ``word`` and moves to slope*x - shift.  The forward
+    walk on Fractions: a node's inputs split where beta times its state
+    reaches u, and a tie goes to the 1 branch.  This is the walk the stream
+    kernel's table was built with before its integer walk.
+    """
+    beta, u = Fraction(beta), Fraction(u)
+    kappa = 1 / (beta - 1)
+    leaves = []
+    stack = [(0, 0, Fraction(0), kappa, ONE, Fraction(0))]
+    while stack:
+        depth, word, lo, hi, slope, shift = stack.pop()
+        if depth == K:
+            leaves.append((word, lo, hi, slope, shift))
+            continue
+        split = (u / beta + shift) / slope
+        if min(hi, split) > lo:
+            stack.append((depth + 1, word << 1, lo, min(hi, split), slope * beta, shift * beta))
+        if hi > max(lo, split):
+            stack.append((depth + 1, word << 1 | 1, max(lo, split), hi, slope * beta,
+                          shift * beta + 1))
+    return sorted(leaves, key=lambda leaf: leaf[1])
+
+
+def scan_steps(x, targets, beta, u_iter) -> list:
+    """(k, exceeded) per (m, cap, k_min) target by one exact integer step per bit.
+
+    The cylinder after k bits is [L/p**k, that + kappa * beta**-k] with
+    beta = p/q; a target settles at the least k whose cylinder sits in
+    x's order-m dyadic cell (half-open, the last cell closed), or at its
+    cap.  ``u_iter`` yields one (numerator, denominator) threshold per
+    bit.  This is the per-step loop the cylinder-table scan replaced for
+    constant thresholds.
+    """
+    x, beta = Fraction(x), Fraction(beta)
+    p, q = beta.numerator, beta.denominator
+    pmq = p - q
+    xn, xd = x.numerator, x.denominator
+    results = []
+    A, D = xn, xd
+    L, P, Q, k = 0, 1, 1, 0
+    for m, cap, k_min in targets:
+        a = min((xn << m) // xd, (1 << m) - 1)
+        last_cell = a == (1 << m) - 1
+        while True:
+            if k >= k_min and k >= 1 and (L << m) >= a * P:
+                edge = L * pmq + Q * q  # hi = edge / (P * pmq)
+                if edge <= P * pmq if last_cell else (edge << m) < (a + 1) * P * pmq:
+                    results.append((k, False))
+                    break
+            if k >= cap:
+                results.append((cap, True))
+                break
+            r, s = next(u_iter)
+            k += 1
+            A *= p
+            D *= q
+            P *= p
+            Q *= q
+            if A * s >= r * D:
+                A -= D
+                L = L * p + Q
+            else:
+                L *= p
+    return results
+
+
+def _splitmix_finalize(z: int) -> int:
+    mask = (1 << 64) - 1
+    z &= mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def derived_first_word(seed: int, labels) -> int:
+    """First 64-bit output of SplitMix64(seed).derive(*labels), from the definition.
+
+    Each label becomes chunks: an int is 1 followed by its 64-bit limbs,
+    least significant first (at least one limb); a str is 2, its UTF-8
+    length, then its bytes in 8-byte little-endian words.  The key takes
+    key <- mix(key ^ mix(chunk)) per chunk, and the stream's first word
+    is mix(key + gamma).
+    """
+    mask = (1 << 64) - 1
+    key = seed & mask
+    for label in labels:
+        if isinstance(label, str):
+            data = label.encode("utf-8")
+            chunks = [2, len(data)] + [int.from_bytes(data[i:i + 8], "little")
+                                       for i in range(0, len(data), 8)]
+        else:
+            chunks = [1, label & mask]
+            label >>= 64
+            while label:
+                chunks.append(label & mask)
+                label >>= 64
+        for chunk in chunks:
+            key = _splitmix_finalize(key ^ _splitmix_finalize(chunk))
+    return _splitmix_finalize(key + 0x9E3779B97F4A7C15)
+
+
 def uniform_draws(lo, hi, precision_bits: int, rng, n: int) -> tuple:
     """n Fraction draws lo + (hi - lo) * odd / 2**P, one scalar word at a time.
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from betaenc.converter import (
     KResult,
+    _scan,
     default_k_cap,
     fresh_state,
     k_of_m,
@@ -116,6 +118,46 @@ def test_cost_under_random_thresholds_matches_oracle():
     assert res.k == oracles.cylinder_k(F(1, 3), 4, beta, u_values=seq)
 
 
+@st.composite
+def scan_cases(draw):
+    """(x, beta, u, ascending m list from 1, k_cap) for the scan oracle."""
+    beta = draw(st.sampled_from([F(3, 2), F(9, 5), F(7, 5), F(8, 5), F(5, 3)]))
+    kappa = 1 / (beta - 1)
+    u = draw(st.sampled_from([F(1), kappa]) | st.fractions(1, kappa, max_denominator=60))
+    ms = [1]
+    for step in draw(st.lists(st.integers(1, 12), max_size=4)):
+        ms.append(ms[-1] + step)
+    k_cap = draw(st.none() | st.integers(1, 40))
+    e = draw(st.integers(1, 24))
+    x = draw(st.sampled_from([F(0), F(1), F(1, 2), F(1, 3)])
+             | st.integers(0, 1 << e).map(lambda j: F(j, 1 << e))  # on cell edges
+             | st.integers(0, (1 << 200) - 1).map(lambda j: F(2 * j + 1, 1 << 201))
+             # beta**j * x == u: a tie at step j, after j - 1 zeros
+             | st.integers(1, 8).map(lambda j: u / beta**j).filter(lambda v: v <= 1))
+    return x, beta, u, ms, k_cap
+
+
+@given(scan_cases(), st.integers(0, 1 << 32))
+@settings(max_examples=150, deadline=None)
+def test_scan_matches_the_per_step_oracle(case, seed):
+    x, beta, u, ms, k_cap = case
+    constant = (u.numerator, u.denominator)
+    # the drawn cap, and caps one below and at each uncapped answer
+    uncapped = oracles.scan_steps(x, scan_targets(ms, beta), beta, itertools.repeat(constant))
+    for cap in {k_cap} | {k + d for k, _ in uncapped for d in (-1, 0) if k + d >= 1}:
+        targets = scan_targets(ms, beta, cap)
+        want = oracles.scan_steps(x, targets, beta, itertools.repeat(constant))
+        assert [tuple(r) for r in _scan(x, targets, beta, u)] == want, cap
+    # uniform thresholds take the per-step path through the same entry point
+    targets = scan_targets(ms, beta, k_cap)
+    pairs = UniformThresholds(1, 1 / (beta - 1)).scaled(targets[-1][1], SplitMix64(seed))
+    want = oracles.scan_steps(x, targets, beta, iter(pairs))
+    assert [tuple(r) for r in _scan(x, targets, beta, iter(pairs))] == want
+    # the last target settles at the last bit drawn: one draw fewer runs out
+    with pytest.raises(ConfigurationError, match="exhausted"):
+        _scan(x, targets, beta, iter(pairs[:want[-1][0] - 1]))
+
+
 def test_cap_hit_reports_exceeded():
     assert k_of_m(F(0), 1, F(3, 2), k_cap=2) == KResult(2, True)
     assert k_of_m(F(0), 1, F(3, 2), k_cap=3) == KResult(3, True)
@@ -123,7 +165,7 @@ def test_cap_hit_reports_exceeded():
     assert k_of_m(F(0), 1, F(3, 2), k_cap=4) == KResult(4, False)
 
 
-@pytest.mark.parametrize("k_cap", [0, -1])
+@pytest.mark.parametrize("k_cap", [0, -1, True, 2.0])
 def test_cap_below_one_rejected(k_cap):
     with pytest.raises(ConfigurationError):
         scan_targets([1], F(3, 2), k_cap)

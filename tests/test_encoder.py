@@ -23,7 +23,6 @@ from betaenc.encoder import (
     encode_bits,
     reconstruct_partial,
 )
-from betaenc.entropy import prefix_leaves
 from betaenc.errors import ConfigurationError, DomainError
 from betaenc.numerics import EXACT_POLICY, PrecisionMode, PrecisionPolicy
 from betaenc.prng import SplitMix64
@@ -65,8 +64,9 @@ def test_apply_Tu_domain_checks():
 def test_encode_domain_and_config_errors():
     with pytest.raises(DomainError):
         encode(F(3, 2), FixedBeta(F(3, 2)), ConstantThreshold(1), 2)
-    with pytest.raises(DomainError):
-        encode(F(1, 2), FixedBeta(F(3, 2)), ConstantThreshold(1), 0)
+    for n_steps in (0, True, 2.0):
+        with pytest.raises(DomainError, match="n_steps"):
+            encode(F(1, 2), FixedBeta(F(3, 2)), ConstantThreshold(1), n_steps)
     # u = 5/4 exceeds kappa = 1/(beta-1) only when beta = 9/5... no:
     # kappa(9/5) = 5/4 exactly, so 5/4 is legal there and 3/2 is not
     with pytest.raises(ConfigurationError):
@@ -295,13 +295,12 @@ def test_cylinder_table_tiles_the_state_range(beta, u, window_bits):
     plan = _kernel_plan(beta, u, window_bits)
     K, bounds, words, offsets, scaled = plan.K, plan.bounds, plan.words, plan.offsets, plan.scaled
     kappa = 1 / (beta - 1)
-    leaves = sorted(prefix_leaves([[(beta, 1)]] * K, [u] * K, start=(0, kappa)),
-                    key=lambda leaf: leaf[1])
+    leaves = oracles.cylinder_table_fraction(beta, u, K)
     assert len(words) == len(offsets) == len(scaled) == len(bounds) == len(leaves)
     assert leaves[0][1] == 0 and leaves[-1][2] == kappa
     assert all(a[2] == b[1] for a, b in zip(leaves, leaves[1:]))
     scale = 1 << window_bits
-    for i, (word, lo, hi, _, slope, shift) in enumerate(leaves):
+    for i, (word, lo, hi, slope, shift) in enumerate(leaves):
         if i:
             assert bounds[i - 1] == -(-lo.numerator * scale // lo.denominator)
         assert words[i] == bytes(int(c) for c in format(word, f"0{K}b"))
@@ -313,6 +312,32 @@ def test_cylinder_table_tiles_the_state_range(beta, u, window_bits):
             assert bytes(run_bits) == words[i]
             assert state == beta**K * x - F(offsets[i], beta.denominator**K)
     assert bounds[-1] > kappa * scale
+
+
+def _thresholds_at_one_kappa_and_inside(beta):
+    kappa = 1 / (beta - 1)
+    return [(beta, F(1)), (beta, kappa), (beta, 1 + (kappa - 1) * F(5, 7))]
+
+
+@pytest.mark.parametrize("beta, u", [
+    *(case for beta in (F(3, 2), F(9, 5), F(7, 5), F(8, 5), F(5, 3), F(7, 4), F(4, 3),
+                        F(11, 10), F(2**40 + 1, 2**40))
+      for case in _thresholds_at_one_kappa_and_inside(beta)),
+    # from depth 2 on, splits land exactly on a node's upper end (6/5, 12/7)
+    # or lower end (9/5, 16/7, i.e. beta**2/(beta**2 - 1)): no empty cylinder
+    (F(3, 2), F(6, 5)), (F(3, 2), F(9, 5)), (F(4, 3), F(12, 7)), (F(4, 3), F(16, 7)),
+])
+@pytest.mark.parametrize("window_bits", [256, 8])
+def test_integer_walk_builds_the_fraction_walk_table(beta, u, window_bits):
+    plan = _kernel_plan(beta, u, window_bits)
+    leaves = oracles.cylinder_table_fraction(beta, u, plan.K)
+    scale, qK = 1 << window_bits, beta.denominator**plan.K
+    assert plan.bounds[:-1] == tuple(-(-lo.numerator * scale // lo.denominator)
+                                     for _, lo, _, _, _ in leaves[1:])
+    assert plan.words == tuple(bytes(int(c) for c in format(word, f"0{plan.K}b"))
+                               for word, *_ in leaves)
+    assert plan.offsets == tuple(shift * qK for *_, shift in leaves)
+    assert plan.scaled == tuple(o * scale for o in plan.offsets)
 
 
 def test_stream_kernel_counts_its_steps():

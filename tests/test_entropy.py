@@ -189,8 +189,9 @@ def test_rejects_threshold_above_state_bound():
 def test_enumeration_budget():
     with pytest.raises(ResourceBudgetError):
         word_distribution(IidSupportBetas((F(3, 2), F(9, 5))), m=13)
-    with pytest.raises(ConfigurationError):
-        word_distribution(FixedBeta(F(3, 2)), m=0)
+    for m in (0, True):
+        with pytest.raises(ConfigurationError, match="m must be"):
+            word_distribution(FixedBeta(F(3, 2)), m=m)
 
 
 def test_csv_rows_format():

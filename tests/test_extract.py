@@ -356,8 +356,9 @@ def test_entropy_budget():
 
 def test_required_block_length():
     assert required_block_length(8, F(1, 2), F(9, 5)) == 19
-    with pytest.raises(DomainError):
-        required_block_length(0, F(1, 2), F(9, 5))
+    for n in (0, True):
+        with pytest.raises(DomainError, match="n must be"):
+            required_block_length(n, F(1, 2), F(9, 5))
     with pytest.raises(DomainError):
         required_block_length(8, 1, F(9, 5))
 

@@ -51,6 +51,13 @@ def test_config_validation():
         LochsExperiment(beta=F(3, 2), thresholds=ConstantThreshold(F(5, 2)))
 
 
+@pytest.mark.parametrize("field", ["n_samples", "workers", "k_cap"])
+@pytest.mark.parametrize("value", [True, 2.0])
+def test_counts_must_be_ints_not_bools(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        LochsExperiment(beta=F(3, 2), **{field: value})
+
+
 def test_default_precision_tracks_deepest_order():
     exp = LochsExperiment(beta=F(3, 2))
     assert exp.m_values == (8, 16, 32, 64)
@@ -146,9 +153,11 @@ def test_uniform_threshold_reports_are_frozen(beta, seed, precision_bits, digest
 @pytest.mark.parametrize("cap", [1, 31, 32, 33, 70, 502])
 def test_lazy_thresholds_match_the_fraction_oracle(cap):
     thresholds = UniformThresholds(F(7, 6), F(5, 4))
-    pairs = list(_lazy_scaled(thresholds, SplitMix64(3), cap))
     expected = oracles.uniform_draws(F(7, 6), F(5, 4), 64, SplitMix64(3), cap)
-    assert tuple(F(r, d) for r, d in pairs) == expected
+    # whatever the first chunk, the draws are the same counter-mode words
+    for first in (0, 1, 32, 112, 600):
+        pairs = list(_lazy_scaled(thresholds, SplitMix64(3), cap, first))
+        assert tuple(F(r, d) for r, d in pairs) == expected
 
 
 def test_scaling_variants():
@@ -230,8 +239,9 @@ def test_straddle_measure_matches_grid():
 def test_straddle_measure_validation():
     with pytest.raises(DomainError):
         pm_measure_exact(F(3, 2), F(1, 2), 3, F(1, 2))
-    with pytest.raises(DomainError):
-        pm_measure_exact(F(3, 2), F(1), 0, F(1, 2))
+    for m in (0, True):
+        with pytest.raises(DomainError, match="m must be"):
+            pm_measure_exact(F(3, 2), F(1), m, F(1, 2))
     with pytest.raises(DomainError):
         pm_measure_exact(F(3, 2), F(1), 3, 0)
     with pytest.raises(DomainError):

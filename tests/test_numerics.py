@@ -224,6 +224,9 @@ def test_dyadic_index_interior_and_edges():
     assert dyadic_index(Fraction(1), 3) == 7  # x = 1 sits in the closed last cell
     with pytest.raises(DomainError):
         dyadic_index(Fraction(3, 2), 3)
+    for m in (0, True, 2.0):
+        with pytest.raises(DomainError, match="cell order must be a positive integer"):
+            dyadic_index(Fraction(1, 3), m)
 
 
 @given(st.fractions(min_value=0, max_value=1, max_denominator=1 << 16),

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from betaenc import prng
 from betaenc.prng import PRNG_ID, SplitMix64
 
 # reference outputs of the standard splitmix64 stream (state += gamma,
@@ -58,10 +59,32 @@ def test_label_validation():
     g = SplitMix64(0)
     with pytest.raises(ValueError):
         g.derive(-1)
+    g.derive(1, 0)  # cached int labels must not admit their bools
     with pytest.raises(TypeError):
         g.derive(True)
     with pytest.raises(TypeError):
+        g.derive(False)
+    with pytest.raises(TypeError):
         g.derive(1.5)
+
+
+LABEL_PATHS = [
+    ("lochs",), ("sample", 12), ("x",), ("thresholds",), ("", 0), ("a" * 9, "é" * 5),
+    (3, 2**64, 2**130 + 7), ("lochs", "sample", 0, "x"), (17, "toeplitz", 2**64 - 1),
+]
+
+
+@pytest.mark.parametrize("labels", LABEL_PATHS)
+def test_derive_keys_match_the_definition_cached_or_not(labels):
+    want = oracles.derived_first_word(11, labels)
+    prng._premixed.cache_clear()
+    assert SplitMix64(11).derive(*labels).next64() == want  # cold cache
+    assert SplitMix64(11).derive(*labels).next64() == want  # warm cache
+    # one label at a time, through the cache, reaches the same key
+    g = SplitMix64(11)
+    for label in labels:
+        g = g.derive(label)
+    assert g.next64() == want
 
 
 def test_describe_reports_path():
