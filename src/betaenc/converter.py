@@ -25,7 +25,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .encoder import _WINDOW_BITS, ConstantThreshold, _kernel_plan, _window
+from .encoder import _WINDOW_BITS, ConstantThreshold, _kernel_plan, _Plan, _window
 from .errors import ConfigurationError, DomainError
 from .numerics import (
     ONE,
@@ -135,10 +135,10 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
     After k bits the cylinder is [L/P, (L*(p-q) + Q*q) / (P*(p-q))] with
     P = p**k and Q = q**k, and the state is A/D = (P*x - L)/Q.
 
-    ``thresholds`` is a constant threshold u (a Fraction) or an iterable
-    of one (numerator, denominator) pair per bit, covering the largest
-    cap, which takes one exact step on A/D per bit.  A constant u
-    reads the stream kernel's cylinder table: while the outward-rounded
+    ``thresholds`` is the caller's ``_kernel_plan(beta, u, 256)`` for a
+    constant u, or an iterable of one (numerator, denominator) pair per
+    bit, covering the largest cap, which takes one exact step on A/D per
+    bit.  A plan gives its cylinder table: while the outward-rounded
     window of 2**256 * state lies in one depth-K cylinder, one lookup
     decides K bits, and the pending target is tested at the block end
     only.  A block whose end settles it is stepped again through its word
@@ -164,11 +164,10 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
         return (k >= k_min and (L << m) >= a * P
                 and ((L * pmq + Q * q) << m) < hi_cell * P + last_cell)
 
-    table = isinstance(thresholds, Fraction)
+    table = isinstance(thresholds, _Plan)
     if table:
-        r, s = thresholds.numerator, thresholds.denominator
-        K, _, _, ppow, qpow, _, bounds, words, offsets, scaled = \
-            _kernel_plan(beta, thresholds, _WINDOW_BITS)
+        K, _, _, ppow, qpow, _, bounds, words, offsets, scaled, u = thresholds
+        r, s = u.numerator, u.denominator
         PK, QK = ppow[K], qpow[K]
         top = len(bounds) - 1
     else:
@@ -270,7 +269,7 @@ def k_profile(
         )
     targets = scan_targets(ms, beta, k_cap)
     if isinstance(thresholds, ConstantThreshold):
-        return _scan(x, targets, beta, thresholds.value)
+        return _scan(x, targets, beta, _kernel_plan(beta, thresholds.value, _WINDOW_BITS))
     seq = thresholds.scaled(targets[-1][1], rng.derive("thresholds") if rng else None)
     return _scan(x, targets, beta, seq)
 

@@ -13,6 +13,8 @@ seed.
 
 from __future__ import annotations
 
+import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -21,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, ResourceBudgetError
 from .numerics import (
     EXACT_POLICY,
     ONE,
@@ -510,6 +512,56 @@ def _steps_above(beta: Fraction, e: int, cap: int) -> int:
     return max(1, least_power_at_least(beta, e, strict=True))
 
 
+def prefix_leaves(choices, u_seq, end=ONE, node_budget: Optional[int] = None):
+    """The forward tree of output prefixes over the inputs in [0, end).
+
+    ``choices[j]`` lists the (gain, integer weight) branches of step j and
+    ``u_seq[j]`` is its threshold.  Returns (unit, leaves): per attained word
+    of length m = len(u_seq) and gain path, ``leaves`` yields (word, lo, hi,
+    weight, E); the inputs in [lo/unit, hi/unit) emit ``word`` on a path whose
+    branch weights multiply to ``weight``, with state (P*x - E)/Q for P/Q the
+    path's gain product.  Past ``node_budget`` visited nodes it raises
+    ResourceBudgetError.  All integers: with u_j = r_j/s (s takes in end's
+    denominator) and L_j the lcm of step j's gain numerators, unit =
+    s L_1...L_m and a node carries E, Q and N = L_1...L_m / P.  Branch p/q
+    emits 1 from split = (r Q' + s p E) N' on, with Q' = Q q and N' = N/p;
+    E' is p E below the split, p E + Q' above.
+    """
+    s = math.lcm(end.denominator, *(u.denominator for u in u_seq))
+    steps = [(u.numerator * (s // u.denominator),
+              [(g.numerator, g.denominator, w) for g, w in options])
+             for options, u in zip(choices, u_seq)]
+    top = math.prod(math.lcm(*(g.numerator for g, _ in options)) for options in choices)
+    unit, m = s * top, len(steps)
+    limit = sys.maxsize if node_budget is None else node_budget
+
+    def leaves():
+        visited = 0
+        stack = [(0, 0, 0, end.numerator * (unit // end.denominator), 1, 0, 1, top)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            visited += 1
+            if visited > limit:
+                raise ResourceBudgetError(f"prefix-tree walk passed {node_budget} nodes; "
+                                          "shrink the depth")
+            depth, word, lo, hi, weight, E, Q, N = pop()
+            if depth == m:
+                yield word, lo, hi, weight, E
+                continue
+            r, branches = steps[depth]
+            word <<= 1
+            depth += 1
+            for p, q, w in branches:
+                Q1, N1, pE, w = Q * q, N // p, p * E, weight * w
+                split = (r * Q1 + s * pE) * N1
+                if split > lo:
+                    push((depth, word, lo, split if split < hi else hi, w, pE, Q1, N1))
+                if hi > split:
+                    push((depth, word | 1, split if split > lo else lo, hi, w, pE + Q1, Q1, N1))
+
+    return unit, leaves()
+
+
 class _Plan(NamedTuple):
     """Spans, powers and cylinder table of the stream kernel for one (beta, u, W)."""
 
@@ -523,6 +575,7 @@ class _Plan(NamedTuple):
     words: tuple
     offsets: tuple
     scaled: tuple
+    u: Fraction  # the constant threshold
 
 
 @lru_cache(maxsize=64)
@@ -556,32 +609,19 @@ def _kernel_plan(beta: Fraction, u: Fraction, W: int) -> _Plan:
     # step at j adds its offset * tweight[j]
     tweight = tuple(qpow[j] * ppow[k_blk - j - K] for j in range(k_blk - K + 1))
 
-    # the prefix-tree walk over [0, kappa), counted in units of
-    # 1/(s p**K (p - q)) for u = r/s: a node at depth d holds the inputs
-    # [lo, hi) that emit its bits, E = sum b_j q**j p**(K-j) over them, and
-    # its next bit is 1 from split = u beta**-(d+1) + E / p**K on
-    r, s = u.numerator, u.denominator
-    g = p - q
-    V = [qpow[d + 1] * ppow[K - d - 1] for d in range(K)]
-    unit = s * ppow[K] * g
-    leaves = []
-    stack = [(0, b"", 0, s * q * ppow[K], 0)]
-    while stack:
-        d, word, lo, hi, E = stack.pop()
-        if d == K:
-            leaves.append((-((-lo << W) // unit), word, E))
-            continue
-        split = g * (r * V[d] + s * E)
-        if split > lo:
-            stack.append((d + 1, word + b"\0", lo, min(hi, split), E))
-        if hi > split:
-            stack.append((d + 1, word + b"\1", max(lo, split), hi, E + V[d]))
-    # the walk yields the highest cylinder first; the lowest is open below,
-    # and the last bound is far above 2**W * kappa = 2**W * q / (p - q).
+    # the depth-K cylinders of [0, kappa), lowest first; the lowest is open
+    # below, and the last bound is far above 2**W * kappa = 2**W * q / (p - q).
     # Tuples: the cache hands the same plan to every caller.
-    bounds, words, offsets = zip(*reversed(leaves))
-    return _Plan(K, k_blk, k_mid, ppow, qpow, tweight, bounds[1:] + ((q // g + 2) << (W + 4),),
-                 words, offsets, tuple(o << W for o in offsets))
+    unit, leaves = prefix_leaves([[(beta, 1)]] * K, (u,) * K, state_bound(beta))
+    words, lows, _, _, offsets = zip(*sorted(leaves, key=lambda leaf: leaf[1]))
+    # one byte per bit: the low K (<= _TABLE_DEPTH_CAP = 16) bits of each word
+    digits = np.unpackbits(np.array(words, ">u2").view(np.uint8)).reshape(-1, 16)
+    digits = digits[:, 16 - K:].tobytes()
+    return _Plan(K, k_blk, k_mid, ppow, qpow, tweight,
+                 tuple(-((-lo << W) // unit) for lo in lows[1:])
+                 + ((q // (p - q) + 2) << (W + 4),),
+                 tuple(digits[i:i + K] for i in range(0, len(digits), K)), offsets,
+                 tuple(o << W for o in offsets), u)
 
 
 def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
@@ -593,7 +633,7 @@ def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
     """
     p, q = beta.numerator, beta.denominator
     r, s = u.numerator, u.denominator
-    K, k_blk, k_mid, ppow, qpow, tweight, bounds, words, offsets, scaled = \
+    K, k_blk, k_mid, ppow, qpow, tweight, bounds, words, offsets, scaled, _ = \
         _kernel_plan(beta, u, W)
     PK, QK = ppow[K], qpow[K]
     top = len(bounds) - 1

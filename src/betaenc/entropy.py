@@ -4,28 +4,28 @@ For a fixed or finitely supported random gain, the set of inputs that
 produce a given bit word is a finite union over gain realizations of
 intervals, and each interval is computable exactly: the state after j
 steps is an increasing affine function of the input, so every threshold
-comparison splits the consistency interval at one rational point.  Walking
-that forward tree gives the exact probability of every word of length m
-under Lebesgue-uniform input, from which the min-entropy and the
-kappa / beta_min**m ceiling on word probabilities are checked as pure
-rational inequalities.  Logarithms only ever appear in reports.
-
-The walk (``prefix_leaves``) also drives the exact tail-set measure in
-``lochs``, and ``WordDistribution`` is also the source type of ``extract``.
+comparison splits the consistency interval at one rational point.  The
+integer walk of that forward tree (``encoder.prefix_leaves``, which also
+builds the stream kernel's table and the tail-set measure in ``lochs``)
+counts every leaf in one unit, so the probability of each word of length
+m under Lebesgue-uniform input is an integer sum made one Fraction at the
+end.  The min-entropy and the kappa / beta_min**m ceiling on word
+probabilities are checked as pure rational inequalities.  Logarithms only
+ever appear in reports.  ``WordDistribution`` is also ``extract``'s source type.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .bitio import word_to_str
-from .encoder import ConstantThreshold, IidSupportBetas, _check_thresholds
+from .encoder import ConstantThreshold, IidSupportBetas, _check_thresholds, prefix_leaves
 from .errors import ConfigurationError, ResourceBudgetError
 from .numerics import (
-    ONE,
     ZERO,
     as_fraction,
     check_positive_int,
@@ -98,51 +98,13 @@ class WordDistribution:
         return rows
 
 
-def prefix_leaves(choices, u_seq, node_budget: Optional[int] = None):
-    """Leaves of the forward tree of output prefixes over inputs in [0, 1).
-
-    ``choices[j]`` lists the (gain, weight) branches of step j and
-    ``u_seq[j]`` is its threshold.  Yields (word, lo, hi, weight, slope,
-    shift) for every attained word of length len(u_seq): each input x in
-    [lo, hi) emits ``word`` along a gain path of probability ``weight``,
-    and its state is then slope*x - shift.  With ``node_budget`` set, the
-    walk stops with ResourceBudgetError once it has visited that many
-    nodes.
-    """
-    m = len(u_seq)
-    # per step and branch: gain, weight, and u/gain, the state the bit turns 1 at
-    steps = [[(g, w, u / g) for g, w in options] for options, u in zip(choices, u_seq)]
-    visited = 0
-    stack = [(0, 0, ZERO, ONE, ONE, ONE, ZERO)]
-    while stack:
-        visited += 1
-        if node_budget is not None and visited > node_budget:
-            raise ResourceBudgetError(
-                f"prefix-tree walk passed {node_budget} nodes; shrink the depth"
-            )
-        depth, word, lo, hi, weight, slope, shift = stack.pop()
-        if depth == m:
-            yield word, lo, hi, weight, slope, shift
-            continue
-        for gain, gweight, turn in steps[depth]:
-            split = (turn + shift) / slope
-            w = weight * gweight
-            zero_hi = min(hi, split)
-            if zero_hi > lo:
-                stack.append((depth + 1, word << 1, lo, zero_hi, w, slope * gain, shift * gain))
-            one_lo = max(lo, split)
-            if hi > one_lo:
-                stack.append(
-                    (depth + 1, (word << 1) | 1, one_lo, hi, w, slope * gain, shift * gain + 1)
-                )
-
-
-def _gain_choices(betas, m: int) -> list:
-    """Per-depth list of (gain, weight) branch options."""
+def _gain_choices(betas, m: int) -> tuple:
+    """Per-depth (gain, integer weight) branches and the weights' denominator per step."""
     if not betas.is_random:
-        return [[(g, ONE)] for g in betas.realize(m)]
+        return [[(g, 1)] for g in betas.realize(m)], 1
     if isinstance(betas, IidSupportBetas):
-        return [list(zip(betas.values, betas.probs))] * m
+        den = math.lcm(*(p.denominator for p in betas.probs))
+        return [[(g, int(p * den)) for g, p in zip(betas.values, betas.probs)]] * m, den
     raise ConfigurationError(
         "exact enumeration needs a fixed, explicit, or finite-support gain model"
     )
@@ -161,7 +123,7 @@ def word_distribution(betas, thresholds=None, m: int = 1) -> WordDistribution:
     if thresholds.is_random:
         raise ConfigurationError("exact enumeration needs deterministic thresholds")
 
-    choices = _gain_choices(betas, m)
+    choices, weight_den = _gain_choices(betas, m)
     width = max(len(c) for c in choices)
     if (2 * width) ** m > ENUMERATION_BUDGET:
         raise ResourceBudgetError(
@@ -170,10 +132,12 @@ def word_distribution(betas, thresholds=None, m: int = 1) -> WordDistribution:
     u_seq = thresholds.realize(m)
     _check_thresholds(u_seq, state_bound(betas.beta_range[1]))
 
-    entries: dict = {}
-    for word, lo, hi, weight, _, _ in prefix_leaves(choices, u_seq):
-        entries[word] = entries.get(word, ZERO) + weight * (hi - lo)
-    return WordDistribution(m, entries)
+    unit, leaves = prefix_leaves(choices, u_seq)
+    sums: dict = {}
+    for word, lo, hi, weight, _ in leaves:
+        sums[word] = sums.get(word, 0) + weight * (hi - lo)
+    den = unit * weight_den**m
+    return WordDistribution(m, {word: Fraction(n, den) for word, n in sums.items()})
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ irrational rate log2/log(beta) are decided by integer power comparisons;
 logarithms appear only as 50-digit decimals in the report text.
 
 The exact side (``pm_measure_exact``) walks the prefix tree of
-``entropy.prefix_leaves`` to every attainable bit prefix of a chosen depth
+``encoder.prefix_leaves`` to every attainable bit prefix of a chosen depth
 together with its interval of consistent inputs and returns the exact
 Lebesgue measure of the set of inputs whose prefix cylinder still
 straddles a dyadic cell boundary - the quantity the tail-set bound
@@ -29,21 +29,16 @@ from itertools import chain
 from typing import Optional
 
 from .converter import _scan, scan_targets
-from .encoder import ConstantThreshold
-from .entropy import prefix_leaves
+from .encoder import _WINDOW_BITS, ConstantThreshold, _kernel_plan, prefix_leaves
 from .errors import ConfigurationError, DomainError
 from .numerics import (
     ONE,
-    ZERO,
-    Interval,
     as_fraction,
     check_beta,
     check_positive_int,
     cmp_pow2,
     decimal_str,
-    dyadic_cell,
     format_rational,
-    interval_in_dyadic_cell,
     least_power_at_least,
     log2_decimal,
     log_ratio_decimal,
@@ -183,7 +178,7 @@ def _chunk(exp: LochsExperiment, bounds) -> tuple:
     _, cap_max, first = targets[-1]
     per_sample = exp.thresholds.is_random and getattr(exp.thresholds, "seed", None) is None
     if isinstance(exp.thresholds, ConstantThreshold):
-        thresholds = exp.thresholds.value  # the scan's cylinder-table path
+        thresholds = _kernel_plan(exp.beta, exp.thresholds.value, _WINDOW_BITS)  # once per chunk
     elif not per_sample:
         thresholds = exp.thresholds.scaled(cap_max)
     base = SplitMix64(exp.rng_seed).derive("lochs")
@@ -362,10 +357,7 @@ def run_lochs(exp: LochsExperiment) -> LochsReport:
 
 def default_kbar(beta, m: int, eps) -> int:
     """Least k with beta**k >= 2**((1+eps)*m): the probe depth for the tail set."""
-    eps = as_fraction(eps)
-    return least_power_at_least(
-        beta, Fraction(m) * (1 + eps)
-    )
+    return least_power_at_least(beta, m * (1 + as_fraction(eps)))
 
 
 def pm_measure_exact(
@@ -398,17 +390,18 @@ def pm_measure_exact(
     if kbar < 1:
         raise DomainError("kbar must be at least 1")
 
-    tail_length = kappa * beta**-kbar
-    bad = ZERO
-    leaves = prefix_leaves([[(beta, ONE)]] * kbar, (u,) * kbar, node_budget)
-    for _, jlo, jhi, _, slope, shift in leaves:
-        clo = shift / slope  # cylinder lower end, sum of b_i beta**-i
-        cell = dyadic_cell(clo, m)
-        bad += jhi - jlo
-        if interval_in_dyadic_cell(Interval(clo, clo + tail_length), cell):
-            # the leaf's inputs inside the cylinder's cell are not in the tail set
-            bad -= max(ZERO, min(jhi, cell.hi) - max(jlo, cell.lo))
-    return bad
+    # a leaf's inputs lie in its cylinder [E/P, (E (p - q) + Q q) / (P (p - q))],
+    # so all of them are in the tail set unless the cylinder sits in its cell
+    p, q = beta.numerator, beta.denominator
+    pmq, P, Qq, last = p - q, p**kbar, q ** (kbar + 1), (1 << m) - 1
+    unit, leaves = prefix_leaves([[(beta, 1)]] * kbar, (u,) * kbar, node_budget=node_budget)
+    bad = 0
+    for _, lo, hi, _, E in leaves:
+        a = (E << m) // P  # the order-m cell of the cylinder's lower end
+        top = E * pmq + Qq
+        if not (top <= P * pmq if a == last else top << m < (a + 1) * P * pmq):
+            bad += hi - lo
+    return Fraction(bad, unit)
 
 
 def pm_bound_holds(measure: Fraction, m: int, eps) -> bool:

@@ -143,13 +143,6 @@ def dyadic_index(x: Fraction, m: int) -> int:
     return k
 
 
-def dyadic_cell(x: Fraction, m: int) -> Interval:
-    """The order-m dyadic cell containing x, as its closed hull [k/2^m, (k+1)/2^m]."""
-    k = dyadic_index(as_fraction(x), m)
-    den = 1 << m
-    return Interval(Fraction(k, den), Fraction(k + 1, den))
-
-
 def interval_in_dyadic_cell(interval: Interval, cell: Interval) -> bool:
     """Containment under the half-open cell convention (last cell closed)."""
     if cell.lo > interval.lo:

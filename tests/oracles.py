@@ -407,6 +407,64 @@ def word_interval_measure(word_bits, betas, u_values) -> Fraction:
     return max(hi - lo, Fraction(0))
 
 
+def prefix_leaves_fraction(choices, u_seq, end=1, node_budget=None):
+    """Leaves of the forward tree of output prefixes over inputs in [0, end).
+
+    ``choices[j]`` lists the (gain, weight) branches of step j and
+    ``u_seq[j]`` is its threshold.  Yields (word, lo, hi, weight, path,
+    slope, shift) for every attained word of length len(u_seq) and gain
+    path: each input x in [lo, hi) emits ``word`` along the gains ``path``,
+    whose weights multiply to ``weight``, and its state is then
+    slope*x - shift.  A node's inputs split where its gain times its state
+    reaches the threshold, and a tie goes to the 1 branch.  Past
+    ``node_budget`` visited nodes the walk raises RuntimeError.  This is the
+    walk on Fractions the integer prefix-tree walk replaced; children are
+    pushed 0 before 1, branch by branch, and the last pushed is walked first.
+    """
+    m = len(u_seq)
+    steps = [[(Fraction(g), w, Fraction(u) / Fraction(g)) for g, w in options]
+             for options, u in zip(choices, u_seq)]
+    visited = 0
+    stack = [(0, 0, Fraction(0), Fraction(end), ONE, (), ONE, Fraction(0))]
+    while stack:
+        visited += 1
+        if node_budget is not None and visited > node_budget:
+            raise RuntimeError(f"prefix-tree walk passed {node_budget} nodes; shrink the depth")
+        depth, word, lo, hi, weight, path, slope, shift = stack.pop()
+        if depth == m:
+            yield word, lo, hi, weight, path, slope, shift
+            continue
+        for gain, gweight, turn in steps[depth]:
+            split = (turn + shift) / slope
+            w, p, sl = weight * gweight, path + (gain,), slope * gain
+            if min(hi, split) > lo:
+                stack.append((depth + 1, word << 1, lo, min(hi, split), w, p, sl, shift * gain))
+            if hi > max(lo, split):
+                stack.append((depth + 1, word << 1 | 1, max(lo, split), hi, w, p, sl,
+                              shift * gain + 1))
+
+
+def pm_measure_fraction(beta, u, m: int, kbar: int) -> Fraction:
+    """Measure of the inputs in [0, 1) whose depth-kbar cylinder leaves their order-m cell.
+
+    Per leaf of the Fraction walk: the cylinder is [shift/slope, that +
+    kappa * beta**-kbar], and the leaf's inputs count unless the cylinder
+    sits in the dyadic cell of its lower end (half-open, the last closed)
+    and the input does too.
+    """
+    beta, u = Fraction(beta), Fraction(u)
+    tail = beta**-kbar / (beta - 1)
+    bad = Fraction(0)
+    for _, lo, hi, _, _, slope, shift in prefix_leaves_fraction([[(beta, ONE)]] * kbar, [u] * kbar):
+        clo = shift / slope
+        a = min(int(clo * (1 << m)), (1 << m) - 1)
+        cell_lo, cell_hi = Fraction(a, 1 << m), Fraction(a + 1, 1 << m)
+        bad += hi - lo
+        if clo + tail <= 1 if cell_hi == 1 else clo + tail < cell_hi:
+            bad -= max(Fraction(0), min(hi, cell_hi) - max(lo, cell_lo))
+    return bad
+
+
 def word_distribution_oracle(support, probs, u_values, m: int) -> dict:
     """Exact word law by summing word_interval_measure over gain sequences."""
     out = {}

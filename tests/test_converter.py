@@ -19,10 +19,12 @@ from betaenc.converter import (
     uncertainty_interval,
 )
 from betaenc.encoder import (
+    _WINDOW_BITS,
     ConstantThreshold,
     ExplicitThresholds,
     FixedBeta,
     UniformThresholds,
+    _kernel_plan,
     encode,
 )
 from betaenc.errors import ConfigurationError, DomainError
@@ -88,10 +90,14 @@ def test_push_bit_rejects_junk():
 @given(unit_fractions, small_betas, st.integers(min_value=1, max_value=10))
 @settings(max_examples=60)
 def test_cost_matches_brute_force_oracle(x, beta, m):
-    res = k_of_m(x, m, beta)
-    expected = oracles.cylinder_k(x, m, beta)
+    # one cap on both sides: the package's default formula, by the oracle's
+    # linear search (an input like x = 1 never settles and runs to the cap)
+    cap = oracles.least_power_at_least(beta, 4 * m) + 64
+    res = k_of_m(x, m, beta, k_cap=cap)
+    assert k_of_m(x, m, beta) == res
+    expected = oracles.cylinder_k(x, m, beta, k_cap=cap)
     if expected is None:
-        assert res.exceeded
+        assert res == KResult(cap, True)
     else:
         assert res == KResult(expected, False)
 
@@ -147,7 +153,8 @@ def test_scan_matches_the_per_step_oracle(case, seed):
     for cap in {k_cap} | {k + d for k, _ in uncapped for d in (-1, 0) if k + d >= 1}:
         targets = scan_targets(ms, beta, cap)
         want = oracles.scan_steps(x, targets, beta, itertools.repeat(constant))
-        assert [tuple(r) for r in _scan(x, targets, beta, u)] == want, cap
+        plan = _kernel_plan(beta, u, _WINDOW_BITS)
+        assert [tuple(r) for r in _scan(x, targets, beta, plan)] == want, cap
     # uniform thresholds take the per-step path through the same entry point
     targets = scan_targets(ms, beta, k_cap)
     pairs = UniformThresholds(1, 1 / (beta - 1)).scaled(targets[-1][1], SplitMix64(seed))

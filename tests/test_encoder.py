@@ -522,7 +522,7 @@ UNIFORM_CASES = [
 
 @given(
     st.sampled_from(UNIFORM_CASES),
-    st.sampled_from([2, 17, 63, 64, 65, 130]),
+    st.sampled_from([2, 17, 63, 64, 65, 129, 130, 438]),
     st.lists(st.integers(min_value=0, max_value=70), min_size=1, max_size=4),
     st.integers(min_value=0, max_value=(1 << 64) - 1),
 )

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,11 @@ from betaenc.encoder import (
     IidSupportBetas,
     UniformBetas,
     UniformThresholds,
+    prefix_leaves,
 )
 from betaenc.entropy import (
     WordDistribution,
+    _gain_choices,
     is_mk_source,
     min_entropy_bound_check,
     word_distribution,
@@ -211,3 +214,104 @@ def test_bound_holds_across_gains(beta, m):
     dist = word_distribution(FixedBeta(beta), m=m)
     check = min_entropy_bound_check(dist, beta, state_bound(beta))
     assert check.ok and check.slack >= 0
+
+
+def _walk(leaves) -> tuple:
+    """(leaves, exception): what a walk yields before its node budget stops it."""
+    out = []
+    try:
+        for leaf in leaves:
+            out.append(leaf)
+    except RuntimeError as exc:  # ResourceBudgetError is one
+        return out, exc
+    return out, None
+
+
+@st.composite
+def walk_cases(draw):
+    """(gain model, thresholds, m, end of the input interval [0, end)) of every shape."""
+    betas = st.sampled_from([F(3, 2), F(9, 5), F(8, 5), F(5, 3), F(4, 3), F(7, 5)])
+    kind = draw(st.sampled_from(["fixed", "explicit", "iid"]))
+    if kind == "fixed":
+        m = draw(st.integers(1, 8))
+        model = FixedBeta(draw(betas))
+    elif kind == "explicit":
+        m = draw(st.integers(1, 7))
+        model = ExplicitBetas(tuple(draw(st.lists(betas, min_size=m, max_size=m))))
+    else:
+        m = draw(st.integers(1, 4))
+        support = draw(st.lists(betas, min_size=1, max_size=3, unique=True))
+        n = len(support)
+        # zero weights included: a word only they reach must be refused
+        raw = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+        model = IidSupportBetas(tuple(support), tuple(F(r, sum(raw)) for r in raw))
+    kappa = state_bound(model.beta_range[1])
+    us = st.sampled_from([F(1), kappa]) | st.fractions(1, kappa, max_denominator=30)
+    if draw(st.booleans()):
+        thresholds = ConstantThreshold(draw(us))
+    else:
+        thresholds = ExplicitThresholds(tuple(draw(st.lists(us, min_size=m, max_size=m))))
+    return model, thresholds, m, draw(st.sampled_from([F(1), kappa]))
+
+
+@given(walk_cases())
+@settings(max_examples=150, deadline=None)
+def test_integer_walk_matches_the_fraction_walk(case):
+    model, thresholds, m, end = case
+    choices, den = _gain_choices(model, m)
+    u_seq = thresholds.realize(m)
+    fraction_choices = [[(g, F(w, den)) for g, w in options] for options in choices]
+    want = list(oracles.prefix_leaves_fraction(fraction_choices, u_seq, end))
+    unit, leaves = prefix_leaves(choices, u_seq, end)
+    got = list(leaves)
+    # leaf for leaf, in walk order: the state is (P x - E)/Q on the path's gains
+    assert len(got) == len(want)
+    for (word, lo, hi, weight, E), (*head, path, slope, shift) in zip(got, want):
+        P = math.prod(g.numerator for g in path)
+        Q = math.prod(g.denominator for g in path)
+        assert [word, F(lo, unit), F(hi, unit), F(weight, den**m)] == head
+        assert slope == F(P, Q) and shift == F(E, Q)
+
+    # the same tree: a budget of its node count passes, one less stops both
+    # walks after the same leaves with the same message, and so does 10
+    nodes = {(path[:d], word >> (m - d)) for word, *_, path, _, _ in want for d in range(m + 1)}
+    assert _walk(prefix_leaves(choices, u_seq, end, len(nodes))[1])[1] is None
+    for budget in (10, len(nodes) - 1):
+        got_cut, got_exc = _walk(prefix_leaves(choices, u_seq, end, budget)[1])
+        want_cut, want_exc = _walk(
+            oracles.prefix_leaves_fraction(fraction_choices, u_seq, end, budget))
+        assert len(got_cut) == len(want_cut)
+        assert (got_exc is None) == (want_exc is None) == (budget >= len(nodes))
+        if got_exc is not None:
+            assert isinstance(got_exc, ResourceBudgetError)
+            assert str(got_exc) == str(want_exc) == (
+                f"prefix-tree walk passed {budget} nodes; shrink the depth")
+
+    if end != 1:
+        if isinstance(model, FixedBeta) and isinstance(thresholds, ConstantThreshold):
+            # over [0, kappa): the stream kernel's cylinder table
+            table = oracles.cylinder_table_fraction(model.value, thresholds.value, m)
+            assert [(w, lo, hi) for w, lo, hi, *_ in table] == sorted(
+                (w, lo, hi) for w, lo, hi, *_ in want)
+        return
+    # over [0, 1): the word law, summed from the Fraction leaves and by
+    # backward induction over the gain sequences
+    law: dict = {}
+    for word, lo, hi, weight, *_ in want:
+        law[word] = law.get(word, F(0)) + weight * (hi - lo)
+    if not all(law.values()):
+        with pytest.raises(ConfigurationError, match="positive"):
+            word_distribution(model, thresholds, m)
+        return
+    dist = word_distribution(model, thresholds, m)
+    assert dist.entries == law
+    if isinstance(model, ExplicitBetas):
+        oracle = {}
+        for word in range(1 << m):
+            bits = [(word >> (m - 1 - j)) & 1 for j in range(m)]
+            oracle[word] = oracles.word_interval_measure(bits, model.values[:m], u_seq)
+    else:
+        support, probs = ((model.value,), (F(1),)) if isinstance(model, FixedBeta) else (
+            model.values, model.probs)
+        oracle = oracles.word_distribution_oracle(support, probs, u_seq, m)
+    assert dist.entries == {w: p for w, p in oracle.items() if p > 0}

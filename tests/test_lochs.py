@@ -213,6 +213,22 @@ def test_straddle_measure_frozen_values():
     assert not pm_bound_holds(F(1), 3, F(1, 2))
 
 
+@pytest.mark.parametrize("beta, u, ms", [
+    (F(3, 2), F(1), (3, 4, 5, 6)),
+    (F(3, 2), F(2), (3, 4, 5)),
+    (F(9, 5), F(5, 4), (3, 4)),
+    (F(8, 5), F(5, 3), (3, 4)),
+    (F(7, 5), F(7, 5), (3,)),
+])
+def test_straddle_measure_matches_the_fraction_walk(beta, u, ms):
+    for m in ms:
+        # the default probe depth for eps = 1/2, and a deeper one
+        kbar = oracles.least_power_at_least(beta, F(3 * m, 2))
+        assert pm_measure_exact(beta, u, m, F(1, 2)) == oracles.pm_measure_fraction(beta, u, m, kbar)
+        assert pm_measure_exact(beta, u, m, F(1, 2), kbar=kbar + 2) == \
+            oracles.pm_measure_fraction(beta, u, m, kbar + 2)
+
+
 def test_straddle_measure_matches_grid():
     # midpoints of 2^13 cells, encoded kbar steps; the indicator of "cylinder
     # escapes the order-m cell" integrates to the exact measure up to the
@@ -246,5 +262,5 @@ def test_straddle_measure_validation():
         pm_measure_exact(F(3, 2), F(1), 3, 0)
     with pytest.raises(DomainError):
         pm_measure_exact(F(3, 2), F(1), 3, F(1, 2), kbar=0)
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError, match="^prefix-tree walk passed 10 nodes; shrink the depth$"):
         pm_measure_exact(F(3, 2), F(1), 3, F(1, 2), node_budget=10)

@@ -19,7 +19,6 @@ from betaenc.numerics import (
     check_beta,
     cmp_pow2,
     decimal_str,
-    dyadic_cell,
     dyadic_index,
     format_rational,
     interval_in_dyadic_cell,
@@ -231,19 +230,19 @@ def test_dyadic_index_interior_and_edges():
 
 @given(st.fractions(min_value=0, max_value=1, max_denominator=1 << 16),
        st.integers(min_value=1, max_value=16))
-def test_dyadic_cell_contains_its_point(x, m):
-    cell = dyadic_cell(x, m)
-    assert cell.lo <= x <= cell.hi
-    assert cell.length == Fraction(1, 1 << m)
+def test_dyadic_index_cell_contains_its_point(x, m):
+    k = dyadic_index(x, m)
+    assert 0 <= k < 1 << m
+    assert Fraction(k, 1 << m) <= x <= Fraction(k + 1, 1 << m)
 
 
 def test_interval_in_dyadic_cell_half_open_rule():
-    cell = dyadic_cell(Fraction(1, 3), 2)  # [1/4, 1/2]
+    cell = Interval(Fraction(1, 4), Fraction(1, 2))
     inside = Interval(Fraction(1, 4), Fraction(2, 5))
     touches_top = Interval(Fraction(1, 3), Fraction(1, 2))
     assert interval_in_dyadic_cell(inside, cell)
     assert not interval_in_dyadic_cell(touches_top, cell)  # 1/2 is the next cell
-    last = dyadic_cell(Fraction(1), 2)  # [3/4, 1]
+    last = Interval(Fraction(3, 4), Fraction(1))
     assert interval_in_dyadic_cell(Interval(Fraction(3, 4), Fraction(1)), last)
 
 

@@ -151,7 +151,7 @@ def test_stream_values_are_64_bit(seed):
     assert 0 <= g.next64() < (1 << 64)
 
 
-@pytest.mark.parametrize("precision_bits", [2, 17, 63, 64, 65, 130])
+@pytest.mark.parametrize("precision_bits", [2, 17, 63, 64, 65, 128, 129, 130, 438])
 @pytest.mark.parametrize("count", [0, 1, 33])
 def test_odd_numerators_continue_the_odd_dyadic_stream(precision_bits, count):
     batched, scalar = SplitMix64(21), SplitMix64(21)
@@ -159,9 +159,14 @@ def test_odd_numerators_continue_the_odd_dyadic_stream(precision_bits, count):
     expected = oracles.uniform_draws(0, 1, precision_bits, scalar, count)
     assert tuple(Fraction(n, 1 << precision_bits) for n in nums) == expected
     assert all(type(n) is int and n % 2 for n in nums)
+    # a single draw after the batch continues the same stream
+    assert batched.odd_dyadic(precision_bits) == oracles.uniform_draws(
+        0, 1, precision_bits, scalar, 1)[0]
     # both streams sit at the same counter afterwards
     assert batched.next64() == scalar.next64()
     assert SplitMix64(21).odd_dyadic(precision_bits) == oracles.uniform_draws(
         0, 1, precision_bits, SplitMix64(21), 1)[0]
     with pytest.raises(ValueError):
         batched.odd_numerators(1, count)
+    with pytest.raises(ValueError):
+        batched.odd_dyadic(1)
