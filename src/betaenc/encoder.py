@@ -609,11 +609,12 @@ def _kernel_plan(beta: Fraction, u: Fraction, W: int) -> _Plan:
     # step at j adds its offset * tweight[j]
     tweight = tuple(qpow[j] * ppow[k_blk - j - K] for j in range(k_blk - K + 1))
 
-    # the depth-K cylinders of [0, kappa), lowest first; the lowest is open
-    # below, and the last bound is far above 2**W * kappa = 2**W * q / (p - q).
-    # Tuples: the cache hands the same plan to every caller.
+    # the depth-K cylinders of [0, kappa); the walk yields the highest first.
+    # The lowest is open below, and the last bound is far above
+    # 2**W * kappa = 2**W * q / (p - q).  Tuples: the cache hands the same
+    # plan to every caller.
     unit, leaves = prefix_leaves([[(beta, 1)]] * K, (u,) * K, state_bound(beta))
-    words, lows, _, _, offsets = zip(*sorted(leaves, key=lambda leaf: leaf[1]))
+    words, lows, _, _, offsets = zip(*reversed(list(leaves)))
     # one byte per bit: the low K (<= _TABLE_DEPTH_CAP = 16) bits of each word
     digits = np.unpackbits(np.array(words, ">u2").view(np.uint8)).reshape(-1, 16)
     digits = digits[:, 16 - K:].tobytes()

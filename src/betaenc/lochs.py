@@ -357,7 +357,10 @@ def run_lochs(exp: LochsExperiment) -> LochsReport:
 
 def default_kbar(beta, m: int, eps) -> int:
     """Least k with beta**k >= 2**((1+eps)*m): the probe depth for the tail set."""
-    return least_power_at_least(beta, m * (1 + as_fraction(eps)))
+    eps = as_fraction(eps)
+    return least_power_at_least(
+        beta, Fraction(m) * (1 + eps)
+    )
 
 
 def pm_measure_exact(

@@ -125,27 +125,23 @@ class SplitMix64:
         """Uniform dyadic rational in (0, 1) whose numerator is odd.
 
         Full-depth numerators keep samples off every coarser dyadic grid,
-        so no draw ever sits on a probed cell boundary.  Scalar words: one
-        draw is too few for an array read to pay.
+        so no draw ever sits on a probed cell boundary.
         """
-        return Fraction(self.bits(precision_bits - 1) << 1 | 1, 1 << precision_bits)
+        return Fraction(self.odd_numerators(precision_bits, 1)[0], 1 << precision_bits)
 
     def odd_numerators(self, precision_bits: int, count: int) -> list:
         """Numerators of the next `count` odd_dyadic(precision_bits) draws.
 
-        Each is 2*w + 1 with w = bits(precision_bits - 1), least significant
-        word first; the batch is one next64_array read, in scalar order.
+        Each is 2*w + 1 with w = bits(precision_bits - 1), so up to 64
+        precision bits a draw takes one word and the whole batch is one
+        next64_array read, in the order of `count` scalar draws.
         """
         if precision_bits < 2:
             raise ValueError("need at least 2 precision bits")
-        k = precision_bits - 1
-        if k < 64:
-            words = self.next64_array(count) & np.uint64((1 << k) - 1)
-            return ((words << np.uint64(1)) | np.uint64(1)).tolist()
-        step, mask = 8 * -(-k // 64), (1 << k) - 1  # bytes per draw
-        raw = self.next64_array(count * step // 8).astype("<u8").tobytes()
-        return [(int.from_bytes(raw[i:i + step], "little") & mask) << 1 | 1
-                for i in range(0, len(raw), step)]
+        if precision_bits > 64:
+            return [(self.bits(precision_bits - 1) << 1) | 1 for _ in range(count)]
+        words = self.next64_array(count) & np.uint64((1 << precision_bits - 1) - 1)
+        return ((words << np.uint64(1)) | np.uint64(1)).tolist()
 
     def randbelow(self, n: int) -> int:
         if n <= 0:
