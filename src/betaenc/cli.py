@@ -450,6 +450,8 @@ def _dispatch(argv, replaying: bool = False) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    # exact traces print states of many thousand digits; Python 3.11+ caps them
+    getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)
     try:
         return _dispatch(list(argv))
     except ResourceBudgetError as exc:

@@ -12,20 +12,19 @@ shrinks, no matter how many bits are spent.
 
 The cost scan is also the Monte-Carlo kernel, so it works on scaled
 integers and touches no Fraction inside its loop.  Under a constant
-threshold it decides K bits per lookup in the stream kernel's cylinder
-table and takes one exact step where the table cannot decide; other
-thresholds take one exact step per bit.
+threshold it pulls K bits per cylinder from the stream kernel's walker
+(``encoder._cylinders``) and takes one exact step where the walk stops;
+other thresholds take one exact step per bit.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .encoder import _WINDOW_BITS, ConstantThreshold, _kernel_plan, _Plan, _window
+from .encoder import _WINDOW_BITS, ConstantThreshold, _cylinders, _kernel_plan, _Plan, _window
 from .errors import ConfigurationError, DomainError
 from .numerics import (
     ONE,
@@ -138,26 +137,18 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
     ``thresholds`` is the caller's ``_kernel_plan(beta, u, 256)`` for a
     constant u, or an iterable of one (numerator, denominator) pair per
     bit, covering the largest cap, which takes one exact step on A/D per
-    bit.  A plan gives its cylinder table: while the outward-rounded
-    window of 2**256 * state lies in one depth-K cylinder, one lookup
-    decides K bits, and the pending target is tested at the block end
+    bit.  With a plan, each exact step starts an ``encoder._cylinders``
+    walk of the outward-rounded window of 2**256 * state; each cylinder it
+    yields decides K bits, and the pending target is tested at block ends
     only.  A block whose end settles it is stepped again through its word
-    for the least k.  A straddle, or a block that would pass the cap,
-    takes one exact step on A/D rebuilt from L, P and Q, and reads the
-    window afresh (a window widens by about beta per step, so it
-    straddles in the end).
+    for the least k; the next target goes on from the block's end.  Where
+    the walk stops at a straddle, or a block would pass the cap, one exact
+    step on A/D rebuilt from L, P and Q starts a new walk (a window widens
+    by about beta per step, so it straddles in the end).
     """
     p, q = beta.numerator, beta.denominator
     pmq = p - q
     xn, xd = x.numerator, x.denominator
-
-    cells = []
-    for m, cap, k_min in targets:
-        a = (xn << m) // xd
-        if a == 1 << m:  # x == 1 sits in the closed last cell
-            a -= 1
-        # hi < (a + 1) / 2**m, or hi <= 1 in the closed last cell
-        cells.append((m, a, (a + 1) * pmq, int(a == (1 << m) - 1), cap, k_min))
 
     def settles(k, L, P, Q) -> bool:
         """Whether the cylinder after k bits sits in the pending target's cell."""
@@ -166,18 +157,22 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
 
     table = isinstance(thresholds, _Plan)
     if table:
-        K, _, _, ppow, qpow, _, bounds, words, offsets, scaled, u = thresholds
-        r, s = u.numerator, u.denominator
-        PK, QK = ppow[K], qpow[K]
-        top = len(bounds) - 1
+        plan, K, words, offsets = thresholds, thresholds.K, thresholds.words, thresholds.offsets
+        r, s = plan.u.numerator, plan.u.denominator
+        PK, QK = plan.ppow[K], plan.qpow[K]
     else:
         thresholds = iter(thresholds)
     results = []
     L, P, Q, k = 0, 1, 1, 0
     A, D = xn, xd
-    fresh = False  # whether the window [lo, hi] holds the state after k bits
+    walk = None  # the cylinder walk of the window of 2**256 * state after k bits
     rest = None  # the bits of a block whose end settles the pending target
-    for m, a, hi_cell, last_cell, cap, k_min in cells:
+    for m, cap, k_min in targets:
+        a = (xn << m) // xd
+        if a == 1 << m:  # x == 1 sits in the closed last cell
+            a -= 1
+        # hi < (a + 1) / 2**m, or hi <= 1 in the closed last cell
+        hi_cell, last_cell = (a + 1) * pmq, int(a == (1 << m) - 1)
         if rest is not None and not settles(k1, L1, P1, Q1):
             # the settling block's end does not settle this target: skip there
             L, P, Q, k, rest = L1, P1, Q1, k1, None
@@ -198,22 +193,19 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
                     if k >= k_min:
                         break
                 continue
-            if fresh and k + K <= cap:
+            if walk is not None and k + K <= cap:
                 # whole blocks while the window lies in one cylinder; the
                 # target is tested at each block end only
-                while k + K <= cap:
-                    c = bisect_right(bounds, lo, 0, top)
-                    if hi >= bounds[c]:
-                        fresh = False
-                        break
-                    off = scaled[c]
-                    lo = (PK * lo - off) // QK
-                    hi = -((off - PK * hi) // QK)
+                for c in walk:
                     L1, P1, Q1, k1 = L * PK + Q * offsets[c], P * PK, Q * QK, k + K
                     if settles(k1, L1, P1, Q1):
                         rest = iter(words[c])
                         break
                     L, P, Q, k = L1, P1, Q1, k1
+                    if k + K > cap:
+                        break
+                else:
+                    walk = None  # the window straddles two cylinders
                 continue
             if table:
                 A, D = P * xn - L * xd, Q * xd
@@ -236,8 +228,7 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
                 L = L * p
             if table:
                 lo, w = _window(A, D, _WINDOW_BITS)
-                hi = lo + w
-                fresh = True
+                walk = _cylinders(plan, lo, lo + w)
         else:
             results.append(KResult(k, False))
     return results

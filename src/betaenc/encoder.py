@@ -591,7 +591,7 @@ def _kernel_plan(beta: Fraction, u: Fraction, W: int) -> _Plan:
     hi < 2**W c', so a window [lo, hi] with bounds[i - 1] <= lo and hi <
     bounds[i] lies in cylinder i exactly.  Its states then emit the K bytes
     words[i] and move to beta**K * x - offsets[i] / q**K; scaled[i] is
-    offsets[i] * 2**W.  ``converter._scan`` reads the same table.
+    offsets[i] * 2**W.  Both table kernels walk it through ``_cylinders``.
     """
     p, q = beta.numerator, beta.denominator
     # an inner block widens the window by about beta per step: stop while
@@ -625,6 +625,26 @@ def _kernel_plan(beta: Fraction, u: Fraction, W: int) -> _Plan:
                  tuple(o << W for o in offsets), u)
 
 
+def _cylinders(plan: _Plan, lo: int, hi: int):
+    """The one walk of a window [lo, hi] of 2**W * x through the cylinder table.
+
+    Yields the index of the cylinder that holds the window, K bits per index,
+    and stops at the first straddle.  The window takes the cylinder's step,
+    rounded outward, only when the caller asks for the next index.
+    """
+    bounds, scaled = plan.bounds, plan.scaled
+    PK, QK = plan.ppow[plan.K], plan.qpow[plan.K]
+    top = len(bounds) - 1
+    while True:
+        c = bisect_right(bounds, lo, 0, top)
+        if hi >= bounds[c]:
+            return
+        yield c
+        off = scaled[c]
+        lo = (PK * lo - off) // QK
+        hi = -((off - PK * hi) // QK)
+
+
 def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
                    W: int = _WINDOW_BITS):
     """Three-level exact stream; returns (bits, StreamCounts).
@@ -634,13 +654,10 @@ def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
     """
     p, q = beta.numerator, beta.denominator
     r, s = u.numerator, u.denominator
-    K, k_blk, k_mid, ppow, qpow, tweight, bounds, words, offsets, scaled, _ = \
+    K, k_blk, k_mid, ppow, qpow, tweight, _, words, offsets, _, _ = plan = \
         _kernel_plan(beta, u, W)
-    PK, QK = ppow[K], qpow[K]
-    top = len(bounds) - 1
     W2 = _MID_FACTOR * W
     drop = W2 - W
-    last = n_bits - K  # the last position where a whole word fits
 
     A, D = x0.numerator, x0.denominator
     # the mid window is [L2, L2 + w2]
@@ -648,30 +665,19 @@ def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
     # steps taken by the mid window since A/D was last brought up to date:
     # A/D must still take A <- p**k_tot A - D S_tot, D <- q_tot D
     S_tot, q_tot, k_tot = 0, 1, 0
-    out = bytearray(n_bits)
+    out = bytearray(n_bits + K)  # whole words: the last may run past n_bits
     fallbacks = commits = 0
     i = 0
     while i < n_bits:
-        lo = L2 >> drop
-        hi = -(-(L2 + w2) >> drop)
         end = min(i + k_blk, n_bits)
         R = 0
         j = i
-        while j < end:
-            # the window lies in one cylinder, or the block ends
-            c = bisect_right(bounds, lo, 0, top)
-            if hi >= bounds[c]:
-                break
-            if j > last:
-                # the tail: every state of the cylinder emits its word
-                out[j:] = words[c][:n_bits - j]
-                return np.frombuffer(out, dtype=np.uint8), StreamCounts(fallbacks, commits)
-            off = scaled[c]
-            lo = (PK * lo - off) // QK
-            hi = -((off - PK * hi) // QK)
+        for c in _cylinders(plan, L2 >> drop, -(-(L2 + w2) >> drop)):
             out[j:j + K] = words[c]
             R += offsets[c] * tweight[j - i]
             j += K
+            if j >= end:
+                break
         k = j - i
         if k:
             S = R // ppow[k_blk - k]
@@ -700,4 +706,4 @@ def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
         D *= q_tot
         S_tot, q_tot, k_tot = 0, 1, 0
         L2, w2 = _window(A, D, W2)
-    return np.frombuffer(out, dtype=np.uint8), StreamCounts(fallbacks, commits)
+    return np.frombuffer(out, dtype=np.uint8)[:n_bits], StreamCounts(fallbacks, commits)

@@ -137,7 +137,7 @@ def word_distribution(betas, thresholds=None, m: int = 1) -> WordDistribution:
     for word, lo, hi, weight, _ in leaves:
         sums[word] = sums.get(word, 0) + weight * (hi - lo)
     den = unit * weight_den**m
-    return WordDistribution(m, {word: Fraction(n, den) for word, n in sums.items()})
+    return WordDistribution(m, {word: Fraction(n, den) for word, n in sums.items() if n})
 
 
 @dataclass(frozen=True)

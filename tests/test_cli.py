@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,8 +10,10 @@ import pytest
 import betaenc.cli as cli
 from betaenc.bitio import read_bit_file
 from betaenc.cli import main, rational
+from betaenc.encoder import ConstantThreshold, UniformBetas, encode
 from betaenc.errors import ConfigurationError
 from betaenc.extract import TWO_SOURCE_WARNING
+from betaenc.prng import SplitMix64
 
 
 def run(args, tmp, sub=""):
@@ -61,6 +65,19 @@ def test_encode_trace(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert f"wrote {out / 'encode.json'}" in printed
     assert f"wrote {out / 'manifest.json'}" in printed
+
+
+def test_random_gain_trace_past_the_int_digit_limit(tmp_path):
+    # 300 random-gain steps give states of more than 4300 decimal digits
+    argv = ["encode", "--x", "5/17", "--beta-uniform", "3/2,8/5", "--steps", "300",
+            "--seed", "4"]
+    code, out = run(argv, tmp_path)
+    assert code == 0
+    states = read_json(out / "encode.json")["states"]
+    trace = encode(Fraction(5, 17), UniformBetas(Fraction(3, 2), Fraction(8, 5)),
+                   ConstantThreshold(1), 300, rng=SplitMix64(4))
+    assert len(states) == 300 and len(states[-1]) > 4300
+    assert rational(states[-1]) == trace.states[-1]
 
 
 def test_encode_requires_a_length(tmp_path, capsys):
@@ -304,6 +321,16 @@ def test_entropy_outputs(tmp_path):
     assert doc["bound_check"]["bound"] == "25/24"
 
 
+def test_entropy_drops_words_of_zero_probability(tmp_path):
+    # the 9/5 branch has weight 0: the law is the fixed 3/2 law
+    code, zero = run(["entropy", "--m", "6", "--beta-support", "3/2,9/5",
+                      "--beta-probs", "1,0"], tmp_path, "zero")
+    assert code == 0
+    code, fixed = run(["entropy", "--m", "6", "--beta", "3/2"], tmp_path, "fixed")
+    assert code == 0
+    assert (zero / "entropy.csv").read_bytes() == (fixed / "entropy.csv").read_bytes()
+
+
 def test_entropy_budget_exit_code(tmp_path, capsys):
     code, _ = run(
         ["entropy", "--beta-support", "3/2,8/5", "--m", "20"], tmp_path
@@ -365,3 +392,99 @@ def test_nested_replay_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "replay" in err
     assert err.count("\n") == 1
+
+
+STREAM_ARGV = ["encode", "--x", "5/17", "--beta", "3/2", "--stream-bits", "20000"]
+FROZEN_ARGV = {
+    "encode-stream": STREAM_ARGV,
+    "encode-u-uniform": ["encode", "--x", "2/7", "--beta", "3/2", "--steps", "40",
+                         "--u-uniform", "1,2", "--seed", "3"],
+    "convert-u1": ["convert", "--x", "1/3", "--beta", "3/2", "--m-list", "4,8,16,32"],
+    "convert-u-uniform": ["convert", "--x", "1/3", "--beta", "9/5", "--m-list", "4,8,16",
+                          "--u-uniform", "1,5/4", "--seed", "2"],
+    "lochs-u1": ["lochs", "--beta", "3/2", "--m-list", "4,8,16", "--samples", "60",
+                 "--seed", "7", "--workers", "1"],
+    "lochs-ukappa": ["lochs", "--beta", "9/5", "--u", "5/4", "--m-list", "4,8,16",
+                     "--samples", "60", "--seed", "8", "--workers", "1"],
+    "lochs-u-uniform": ["lochs", "--beta", "3/2", "--u-uniform", "1,2", "--m-list", "4,8,16",
+                        "--samples", "60", "--seed", "9", "--workers", "1"],
+    "entropy-fixed": ["entropy", "--beta", "9/5", "--m", "6"],
+    "entropy-iid": ["entropy", "--beta-support", "3/2,8/5", "--m", "5"],
+    "extract-seeded": ["extract", "--input", "enc/stream.bin", "--mode", "seeded",
+                       "--block-bits", "48", "--out-bits", "8", "--beta-min", "3/2",
+                       "--beta-max", "3/2", "--seed", "1"],
+    "extract-two-source": ["extract", "--input", "enc/stream.bin", "--mode", "two-source",
+                           "--block-bits", "16", "--beta-min", "3/2", "--beta-max", "3/2"],
+    "battery": ["battery", "--input", "enc/stream.bin"],
+}
+# sha256 of every output, recorded before the cylinder walker was factored out
+FROZEN_DIGESTS = {
+    "battery": {
+        "battery.json": "c58398802f5da86a764bb9beca72e792585e04f33cfddfe9e4db4cbf1d77ccfb",
+        "manifest.json": "4e6b0fc153c1435a81f056176ea6999ec85af3c1aba95f96c444e8989a31856f",
+    },
+    "convert-u-uniform": {
+        "convert.csv": "0fdd06f55ce8794fab5dea4b818c1d0a5cbdcadc7bd5a7edbc8c6829c5475439",
+        "manifest.json": "7dc3fc21bed3bec14a6868cd3ba01b8e56111bc5fb087250deca3052acb0fe3b",
+    },
+    "convert-u1": {
+        "convert.csv": "eac2bce54826607665615e628a7f6035251528b716c13b9e419c9f4a374c2e35",
+        "manifest.json": "d88b424ce527807824f40d65fe1bdd76bfd6dae7eb3e578789e034ec953db5aa",
+    },
+    "encode-stream": {
+        "encode.json": "e691a641f61d01d753bde3bcb7b0f4d80717b794164714f8cabe3113e175fc1d",
+        "manifest.json": "55d093474d997d097fa7af9711cec2e6d6f0f0e4f992d9cfe204640db734699f",
+        "stream.bin": "d8b5793e5a8b8d523a9e4ebcf802c7ca20948fc223b20f7f0a1f6403f44b20d4",
+    },
+    "encode-u-uniform": {
+        "encode.json": "dafdb7c5f8c57eb0ecbb8c33ba5c17fa5bb38221b019d8504a7849229b273697",
+        "manifest.json": "846ecc020416a1f2d161006ee7faeefbfd71aef1b59f91a6a0297d7e6224cc0b",
+    },
+    "entropy-fixed": {
+        "entropy.csv": "39cd63fe984b369a9f055ec57de8806f9f10e283df20f838f3889c60ee2eadc0",
+        "entropy.json": "bb5de402cdb0d1239661b557eb97fb506b7a70bb0c23398dc5bf62e88a5edbc4",
+        "manifest.json": "4262f1f342f2962e1b50f3774e88251cb11bfdd717361e2aa5af54aa2be6d924",
+    },
+    "entropy-iid": {
+        "entropy.csv": "7aa3edc12e4746bfa3753bc66953e855bf68f7472a8a131d3297982b3da3d08f",
+        "entropy.json": "9b6ae3772ebb8c2cd776d8a70006cf7cc9eebda3a2e5c29434237a7e8c445d8f",
+        "manifest.json": "cb38bed84238ca73e7194cd29fa3450d5bff9f52da633b909cde506166e14de3",
+    },
+    "extract-seeded": {
+        "extract.json": "35c8cec22a21867d1a1fc8d773937e97b0935bcf201b1e8d98f2f84b7aa33d0f",
+        "extracted.bin": "f098b22fc5950fe993c56add6c93e0ee6ecc2a2fed1a2dde220a534523c1d7d2",
+        "manifest.json": "e98e39a7785caa6e9e1445f74a28978608a9c37248814a237453c4a4ff4586bb",
+    },
+    "extract-two-source": {
+        "extract.json": "a779388e310ffdba2d090cdc38575987daff6cd6c06e594eaefa9b25b62b230a",
+        "extracted.bin": "0a1ecb275e7a0098b04c4a916d4ab31b4cb17c73b788dec85d1b88ddb324a459",
+        "manifest.json": "6857ab46a587992cafb0974868cc76b469c4ead946f740ab45c1624f8b0027f3",
+    },
+    "lochs-u-uniform": {
+        "lochs.csv": "78f63c7c405a4774a7252d221c12a5efec1f29783d99591a48d7fe1cd89797ee",
+        "lochs.json": "0ecdceb6c77dd3e4bd8161dcfb29cd8ce08c5f1582f5d9a2bfe75d60e7beff51",
+        "manifest.json": "c8f65a89d05e5fb8e12b8af5f1461a8ddbb14e55810c7bbdb18cad7d9e82bf35",
+    },
+    "lochs-u1": {
+        "lochs.csv": "cab6786a96efcca16d648687721f34c7186ca017b06c8b9baa6ced20f047bbc7",
+        "lochs.json": "7b40cf81928c6655c45f91c41b909c6db7da0b7c141ff14ee83b685dcfe919d5",
+        "manifest.json": "510e7e8e09a0a74ab395743f13f175631fb19cc21ba3590c4b6c5e0c32c7c563",
+    },
+    "lochs-ukappa": {
+        "lochs.csv": "3fd2195fe2e4d2699ea5496576ccd25b3c8614ea43463a70b443945437363db5",
+        "lochs.json": "064660175449f7d9607af7b7deaffdcf9be2b3f28022275d973bcbb0717a5166",
+        "manifest.json": "27752abfd6fc6c384d42b08e59205ad51ea2f78c62758a90e7d593cfefd53a9e",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_ARGV))
+def test_cli_outputs_match_the_frozen_digests(name, tmp_path, monkeypatch):
+    # relative names: the extract and battery manifests record the input path
+    monkeypatch.chdir(tmp_path)
+    argv = FROZEN_ARGV[name]
+    if "--input" in argv:
+        assert main(STREAM_ARGV + ["--out-dir", "enc"]) == 0
+    assert main(argv + ["--out-dir", "out"]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in Path("out").iterdir()}
+    assert got == FROZEN_DIGESTS[name]

@@ -1,4 +1,7 @@
+import functools
+import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +18,11 @@ from betaenc.encoder import (
     IidSupportBetas,
     UniformBetas,
     UniformThresholds,
+    _cylinders,
     _kernel_plan,
     _map_window,
     _stream_kernel,
+    _window,
     apply_Tu,
     encode,
     encode_bits,
@@ -314,6 +319,48 @@ def test_cylinder_table_tiles_the_state_range(beta, u, window_bits):
     assert bounds[-1] > kappa * scale
 
 
+_fraction_table = functools.lru_cache(maxsize=None)(oracles.cylinder_table_fraction)
+
+
+@given(st.one_of(st.sampled_from([F(0), F(1), F(2, 3)]), unit_fractions,
+                 st.fractions(min_value=0, max_value=1, max_denominator=10**40)),
+       small_betas, st.sampled_from(["one", "kappa", "inside"]),
+       st.integers(min_value=1, max_value=256))
+@settings(max_examples=150, deadline=None)
+def test_cylinder_walk_spells_the_bits_and_stops_at_the_first_straddle(x, beta, where,
+                                                                        window_bits):
+    kappa = 1 / (beta - 1)
+    u = {"one": F(1), "kappa": kappa, "inside": 1 + (kappa - 1) * F(5, 7)}[where]
+    plan = _kernel_plan(beta, u, window_bits)
+    table = _fraction_table(beta, u, plan.K)
+    scale = 1 << window_bits
+
+    lows = [lo for _, lo, *_ in table]
+
+    def cylinder_of(end):
+        # the first cylinder is open below and the last one above
+        return max(bisect_right(lows, F(end, scale)) - 1, 0)
+
+    lo, w = _window(x.numerator, x.denominator, window_bits)
+    hi = lo + w
+    walk = _cylinders(plan, lo, hi)
+    word_bits = []
+    for _ in range(64):
+        c = cylinder_of(lo)
+        if cylinder_of(hi) != c:
+            assert next(walk, None) is None, "the walk passed a straddle"
+            break
+        assert next(walk) == c
+        word, _, _, slope, shift = table[c]
+        word_bits += [int(b) for b in format(word, f"0{plan.K}b")]
+        # the window's image under the cylinder's map, rounded outward
+        lo = math.floor(slope * lo - shift * scale)
+        hi = math.ceil(slope * hi - shift * scale)
+    if word_bits:
+        n = len(word_bits)
+        assert tuple(word_bits) == encode(x, FixedBeta(beta), ConstantThreshold(u), n).bits
+
+
 def _thresholds_at_one_kappa_and_inside(beta):
     kappa = 1 / (beta - 1)
     return [(beta, F(1)), (beta, kappa), (beta, 1 + (kappa - 1) * F(5, 7))]
@@ -363,13 +410,17 @@ def test_stream_kernel_counts_its_steps():
     (F(4, 9), F(3, 2), F(1)),  # the tie arrives at the second step
 ])
 def test_encode_bits_decides_the_tail_from_the_table(x0, beta, u):
-    # every length up to two whole words and one more: the last n mod K
-    # bits are the first bits of a table word
+    # every length up to three whole words: the last n mod K bits are the
+    # first bits of a table word, written whole and cut off on return
     K = _kernel_plan(beta, u, 256).K
-    for n in range(2 * K + 2):
+    for n in range(3 * K + 1):
         bits = encode_bits(x0, beta, u, n)
         assert bits.shape == (n,)
         assert tuple(bits.tolist()) == oracles.encoder_stream_scaled(x0, beta, u, n), n
+        want = encode(x0, FixedBeta(beta), ConstantThreshold(u), n).bits if n else ()
+        for window_bits in (256, 8):
+            kernel_bits, _ = _stream_kernel(x0, beta, u, n, window_bits)
+            assert tuple(kernel_bits.tolist()) == want, (n, window_bits)
 
 
 @pytest.mark.parametrize("beta", [F(2**40 + 1, 2**40), F(2**48 + 1, 2**48)])
