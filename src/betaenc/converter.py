@@ -141,10 +141,10 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
     walk of the outward-rounded window of 2**256 * state; each cylinder it
     yields decides K bits, and the pending target is tested at block ends
     only.  A block whose end settles it is stepped again through its word
-    for the least k; the next target goes on from the block's end.  Where
-    the walk stops at a straddle, or a block would pass the cap, one exact
-    step on A/D rebuilt from L, P and Q starts a new walk (a window widens
-    by about beta per step, so it straddles in the end).
+    for the least k (a later target its end misses resumes the walk
+    there).  A straddle, or a block that would pass the cap, takes one
+    exact step on A/D rebuilt from L, P and Q and starts a new walk; a
+    window widens by about beta per step, so it straddles in the end.
     """
     p, q = beta.numerator, beta.denominator
     pmq = p - q

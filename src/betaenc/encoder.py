@@ -634,9 +634,9 @@ def _cylinders(plan: _Plan, lo: int, hi: int):
     """
     bounds, scaled = plan.bounds, plan.scaled
     PK, QK = plan.ppow[plan.K], plan.qpow[plan.K]
-    top = len(bounds) - 1
     while True:
-        c = bisect_right(bounds, lo, 0, top)
+        # lo <= 2**W * kappa < bounds[-1]: c indexes a cylinder
+        c = bisect_right(bounds, lo)
         if hi >= bounds[c]:
             return
         yield c
