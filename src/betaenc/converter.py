@@ -155,10 +155,10 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
         return (k >= k_min and (L << m) >= a * P
                 and ((L * pmq + Q * q) << m) < hi_cell * P + last_cell)
 
-    table = isinstance(thresholds, _Plan)
-    if table:
-        plan, K, words, offsets = thresholds, thresholds.K, thresholds.words, thresholds.offsets
-        r, s = plan.u.numerator, plan.u.denominator
+    plan = thresholds if isinstance(thresholds, _Plan) else None
+    if plan:
+        K, words, offsets, u = plan.K, plan.words, plan.offsets, plan.u
+        r, s = u.numerator, u.denominator
         PK, QK = plan.ppow[K], plan.qpow[K]
     else:
         thresholds = iter(thresholds)
@@ -207,7 +207,7 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
                 else:
                     walk = None  # the window straddles two cylinders
                 continue
-            if table:
+            if plan:
                 A, D = P * xn - L * xd, Q * xd
             else:
                 try:
@@ -226,7 +226,7 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
                 L = L * p + Q
             else:
                 L = L * p
-            if table:
+            if plan:
                 lo, w = _window(A, D, _WINDOW_BITS)
                 walk = _cylinders(plan, lo, lo + w)
         else:

@@ -334,7 +334,6 @@ def test_cylinder_walk_spells_the_bits_and_stops_at_the_first_straddle(x, beta, 
     plan = _kernel_plan(beta, u, window_bits)
     table = _fraction_table(beta, u, plan.K)
     scale = 1 << window_bits
-
     lows = [lo for _, lo, *_ in table]
 
     def cylinder_of(end):
