@@ -43,6 +43,7 @@ from .numerics import (
     EXACT_POLICY,
     PrecisionMode,
     PrecisionPolicy,
+    check_seed,
     format_rational,
     parse_rational,
     state_bound,
@@ -414,6 +415,8 @@ def _dispatch(argv, replaying: bool = False) -> int:
             replay_argv += ["--out-dir", args.out_dir]
         return _dispatch(replay_argv, replaying=True)
 
+    if getattr(args, "seed", None) is not None:
+        check_seed(args.seed, "--seed", ConfigurationError)
     if args.command == "lochs" and args.workers is None:
         env = os.environ.get("BETAENC_WORKERS")
         try:

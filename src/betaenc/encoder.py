@@ -173,8 +173,12 @@ class _Uniform:
         every pair shares the denominator lo_d*span_d*2**P.
         """
         rng = _resolve_rng(self.seed, rng, self._label)
+        return self.pairs(rng.odd_numerators(self.precision_bits, n_steps))
+
+    def pairs(self, odds) -> list:
+        """``scaled``'s pairs for given odd numerators."""
         base, step, den = self._scale
-        return [(base + step * odd, den) for odd in rng.odd_numerators(self.precision_bits, n_steps)]
+        return [(base + step * odd, den) for odd in odds]
 
     @cached_property
     def _scale(self) -> tuple:

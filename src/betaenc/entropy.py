@@ -49,15 +49,18 @@ class WordDistribution:
     def __post_init__(self):
         if self.m < 1:
             raise ConfigurationError("word length must be positive")
-        total = ZERO
+        limit = 1 << self.m
         for word, p in self.entries.items():
-            if not (0 <= word < (1 << self.m)):
+            if not (0 <= word < limit):
                 raise ConfigurationError(f"word {word} does not fit in {self.m} bits")
-            if p <= 0:
+            if p.numerator <= 0:  # denominators are positive
                 raise ConfigurationError("stored probabilities must be positive")
-            total += p
-        if total != 1:
-            raise ConfigurationError(f"probabilities sum to {total}, not 1")
+        # the total as an integer over the common denominator
+        probs = self.entries.values()
+        den = math.lcm(*(p.denominator for p in probs))
+        total = sum(p.numerator * (den // p.denominator) for p in probs)
+        if total != den:
+            raise ConfigurationError(f"probabilities sum to {Fraction(total, den)}, not 1")
 
     @classmethod
     def uniform(cls, m: int) -> "WordDistribution":

@@ -36,6 +36,7 @@ from .numerics import (
     as_fraction,
     check_beta,
     check_positive_int,
+    check_seed,
     cmp_pow2,
     decimal_str,
     format_rational,
@@ -44,7 +45,7 @@ from .numerics import (
     log_ratio_decimal,
     state_bound,
 )
-from .prng import PRNG_ID, SplitMix64
+from .prng import PRNG_ID, SplitMix64, derive_keys, odd_numerator_rows, words_per_draw
 
 SCALINGS = ("linear", "sqrt", "custom")
 QUANTILE_LEVELS = (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100))
@@ -76,6 +77,7 @@ class LochsExperiment:
             raise ConfigurationError("m_values must be strictly increasing")
         object.__setattr__(self, "m_values", ms)
         check_positive_int(self.n_samples, "n_samples", ConfigurationError)
+        check_seed(self.rng_seed, "rng_seed", ConfigurationError)
         if self.scaling not in SCALINGS:
             raise ConfigurationError(f"scaling must be one of {SCALINGS}")
         if self.scaling == "custom":
@@ -163,38 +165,65 @@ class LochsReport:
         return out
 
 
-def _lazy_scaled(process, rng, cap: int, first: int):
-    """Thresholds as integer pairs: ``first`` drawn now, then 32 at a time as consumed."""
-    first = min(first, cap)
-    rest = (pair for done in range(first, cap, 32)
-            for pair in process.scaled(min(32, cap - done), rng))
-    return chain(process.scaled(first, rng), rest)
+# samples whose keys and first draws are computed together; the word arrays
+# of odd_numerator_rows stay under 512 KiB whatever the precision
+_SUB_BATCH = 128
+# threshold draws past the deepest target's k_min made with the sub-batch;
+# the scan seldom needs more, and draws any further ones lazily
+_HEAD_MARGIN = 16
+
+
+def _lazy_scaled(process, rng, count: int):
+    """``count`` thresholds as integer pairs, drawn 32 at a time as they are consumed."""
+    return (pair for done in range(0, count, 32)
+            for pair in process.scaled(min(32, count - done), rng))
 
 
 def _chunk(exp: LochsExperiment, bounds) -> tuple:
+    """Histograms of samples start..stop-1, drawn in sub-batches.
+
+    Sample i scans x = sub.derive("x").odd_dyadic(P) with sub =
+    SplitMix64(rng_seed).derive("lochs", "sample", i); an unseeded random
+    process draws its thresholds from sub.derive("thresholds").  Each
+    sub-batch computes those keys, the x numerators and every sample's
+    first ``head`` threshold numerators as arrays; a sample's later
+    thresholds come from its own stream, positioned after the head.
+    """
     start, stop = bounds
     targets = scan_targets(exp.m_values, exp.beta, exp.k_cap)
     # the scan always draws up to the deepest target's k_min or its cap
     _, cap_max, first = targets[-1]
-    per_sample = exp.thresholds.is_random and getattr(exp.thresholds, "seed", None) is None
-    if isinstance(exp.thresholds, ConstantThreshold):
-        thresholds = _kernel_plan(exp.beta, exp.thresholds.value, _WINDOW_BITS)  # once per chunk
+    process = exp.thresholds
+    per_sample = process.is_random and getattr(process, "seed", None) is None
+    if isinstance(process, ConstantThreshold):
+        thresholds = _kernel_plan(exp.beta, process.value, _WINDOW_BITS)  # once per chunk
     elif not per_sample:
-        thresholds = exp.thresholds.scaled(cap_max)
+        thresholds = process.scaled(cap_max)
+    else:
+        head = min(first + _HEAD_MARGIN, cap_max)
+        tail_at = head * words_per_draw(process.precision_bits)
     base = SplitMix64(exp.rng_seed).derive("lochs")
     precision = exp.resolved_precision()
+    den = 1 << precision
     hists = [Counter() for _ in exp.m_values]
     cap_hits = [0] * len(exp.m_values)
-    for i in range(start, stop):
-        sub = base.derive("sample", i)
-        x = sub.derive("x").odd_dyadic(precision)
+    for lo in range(start, stop, _SUB_BATCH):
+        keys = base.derive_array("sample", range(lo, min(lo + _SUB_BATCH, stop)))
+        xs = odd_numerator_rows(derive_keys(keys, "x"), precision, 1)
         if per_sample:
-            thresholds = _lazy_scaled(exp.thresholds, sub.derive("thresholds"), cap_max, first)
-        for slot, res in enumerate(_scan(x, targets, exp.beta, thresholds)):
-            if res.exceeded:
-                cap_hits[slot] += 1
-            else:
-                hists[slot][res.k] += 1
+            threshold_keys = derive_keys(keys, "thresholds")
+            heads = odd_numerator_rows(threshold_keys, process.precision_bits, head)
+            tail_keys = threshold_keys.tolist()
+        for j, (xn,) in enumerate(xs):
+            if per_sample:
+                tail = SplitMix64(exp.rng_seed, (), tail_keys[j], tail_at)
+                thresholds = chain(process.pairs(next(heads)),
+                                   _lazy_scaled(process, tail, cap_max - head))
+            for slot, res in enumerate(_scan(Fraction(xn, den), targets, exp.beta, thresholds)):
+                if res.exceeded:
+                    cap_hits[slot] += 1
+                else:
+                    hists[slot][res.k] += 1
     return hists, cap_hits
 
 

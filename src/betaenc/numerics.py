@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import DomainError
@@ -70,6 +71,13 @@ def check_positive_int(value, name: str, error: type) -> int:
     """``value`` if it is an int of at least 1; a bool is refused like any non-int."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise error(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def check_seed(value, name: str, error: type) -> int:
+    """``value`` if it is an int in [0, 2**64): SplitMix64 would wrap any other."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 1 << 64:
+        raise error(f"{name} must be an integer in [0, 2**64), got {value!r}")
     return value
 
 
@@ -266,6 +274,10 @@ def least_power_at_least(
     return hi
 
 
+# The two logs below are pure and their Decimals immutable, so reports that
+# ask for the same log many times compute it once; typed, so a refused type
+# (a float) never gets the entry of the rational it equals.
+@lru_cache(maxsize=256, typed=True)
 def log2_decimal(value: Fraction, digits: int = 50) -> Decimal:
     """log2 of a positive rational, correct to ~`digits` significant digits."""
     value = as_fraction(value)
@@ -278,6 +290,7 @@ def log2_decimal(value: Fraction, digits: int = 50) -> Decimal:
         return (num - den) / Decimal(2).ln()
 
 
+@lru_cache(maxsize=64, typed=True)
 def log_ratio_decimal(beta: Fraction, digits: int = 50) -> Decimal:
     """log2 / log(beta), the ideal digit-transfer rate, as a Decimal."""
     beta = as_fraction(beta)

@@ -8,7 +8,10 @@ recorded in traces and manifests so runs can name the stream they used.
 
 Splitting is pure: ``derive`` computes a child key from the parent key and a
 label path without consuming any output, so per-sample substreams do not
-depend on draw order or worker scheduling.
+depend on draw order or worker scheduling.  Both the keys and the draws are
+pure functions of (key, counter), so ``derive_array``, ``derive_keys`` and
+``odd_numerator_rows`` compute many substreams' keys and first draws with
+one set of uint64 array operations, giving the scalar path's values.
 """
 
 from __future__ import annotations
@@ -31,6 +34,19 @@ def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``_mix64`` on every element of a uint64 array (arithmetic wraps mod 2**64)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def _counter_words(keys: np.ndarray, start: int, count: int) -> np.ndarray:
+    """(len(keys), count) array: words start+1 .. start+count of each key's stream."""
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    return _mix64_array(keys[:, None] + idx * np.uint64(_GAMMA))
 
 
 def _label_chunks(label) -> list:
@@ -62,16 +78,63 @@ def _premixed(label) -> tuple:
     return tuple(map(_mix64, _label_chunks(label)))
 
 
+def derive_keys(keys: np.ndarray, *labels) -> np.ndarray:
+    """Keys of ``derive(*labels)`` for a uint64 array of stream keys."""
+    for label in labels:
+        for mixed in _premixed(label):
+            keys = _mix64_array(keys ^ np.uint64(mixed))
+    return keys
+
+
+def words_per_draw(precision_bits: int) -> int:
+    """Stream words one odd_dyadic(precision_bits) draw takes: ceil((P-1)/64)."""
+    if precision_bits < 2:
+        raise ValueError("need at least 2 precision bits")
+    return -(-(precision_bits - 1) // 64)
+
+
+# words per batch of odd_numerator_rows: 512 KiB, whatever the precision
+_ROW_BLOCK_WORDS = 1 << 16
+
+
+def odd_numerator_rows(keys: np.ndarray, precision_bits: int, count: int, start: int = 0):
+    """Per key, ``odd_numerators(precision_bits, count)`` of its stream at counter `start`.
+
+    Yields one list of ints per key, in order.  The words come in blocks of
+    whole rows of at most ``_ROW_BLOCK_WORDS`` (or one row); up to 64
+    bits a row is one ``tolist``, above that each draw's ceil((P-1)/64)
+    words, least significant first, are one ``int.from_bytes``.
+    """
+    width = words_per_draw(precision_bits)
+    bits = precision_bits - 1
+    per_block = max(1, _ROW_BLOCK_WORDS // max(1, count * width))
+    for lo in range(0, len(keys), per_block):
+        words = _counter_words(keys[lo:lo + per_block], start, count * width)
+        if precision_bits <= 64:
+            words = (words & np.uint64((1 << bits) - 1)) << np.uint64(1) | np.uint64(1)
+            for row in words:
+                yield row.tolist()
+            continue
+        words = words.reshape(len(words), count, width)
+        words[:, :, -1] &= np.uint64((1 << bits - 64 * (width - 1)) - 1)
+        size = 8 * width
+        for row in words:
+            raw = row.astype("<u8").tobytes()
+            yield [int.from_bytes(raw[i:i + size], "little") << 1 | 1
+                   for i in range(0, len(raw), size)]
+
+
 class SplitMix64:
     """Counter-mode SplitMix64 stream with pure label-based splitting."""
 
     __slots__ = ("root_seed", "path", "_key", "_counter")
 
-    def __init__(self, seed: int, _path: tuple = (), _key: int | None = None):
+    def __init__(self, seed: int, _path: tuple = (), _key: int | None = None,
+                 _counter: int = 0):
         self.root_seed = seed & _MASK64
         self.path = _path
         self._key = self.root_seed if _key is None else (_key & _MASK64)
-        self._counter = 0
+        self._counter = _counter
 
     def derive(self, *labels) -> "SplitMix64":
         """Child stream for a label path; independent of draws made so far."""
@@ -81,6 +144,22 @@ class SplitMix64:
                 key = _mix64(key ^ mixed)
         child = SplitMix64(self.root_seed, self.path + tuple(labels), key)
         return child
+
+    def derive_array(self, label, tags) -> np.ndarray:
+        """Keys of ``derive(label, i)`` for each int tag i, as a uint64 array.
+
+        A tag must lie in [0, 2**64): a larger one splits into several
+        chunks on the scalar path, which this one-chunk batch does not do.
+        """
+        tags = list(tags)
+        if any(type(t) is not int for t in tags):
+            raise TypeError("tags must be ints")
+        if tags and not (0 <= min(tags) and max(tags) <= _MASK64):
+            raise ValueError("tags must lie in [0, 2**64)")
+        # the label, then the type chunk every int label starts with; then
+        # each tag's one value chunk
+        key = _mix64(self.derive(label)._key ^ _premixed(0)[0])
+        return _mix64_array(np.uint64(key) ^ _mix64_array(np.array(tags, dtype=np.uint64)))
 
     def describe(self) -> dict:
         return {
@@ -95,12 +174,9 @@ class SplitMix64:
 
     def next64_array(self, count: int) -> np.ndarray:
         """Vectorized continuation of the scalar stream (same values)."""
-        idx = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
+        words = _counter_words(np.array([self._key], dtype=np.uint64), self._counter, count)
         self._counter += count
-        z = (np.uint64(self._key) + idx * np.uint64(_GAMMA))
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        return words[0]
 
     def bits(self, k: int) -> int:
         """A uniform k-bit integer."""
@@ -132,16 +208,14 @@ class SplitMix64:
     def odd_numerators(self, precision_bits: int, count: int) -> list:
         """Numerators of the next `count` odd_dyadic(precision_bits) draws.
 
-        Each is 2*w + 1 with w = bits(precision_bits - 1), so up to 64
-        precision bits a draw takes one word and the whole batch is one
-        next64_array read, in the order of `count` scalar draws.
+        Each is 2*w + 1 with w = bits(precision_bits - 1), which takes
+        ceil((P-1)/64) words; the batch is this stream's row of
+        ``odd_numerator_rows``, in the order of `count` scalar draws.
         """
-        if precision_bits < 2:
-            raise ValueError("need at least 2 precision bits")
-        if precision_bits > 64:
-            return [(self.bits(precision_bits - 1) << 1) | 1 for _ in range(count)]
-        words = self.next64_array(count) & np.uint64((1 << precision_bits - 1) - 1)
-        return ((words << np.uint64(1)) | np.uint64(1)).tolist()
+        (row,) = odd_numerator_rows(np.array([self._key], dtype=np.uint64),
+                                    precision_bits, count, self._counter)
+        self._counter += count * words_per_draw(precision_bits)
+        return row
 
     def randbelow(self, n: int) -> int:
         if n <= 0:

@@ -294,6 +294,26 @@ def derived_first_word(seed: int, labels) -> int:
     key <- mix(key ^ mix(chunk)) per chunk, and the stream's first word
     is mix(key + gamma).
     """
+    return ScalarSplitMix(seed, labels).next64()
+
+
+class ScalarSplitMix:
+    """The stream of SplitMix64(seed).derive(*labels), one scalar word at a time.
+
+    Word j (from 1) is mix(key + j * gamma) mod 2**64, with the key of
+    ``derived_first_word``.
+    """
+
+    def __init__(self, seed: int, labels=()):
+        self.key = _derived_key(seed, labels)
+        self.counter = 0
+
+    def next64(self) -> int:
+        self.counter += 1
+        return _splitmix_finalize(self.key + self.counter * 0x9E3779B97F4A7C15)
+
+
+def _derived_key(seed: int, labels) -> int:
     mask = (1 << 64) - 1
     key = seed & mask
     for label in labels:
@@ -309,7 +329,7 @@ def derived_first_word(seed: int, labels) -> int:
                 label >>= 64
         for chunk in chunks:
             key = _splitmix_finalize(key ^ _splitmix_finalize(chunk))
-    return _splitmix_finalize(key + 0x9E3779B97F4A7C15)
+    return key
 
 
 def uniform_draws(lo, hi, precision_bits: int, rng, n: int) -> tuple:
@@ -330,6 +350,36 @@ def uniform_draws(lo, hi, precision_bits: int, rng, n: int) -> tuple:
         odd = ((w & ((1 << k) - 1)) << 1) | 1
         out.append(lo + (hi - lo) * Fraction(odd, 1 << precision_bits))
     return tuple(out)
+
+
+def lochs_histograms(seed: int, beta, targets, precision_bits: int, bounds, scan,
+                     thresholds=None, uniform=None) -> tuple:
+    """Per-target k histograms and cap hits of Monte-Carlo samples start..stop-1.
+
+    The per-sample loop of ``lochs._chunk`` before its draws were batched.
+    Sample i scans x = odd/2**precision_bits, the first odd dyadic of the
+    stream ("lochs", "sample", i, "x") of ``seed``, with
+    ``scan(x, targets, beta, thresholds)``.  Given ``uniform = (lo, hi, P)``
+    the sample instead draws the deepest target's cap of uniform
+    thresholds from its stream ("lochs", "sample", i, "thresholds"), all
+    at once, as reduced (numerator, denominator) pairs.
+    """
+    hists = [dict() for _ in targets]
+    cap_hits = [0] * len(targets)
+    for i in range(*bounds):
+        x = uniform_draws(0, 1, precision_bits,
+                          ScalarSplitMix(seed, ("lochs", "sample", i, "x")), 1)[0]
+        if uniform is not None:
+            lo, hi, P = uniform
+            rng = ScalarSplitMix(seed, ("lochs", "sample", i, "thresholds"))
+            thresholds = [(u.numerator, u.denominator)
+                          for u in uniform_draws(lo, hi, P, rng, targets[-1][1])]
+        for slot, (k, exceeded) in enumerate(scan(x, targets, beta, thresholds)):
+            if exceeded:
+                cap_hits[slot] += 1
+            else:
+                hists[slot][k] = hists[slot].get(k, 0) + 1
+    return hists, cap_hits
 
 
 def least_power_at_least(beta, exponent2, coefficient=ONE, strict=False, limit=1 << 20) -> int:

@@ -244,6 +244,25 @@ def test_k_cap_below_one_is_a_usage_error(tmp_path, capsys, argv):
     assert not (out / "manifest.json").exists()
 
 
+SEEDED_ARGV = [
+    ["encode", "--x", "2/7", "--beta", "3/2", "--steps", "4", "--u-uniform", "1,2"],
+    ["convert", "--x", "1/3", "--beta", "3/2", "--m-list", "4", "--u-uniform", "1,2"],
+    ["lochs", "--beta", "3/2", "--m-list", "4", "--samples", "3", "--workers", "1"],
+    ["extract", "--input", "missing.bin", "--mode", "seeded", "--block-bits", "48",
+     "--beta-min", "3/2", "--beta-max", "3/2"],
+]
+
+
+@pytest.mark.parametrize("argv", SEEDED_ARGV, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("seed", [str(1 << 64), str((1 << 64) + 1), "-1"])
+def test_seeds_outside_64_bits_are_a_usage_error(argv, seed, tmp_path, capsys):
+    # SplitMix64 keeps a seed's low 64 bits: 2**64 + 1 would replay seed 1
+    code, out = run(argv + ["--seed", seed], tmp_path, "out")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --seed must be an integer in [0, 2**64), got {seed}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 REFUSED_LOCHS = ["lochs", "--beta", "3/2", "--m-list", "4", "--samples", "4", "--k-cap", "0",
                  "--workers", "2"]
 

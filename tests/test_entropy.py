@@ -173,6 +173,28 @@ def test_distribution_validation():
         WordDistribution(1, {0: F(3, 2), 1: F(-1, 2)})
 
 
+@pytest.mark.parametrize("m, entries, message", [
+    (2, {0: F(1, 2), 1: F(1, 3)}, "probabilities sum to 5/6, not 1"),
+    (2, {0: F(1, 2), 1: F(1, 3), 3: F(1, 4)}, "probabilities sum to 13/12, not 1"),
+    (1, {}, "probabilities sum to 0, not 1"),
+    (1, {0: 2}, "probabilities sum to 2, not 1"),
+    (1, {0: F(1, 2), 2: F(1, 2)}, "word 2 does not fit in 1 bits"),
+    (1, {0: F(3, 2), 1: F(-1, 2)}, "stored probabilities must be positive"),
+    (1, {0: F(1), 1: 0}, "stored probabilities must be positive"),
+])
+def test_distribution_check_messages(m, entries, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        WordDistribution(m, entries)
+
+
+def test_distribution_total_is_exact_over_unlike_denominators():
+    # 3**20 and 2**40 share no factor: the integer total must still be exact
+    third = F(1, 3**20)
+    entries = {0: third, 1: 1 - third - F(1, 1 << 40), 2: F(1, 1 << 40)}
+    assert WordDistribution(2, entries).entries == entries
+    WordDistribution(1, {0: 1})
+
+
 def test_max_probability_tie_prefers_smallest_word():
     assert uniform_dist(2).max_probability() == (0, F(1, 4))
 

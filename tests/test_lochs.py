@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from betaenc.converter import k_profile
-from betaenc.encoder import ConstantThreshold, UniformThresholds
+from betaenc import lochs
+from betaenc.converter import _scan, k_profile, scan_targets
+from betaenc.encoder import _WINDOW_BITS, ConstantThreshold, UniformThresholds, _kernel_plan
 from betaenc.errors import ConfigurationError, DomainError, ResourceBudgetError
 from betaenc.lochs import (
     LochsExperiment,
@@ -49,6 +50,13 @@ def test_config_validation():
         LochsExperiment(beta=F(3, 2), workers=0)
     with pytest.raises(ConfigurationError):
         LochsExperiment(beta=F(3, 2), thresholds=ConstantThreshold(F(5, 2)))
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 1, True, 1.0, "3"])
+def test_seeds_outside_64_bits_are_refused(seed):
+    with pytest.raises(ConfigurationError, match=r"^rng_seed must be an integer in \[0, 2\*\*64\)"):
+        LochsExperiment(beta=F(3, 2), rng_seed=seed)
+    assert LochsExperiment(beta=F(3, 2), rng_seed=(1 << 64) - 1).rng_seed == (1 << 64) - 1
 
 
 @pytest.mark.parametrize("field", ["n_samples", "workers", "k_cap"])
@@ -150,13 +158,100 @@ def test_uniform_threshold_reports_are_frozen(beta, seed, precision_bits, digest
     assert [tuple(r) for r in results] == profile
 
 
+# sha256 of the sorted-key JSON report at the default m = 8..64, so x is a
+# 438-bit (beta 3/2) or 302-bit (beta 9/5) draw; 290 samples split into
+# chunks that are not whole sub-batches; recorded before the draws were batched
+FROZEN_DEEP_RUNS = [
+    (F(3, 2), None, None, "96bf55824a92fe50a0b480fbe1081477b6320888f2b92199ceed75fef7f9ef96"),
+    (F(3, 2), 3, 65, "e782b1464a2744bc9fcb6f26b3b92afab3320a683a8cd1a3d42cc09a3ce921c0"),
+    (F(3, 2), None, 17, "a827955c783650c604630225e532f4e47eb1f82239f76988080e6a1353d6ae10"),
+    (F(3, 2), None, 64, "ec46b28216ae5809d86ea76c7e020402af9d26d15543782d548525eb3d60aab4"),
+    (F(3, 2), None, 65, "31f6cba520514aa1a3cca22c924b49b9ecca1a896402ff24ca683bc7882540a9"),
+    (F(3, 2), None, 130, "5070f9593af2794232777d426d42ba42e441c96fcc58635e919dd910d18df6e2"),
+    (F(9, 5), None, None, "6d7220ea075c73b799701c8070f28520efe38875992dcab98c27a800addb4c83"),
+    (F(9, 5), 3, 65, "63cd927caeaca52863c6c3a1ec17b900107a556c1e83b4af64bda3c626cbcf9b"),
+    (F(9, 5), None, 17, "f31627d8e8e0cda4753b2b6d55660faa9139c1c6b613281950d9cc7f77ea088a"),
+    (F(9, 5), None, 64, "3904582c77474c5948d0cb9bdaca7281e3239161973ebf762931a4b2b0b2dfd9"),
+    (F(9, 5), None, 65, "9efa9870c29aa247792a9a8fc29f55289b34bbcc8a241749f68dfeb7d00e47db"),
+    (F(9, 5), None, 130, "525e527c0e7b5b1bb76ad2f47ead9a340000dd20427165546c105dccec48768b"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("beta, seed, precision_bits, digest", FROZEN_DEEP_RUNS)
+def test_deep_reports_are_frozen(beta, seed, precision_bits, digest, workers):
+    """Constant u = 1 (precision_bits None), seeded and per-sample uniform thresholds."""
+    if precision_bits is None:
+        thresholds = ConstantThreshold(1)
+    else:
+        thresholds = UniformThresholds(1, state_bound(beta), seed=seed,
+                                       precision_bits=precision_bits)
+    exp = LochsExperiment(beta=beta, thresholds=thresholds, n_samples=290, rng_seed=11,
+                          workers=workers)
+    assert exp.resolved_precision() == (438 if beta == F(3, 2) else 302)
+    doc = json.dumps(run_lochs(exp).to_json(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("beta", [F(3, 2), F(9, 5)])
+@pytest.mark.parametrize("seed, precision_bits, k_cap", [
+    (None, None, None), (None, 17, None), (None, 64, None), (None, 65, None),
+    (None, 130, None), (None, 64, 40), (5, 64, None)])
+def test_batched_chunks_match_the_scalar_loop(beta, seed, precision_bits, k_cap, monkeypatch):
+    """Constant u = 1 (precision_bits None), per-sample and seeded uniform thresholds.
+
+    Sub-batches of 7 split the chunk 3..26 unevenly.  Head margins of 0 and
+    -k_min (no head at all) send most samples into the lazy tail; the
+    wrapped tail counts the pairs it hands out.
+    """
+    kappa = state_bound(beta)
+    if precision_bits is None:
+        thresholds = ConstantThreshold(1)
+    else:
+        thresholds = UniformThresholds(1, kappa, seed=seed, precision_bits=precision_bits)
+    exp = LochsExperiment(beta=beta, thresholds=thresholds, m_values=(4, 16, 64),
+                          n_samples=30, rng_seed=(1 << 64) - 3, k_cap=k_cap)
+    targets = scan_targets(exp.m_values, beta, k_cap)
+    if precision_bits is None:
+        fixed, uniform = _kernel_plan(beta, F(1), _WINDOW_BITS), None
+    elif seed is None:
+        fixed, uniform = None, (F(1), kappa, precision_bits)
+    else:
+        fixed, uniform = thresholds.scaled(targets[-1][1]), None
+    hists, cap_hits = oracles.lochs_histograms(exp.rng_seed, beta, targets,
+                                               exp.resolved_precision(), (3, 26), _scan,
+                                               fixed, uniform)
+    tail_pairs = []
+
+    def counted_tail(*args):
+        for pair in lazy(*args):
+            tail_pairs.append(pair)
+            yield pair
+
+    lazy = lochs._lazy_scaled
+    monkeypatch.setattr(lochs, "_lazy_scaled", counted_tail)
+    monkeypatch.setattr(lochs, "_SUB_BATCH", 7)
+    for margin in (16, 0, -targets[-1][2]):
+        monkeypatch.setattr(lochs, "_HEAD_MARGIN", margin)
+        tail_pairs.clear()
+        got_hists, got_caps = lochs._chunk(exp, (3, 26))
+        assert [dict(h) for h in got_hists] == hists and got_caps == cap_hits
+        if uniform is not None and k_cap is None:
+            # with no head every sample takes at least k_min pairs from its tail
+            least = {16: 0, 0: 1}.get(margin, 23 * targets[-1][2])
+            assert len(tail_pairs) >= least
+
+
 @pytest.mark.parametrize("cap", [1, 31, 32, 33, 70, 502])
 def test_lazy_thresholds_match_the_fraction_oracle(cap):
     thresholds = UniformThresholds(F(7, 6), F(5, 4))
     expected = oracles.uniform_draws(F(7, 6), F(5, 4), 64, SplitMix64(3), cap)
-    # whatever the first chunk, the draws are the same counter-mode words
+    # whatever the head drawn before it, the lazy rest continues the same
+    # counter-mode words
     for first in (0, 1, 32, 112, 600):
-        pairs = list(_lazy_scaled(thresholds, SplitMix64(3), cap, first))
+        rng = SplitMix64(3)
+        head = thresholds.scaled(min(first, cap), rng)
+        pairs = head + list(_lazy_scaled(thresholds, rng, cap - len(head)))
         assert tuple(F(r, d) for r, d in pairs) == expected
 
 

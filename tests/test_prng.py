@@ -170,3 +170,51 @@ def test_odd_numerators_continue_the_odd_dyadic_stream(precision_bits, count):
         batched.odd_numerators(1, count)
     with pytest.raises(ValueError):
         batched.odd_dyadic(1)
+
+
+TAGS = st.lists(st.one_of(st.integers(0, 1000), st.integers(0, (1 << 64) - 1)),
+                min_size=0, max_size=6)
+
+
+@given(seed=st.integers(0, (1 << 64) - 1), tags=TAGS,
+       precision_bits=st.sampled_from([2, 63, 64, 65, 130, 438]),
+       count=st.integers(0, 5), start=st.integers(0, 9))
+def test_batched_keys_and_draws_match_the_scalar_streams(seed, tags, precision_bits, count,
+                                                          start):
+    base = SplitMix64(seed).derive("lochs")
+    keys = base.derive_array("sample", tags)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [base.derive("sample", t)._key for t in tags]
+    children = prng.derive_keys(keys, "x", 3)
+    rows = list(prng.odd_numerator_rows(children, precision_bits, count, start))
+    assert len(rows) == len(tags)
+    for tag, row in zip(tags, rows):
+        scalar = base.derive("sample", tag).derive("x", 3)
+        for _ in range(start):
+            scalar.next64()
+        odds = [d * (1 << precision_bits) for d in
+                oracles.uniform_draws(0, 1, precision_bits, scalar, count)]
+        assert row == odds and all(type(n) is int for n in row)
+
+
+@pytest.mark.parametrize("precision_bits", [17, 65, 438])
+def test_draw_rows_come_in_blocks_of_whole_rows(precision_bits, monkeypatch):
+    keys = SplitMix64(2).derive_array("sample", range(11))
+    whole = list(prng.odd_numerator_rows(keys, precision_bits, 5))
+    monkeypatch.setattr(prng, "_ROW_BLOCK_WORDS", 12)
+    assert list(prng.odd_numerator_rows(keys, precision_bits, 5)) == whole
+    monkeypatch.setattr(prng, "_ROW_BLOCK_WORDS", 1)
+    assert list(prng.odd_numerator_rows(keys, precision_bits, 5)) == whole
+
+
+def test_batched_derive_refuses_tags_the_scalar_path_splits():
+    g = SplitMix64(0)
+    g.derive_array("sample", [(1 << 64) - 1])
+    for tag in (1 << 64, 1 << 130, -1):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            g.derive_array("sample", [0, tag])
+    for tag in (True, 1.0):
+        with pytest.raises(TypeError):
+            g.derive_array("sample", [tag])
+    with pytest.raises(ValueError):
+        list(prng.odd_numerator_rows(g.derive_array("sample", [1]), 1, 3))
