@@ -99,25 +99,6 @@ def _add_gain_args(p: argparse.ArgumentParser) -> None:
                    help="iid gains uniform on [LO,HI]")
 
 
-def _gain_process(args):
-    given = [n for n in ("beta", "beta_list", "beta_support", "beta_uniform")
-             if getattr(args, n) is not None]
-    if len(given) != 1:
-        raise ConfigurationError(
-            "give exactly one of --beta, --beta-list, --beta-support, --beta-uniform"
-        )
-    if args.beta_probs is not None and args.beta_support is None:
-        raise ConfigurationError("--beta-probs needs --beta-support")
-    if args.beta is not None:
-        return FixedBeta(args.beta)
-    if args.beta_list is not None:
-        return ExplicitBetas(args.beta_list)
-    if args.beta_support is not None:
-        return IidSupportBetas(args.beta_support, args.beta_probs)
-    lo, hi = _pair(args.beta_uniform, "--beta-uniform")
-    return UniformBetas(lo, hi)
-
-
 def _add_threshold_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--u", type=rational, help="constant threshold (default 1)")
     p.add_argument("--u-list", type=rational_list, metavar="U1,U2,..",
@@ -126,24 +107,35 @@ def _add_threshold_args(p: argparse.ArgumentParser) -> None:
                    help="iid thresholds uniform on [LO,HI]")
 
 
-def _threshold_process(args):
-    given = [n for n in ("u", "u_list", "u_uniform") if getattr(args, n) is not None]
-    if len(given) > 1:
-        raise ConfigurationError("give at most one of --u, --u-list, --u-uniform")
-    if args.u is not None:
-        return ConstantThreshold(args.u)
-    if args.u_list is not None:
-        return ExplicitThresholds(args.u_list)
-    if args.u_uniform is not None:
-        lo, hi = _pair(args.u_uniform, "--u-uniform")
-        return UniformThresholds(lo, hi)
-    return ConstantThreshold(1)
-
-
 def _pair(values, flag: str):
     if len(values) != 2:
         raise ConfigurationError(f"{flag} takes exactly LO,HI")
     return values
+
+
+# per role, the process each flag builds, in help order
+_GAIN_FLAGS = {
+    "--beta": lambda a: FixedBeta(a.beta),
+    "--beta-list": lambda a: ExplicitBetas(a.beta_list),
+    "--beta-support": lambda a: IidSupportBetas(a.beta_support, a.beta_probs),
+    "--beta-uniform": lambda a: UniformBetas(*_pair(a.beta_uniform, "--beta-uniform")),
+}
+_THRESHOLD_FLAGS = {
+    "--u": lambda a: ConstantThreshold(a.u),
+    "--u-list": lambda a: ExplicitThresholds(a.u_list),
+    "--u-uniform": lambda a: UniformThresholds(*_pair(a.u_uniform, "--u-uniform")),
+}
+
+
+def _process(args, flags: dict, default=None):
+    """The process built by the one flag of ``flags`` given, else ``default`` if any."""
+    given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
+    if len(given) > 1 or not given and default is None:
+        how = "exactly" if default is None else "at most"
+        raise ConfigurationError(f"give {how} one of {', '.join(flags)}")
+    if flags is _GAIN_FLAGS and args.beta_probs is not None and given != ["--beta-support"]:
+        raise ConfigurationError("--beta-probs needs --beta-support")
+    return flags[given[0]](args) if given else default
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +143,8 @@ def _pair(values, flag: str):
 
 
 def _run_encode(args, out: Path):
-    gain = _gain_process(args)
-    thresholds = _threshold_process(args)
+    gain = _process(args, _GAIN_FLAGS)
+    thresholds = _process(args, _THRESHOLD_FLAGS, ConstantThreshold(1))
     config = {
         "x": format_rational(args.x),
         "gain": gain.to_json(),
@@ -192,7 +184,7 @@ def _run_encode(args, out: Path):
 
 
 def _run_convert(args, out: Path):
-    thresholds = _threshold_process(args)
+    thresholds = _process(args, _THRESHOLD_FLAGS, ConstantThreshold(1))
     rng = SplitMix64(args.seed) if thresholds.is_random else None
     rows = transfer_rows(args.x, args.m_list, args.beta, thresholds, args.k_cap, rng)
     config = {
@@ -213,7 +205,7 @@ def _run_convert(args, out: Path):
 def _run_lochs(args, out: Path):
     exp = LochsExperiment(
         beta=args.beta,
-        thresholds=_threshold_process(args),
+        thresholds=_process(args, _THRESHOLD_FLAGS, ConstantThreshold(1)),
         m_values=args.m_list,
         n_samples=args.samples,
         rng_seed=args.seed,
@@ -235,8 +227,8 @@ def _run_lochs(args, out: Path):
 
 
 def _run_entropy(args, out: Path):
-    gain = _gain_process(args)
-    thresholds = _threshold_process(args)
+    gain = _process(args, _GAIN_FLAGS)
+    thresholds = _process(args, _THRESHOLD_FLAGS, ConstantThreshold(1))
     dist = word_distribution(gain, thresholds, args.m)
     beta_lo, beta_hi = gain.beta_range
     check = min_entropy_bound_check(dist, beta_lo, state_bound(beta_hi))
@@ -387,20 +379,15 @@ def _strip_out_dir(argv) -> list:
     return kept
 
 
-def _resolve_out_dir(args) -> tuple:
-    """The output directory, created if needed, and the directories created, deepest first."""
-    out = Path(args.out_dir or os.environ.get("BETAENC_OUT_DIR") or ".")
-    created = [d for d in (out, *out.parents) if not d.exists()]
-    out.mkdir(parents=True, exist_ok=True)
-    return out, created
-
-
 def _manifest_argv(path: Path) -> list:
-    text = _read_input(path, lambda p: p.read_text(encoding="utf-8"))
+    data = _read_input(path, Path.read_bytes)
     try:
-        return list(json.loads(text)["argv"])
+        argv = json.loads(data)["argv"]  # bytes that are not UTF-8 raise a ValueError
     except (ValueError, KeyError, TypeError):
-        raise ConfigurationError(f"{path} is not a betaenc manifest") from None
+        argv = None
+    if not isinstance(argv, list) or not all(isinstance(token, str) for token in argv):
+        raise ConfigurationError(f"{path} is not a betaenc manifest")
+    return argv
 
 
 def _dispatch(argv, replaying: bool = False) -> int:
@@ -424,8 +411,13 @@ def _dispatch(argv, replaying: bool = False) -> int:
         except ValueError:
             raise ConfigurationError(f"BETAENC_WORKERS={env!r} is not an integer") from None
 
-    out, created = _resolve_out_dir(args)
+    out = Path(args.out_dir or os.environ.get("BETAENC_OUT_DIR") or ".")
+    created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot create {out}: {exc.strerror}") from None
         config, outputs = _HANDLERS[args.command](args, out)
     except BaseException:
         # a refused run leaves no directory behind; one that existed stays

@@ -32,7 +32,10 @@ from .numerics import (
     Interval,
     as_fraction,
     check_beta,
+    check_orders,
     check_positive_int,
+    check_thresholds,
+    check_unit,
     decimal_str,
     dyadic_index,
     format_rational,
@@ -243,21 +246,12 @@ def k_profile(
     rng: Optional[SplitMix64] = None,
 ) -> list:
     """KResult for each target digit count, in one pass over the bit stream."""
-    x = as_fraction(x)
+    x = check_unit(x, "x", DomainError)
     beta = check_beta(beta)
-    if not (ZERO <= x <= ONE):
-        raise DomainError(f"x must lie in [0,1], got {x}")
-    ms = list(m_values)
-    if not ms or any(not isinstance(m, int) or m < 1 for m in ms):
-        raise DomainError("m_values must be positive integers")
-    if any(lo >= hi for lo, hi in zip(ms, ms[1:])):
-        raise DomainError("m_values must be strictly increasing")
+    ms = check_orders(m_values, "m_values", DomainError)
     if thresholds is None:
         thresholds = ConstantThreshold(1)
-    if not (thresholds.threshold_range[1] <= state_bound(beta)):
-        raise ConfigurationError(
-            f"thresholds must stay within [1, {state_bound(beta)}]"
-        )
+    check_thresholds(thresholds.threshold_range, state_bound(beta), ConfigurationError)
     targets = scan_targets(ms, beta, k_cap)
     if isinstance(thresholds, ConstantThreshold):
         return _scan(x, targets, beta, _kernel_plan(beta, thresholds.value, _WINDOW_BITS))

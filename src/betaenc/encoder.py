@@ -17,9 +17,9 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from .numerics import (
     as_fraction,
     check_beta,
     check_positive_int,
+    check_seed,
+    check_thresholds,
+    check_unit,
     cmp_pow2,
     format_rational,
     least_power_at_least,
@@ -157,6 +160,8 @@ class _Uniform:
             raise ConfigurationError(f"need lo <= hi, got [{lo}, {hi}]")
         if self.precision_bits < 2:
             raise ConfigurationError(f"need precision_bits >= 2, got {self.precision_bits}")
+        if self.seed is not None:
+            check_seed(self.seed, "seed", ConfigurationError)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -239,6 +244,8 @@ class IidSupportBetas(_GainRole, _Listed):
             raise ConfigurationError("one probability per support value")
         if any(p < 0 for p in probs) or sum(probs) != 1:
             raise ConfigurationError("probabilities must be >= 0 and sum to 1")
+        if self.seed is not None:
+            check_seed(self.seed, "seed", ConfigurationError)
         object.__setattr__(self, "probs", probs)
 
     def realize(self, n_steps: int, rng: Optional[SplitMix64] = None) -> tuple:
@@ -311,19 +318,10 @@ def apply_Tu(y: Fraction, beta: Fraction, u: Fraction):
     bound = state_bound(beta)
     if not (ZERO <= y <= bound):
         raise DomainError(f"state {y} outside [0, {bound}]")
-    if not (ONE <= u <= bound):
-        raise DomainError(f"threshold {u} outside [1, {bound}]")
+    check_thresholds((u,), bound, DomainError)
     if y < u / beta:
         return 0, beta * y
     return 1, beta * y - 1
-
-
-def _check_thresholds(thresholds: Sequence[Fraction], kappa: Fraction) -> None:
-    for u in thresholds:
-        if not (ONE <= u <= kappa):
-            raise ConfigurationError(
-                f"threshold {u} outside admissible range [1, {kappa}]"
-            )
 
 
 def encode(
@@ -340,15 +338,12 @@ def encode(
     their own seed.  The trace is a pure function of x0 and the realized
     sequences.
     """
-    x0 = as_fraction(x0)
-    if not (ZERO <= x0 <= ONE):
-        raise DomainError(f"x0 must lie in [0,1], got {x0}")
+    x0 = check_unit(x0, "x0", DomainError)
     check_positive_int(n_steps, "n_steps", DomainError)
 
     beta_seq = betas.realize(n_steps, rng.derive("betas") if rng else None)
     u_seq = thresholds.realize(n_steps, rng.derive("thresholds") if rng else None)
-    kappa = state_bound(betas.beta_range[1])
-    _check_thresholds(u_seq, kappa)
+    check_thresholds(u_seq, state_bound(betas.beta_range[1]), ConfigurationError)
 
     rng_info = None
     if betas.is_random or thresholds.is_random:
@@ -359,54 +354,31 @@ def encode(
             "threshold_seed": getattr(thresholds, "seed", None),
         }
 
-    if precision.mode is PrecisionMode.EXACT:
-        bits, states = _run_exact(x0, beta_seq, u_seq)
-        near = None
-    else:
-        bits, states, near = _run_float_emulated(x0, beta_seq, u_seq, precision.float_bits)
+    # float mode models round-to-nearest-even floats with float_bits of
+    # mantissa: every arithmetic result is rounded, comparisons are not
+    exact, float_bits = precision.mode is PrecisionMode.EXACT, precision.float_bits
+    rnd = (lambda v: v) if exact else partial(round_to_bits, bits=float_bits)
+    bits, states, near = [], [], []
+    x = rnd(x0)
+    for beta, u in zip(beta_seq, u_seq):
+        u = rnd(u)
+        y = rnd(rnd(beta) * x)
+        if not exact:
+            near.append(cmp_pow2(abs(y - u), Fraction(-float_bits, 2)) < 0)
+        b = 1 if y >= u else 0
+        x = rnd(y - b) if b else y
+        bits.append(b)
+        states.append(x)
     return EncoderTrace(
         x0=x0,
-        bits=bits,
-        states=states,
+        bits=tuple(bits),
+        states=tuple(states),
         betas=beta_seq,
         thresholds=u_seq,
         policy=precision,
-        near_ties=near,
+        near_ties=None if exact else tuple(near),
         rng_info=rng_info,
     )
-
-
-def _run_exact(x0, beta_seq, u_seq):
-    bits = []
-    states = []
-    x = x0
-    for beta, u in zip(beta_seq, u_seq):
-        y = beta * x
-        b = 1 if y >= u else 0
-        x = y - b
-        bits.append(b)
-        states.append(x)
-    return tuple(bits), tuple(states)
-
-
-def _run_float_emulated(x0, beta_seq, u_seq, float_bits: int):
-    # Software model of round-to-nearest-even floats with float_bits of
-    # mantissa; every arithmetic result is rounded, comparisons are not.
-    half_margin = Fraction(-float_bits, 2)
-    bits = []
-    states = []
-    near = []
-    x = round_to_bits(x0, float_bits)
-    for beta, u in zip(beta_seq, u_seq):
-        rb = round_to_bits(beta, float_bits)
-        ru = round_to_bits(u, float_bits)
-        y = round_to_bits(rb * x, float_bits)
-        near.append(cmp_pow2(abs(y - ru), half_margin) < 0)
-        b = 1 if y >= ru else 0
-        x = round_to_bits(y - b, float_bits) if b else y
-        bits.append(b)
-        states.append(x)
-    return tuple(bits), tuple(states), tuple(near)
 
 
 def reconstruct_partial(trace: EncoderTrace, n: int) -> Fraction:
@@ -457,11 +429,8 @@ def encode_bits(x0, beta, u, n_bits: int) -> np.ndarray:
     Intended for the long streams the statistical tests and the extraction
     pipeline consume.
     """
-    x0, beta, u = as_fraction(x0), check_beta(beta), as_fraction(u)
-    if not (ZERO <= x0 <= ONE):
-        raise DomainError(f"x0 must lie in [0,1], got {x0}")
-    if not (ONE <= u <= state_bound(beta)):
-        raise DomainError(f"threshold {u} outside [1, {state_bound(beta)}]")
+    x0, beta, u = check_unit(x0, "x0", DomainError), check_beta(beta), as_fraction(u)
+    check_thresholds((u,), state_bound(beta), DomainError)
     if isinstance(n_bits, bool) or not isinstance(n_bits, int) or n_bits < 0:
         raise DomainError(f"n_bits must be a nonnegative integer, got {n_bits!r}")
     return _stream_kernel(x0, beta, u, n_bits)[0]

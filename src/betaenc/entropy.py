@@ -18,17 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
 from .bitio import word_to_str
-from .encoder import ConstantThreshold, IidSupportBetas, _check_thresholds, prefix_leaves
+from .encoder import ConstantThreshold, ExplicitBetas, IidSupportBetas, prefix_leaves
 from .errors import ConfigurationError, ResourceBudgetError
 from .numerics import (
     ZERO,
+    as_decimal,
     as_fraction,
     check_positive_int,
+    check_thresholds,
     cmp_pow2,
     decimal_str,
     format_rational,
@@ -95,22 +96,40 @@ class WordDistribution:
                 {
                     "word": word_to_str(word, self.m),
                     "p": format_rational(p),
-                    "decimal": decimal_str(Decimal(p.numerator) / Decimal(p.denominator), 12),
+                    "decimal": decimal_str(as_decimal(p), 12),
                 }
             )
         return rows
 
 
+def _check_budget(width: int, m: int) -> None:
+    # 2*width >= 2, so every m > 24 is past the budget: refuse it before
+    # (2*width)**m is formed
+    if m > 24 or (2 * width) ** m > ENUMERATION_BUDGET:
+        raise ResourceBudgetError(
+            f"(2*{width})**{m} enumeration nodes exceed the budget of 2**24"
+        )
+
+
 def _gain_choices(betas, m: int) -> tuple:
-    """Per-depth (gain, integer weight) branches and the weights' denominator per step."""
-    if not betas.is_random:
-        return [[(g, 1)] for g in betas.realize(m)], 1
+    """Per-depth (gain, integer weight) branches and the weights' denominator per step.
+
+    Refuses a gain model with no exact enumeration (or an explicit list
+    shorter than m), then an m past the budget, before it builds anything
+    m long.
+    """
     if isinstance(betas, IidSupportBetas):
+        _check_budget(len(betas.values), m)
         den = math.lcm(*(p.denominator for p in betas.probs))
         return [[(g, int(p * den)) for g, p in zip(betas.values, betas.probs)]] * m, den
-    raise ConfigurationError(
-        "exact enumeration needs a fixed, explicit, or finite-support gain model"
-    )
+    if betas.is_random:
+        raise ConfigurationError(
+            "exact enumeration needs a fixed, explicit, or finite-support gain model"
+        )
+    if isinstance(betas, ExplicitBetas):
+        betas.realize(m)  # refuses a list shorter than m
+    _check_budget(1, m)
+    return [[(g, 1)] for g in betas.realize(m)], 1
 
 
 def word_distribution(betas, thresholds=None, m: int = 1) -> WordDistribution:
@@ -127,13 +146,8 @@ def word_distribution(betas, thresholds=None, m: int = 1) -> WordDistribution:
         raise ConfigurationError("exact enumeration needs deterministic thresholds")
 
     choices, weight_den = _gain_choices(betas, m)
-    width = max(len(c) for c in choices)
-    if (2 * width) ** m > ENUMERATION_BUDGET:
-        raise ResourceBudgetError(
-            f"(2*{width})**{m} enumeration nodes exceed the budget of 2**24"
-        )
     u_seq = thresholds.realize(m)
-    _check_thresholds(u_seq, state_bound(betas.beta_range[1]))
+    check_thresholds(u_seq, state_bound(betas.beta_range[1]), ConfigurationError)
 
     unit, leaves = prefix_leaves(choices, u_seq)
     sums: dict = {}

@@ -35,6 +35,7 @@ from .numerics import (
     as_fraction,
     check_beta,
     check_positive_int,
+    check_seed,
     cmp_pow2,
     decimal_str,
     format_rational,
@@ -290,6 +291,7 @@ def flat_source_family(m: int, k: int, seed: int = 0, random_count: int = 16) ->
     a hypothesis; the unit suite additionally enumerates literally all
     flat sources at tiny sizes.
     """
+    check_seed(seed, "seed", ConfigurationError)
     size = 1 << k
     total = 1 << m
     if size > total:
@@ -370,6 +372,8 @@ class PipelineConfig:
             raise ConfigurationError("block_bits must be >= 1")
         if self.gap_bits < 0:
             raise ConfigurationError("gap_bits must be >= 0")
+        if self.seed is not None:
+            check_seed(self.seed, "seed", ConfigurationError)
         object.__setattr__(self, "beta_min", check_beta(self.beta_min))
         object.__setattr__(self, "beta_max", check_beta(self.beta_max))
         if self.beta_min > self.beta_max:
@@ -386,22 +390,22 @@ class PipelineConfig:
                 raise ConfigurationError("explicit seed mode needs seed=")
 
 
+def _budget_bits(block_bits: int, beta_min, beta_max) -> int:
+    """floor(log2(beta_min**block_bits / kappa)), negative when the block is short."""
+    value = as_fraction(beta_min) ** block_bits / state_bound(as_fraction(beta_max))
+    # log2(value) lies within 1 of n
+    n = value.numerator.bit_length() - value.denominator.bit_length()
+    return n - (cmp_pow2(value, n) < 0)
+
+
 def entropy_budget_ok(block_bits: int, out_bits: int, beta_min, beta_max) -> bool:
     """out_bits <= block_bits*log2(beta_min) - log2(kappa), exactly."""
-    kappa = state_bound(as_fraction(beta_max))
-    return (1 << out_bits) * kappa <= as_fraction(beta_min) ** block_bits
+    return out_bits <= _budget_bits(block_bits, beta_min, beta_max)
 
 
 def max_extractable_bits(block_bits: int, beta_min, beta_max) -> int:
     """Largest whole out_bits the budget allows (0 when none)."""
-    kappa = state_bound(as_fraction(beta_max))
-    power = as_fraction(beta_min) ** block_bits
-    n = 0
-    value = 2 * kappa
-    while value <= power:
-        n += 1
-        value *= 2
-    return n
+    return max(0, _budget_bits(block_bits, beta_min, beta_max))
 
 
 def required_block_length(n: int, alpha, beta_min) -> int:

@@ -32,11 +32,13 @@ from .converter import _scan, scan_targets
 from .encoder import _WINDOW_BITS, ConstantThreshold, _kernel_plan, prefix_leaves
 from .errors import ConfigurationError, DomainError
 from .numerics import (
-    ONE,
+    as_decimal,
     as_fraction,
     check_beta,
+    check_orders,
     check_positive_int,
     check_seed,
+    check_thresholds,
     cmp_pow2,
     decimal_str,
     format_rational,
@@ -70,11 +72,7 @@ class LochsExperiment:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", check_beta(self.beta))
-        ms = tuple(self.m_values)
-        if not ms or any(not isinstance(m, int) or m < 1 for m in ms):
-            raise ConfigurationError("m_values must be positive integers")
-        if any(lo >= hi for lo, hi in zip(ms, ms[1:])):
-            raise ConfigurationError("m_values must be strictly increasing")
+        ms = check_orders(self.m_values, "m_values", ConfigurationError)
         object.__setattr__(self, "m_values", ms)
         check_positive_int(self.n_samples, "n_samples", ConfigurationError)
         check_seed(self.rng_seed, "rng_seed", ConfigurationError)
@@ -101,9 +99,8 @@ class LochsExperiment:
         check_positive_int(self.workers, "workers", ConfigurationError)
         if self.k_cap is not None:
             check_positive_int(self.k_cap, "k_cap", ConfigurationError)
-        bound = state_bound(self.beta)
-        if self.thresholds.threshold_range[1] > bound:
-            raise ConfigurationError(f"thresholds must stay within [1, {bound}]")
+        check_thresholds(self.thresholds.threshold_range, state_bound(self.beta),
+                         ConfigurationError)
 
     def resolved_precision(self) -> int:
         if self.precision_bits is not None:
@@ -260,7 +257,7 @@ def _row(exp: LochsExperiment, slot: int, hist: Counter, cap_hits: int) -> dict:
         mean_sq = Fraction(sum(k * k * c for k, c in hist.items()), n)
         variance = mean_sq - mean_k * mean_k
         mean_ratio = mean_k / m
-        mean_ratio_dec = Decimal(mean_ratio.numerator) / Decimal(mean_ratio.denominator)
+        mean_ratio_dec = as_decimal(mean_ratio)
 
         lower_violations = sum(
             c for k, c in hist.items() if cmp_pow2(beta**k, m) <= 0
@@ -284,9 +281,7 @@ def _row(exp: LochsExperiment, slot: int, hist: Counter, cap_hits: int) -> dict:
                     "eps": format_rational(eps),
                     "c_eps": decimal_str(c_eps, 12),
                     "fraction": format_rational(frac),
-                    "fraction_decimal": decimal_str(
-                        Decimal(frac.numerator) / Decimal(frac.denominator), 12
-                    ),
+                    "fraction_decimal": decimal_str(as_decimal(frac), 12),
                     "bound_ok": frac < eps,
                     "within_2se": abs(float(frac) - eps_f) <= 2 * se,
                 }
@@ -294,9 +289,7 @@ def _row(exp: LochsExperiment, slot: int, hist: Counter, cap_hits: int) -> dict:
 
         if exp.scaling == "sqrt":
             n_m_sq = Fraction(m)
-            t_dec = Decimal(exp.tail_eps.numerator) / Decimal(
-                exp.tail_eps.denominator
-            ) * Decimal(m).sqrt()
+            t_dec = as_decimal(exp.tail_eps) * Decimal(m).sqrt()
             tail_count = sum(
                 c
                 for k, c in hist.items()
@@ -333,18 +326,12 @@ def _row(exp: LochsExperiment, slot: int, hist: Counter, cap_hits: int) -> dict:
                 "eps": format_rational(exp.tail_eps),
                 "n_m": n_m_label,
                 "mass": format_rational(tail_mass),
-                "mass_decimal": decimal_str(
-                    Decimal(tail_mass.numerator) / Decimal(tail_mass.denominator), 12
-                ),
+                "mass_decimal": decimal_str(as_decimal(tail_mass), 12),
             },
             "scaled_variance": {
                 "n_m_squared": format_rational(n_m_sq),
                 "value": format_rational(scaled_variance),
-                "decimal": decimal_str(
-                    Decimal(scaled_variance.numerator)
-                    / Decimal(scaled_variance.denominator),
-                    12,
-                ),
+                "decimal": decimal_str(as_decimal(scaled_variance), 12),
             },
         }
 
@@ -410,9 +397,7 @@ def pm_measure_exact(
     """
     beta = check_beta(beta)
     u = as_fraction(u)
-    kappa = state_bound(beta)
-    if not (ONE <= u <= kappa):
-        raise DomainError(f"threshold {u} outside [1, {kappa}]")
+    check_thresholds((u,), state_bound(beta), DomainError)
     check_positive_int(m, "m", DomainError)
     eps = as_fraction(eps)
     if eps <= 0:

@@ -81,6 +81,31 @@ def check_seed(value, name: str, error: type) -> int:
     return value
 
 
+def check_unit(value, name: str, error: type) -> Fraction:
+    """``value`` as a Fraction if it lies in [0, 1], the encoder's input range."""
+    value = as_fraction(value)
+    if not ZERO <= value <= ONE:
+        raise error(f"{name} must lie in [0,1], got {value}")
+    return value
+
+
+def check_thresholds(values, kappa: Fraction, error: type) -> None:
+    """Refuse any threshold outside [1, kappa], kappa = 1/(beta_max - 1)."""
+    for u in values:
+        if not ONE <= u <= kappa:
+            raise error(f"threshold {u} outside [1, {kappa}]")
+
+
+def check_orders(values, name: str, error: type) -> tuple:
+    """``values`` as a tuple if they are ints >= 1 in strictly increasing order."""
+    orders = tuple(values)
+    if not orders or any(not isinstance(m, int) or m < 1 for m in orders):
+        raise error(f"{name} must be positive integers")
+    if any(lo >= hi for lo, hi in zip(orders, orders[1:])):
+        raise error(f"{name} must be strictly increasing")
+    return orders
+
+
 def state_bound(beta_max: Fraction) -> Fraction:
     """Upper bound 1/(beta_max - 1) on every encoder state."""
     beta_max = as_fraction(beta_max)
@@ -141,9 +166,7 @@ EXACT_POLICY = PrecisionPolicy(PrecisionMode.EXACT)
 
 def dyadic_index(x: Fraction, m: int) -> int:
     """Index k of the order-m dyadic cell containing x (last cell closed)."""
-    x = as_fraction(x)
-    if not (ZERO <= x <= ONE):
-        raise DomainError(f"dyadic cells cover [0,1]; got {x}")
+    x = check_unit(x, "x", DomainError)
     check_positive_int(m, "cell order", DomainError)
     k = (x.numerator << m) // x.denominator
     if k == 1 << m:  # x == 1 belongs to the closed last cell
@@ -300,6 +323,11 @@ def log_ratio_decimal(beta: Fraction, digits: int = 50) -> Decimal:
         ctx.prec = digits + 10
         lnb = Decimal(beta.numerator).ln() - Decimal(beta.denominator).ln()
         return Decimal(2).ln() / lnb
+
+
+def as_decimal(value: Fraction) -> Decimal:
+    """numerator / denominator, divided in the caller's decimal context."""
+    return Decimal(value.numerator) / Decimal(value.denominator)
 
 
 def decimal_str(value: Decimal, places: int = 12) -> str:

@@ -637,6 +637,22 @@ def pipeline_extract_blocks(bits, mode, block_bits, out_bits=1, gap_bits=0, seed
     return np.array(out, dtype=np.uint8), report
 
 
+def max_extractable_bits_doubling(block_bits: int, beta_min, beta_max) -> int:
+    """Largest n with 2**n * kappa <= beta_min**block_bits (0 when none), by doubling.
+
+    kappa = 1/(beta_max - 1).  One comparison per bit of the budget: this
+    is the loop the closed form on bit lengths replaced.
+    """
+    kappa = 1 / (Fraction(beta_max) - 1)
+    power = Fraction(beta_min) ** block_bits
+    n = 0
+    value = 2 * kappa
+    while value <= power:
+        n += 1
+        value *= 2
+    return n
+
+
 def tv_from_uniform(dist) -> Fraction:
     """TV from uniform of a word law with ``.m`` and ``.entries``."""
     m = dist.m

@@ -403,6 +403,36 @@ def test_replay_of_a_missing_or_malformed_manifest(tmp_path, capsys):
     assert "not a betaenc manifest" in capsys.readouterr().err
 
 
+def _tree(root: Path) -> dict:
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("sub", ["taken", "taken/nested/out"])
+def test_out_dir_on_a_file_is_a_one_line_error(tmp_path, capsys, sub):
+    (tmp_path / "taken").write_text("a file\n", encoding="utf-8")
+    before = _tree(tmp_path)
+    code, _ = run(["encode", "--x", "1/2", "--beta", "3/2", "--steps", "3"], tmp_path, sub)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create {tmp_path / sub}: ") and err.count("\n") == 1
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("content", [
+    json.dumps({"argv": [1, 2]}).encode(),
+    json.dumps({"argv": "encode"}).encode(),
+    b'{"argv": ["encode", "--x", "\xff"]}',
+], ids=["non-string-argv", "string-argv", "not-utf8"])
+def test_replay_of_a_manifest_with_bad_argv(tmp_path, capsys, content):
+    bad = tmp_path / "manifest.json"
+    bad.write_bytes(content)
+    before = _tree(tmp_path)
+    code = main(["replay", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad} is not a betaenc manifest\n"
+    assert _tree(tmp_path) == before
+
+
 def test_nested_replay_is_refused(tmp_path, capsys):
     looped = tmp_path / "manifest.json"
     looped.write_text(json.dumps({"argv": ["replay", str(looped)]}), encoding="utf-8")

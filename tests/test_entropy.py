@@ -214,6 +214,14 @@ def test_rejects_threshold_above_state_bound():
 def test_enumeration_budget():
     with pytest.raises(ResourceBudgetError):
         word_distribution(IidSupportBetas((F(3, 2), F(9, 5))), m=13)
+    # refused before anything m long is built, (2*width)**m included
+    for gains in (FixedBeta(F(3, 2)), IidSupportBetas((F(3, 2), F(9, 5)))):
+        with pytest.raises(ResourceBudgetError):
+            word_distribution(gains, m=10**11)
+    # the gain model is still refused first
+    for gains in (ExplicitBetas((F(3, 2),) * 30), UniformBetas(F(3, 2), F(8, 5))):
+        with pytest.raises(ConfigurationError):
+            word_distribution(gains, m=40)
     for m in (0, True):
         with pytest.raises(ConfigurationError, match="m must be"):
             word_distribution(FixedBeta(F(3, 2)), m=m)

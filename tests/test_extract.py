@@ -354,6 +354,49 @@ def test_entropy_budget():
     assert max_extractable_bits(1, F(3, 2), F(3, 2)) == 0
 
 
+@st.composite
+def budget_cases(draw):
+    """(m, beta_min, beta_max) with m in 1..400 and gains down to 1 + 2**-20.
+
+    In the "pow2" kind beta_max - 1 = 2**n / beta_min**m, so that
+    beta_min**m / kappa is exactly 2**n.
+    """
+    m = draw(st.integers(1, 400))
+    beta_min = draw(st.one_of(
+        st.integers(1, 20).map(lambda e: 1 + F(1, 1 << e)),
+        st.integers(2, 1 << 20).map(lambda d: 1 + F(1, d)),
+        st.fractions(F(1), F(2), max_denominator=1000).filter(lambda b: 1 < b < 2),
+    ))
+    kind = draw(st.sampled_from(["pow2", "same", "any"]))
+    if kind == "pow2":
+        p, q = beta_min.numerator ** m, beta_min.denominator ** m
+        n = p.bit_length() - q.bit_length() - 1 - draw(st.integers(0, 3))
+        return m, beta_min, 1 + F(2) ** n / F(p, q)
+    if kind == "same":
+        return m, beta_min, beta_min
+    t = draw(st.fractions(0, 1, max_denominator=1000).filter(lambda t: t < 1))
+    return m, beta_min, beta_min + (2 - beta_min) * t
+
+
+@given(budget_cases())
+@settings(max_examples=400, deadline=None)
+def test_budget_closed_form_matches_the_doubling_loop(case):
+    m, beta_min, beta_max = case
+    most = max_extractable_bits(m, beta_min, beta_max)
+    assert most == oracles.max_extractable_bits_doubling(m, beta_min, beta_max)
+    kappa = 1 / (beta_max - 1)
+    for out_bits in {0, most, most + 1, max(most - 1, 0)}:
+        fits = (1 << out_bits) * kappa <= beta_min**m
+        assert entropy_budget_ok(m, out_bits, beta_min, beta_max) == fits
+
+
+def test_budget_at_an_exact_power_of_two():
+    # (3/2)**2 / kappa = 9/4 * (beta_max - 1) = 2 exactly when beta_max = 17/9
+    assert max_extractable_bits(2, F(3, 2), F(17, 9)) == 1
+    assert entropy_budget_ok(2, 1, F(3, 2), F(17, 9))
+    assert not entropy_budget_ok(2, 2, F(3, 2), F(17, 9))
+
+
 def test_required_block_length():
     assert required_block_length(8, F(1, 2), F(9, 5)) == 19
     for n in (0, True):
@@ -544,7 +587,7 @@ def test_pipeline_matches_the_per_block_oracle(m, g, kind, form, data):
         _pipeline_case(bits, mode, m, g)
         return
     n = data.draw(st.integers(min_value=1, max_value=most))
-    seed = data.draw(st.integers(min_value=0, max_value=1 << 64))
+    seed = data.draw(st.integers(min_value=0, max_value=(1 << 64) - 1))
     if seed_mode == "stream" and length < m + n - 1:
         with pytest.raises(ConfigurationError):
             _pipeline_case(bits, mode, m, g, n, seed, seed_mode)

@@ -1,0 +1,54 @@
+"""Every module of the package uses each name it imports.
+
+No linter ships with the toolchain, so this stdlib ``ast`` pass stands in
+for one.  ``__init__.py`` is exempt: its imports are the public API.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "betaenc"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """'name (line n)' for each name an import binds and no expression reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a quoted annotation such as -> "WordDistribution" reads names too
+    notes = [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    notes += [node.annotation for node in ast.walk(tree)
+              if isinstance(node, (ast.arg, ast.AnnAssign))]
+    for note in notes:
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            used.update(node.id for node in ast.walk(ast.parse(note.value, mode="eval"))
+                        if isinstance(node, ast.Name))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_unused_imports():
+    source = (
+        "import os\n"
+        "from math import gcd, lcm as l\n"
+        "import numpy as np\n"
+        "from typing import List\n"
+        "def f(x: 'List') -> 'np.ndarray':\n"
+        "    'os is named in a docstring only'\n"
+        "    return gcd(x, 2)\n"
+    )
+    assert unused_imports(source) == ["l (line 2)", "os (line 1)"]

@@ -7,8 +7,16 @@ import pytest
 import oracles
 from betaenc import lochs
 from betaenc.converter import _scan, k_profile, scan_targets
-from betaenc.encoder import _WINDOW_BITS, ConstantThreshold, UniformThresholds, _kernel_plan
+from betaenc.encoder import (
+    _WINDOW_BITS,
+    ConstantThreshold,
+    IidSupportBetas,
+    UniformBetas,
+    UniformThresholds,
+    _kernel_plan,
+)
 from betaenc.errors import ConfigurationError, DomainError, ResourceBudgetError
+from betaenc.extract import PipelineConfig, flat_source_family
 from betaenc.lochs import (
     LochsExperiment,
     _lazy_scaled,
@@ -57,6 +65,25 @@ def test_seeds_outside_64_bits_are_refused(seed):
     with pytest.raises(ConfigurationError, match=r"^rng_seed must be an integer in \[0, 2\*\*64\)"):
         LochsExperiment(beta=F(3, 2), rng_seed=seed)
     assert LochsExperiment(beta=F(3, 2), rng_seed=(1 << 64) - 1).rng_seed == (1 << 64) - 1
+
+
+SEEDED_PROCESSES = {
+    "UniformBetas": lambda seed: UniformBetas(F(3, 2), F(8, 5), seed=seed),
+    "UniformThresholds": lambda seed: UniformThresholds(1, 2, seed=seed),
+    "IidSupportBetas": lambda seed: IidSupportBetas((F(3, 2), F(8, 5)), seed=seed),
+    "PipelineConfig": lambda seed: PipelineConfig(mode="seeded", block_bits=48, beta_min=F(3, 2),
+                                                  beta_max=F(3, 2), seed=seed),
+    "flat_source_family": lambda seed: flat_source_family(4, 2, seed=seed, random_count=1),
+}
+
+
+@pytest.mark.parametrize("make", SEEDED_PROCESSES.values(), ids=SEEDED_PROCESSES)
+@pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 1, True, 1.0])
+def test_library_seeds_outside_64_bits_are_refused(make, seed):
+    # SplitMix64 keeps a seed's low 64 bits: 2**64 + 1 would replay seed 1
+    with pytest.raises(ConfigurationError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+        make(seed)
+    make((1 << 64) - 1)
 
 
 @pytest.mark.parametrize("field", ["n_samples", "workers", "k_cap"])
