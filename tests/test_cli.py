@@ -465,8 +465,14 @@ FROZEN_ARGV = {
     "extract-two-source": ["extract", "--input", "enc/stream.bin", "--mode", "two-source",
                            "--block-bits", "16", "--beta-min", "3/2", "--beta-max", "3/2"],
     "battery": ["battery", "--input", "enc/stream.bin"],
+    "encode-float-bits": ["encode", "--x", "5/17", "--beta", "3/2", "--steps", "200",
+                          "--float-bits", "20"],
+    "lochs-sqrt": ["lochs", "--beta", "3/2", "--m-list", "4,8,16", "--samples", "60",
+                   "--seed", "5", "--scaling", "sqrt", "--tail-eps", "1", "--workers", "1"],
 }
-# sha256 of every output, recorded before the cylinder walker was factored out
+# sha256 of every output, recorded before the cylinder walker was factored out;
+# encode-float-bits and lochs-sqrt were recorded before the precision policy
+# became the float_bits argument
 FROZEN_DIGESTS = {
     "battery": {
         "battery.json": "c58398802f5da86a764bb9beca72e792585e04f33cfddfe9e4db4cbf1d77ccfb",
@@ -484,6 +490,10 @@ FROZEN_DIGESTS = {
         "encode.json": "e691a641f61d01d753bde3bcb7b0f4d80717b794164714f8cabe3113e175fc1d",
         "manifest.json": "55d093474d997d097fa7af9711cec2e6d6f0f0e4f992d9cfe204640db734699f",
         "stream.bin": "d8b5793e5a8b8d523a9e4ebcf802c7ca20948fc223b20f7f0a1f6403f44b20d4",
+    },
+    "encode-float-bits": {
+        "encode.json": "179dff9fd0f96910b5c274a4301f831159eae730ff0ba3e14705763f7075d5c4",
+        "manifest.json": "21fd761b7e42cb2b400418ef896b525a5385e7e419a3816aa8139a90ef7a42e9",
     },
     "encode-u-uniform": {
         "encode.json": "dafdb7c5f8c57eb0ecbb8c33ba5c17fa5bb38221b019d8504a7849229b273697",
@@ -508,6 +518,11 @@ FROZEN_DIGESTS = {
         "extract.json": "a779388e310ffdba2d090cdc38575987daff6cd6c06e594eaefa9b25b62b230a",
         "extracted.bin": "0a1ecb275e7a0098b04c4a916d4ab31b4cb17c73b788dec85d1b88ddb324a459",
         "manifest.json": "6857ab46a587992cafb0974868cc76b469c4ead946f740ab45c1624f8b0027f3",
+    },
+    "lochs-sqrt": {
+        "lochs.csv": "6b0e7bcf742b24af321021b71ec771f8cdb0122d6fcebad5f9044bdbc3b62453",
+        "lochs.json": "5258d403ee5089ef2470a5b1d4fe29062e73a7a65eab8929d7e3b5fc3d753a1b",
+        "manifest.json": "977f12b377e3dfb752f66bb48d79d2e568917a460364e1c8b97e943aca1b0271",
     },
     "lochs-u-uniform": {
         "lochs.csv": "78f63c7c405a4774a7252d221c12a5efec1f29783d99591a48d7fe1cd89797ee",
