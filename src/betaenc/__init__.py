@@ -46,7 +46,6 @@ from .encoder import (
 from .entropy import (
     BoundCheck,
     WordDistribution,
-    is_mk_source,
     min_entropy_bound_check,
     word_distribution,
 )
@@ -59,7 +58,6 @@ from .errors import (
 )
 from .extract import (
     TWO_SOURCE_WARNING,
-    FiniteDistribution,
     PipelineConfig,
     SeededExtractor,
     adversarial_source,
@@ -85,10 +83,7 @@ from .lochs import (
     run_lochs,
 )
 from .numerics import (
-    EXACT_POLICY,
     Interval,
-    PrecisionMode,
-    PrecisionPolicy,
     as_fraction,
     cmp_pow2,
     least_power_at_least,
@@ -104,9 +99,6 @@ __all__ = [
     "InsufficientLengthError",
     "ResourceBudgetError",
     "Interval",
-    "PrecisionMode",
-    "PrecisionPolicy",
-    "EXACT_POLICY",
     "as_fraction",
     "cmp_pow2",
     "least_power_at_least",
@@ -149,8 +141,6 @@ __all__ = [
     "word_distribution",
     "BoundCheck",
     "min_entropy_bound_check",
-    "is_mk_source",
-    "FiniteDistribution",
     "tv_distance",
     "adversarial_source",
     "SeededExtractor",

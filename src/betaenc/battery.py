@@ -19,7 +19,7 @@ import numpy as np
 
 from .bitio import as_bit_array
 from .errors import DomainError, InsufficientLengthError
-from .numerics import decimal_str
+from .numerics import check_positive_int, decimal_str
 from .prng import PRNG_ID, SplitMix64
 
 MINIMUM_BITS = {
@@ -188,6 +188,8 @@ def rejection_rates(n_runs: int = 1000, n_bits: int = 1 << 15,
     Under the null each p-value is uniform enough that every rate should
     sit within calibration_tolerance of the significance level.
     """
+    check_positive_int(n_runs, "n_runs", DomainError)
+    check_positive_int(n_bits, "n_bits", DomainError)
     rng = SplitMix64(seed).derive("battery-calibration")
     rejected = {}
     for i in range(n_runs):

@@ -39,15 +39,7 @@ from .entropy import min_entropy_bound_check, word_distribution
 from .errors import ConfigurationError, DomainError, ResourceBudgetError
 from .extract import PipelineConfig, pipeline_extract
 from .lochs import LochsExperiment, run_lochs
-from .numerics import (
-    EXACT_POLICY,
-    PrecisionMode,
-    PrecisionPolicy,
-    check_seed,
-    format_rational,
-    parse_rational,
-    state_bound,
-)
+from .numerics import check_seed, format_rational, parse_rational, state_bound
 from .prng import PRNG_ID, SplitMix64
 
 
@@ -173,13 +165,11 @@ def _run_encode(args, out: Path):
 
     if args.steps is None:
         raise ConfigurationError("give --steps N (or --stream-bits N)")
-    policy = EXACT_POLICY
-    if args.float_bits is not None:
-        policy = PrecisionPolicy(PrecisionMode.FLOAT_FAST, args.float_bits)
+    trace = encode(args.x, gain, thresholds, args.steps, args.float_bits, SplitMix64(args.seed))
+    doc = trace.to_json()
     config["steps"] = args.steps
-    config["policy"] = policy.mode.value
-    trace = encode(args.x, gain, thresholds, args.steps, policy, SplitMix64(args.seed))
-    _write_json(out / "encode.json", trace.to_json())
+    config["policy"] = doc["mode"]
+    _write_json(out / "encode.json", doc)
     return config, ["encode.json"]
 
 

@@ -25,13 +25,11 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, ResourceBudgetError
 from .numerics import (
-    EXACT_POLICY,
     ONE,
     ZERO,
-    PrecisionMode,
-    PrecisionPolicy,
     as_fraction,
     check_beta,
+    check_nonnegative_int,
     check_positive_int,
     check_seed,
     check_thresholds,
@@ -104,9 +102,6 @@ class _One:
 
     def realize(self, n_steps: int, rng: Optional[SplitMix64] = None) -> tuple:
         return (self.value,) * n_steps
-
-    def scaled(self, n_steps: int, rng: Optional[SplitMix64] = None) -> list:
-        return [(self.value.numerator, self.value.denominator)] * n_steps
 
     def to_json(self) -> dict:
         return {"kind": self._kind, self._key: format_rational(self.value)}
@@ -269,12 +264,12 @@ class IidSupportBetas(_GainRole, _Listed):
 class EncoderTrace:
     """Full record of one run: inputs, realized sequences, bits, states.
 
-    In exact mode states are the true rationals and the telescoping identity
-    x0 = sum_i b_i / (beta_1...beta_i) + x_n / (beta_1...beta_n) holds with
-    equality.  In float emulation mode states carry rounding error and
-    ``near_ties`` marks steps whose comparator margin fell below
-    2**(-float_bits/2), where the emulated bit can disagree with the exact
-    one.
+    ``float_bits`` is None in exact mode: states are the true rationals and
+    the telescoping identity x0 = sum_i b_i / (beta_1...beta_i) +
+    x_n / (beta_1...beta_n) holds with equality.  In float emulation mode
+    states carry rounding error and ``near_ties`` marks steps whose
+    comparator margin fell below 2**(-float_bits/2), where the emulated bit
+    can disagree with the exact one.
     """
 
     x0: Fraction
@@ -282,7 +277,7 @@ class EncoderTrace:
     states: tuple
     betas: tuple
     thresholds: tuple
-    policy: PrecisionPolicy = EXACT_POLICY
+    float_bits: Optional[int] = None
     near_ties: Optional[tuple] = None
     rng_info: Optional[dict] = field(default=None, compare=False)
 
@@ -301,10 +296,10 @@ class EncoderTrace:
             "states": [format_rational(x) for x in self.states],
             "betas": [format_rational(b) for b in self.betas],
             "thresholds": [format_rational(u) for u in self.thresholds],
-            "mode": self.policy.mode.value,
+            "mode": "exact" if self.float_bits is None else "float-fast",
         }
-        if self.policy.mode is PrecisionMode.FLOAT_FAST:
-            doc["float_bits"] = self.policy.float_bits
+        if self.float_bits is not None:
+            doc["float_bits"] = self.float_bits
             doc["near_ties"] = list(map(int, self.near_ties or ()))
         if self.rng_info is not None:
             doc["rng"] = self.rng_info
@@ -329,17 +324,22 @@ def encode(
     betas,
     thresholds,
     n_steps: int,
-    precision: PrecisionPolicy = EXACT_POLICY,
+    float_bits: Optional[int] = None,
     rng: Optional[SplitMix64] = None,
 ) -> EncoderTrace:
     """Run the loop for n_steps from x0 in [0,1] and record everything.
 
+    ``float_bits=None`` runs the loop exactly; an int of at least 4 emulates
+    binary floats with that many mantissa bits, rounded to nearest even.
     Random processes draw from ``rng`` (split per role) unless they carry
     their own seed.  The trace is a pure function of x0 and the realized
     sequences.
     """
     x0 = check_unit(x0, "x0", DomainError)
     check_positive_int(n_steps, "n_steps", DomainError)
+    if float_bits is not None and (isinstance(float_bits, bool)
+                                   or not isinstance(float_bits, int) or float_bits < 4):
+        raise DomainError(f"float mode needs at least 4 mantissa bits, got {float_bits!r}")
 
     beta_seq = betas.realize(n_steps, rng.derive("betas") if rng else None)
     u_seq = thresholds.realize(n_steps, rng.derive("thresholds") if rng else None)
@@ -354,9 +354,8 @@ def encode(
             "threshold_seed": getattr(thresholds, "seed", None),
         }
 
-    # float mode models round-to-nearest-even floats with float_bits of
-    # mantissa: every arithmetic result is rounded, comparisons are not
-    exact, float_bits = precision.mode is PrecisionMode.EXACT, precision.float_bits
+    # float mode rounds every arithmetic result, never a comparison
+    exact = float_bits is None
     rnd = (lambda v: v) if exact else partial(round_to_bits, bits=float_bits)
     bits, states, near = [], [], []
     x = rnd(x0)
@@ -375,7 +374,7 @@ def encode(
         states=tuple(states),
         betas=beta_seq,
         thresholds=u_seq,
-        policy=precision,
+        float_bits=float_bits,
         near_ties=None if exact else tuple(near),
         rng_info=rng_info,
     )
@@ -387,7 +386,7 @@ def reconstruct_partial(trace: EncoderTrace, n: int) -> Fraction:
     Exact mode only: the residual x0 - result equals x_n / (beta_1...beta_n)
     and sits in [0, kappa / beta_min**n].
     """
-    if trace.policy.mode is not PrecisionMode.EXACT:
+    if trace.float_bits is not None:
         raise ConfigurationError("reconstruction is an exact-mode contract")
     if not (0 <= n <= len(trace)):
         raise DomainError(f"n must be in [0, {len(trace)}], got {n}")
@@ -431,8 +430,7 @@ def encode_bits(x0, beta, u, n_bits: int) -> np.ndarray:
     """
     x0, beta, u = check_unit(x0, "x0", DomainError), check_beta(beta), as_fraction(u)
     check_thresholds((u,), state_bound(beta), DomainError)
-    if isinstance(n_bits, bool) or not isinstance(n_bits, int) or n_bits < 0:
-        raise DomainError(f"n_bits must be a nonnegative integer, got {n_bits!r}")
+    check_nonnegative_int(n_bits, "n_bits", DomainError)
     return _stream_kernel(x0, beta, u, n_bits)[0]
 
 

@@ -11,7 +11,8 @@ counts every leaf in one unit, so the probability of each word of length
 m under Lebesgue-uniform input is an integer sum made one Fraction at the
 end.  The min-entropy and the kappa / beta_min**m ceiling on word
 probabilities are checked as pure rational inequalities.  Logarithms only
-ever appear in reports.  ``WordDistribution`` is also ``extract``'s source type.
+ever appear in reports.  ``WordDistribution`` is also ``extract``'s source type,
+and ``flat_supports`` the one rule for its flat sources.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .bitio import word_to_str
 from .encoder import ConstantThreshold, ExplicitBetas, IidSupportBetas, prefix_leaves
-from .errors import ConfigurationError, ResourceBudgetError
+from .errors import ConfigurationError, DomainError, ResourceBudgetError
 from .numerics import (
     ZERO,
     as_decimal,
@@ -38,6 +41,28 @@ from .numerics import (
 )
 
 ENUMERATION_BUDGET = 1 << 24
+
+
+def flat_supports(supports: Iterable, m: int) -> tuple:
+    """(words, sizes) of flat sources on m-bit words, each support checked.
+
+    A flat support lists distinct integer words in [0, 2**m), at least one.
+    ``words`` holds every support's words in order, as one integer array,
+    and ``sizes`` how many each support has.
+    """
+    batch = [list(s) for s in supports]
+    if not batch or not all(batch):
+        raise ConfigurationError("flat source needs a non-empty support")
+    sizes = np.array([len(s) for s in batch], dtype=np.int32)
+    words = np.asarray([w for s in batch for w in s])
+    if words.dtype.kind not in "iu" or words.min() < 0 or words.max() >= 1 << m:
+        raise DomainError(f"support words must be integers in [0, 2**{m})")
+    # one int64 key per (support, word), so a word twice in one support repeats
+    # a key; distinct while len(batch) * 2**m < 2**63, always for one support
+    keys = np.sort(np.repeat(np.arange(len(batch)) * (words.max() + 1), sizes) + words)
+    if (keys[1:] == keys[:-1]).any():
+        raise DomainError("a flat support lists a word twice")
+    return words, sizes
 
 
 @dataclass(frozen=True)
@@ -70,11 +95,10 @@ class WordDistribution:
 
     @classmethod
     def flat(cls, support: Sequence[int], m: int) -> "WordDistribution":
-        words = sorted(set(int(w) for w in support))
-        if not words:
-            raise ConfigurationError("flat source needs a non-empty support")
-        p = Fraction(1, len(words))
-        return cls(m, {w: p for w in words})
+        """The uniform law on a flat support (see ``flat_supports``)."""
+        words, _ = flat_supports([support], m)
+        p = Fraction(1, words.size)
+        return cls(m, {w: p for w in sorted(words.tolist())})
 
     def prob(self, word: int) -> Fraction:
         return self.entries.get(word, ZERO)
@@ -84,9 +108,12 @@ class WordDistribution:
         return min(self.entries.items(), key=lambda item: (-item[1], item[0]))
 
     def min_entropy_at_least(self, k) -> bool:
-        """True iff max prob <= 2**(-k), decided exactly."""
+        """True iff the min-entropy is at least k >= 0 bits: max prob <= 2**(-k) exactly."""
+        k = as_fraction(k)
+        if k < 0:
+            raise ConfigurationError(f"entropy target must be nonnegative, got {k}")
         _, p = self.max_probability()
-        return cmp_pow2(p, -as_fraction(k)) <= 0
+        return cmp_pow2(p, -k) <= 0
 
     def to_csv_rows(self) -> list:
         rows = []
@@ -200,11 +227,3 @@ def min_entropy_bound_check(dist: WordDistribution, beta_min, kappa) -> BoundChe
         slack=bound - p,
         ok=p <= bound,
     )
-
-
-def is_mk_source(dist: WordDistribution, k) -> bool:
-    """True iff the min-entropy is at least k bits: max prob <= 2**(-k)."""
-    k = as_fraction(k)
-    if k < 0:
-        raise ConfigurationError(f"entropy target must be nonnegative, got {k}")
-    return dist.min_entropy_at_least(k)

@@ -28,12 +28,13 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .bitio import as_bit_array, bits_to_word, word_to_bits
-from .entropy import WordDistribution
+from .entropy import WordDistribution, flat_supports
 from .errors import ConfigurationError, DomainError, ResourceBudgetError
 from .numerics import (
     ZERO,
     as_fraction,
     check_beta,
+    check_nonnegative_int,
     check_positive_int,
     check_seed,
     cmp_pow2,
@@ -57,11 +58,7 @@ def _parity16() -> np.ndarray:
     return (t & 1).astype(np.uint8)
 
 
-# a source is an exact law on m-bit words, the type the entropy module computes
-FiniteDistribution = WordDistribution
-
-
-def tv_distance(p: FiniteDistribution, q: FiniteDistribution) -> Fraction:
+def tv_distance(p: WordDistribution, q: WordDistribution) -> Fraction:
     """Exact (1/2) * sum over words of |p - q|."""
     if p.m != q.m:
         raise DomainError(f"length mismatch: {p.m} vs {q.m}")
@@ -69,7 +66,7 @@ def tv_distance(p: FiniteDistribution, q: FiniteDistribution) -> Fraction:
     return sum((abs(p.prob(w) - q.prob(w)) for w in words), ZERO) / 2
 
 
-def adversarial_source(ext: Callable, m: int) -> FiniteDistribution:
+def adversarial_source(ext: Callable, m: int) -> WordDistribution:
     """Flat source with min-entropy >= m-1 on which ``ext`` is constant.
 
     Splits {0,1}**m by the output of ext (a callable on m-bit tuples) and
@@ -85,7 +82,7 @@ def adversarial_source(ext: Callable, m: int) -> FiniteDistribution:
             raise DomainError(f"extractor returned {value!r}, not a bit")
         classes[value].append(word)
     chosen = classes[0] if len(classes[0]) >= len(classes[1]) else classes[1]
-    return FiniteDistribution.flat(chosen, m)
+    return WordDistribution.flat(chosen, m)
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +100,10 @@ class SeededExtractor:
 
     m: int
     n: int
-    kind: str = "toeplitz"
 
     def __post_init__(self):
         if not (1 <= self.n <= self.m):
             raise ConfigurationError(f"need 1 <= n <= m, got n={self.n}, m={self.m}")
-        if self.kind != "toeplitz":
-            raise ConfigurationError(f"unknown extractor kind {self.kind!r}")
 
     @property
     def d(self) -> int:
@@ -127,7 +121,7 @@ class SeededExtractor:
         return y
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "m": self.m, "n": self.n, "d": self.d}
+        return {"kind": "toeplitz", "m": self.m, "n": self.n, "d": self.d}
 
 
 def seeded_extract(x_bits: Sequence[int], z_bits: Sequence[int], n: int):
@@ -139,7 +133,7 @@ def seeded_extract(x_bits: Sequence[int], z_bits: Sequence[int], n: int):
     return word_to_bits(ext.apply(bits_to_word(x_bits), bits_to_word(z_bits)), n)
 
 
-def avg_seed_tv(source: FiniteDistribution, n: int) -> Fraction:
+def avg_seed_tv(source: WordDistribution, n: int) -> Fraction:
     """Exact seed-averaged TV of the hash output from uniform.
 
     Equals the TV between the joint (seed, output) law and seed x uniform.
@@ -203,23 +197,11 @@ def _hash_characters(m: int, n: int) -> np.ndarray:
     return w
 
 
-def _check_words(words: np.ndarray, m: int) -> None:
-    """Support words are integers in [0, 2**m); ``words`` is non-empty."""
-    if words.ndim != 1 or words.dtype.kind not in "iu" or words.min() < 0 or words.max() >= 1 << m:
-        raise DomainError(f"support words must be integers in [0, 2**{m})")
-
-
 def _indicators(m: int, batch: list) -> tuple:
-    """Indicator columns (2**m, len(batch)) of the supports and their sizes."""
-    sizes = np.array([len(s) for s in batch], dtype=np.int32)
-    if sizes.min() == 0:
-        raise ConfigurationError("flat source needs a non-empty support")
-    words = np.asarray([w for s in batch for w in s])
-    _check_words(words, m)
+    """Indicator columns (2**m, len(batch)) of the flat supports and their sizes."""
+    words, sizes = flat_supports(batch, m)
     cols = np.zeros((1 << m, len(batch)), dtype=np.int32)
     cols[words, np.repeat(np.arange(len(batch)), sizes)] = 1
-    if (cols.sum(axis=0) != sizes).any():
-        raise DomainError("a flat support lists a word twice")
     return cols, sizes
 
 
@@ -324,20 +306,9 @@ def two_source_extract(x_bits: Sequence[int], y_bits: Sequence[int]) -> int:
     return acc
 
 
-def _flat_support(support: Sequence[int]) -> np.ndarray:
-    """The words of a flat support on at most 16 bits, checked, as uint16."""
-    words = np.asarray(list(support))
-    if words.size == 0:
-        raise ConfigurationError("flat source needs a non-empty support")
-    _check_words(words, 16)
-    if np.unique(words).size != words.size:
-        raise DomainError("a flat support lists a word twice")
-    return words.astype(np.uint16)
-
-
 def two_source_tv(support_x: Sequence[int], support_y: Sequence[int]) -> Fraction:
-    """Exact TV from uniform of the inner-product bit over flat sources."""
-    xs, ys = _flat_support(support_x), _flat_support(support_y)
+    """Exact TV from uniform of the inner-product bit over flat sources on at most 16 bits."""
+    xs, ys = (flat_supports([s], 16)[0].astype(np.uint16) for s in (support_x, support_y))
     par = _parity16()
     odd = int(par[xs[:, None] & ys[None, :]].sum())
     return abs(Fraction(odd, xs.size * ys.size) - Fraction(1, 2))
@@ -368,10 +339,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in ("seeded", "two-source"):
             raise ConfigurationError(f"mode must be seeded or two-source, got {self.mode!r}")
-        if self.block_bits < 1:
-            raise ConfigurationError("block_bits must be >= 1")
-        if self.gap_bits < 0:
-            raise ConfigurationError("gap_bits must be >= 0")
+        check_positive_int(self.block_bits, "block_bits", ConfigurationError)
+        check_positive_int(self.out_bits, "out_bits", ConfigurationError)
+        check_nonnegative_int(self.gap_bits, "gap_bits", ConfigurationError)
         if self.seed is not None:
             check_seed(self.seed, "seed", ConfigurationError)
         object.__setattr__(self, "beta_min", check_beta(self.beta_min))

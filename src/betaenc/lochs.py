@@ -49,7 +49,7 @@ from .numerics import (
 )
 from .prng import PRNG_ID, SplitMix64, derive_keys, odd_numerator_rows, words_per_draw
 
-SCALINGS = ("linear", "sqrt", "custom")
+SCALINGS = ("linear", "sqrt")
 QUANTILE_LEVELS = (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100))
 
 
@@ -63,7 +63,6 @@ class LochsExperiment:
     n_samples: int = 1000
     rng_seed: int = 0
     scaling: str = "linear"
-    custom_scale: Optional[tuple] = None
     eps_values: tuple = (Fraction(1, 2), Fraction(1, 10), Fraction(1, 100))
     tail_eps: Fraction = Fraction(1, 10)
     precision_bits: Optional[int] = None
@@ -78,13 +77,6 @@ class LochsExperiment:
         check_seed(self.rng_seed, "rng_seed", ConfigurationError)
         if self.scaling not in SCALINGS:
             raise ConfigurationError(f"scaling must be one of {SCALINGS}")
-        if self.scaling == "custom":
-            scale = tuple(as_fraction(v) for v in self.custom_scale or ())
-            if len(scale) != len(ms) or any(v <= 0 for v in scale):
-                raise ConfigurationError(
-                    "custom scaling needs one positive rational per m"
-                )
-            object.__setattr__(self, "custom_scale", scale)
         eps = tuple(as_fraction(e) for e in self.eps_values)
         if any(not (0 < e < 1) for e in eps):
             raise ConfigurationError("eps values must lie in (0,1)")
@@ -117,9 +109,7 @@ class LochsExperiment:
             "n_samples": self.n_samples,
             "rng_seed": self.rng_seed,
             "scaling": self.scaling,
-            "custom_scale": [format_rational(v) for v in self.custom_scale]
-            if self.custom_scale
-            else None,
+            "custom_scale": None,  # kept so that recorded configs stay byte-identical
             "eps_values": [format_rational(e) for e in self.eps_values],
             "tail_eps": format_rational(self.tail_eps),
             "precision_bits": self.resolved_precision(),
@@ -242,8 +232,7 @@ def _tail_exceeds(beta: Fraction, m: int, k: int, t: Fraction) -> bool:
     return cmp_pow2(beta ** (k * td + tn), m * td) < 0  # m*r - k > t
 
 
-def _row(exp: LochsExperiment, slot: int, hist: Counter, cap_hits: int) -> dict:
-    m = exp.m_values[slot]
+def _row(exp: LochsExperiment, m: int, hist: Counter, cap_hits: int) -> dict:
     beta = exp.beta
     n = sum(hist.values())
     if n == 0:
@@ -297,13 +286,12 @@ def _row(exp: LochsExperiment, slot: int, hist: Counter, cap_hits: int) -> dict:
             )
             n_m_label = f"sqrt({m})"
         else:
-            n_m = Fraction(m) if exp.scaling == "linear" else exp.custom_scale[slot]
-            n_m_sq = n_m * n_m
-            t = exp.tail_eps * n_m
+            n_m_sq = Fraction(m * m)
+            t = exp.tail_eps * m
             tail_count = sum(
                 c for k, c in hist.items() if _tail_exceeds(beta, m, k, t)
             )
-            n_m_label = format_rational(n_m)
+            n_m_label = format_rational(Fraction(m))
         tail_mass = Fraction(tail_count, n)
         scaled_variance = variance / n_m_sq
 
@@ -354,7 +342,7 @@ def run_lochs(exp: LochsExperiment) -> LochsReport:
         hists, cap_hits = _chunk(exp, (0, n))
 
     precision = exp.resolved_precision()
-    rows = tuple(_row(exp, slot, hists[slot], cap_hits[slot]) for slot in range(len(exp.m_values)))
+    rows = tuple(map(partial(_row, exp), exp.m_values, hists, cap_hits))
     return LochsReport(
         config=exp.to_json(),
         prng={"id": PRNG_ID, "seed": exp.rng_seed, "path": ["lochs"]},
@@ -404,8 +392,7 @@ def pm_measure_exact(
         raise DomainError("eps must be positive")
     if kbar is None:
         kbar = default_kbar(beta, m, eps)
-    if kbar < 1:
-        raise DomainError("kbar must be at least 1")
+    check_positive_int(kbar, "kbar", DomainError)
 
     # a leaf's inputs lie in its cylinder [E/P, (E (p - q) + Q q) / (P (p - q))],
     # so all of them are in the tail set unless the cylinder sits in its cell

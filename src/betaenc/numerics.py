@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -74,6 +73,13 @@ def check_positive_int(value, name: str, error: type) -> int:
     return value
 
 
+def check_nonnegative_int(value, name: str, error: type) -> int:
+    """``value`` if it is an int of at least 0; a bool is refused like any non-int."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise error(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def check_seed(value, name: str, error: type) -> int:
     """``value`` if it is an int in [0, 2**64): SplitMix64 would wrap any other."""
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 1 << 64:
@@ -99,7 +105,8 @@ def check_thresholds(values, kappa: Fraction, error: type) -> None:
 def check_orders(values, name: str, error: type) -> tuple:
     """``values`` as a tuple if they are ints >= 1 in strictly increasing order."""
     orders = tuple(values)
-    if not orders or any(not isinstance(m, int) or m < 1 for m in orders):
+    if not orders or any(isinstance(m, bool) or not isinstance(m, int) or m < 1
+                         for m in orders):
         raise error(f"{name} must be positive integers")
     if any(lo >= hi for lo, hi in zip(orders, orders[1:])):
         raise error(f"{name} must be strictly increasing")
@@ -137,31 +144,6 @@ class Interval:
 
     def to_json(self) -> dict:
         return {"lo": format_rational(self.lo), "hi": format_rational(self.hi)}
-
-
-class PrecisionMode(Enum):
-    EXACT = "exact"
-    FLOAT_FAST = "float-fast"
-
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Arithmetic mode for the encoder orbit.
-
-    FLOAT_FAST is a bit-accurate model of round-to-nearest-even binary
-    floating point with ``float_bits`` mantissa bits; it is permitted only
-    where an operation's contract explicitly allows approximation.
-    """
-
-    mode: PrecisionMode = PrecisionMode.EXACT
-    float_bits: int = 53
-
-    def __post_init__(self):
-        if self.mode is PrecisionMode.FLOAT_FAST and self.float_bits < 4:
-            raise DomainError("float mode needs at least 4 mantissa bits")
-
-
-EXACT_POLICY = PrecisionPolicy(PrecisionMode.EXACT)
 
 
 def dyadic_index(x: Fraction, m: int) -> int:
@@ -301,26 +283,26 @@ def least_power_at_least(
 # ask for the same log many times compute it once; typed, so a refused type
 # (a float) never gets the entry of the rational it equals.
 @lru_cache(maxsize=256, typed=True)
-def log2_decimal(value: Fraction, digits: int = 50) -> Decimal:
-    """log2 of a positive rational, correct to ~`digits` significant digits."""
+def log2_decimal(value: Fraction) -> Decimal:
+    """log2 of a positive rational, correct to ~50 significant digits."""
     value = as_fraction(value)
     if value <= 0:
         raise DomainError("log of a nonpositive value")
     with localcontext() as ctx:
-        ctx.prec = digits + 10
+        ctx.prec = 60
         num = Decimal(value.numerator).ln()
         den = Decimal(value.denominator).ln()
         return (num - den) / Decimal(2).ln()
 
 
 @lru_cache(maxsize=64, typed=True)
-def log_ratio_decimal(beta: Fraction, digits: int = 50) -> Decimal:
-    """log2 / log(beta), the ideal digit-transfer rate, as a Decimal."""
+def log_ratio_decimal(beta: Fraction) -> Decimal:
+    """log2 / log(beta), the ideal digit-transfer rate, to ~50 significant digits."""
     beta = as_fraction(beta)
     if beta <= 1:
         raise DomainError("rate needs beta > 1")
     with localcontext() as ctx:
-        ctx.prec = digits + 10
+        ctx.prec = 60
         lnb = Decimal(beta.numerator).ln() - Decimal(beta.denominator).ln()
         return Decimal(2).ln() / lnb
 

@@ -45,11 +45,11 @@ def point_mass(word: int, m: int) -> WordLaw:
     return WordLaw(m, {word: ONE})
 
 
-def min_entropy_decimal(entries: dict, digits: int = 50) -> Decimal:
-    """-log2 of the largest probability, to about ``digits`` significant digits."""
+def min_entropy_decimal(entries: dict) -> Decimal:
+    """-log2 of the largest probability, to about 50 significant digits."""
     p = max(entries.values())
     with localcontext() as ctx:
-        ctx.prec = digits + 10
+        ctx.prec = 60
         return -(Decimal(p.numerator).ln() - Decimal(p.denominator).ln()) / Decimal(2).ln()
 
 

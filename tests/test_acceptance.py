@@ -17,9 +17,8 @@ from betaenc.converter import (default_k_cap, fresh_state, push_bit,
                                uncertainty_interval)
 from betaenc.encoder import (ConstantThreshold, FixedBeta, IidSupportBetas,
                              UniformThresholds, encode_bits)
-from betaenc.entropy import min_entropy_bound_check, word_distribution
-from betaenc.extract import (TWO_SOURCE_WARNING, FiniteDistribution,
-                             PipelineConfig, adversarial_source,
+from betaenc.entropy import WordDistribution, min_entropy_bound_check, word_distribution
+from betaenc.extract import (TWO_SOURCE_WARNING, PipelineConfig, adversarial_source,
                              flat_avg_seed_tv, flat_source_family,
                              leftover_hash_bound_ok, pipeline_extract,
                              subcube_supports,
@@ -284,7 +283,7 @@ def test_criterion_08_one_function_postprocessing_fails():
         for word, p in source.entries.items():
             y = ext(word_to_bits(word, 10))
             out[y] = out.get(y, Fraction(0)) + p
-        assert oracles.tv_from_uniform(FiniteDistribution(1, out)) == half, i
+        assert oracles.tv_from_uniform(WordDistribution(1, out)) == half, i
     line = record(
         8, True,
         f"100 random 10-bit tables: adversarial flat source always has "

@@ -132,6 +132,10 @@ def test_input_validation():
         run_battery(np.array([0, 1, 2] * 200, dtype=np.uint8))
     with pytest.raises(DomainError):
         run_battery(prng_bits(512), significance=0.0)
+    # n_runs=0 divided by zero in calibration_tolerance
+    for counts in ({"n_runs": 0}, {"n_runs": 2.5}, {"n_bits": 0}, {"n_bits": True}):
+        with pytest.raises(DomainError, match="must be a positive integer"):
+            rejection_rates(**counts)
 
 
 def test_result_json_round_trip():

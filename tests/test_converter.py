@@ -204,6 +204,9 @@ def test_input_validation():
         k_profile(F(1, 2), [4, 2], F(3, 2))
     with pytest.raises(DomainError):
         k_profile(F(1, 2), [0], F(3, 2))
+    # True passed as the int 1 and failed deep in the power search
+    with pytest.raises(DomainError, match="^m_values must be positive integers$"):
+        k_profile(F(1, 3), [True, 2], F(3, 2))
 
 
 def test_edge_inputs():

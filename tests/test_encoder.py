@@ -29,7 +29,6 @@ from betaenc.encoder import (
     reconstruct_partial,
 )
 from betaenc.errors import ConfigurationError, DomainError
-from betaenc.numerics import EXACT_POLICY, PrecisionMode, PrecisionPolicy
 from betaenc.prng import SplitMix64
 
 F = Fraction
@@ -458,8 +457,7 @@ def test_state_bound_invariant_under_max_threshold():
 
 
 def test_float_mode_tracks_near_ties():
-    policy = PrecisionPolicy(PrecisionMode.FLOAT_FAST, 8)
-    trace = encode(F(1, 3), FixedBeta(F(3, 2)), ConstantThreshold(1), 30, policy)
+    trace = encode(F(1, 3), FixedBeta(F(3, 2)), ConstantThreshold(1), 30, float_bits=8)
     assert trace.near_ties is not None
     assert len(trace.near_ties) == 30
     doc = trace.to_json()
@@ -471,11 +469,16 @@ def test_float_mode_tracks_near_ties():
 
 def test_float_mode_agrees_with_exact_away_from_ties():
     # 53-bit emulation on a short clean orbit reproduces the exact bits
-    policy = PrecisionPolicy(PrecisionMode.FLOAT_FAST, 53)
     exact = encode(F(1, 3), FixedBeta(F(3, 2)), ConstantThreshold(1), 40)
-    emulated = encode(F(1, 3), FixedBeta(F(3, 2)), ConstantThreshold(1), 40, policy)
+    emulated = encode(F(1, 3), FixedBeta(F(3, 2)), ConstantThreshold(1), 40, float_bits=53)
     if not emulated.flagged:
         assert emulated.bits == exact.bits
+
+
+def test_float_mode_needs_at_least_four_mantissa_bits():
+    for float_bits in (2, 3, 0, True, 4.0, "8"):
+        with pytest.raises(DomainError, match="at least 4 mantissa bits"):
+            encode(F(1, 3), FixedBeta(F(3, 2)), ConstantThreshold(1), 3, float_bits=float_bits)
 
 
 def test_trace_json_shape():

@@ -19,7 +19,6 @@ from betaenc.encoder import (
 from betaenc.entropy import (
     WordDistribution,
     _gain_choices,
-    is_mk_source,
     min_entropy_bound_check,
     word_distribution,
 )
@@ -144,12 +143,12 @@ def test_explicit_threshold_sequence():
 
 
 def test_mk_source_predicate():
-    assert is_mk_source(uniform_dist(3), 3)
-    assert not is_mk_source(uniform_dist(3), F(301, 100))
-    assert not is_mk_source(WordDistribution(1, {0: F(1)}), F(1, 10))
-    assert is_mk_source(WordDistribution(1, {0: F(1)}), 0)
+    assert uniform_dist(3).min_entropy_at_least(3)
+    assert not uniform_dist(3).min_entropy_at_least(F(301, 100))
+    assert not WordDistribution(1, {0: F(1)}).min_entropy_at_least(F(1, 10))
+    assert WordDistribution(1, {0: F(1)}).min_entropy_at_least(0)
     with pytest.raises(ConfigurationError):
-        is_mk_source(uniform_dist(1), F(-1))
+        uniform_dist(1).min_entropy_at_least(F(-1))
 
 
 def test_mk_source_at_guaranteed_rate():
@@ -157,9 +156,9 @@ def test_mk_source_at_guaranteed_rate():
     # k at or below it must pass, and the true entropy 4.6797... caps it
     dist = word_distribution(FixedBeta(F(3, 2)), m=8)
     assert dist.max_probability()[1] == F(256, 6561)
-    assert is_mk_source(dist, F(367, 100))
-    assert is_mk_source(dist, F(467, 100))
-    assert not is_mk_source(dist, F(47, 10))
+    assert dist.min_entropy_at_least(F(367, 100))
+    assert dist.min_entropy_at_least(F(467, 100))
+    assert not dist.min_entropy_at_least(F(47, 10))
 
 
 def test_distribution_validation():

@@ -9,10 +9,10 @@ import oracles
 from betaenc import extract
 from betaenc.bitio import word_to_bits
 from betaenc.encoder import encode_bits
+from betaenc.entropy import WordDistribution
 from betaenc.errors import ConfigurationError, DomainError, ResourceBudgetError
 from betaenc.extract import (
     TWO_SOURCE_WARNING,
-    FiniteDistribution,
     PipelineConfig,
     SeededExtractor,
     adversarial_source,
@@ -37,35 +37,40 @@ F = Fraction
 
 
 def test_distribution_constructors():
-    u = FiniteDistribution.uniform(2)
+    u = WordDistribution.uniform(2)
     assert u.prob(3) == F(1, 4)
     point = oracles.point_mass(5, 3)
     assert point.prob(5) == 1 and point.prob(0) == 0
-    flat = FiniteDistribution.flat([3, 1, 3], 2)
+    flat = WordDistribution.flat([3, 1], 2)
     assert flat.entries == {1: F(1, 2), 3: F(1, 2)}
     with pytest.raises(ConfigurationError):
-        FiniteDistribution.flat([], 2)
+        WordDistribution.flat([], 2)
+    # the flat-support rule of flat_avg_seed_tv and two_source_tv; [3, 1, 3]
+    # dropped the repeat and [1.7] became the point mass on 1
+    for support, m in (([3, 1, 3], 2), ([1.7], 2), (["3"], 2), ([True], 1), ([4], 2)):
+        with pytest.raises(DomainError):
+            WordDistribution.flat(support, m)
     with pytest.raises(ConfigurationError):
-        FiniteDistribution(2, {0: F(1, 2)})
+        WordDistribution(2, {0: F(1, 2)})
     with pytest.raises(ConfigurationError):
-        FiniteDistribution(1, {2: F(1)})
+        WordDistribution(1, {2: F(1)})
 
 
 def test_min_entropy_predicate():
-    assert FiniteDistribution.uniform(3).min_entropy_at_least(3)
-    assert not FiniteDistribution.uniform(3).min_entropy_at_least(F(31, 10))
-    assert FiniteDistribution.flat(range(4), 4).min_entropy_at_least(2)
+    assert WordDistribution.uniform(3).min_entropy_at_least(3)
+    assert not WordDistribution.uniform(3).min_entropy_at_least(F(31, 10))
+    assert WordDistribution.flat(range(4), 4).min_entropy_at_least(2)
 
 
 def test_tv_basics():
-    u = FiniteDistribution.uniform(2)
+    u = WordDistribution.uniform(2)
     point = oracles.point_mass(0, 2)
     assert tv_distance(u, u) == 0
     assert tv_distance(u, point) == F(3, 4)
     assert oracles.tv_from_uniform(point) == F(3, 4)
     assert oracles.tv_from_uniform(u) == 0
     with pytest.raises(DomainError):
-        tv_distance(u, FiniteDistribution.uniform(3))
+        tv_distance(u, WordDistribution.uniform(3))
 
 
 @given(st.integers(min_value=1, max_value=5), st.data())
@@ -79,11 +84,11 @@ def test_tv_matches_direct_oracle(n, data):
     entries = {w: F(c, total) for w, c in enumerate(weights) if c}
     if not entries:
         entries = {0: F(1)}
-    dist = FiniteDistribution(n, entries)
+    dist = WordDistribution(n, entries)
     full = {w: dist.prob(w) for w in range(words)}
     uniform = {w: F(1, words) for w in range(words)}
     assert oracles.tv_from_uniform(dist) == oracles.tv_direct(full, uniform)
-    assert tv_distance(dist, FiniteDistribution.uniform(n)) == oracles.tv_from_uniform(dist)
+    assert tv_distance(dist, WordDistribution.uniform(n)) == oracles.tv_from_uniform(dist)
 
 
 def test_adversarial_source_parity():
@@ -120,8 +125,6 @@ def test_extractor_shape_and_validation():
         SeededExtractor(4, 5)
     with pytest.raises(ConfigurationError):
         SeededExtractor(4, 0)
-    with pytest.raises(ConfigurationError):
-        SeededExtractor(4, 2, kind="vandermonde")
     with pytest.raises(DomainError):
         ext.apply(16, 0)
     with pytest.raises(DomainError):
@@ -186,7 +189,7 @@ def test_seeded_extract_reads_numpy_bits_like_tuples():
 
 
 def test_average_tv_frozen_prefix_case():
-    source = FiniteDistribution.flat(range(4), 4)
+    source = WordDistribution.flat(range(4), 4)
     slow = avg_seed_tv(source, 2)
     assert slow == F(9, 32)
     fast = flat_avg_seed_tv(4, 2, [tuple(range(4))])
@@ -198,7 +201,7 @@ def test_fast_harness_agrees_with_slow_path():
     for n in (1, 2):
         fast = flat_avg_seed_tv(4, n, supports)
         for sup, tv in zip(supports, fast):
-            assert tv == avg_seed_tv(FiniteDistribution.flat(sup, 4), n)
+            assert tv == avg_seed_tv(WordDistribution.flat(sup, 4), n)
 
 
 def test_every_tiny_flat_source_obeys_the_hash_bound():
@@ -232,7 +235,7 @@ def test_walsh_path_matches_the_oracles(case):
     assert fast == oracles.flat_avg_seed_tv_table(m, n, supports)
     if m + n - 1 <= 7:
         for support, tv in zip(supports, fast):
-            assert tv == avg_seed_tv(FiniteDistribution.flat(support, m), n)
+            assert tv == avg_seed_tv(WordDistribution.flat(support, m), n)
 
 
 def test_walsh_path_on_uneven_support_sizes():
@@ -247,7 +250,7 @@ def test_walsh_path_on_uneven_support_sizes():
         assert fast[0] == 1 - F(1, 1 << n)
         if n <= 2:
             for support, tv in zip(supports, fast):
-                assert tv == avg_seed_tv(FiniteDistribution.flat(support, m), n)
+                assert tv == avg_seed_tv(WordDistribution.flat(support, m), n)
 
 
 def test_walsh_path_batch_boundaries_and_generators():
@@ -287,7 +290,7 @@ def test_output_table_budget():
     # m = 14 with d = 16 is the largest table; a point mass gives 1 - 2**-n
     assert flat_avg_seed_tv(14, 3, [(12345,)]) == [F(7, 8)]
     with pytest.raises(ResourceBudgetError):
-        avg_seed_tv(FiniteDistribution.flat(range(4), 12), 12)
+        avg_seed_tv(WordDistribution.flat(range(4), 12), 12)
     with pytest.raises(ConfigurationError):
         flat_avg_seed_tv(4, 2, [()])
 
@@ -436,6 +439,11 @@ def test_pipeline_config_validation():
         PipelineConfig(mode="seeded", block_bits=4, out_bits=5, beta_min=F(3, 2), beta_max=F(3, 2), seed=1)
     with pytest.raises(ConfigurationError):
         PipelineConfig(mode="seeded", block_bits=4, beta_min=F(9, 5), beta_max=F(3, 2), seed=1)
+    # these raised AttributeError or TypeError, or were reported as "out_bits": true
+    for counts in ({"block_bits": 48.0}, {"block_bits": 0}, {"out_bits": True},
+                   {"out_bits": 0}, {"gap_bits": 0.5}, {"gap_bits": -1}, {"gap_bits": False}):
+        with pytest.raises(ConfigurationError, match="must be a (positive|nonnegative) integer"):
+            PipelineConfig(**{**good, "seed": 1, **counts})
 
 
 def test_pipeline_seeded_run():

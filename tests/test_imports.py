@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports.
 
 No linter ships with the toolchain, so this stdlib ``ast`` pass stands in
-for one.  ``__init__.py`` is exempt: its imports are the public API.
+for one.  ``__init__.py`` is exempt: its imports are the public API, and
+its ``__all__`` lists exactly those names and ``__version__``.
 """
 
 import ast
@@ -52,3 +53,13 @@ def test_the_check_sees_unused_imports():
         "    return gcd(x, 2)\n"
     )
     assert unused_imports(source) == ["l (line 2)", "os (line 1)"]
+
+
+def test_all_lists_exactly_what_init_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    (exported,) = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"]
+    assert len(exported) == len(set(exported))
+    assert set(exported) - {"__version__"} == imported

@@ -58,6 +58,9 @@ def test_config_validation():
         LochsExperiment(beta=F(3, 2), workers=0)
     with pytest.raises(ConfigurationError):
         LochsExperiment(beta=F(3, 2), thresholds=ConstantThreshold(F(5, 2)))
+    # a bool was accepted and recorded as [true, 4]
+    with pytest.raises(ConfigurationError, match="^m_values must be positive integers$"):
+        LochsExperiment(beta=F(3, 2), m_values=(True, 4))
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 1, True, 1.0, "3"])
@@ -287,11 +290,6 @@ def test_scaling_variants():
     assert lin["tail"]["n_m"] == "4/1"
     sq = run_lochs(small_experiment(scaling="sqrt")).rows[0]
     assert sq["tail"]["n_m"] == "sqrt(4)"
-    custom = run_lochs(
-        small_experiment(scaling="custom", custom_scale=(F(2), F(3)))
-    ).rows[0]
-    assert custom["tail"]["n_m"] == "2/1"
-    assert custom["scaled_variance"]["n_m_squared"] == "4/1"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -382,7 +380,8 @@ def test_straddle_measure_validation():
             pm_measure_exact(F(3, 2), F(1), m, F(1, 2))
     with pytest.raises(DomainError):
         pm_measure_exact(F(3, 2), F(1), 3, 0)
-    with pytest.raises(DomainError):
-        pm_measure_exact(F(3, 2), F(1), 3, F(1, 2), kbar=0)
+    for kbar in (0, 2.5, True):
+        with pytest.raises(DomainError, match="kbar must be a positive integer"):
+            pm_measure_exact(F(3, 2), F(1), 3, F(1, 2), kbar=kbar)
     with pytest.raises(ResourceBudgetError, match="^prefix-tree walk passed 10 nodes; shrink the depth$"):
         pm_measure_exact(F(3, 2), F(1), 3, F(1, 2), node_budget=10)

@@ -11,10 +11,7 @@ import oracles
 from betaenc import numerics
 from betaenc.errors import DomainError
 from betaenc.numerics import (
-    EXACT_POLICY,
     Interval,
-    PrecisionMode,
-    PrecisionPolicy,
     as_fraction,
     check_beta,
     cmp_pow2,
@@ -295,12 +292,6 @@ def test_round_to_bits_is_closest(x):
     # error at most half an ulp of x's binade
     scale = Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length())
     assert abs(r - x) <= scale  # coarse sanity; exactness checked at ties above
-
-
-def test_precision_policy_validation():
-    assert EXACT_POLICY.mode is PrecisionMode.EXACT
-    with pytest.raises(DomainError):
-        PrecisionPolicy(PrecisionMode.FLOAT_FAST, 2)
 
 
 def test_least_power_refuses_the_band_below_the_limit_at_once():
