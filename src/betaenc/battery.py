@@ -4,8 +4,10 @@ Monobit, runs, serial (order 2), and approximate entropy (order 2):
 chosen so every p-value is an erfc / exponential expression and no
 incomplete-gamma tables are needed.  All four read one cyclic order-3
 pattern count of the stream, built once per battery run from exact
-integer moments.  This is supporting evidence for the extraction
-pipeline, not a conformance suite.
+integer moments that popcounts of the stream packed into 64-bit words
+give.  The self-calibration draws its PRNG runs 32 at a time as packed
+SplitMix64 words and counts each block without unpacking a bit.  This is
+supporting evidence for the extraction pipeline, not a conformance suite.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ import numpy as np
 from .bitio import as_bit_array
 from .errors import DomainError, InsufficientLengthError
 from .numerics import check_positive_int, decimal_str
-from .prng import PRNG_ID, SplitMix64
+from .prng import PRNG_ID, SplitMix64, _counter_words
+
+# calibration runs drawn and counted per word block; at 2**15 bits a block is 128 KiB
+_CALIBRATION_BLOCK = 32
 
 MINIMUM_BITS = {
     "monobit": 100,
@@ -64,31 +69,68 @@ class PatternCounts:
     order3: tuple
     wraps: int
 
+    def __len__(self) -> int:
+        return self.n
+
     def order(self, k: int) -> tuple:
-        counts = self.order3
-        for _ in range(3 - k):
-            counts = tuple(counts[i] + counts[i + 1] for i in range(0, len(counts), 2))
-        return counts
+        c = self.order3
+        if k == 3:
+            return c
+        pairs = (c[0] + c[1], c[2] + c[3], c[4] + c[5], c[6] + c[7])
+        return pairs if k == 2 else (pairs[0] + pairs[1], pairs[2] + pairs[3])
+
+
+def _packed_counts(words: np.ndarray, n: int) -> list:
+    """PatternCounts of each row of a (rows, words) uint64 array of n-bit streams.
+
+    Bits are MSB-first and bits past n are zero; a row has at least one
+    word.  With p, q, r the stream and its cyclic shifts by 1 and 2, each
+    order-3 count is an inclusion-exclusion of n, #p, #(p&q) = #(q&r),
+    #(p&r) and #(p&q&r).  The shifted words ``w<<1 | next>>63`` and
+    ``w<<2 | next>>62`` read zeros past n, so the popcounts miss only the
+    windows starting at n-2 and n-1, added from bits 0, 1, n-2 and n-1
+    (indices mod n, so n = 1 and n = 2 count each window once).
+    """
+    nxt = np.zeros_like(words)
+    nxt[:, :-1] = words[:, 1:]
+    q = words << 1 | nxt >> 63
+    r = words << 2 | nxt >> 62
+    pq = words & q
+
+    def popcount(a):
+        return np.bitwise_count(a).sum(axis=1, dtype=np.int64)
+
+    def bit(j):
+        j %= max(n, 1)
+        return (words[:, j // 64] >> (63 - j % 64) & 1).astype(np.int64)
+
+    first, second, penult, last = (bit(j) for j in (0, 1, n - 2, n - 1))
+    two = int(n >= 2)  # a window starts at n-2 only if n >= 2
+    moments = zip(popcount(words).tolist(),
+                  (popcount(pq) + (last & first)).tolist(),
+                  (popcount(words & r) + two * (penult & first) + (last & second)).tolist(),
+                  (popcount(pq & r) + two * (penult & last & first)
+                   + (last & first & second)).tolist(),
+                  (last ^ first).tolist())
+    out = []
+    for s1, s_pq, s_pr, s_pqr, wraps in moments:
+        x, y, z = s_pq - s_pqr, s_pr - s_pqr, s_pqr  # #011 = #110, #101, #111
+        e = s1 - x - y - z  # #100 = #001
+        order3 = (n - 2 * e - s1 - y, e, s1 - 2 * x - z, x, e, y, x, z)
+        out.append(PatternCounts(n, order3, wraps))
+    return out
 
 
 def pattern_counts(bits) -> PatternCounts:
-    """Validate a bit stream once and count its order-3 patterns.
-
-    With p, q, r the stream and its cyclic shifts by 1 and 2, each count is
-    an inclusion-exclusion of n, #p, #(p&q) = #(q&r), #(p&r) and #(p&q&r).
-    """
+    """Validate a bit stream once and count its order-3 patterns on packed words."""
     if isinstance(bits, PatternCounts):
         return bits
     arr = as_bit_array(bits)
     n = arr.size
-    ext = np.resize(arr, n + 2)  # b_1 .. b_n, b_1, b_2 (cyclically for n < 2)
-    p, q, r = ext[:n], ext[1 : n + 1], ext[2:]
-    pq = p & q
-    s1, s_pq, s_pr, s_pqr = (int(np.count_nonzero(a)) for a in (p, pq, p & r, pq & r))
-    x, y, z = s_pq - s_pqr, s_pr - s_pqr, s_pqr  # #011 = #110, #101, #111
-    e = s1 - x - y - z  # #100 = #001
-    order3 = (n - 2 * e - s1 - y, e, s1 - 2 * x - z, x, e, y, x, z)
-    return PatternCounts(n, order3, int(n > 0 and arr[-1] != arr[0]))
+    packed = np.zeros(8 * max(1, -(-n // 64)), dtype=np.uint8)
+    packed[: -(-n // 8)] = np.packbits(arr)
+    (counts,) = _packed_counts(packed.view(">u8").astype(np.uint64)[None, :], n)
+    return counts
 
 
 def _psi_sq(counts: PatternCounts, order: int) -> float:
@@ -191,10 +233,18 @@ def rejection_rates(n_runs: int = 1000, n_bits: int = 1 << 15,
     check_positive_int(n_runs, "n_runs", DomainError)
     check_positive_int(n_bits, "n_bits", DomainError)
     rng = SplitMix64(seed).derive("battery-calibration")
+    n_words = -(-n_bits // 64)
+    # the bits of the last word that lie before n_bits
+    tail = np.uint64((1 << 64) - (1 << (64 * n_words - n_bits)))
     rejected = {}
-    for i in range(n_runs):
-        for result in run_battery(rng.derive("run", i).bit_array(n_bits), significance):
-            rejected[result.name] = rejected.get(result.name, 0) + (not result.passed)
+    for lo in range(0, n_runs, _CALIBRATION_BLOCK):
+        # row i - lo is rng.derive("run", i).bit_array(n_bits), still packed
+        keys = rng.derive_array("run", range(lo, min(lo + _CALIBRATION_BLOCK, n_runs)))
+        words = _counter_words(keys, 0, n_words)
+        words[:, -1] &= tail
+        for counts in _packed_counts(words, n_bits):
+            for result in run_battery(counts, significance):
+                rejected[result.name] = rejected.get(result.name, 0) + (not result.passed)
     return {
         "prng": PRNG_ID,
         "seed": seed,

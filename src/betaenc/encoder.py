@@ -153,8 +153,9 @@ class _Uniform:
         lo, hi = self._check(self.lo), self._check(self.hi)
         if lo > hi:
             raise ConfigurationError(f"need lo <= hi, got [{lo}, {hi}]")
-        if self.precision_bits < 2:
+        if isinstance(self.precision_bits, int) and self.precision_bits < 2:
             raise ConfigurationError(f"need precision_bits >= 2, got {self.precision_bits}")
+        check_positive_int(self.precision_bits, "precision_bits", ConfigurationError)
         if self.seed is not None:
             check_seed(self.seed, "seed", ConfigurationError)
         object.__setattr__(self, "lo", lo)

@@ -73,10 +73,10 @@ class WordDistribution:
     entries: dict
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ConfigurationError("word length must be positive")
-        limit = 1 << self.m
+        limit = 1 << check_positive_int(self.m, "word length", ConfigurationError)
         for word, p in self.entries.items():
+            if isinstance(word, bool):
+                raise ConfigurationError(f"words must be ints, got {word!r}")
             if not (0 <= word < limit):
                 raise ConfigurationError(f"word {word} does not fit in {self.m} bits")
             if p.numerator <= 0:  # denominators are positive

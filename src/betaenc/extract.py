@@ -102,7 +102,9 @@ class SeededExtractor:
     n: int
 
     def __post_init__(self):
-        if not (1 <= self.n <= self.m):
+        check_positive_int(self.m, "m", ConfigurationError)
+        check_positive_int(self.n, "n", ConfigurationError)
+        if self.n > self.m:
             raise ConfigurationError(f"need 1 <= n <= m, got n={self.n}, m={self.m}")
 
     @property

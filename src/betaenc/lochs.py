@@ -84,7 +84,8 @@ class LochsExperiment:
         object.__setattr__(self, "tail_eps", as_fraction(self.tail_eps))
         if self.tail_eps <= 0:
             raise ConfigurationError("tail_eps must be positive")
-        if self.precision_bits is not None and self.precision_bits <= ms[-1]:
+        if (self.precision_bits is not None and check_positive_int(
+                self.precision_bits, "precision_bits", ConfigurationError) <= ms[-1]):
             raise ConfigurationError(
                 f"{self.precision_bits} sample bits cannot resolve order-{ms[-1]} cells"
             )

@@ -784,3 +784,41 @@ def battery_four_histograms(bits, alpha: float = 0.01) -> list:
     p = min(1.0, math.exp(-x) * (1 + x))
     out.append(("approximate-entropy", chi2, p, p >= alpha, alpha, {"ap_en": ap_en}))
     return out
+
+
+def pattern_counts_bytes(bits) -> tuple:
+    """(n, order3, wraps) of a 0/1 uint8 stream, counted on the bytes.
+
+    The unpacked path the packed-word counts replaced: p, q, r are the
+    stream and its cyclic shifts by 1 and 2 (``np.resize`` wraps them for
+    n < 2), and the order-3 counts are an inclusion-exclusion of n, #p,
+    #(p&q), #(p&r) and #(p&q&r).  ``order3[4a + 2b + c]`` counts the
+    windows reading abc; ``wraps`` is 1 when the last bit differs from the first.
+    """
+    arr = np.asarray(bits, dtype=np.uint8)
+    n = arr.size
+    ext = np.resize(arr, n + 2)
+    p, q, r = ext[:n], ext[1 : n + 1], ext[2:]
+    pq = p & q
+    s1, s_pq, s_pr, s_pqr = (int(np.count_nonzero(a)) for a in (p, pq, p & r, pq & r))
+    x, y, z = s_pq - s_pqr, s_pr - s_pqr, s_pqr
+    e = s1 - x - y - z
+    order3 = (n - 2 * e - s1 - y, e, s1 - 2 * x - z, x, e, y, x, z)
+    return n, order3, int(n > 0 and arr[-1] != arr[0])
+
+
+def rejection_rates_per_run(n_runs: int, n_bits: int, significance: float, seed: int) -> dict:
+    """Per-test rejection rates of the calibration, one run at a time.
+
+    Run i tests the first n_bits of SplitMix64(seed).derive("battery-calibration",
+    "run", i), each word MSB-first, with the four-histogram battery; a rate
+    is rejections / n_runs.
+    """
+    rejected = {}
+    for i in range(n_runs):
+        rng = ScalarSplitMix(seed, ("battery-calibration", "run", i))
+        text = "".join(format(rng.next64(), "064b") for _ in range(-(-n_bits // 64)))
+        bits = np.frombuffer(text[:n_bits].encode("ascii"), dtype=np.uint8) - ord("0")
+        for name, _, _, passed, _, _ in battery_four_histograms(bits, significance):
+            rejected[name] = rejected.get(name, 0) + (not passed)
+    return {name: Fraction(v, n_runs) for name, v in rejected.items()}

@@ -238,9 +238,52 @@ def test_tests_accept_prebuilt_counts():
     bits = prng_bits(3000)
     counts = pattern_counts(bits)
     assert pattern_counts(counts) is counts
+    assert len(counts) == bits.size  # the tracer counts tested bits this way
+    assert run_battery(counts) == run_battery(bits)
     for test in ALL_TESTS:
         assert test(counts, 0.05) == test(bits, 0.05) == test(bits.tolist(), 0.05)
     with pytest.raises(DomainError):
         monobit_test([0, 1, 2])
     with pytest.raises(DomainError):
         serial_test(np.zeros((2, 300), dtype=np.uint8))
+
+
+def _same_as_byte_counts(bits):
+    counts = pattern_counts(bits)
+    assert (counts.n, counts.order3, counts.wraps) == oracles.pattern_counts_bytes(bits), bits.size
+    return counts
+
+
+@pytest.mark.parametrize("sizes", [range(1, 201), range(255, 258), range(4095, 4098), [600_000]])
+def test_packed_counts_match_the_byte_counts(sizes):
+    for n in sizes:
+        rng = SplitMix64(n).derive("packed-counts")
+        _same_as_byte_counts(rng.bit_array(n))
+        _same_as_byte_counts(rng.bit_array(n) & rng.bit_array(n))
+        for pattern in ([0], [1], [1, 0], [1, 1, 0]):
+            _same_as_byte_counts(np.resize(np.array(pattern, dtype=np.uint8), n))
+
+
+@given(st.integers(min_value=1, max_value=5000), st.integers(min_value=0, max_value=2**64 - 1),
+       st.sampled_from(["random", "biased", "periodic"]))
+@settings(max_examples=150)
+def test_packed_counts_match_the_byte_counts_fuzzed(n, seed, kind):
+    rng = SplitMix64(seed).derive("packed-counts-fuzz")
+    if kind == "periodic":
+        period = rng.bit_array(1 + rng.randbelow(9))
+        bits = np.resize(period, n)
+    else:
+        bits = rng.bit_array(n)
+        for i in range(1, 1 + (kind == "biased") * (1 + rng.randbelow(3))):
+            bits &= rng.derive("bias", i).bit_array(n)
+    _same_as_byte_counts(bits)
+
+
+@pytest.mark.parametrize("significance", [0.01, 0.25])
+@pytest.mark.parametrize("n_bits", [256, 1000, 4097, 1 << 15])
+@pytest.mark.parametrize("n_runs", [1, 31, 32, 33, 100])
+def test_rejection_rates_match_the_per_run_loop(n_runs, n_bits, significance):
+    doc = rejection_rates(n_runs=n_runs, n_bits=n_bits, significance=significance, seed=3)
+    want = oracles.rejection_rates_per_run(n_runs, n_bits, significance, seed=3)
+    assert doc["rates"] == want
+    assert list(doc["rates"]) == list(want)

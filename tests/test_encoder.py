@@ -97,6 +97,13 @@ def test_uniform_processes_need_two_precision_bits():
         assert len(process(lo, hi, seed=1, precision_bits=2).realize(3)) == 3
 
 
+def test_uniform_processes_refuse_a_fractional_precision():
+    # accepted before, then the first draw raised TypeError
+    with pytest.raises(ConfigurationError,
+                       match="^precision_bits must be a positive integer, got 8.5$"):
+        UniformThresholds(1, 2, precision_bits=8.5)
+
+
 def test_explicit_sequences_must_cover_run():
     betas = ExplicitBetas((F(3, 2), F(8, 5)))
     with pytest.raises(ConfigurationError):

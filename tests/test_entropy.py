@@ -186,6 +186,12 @@ def test_distribution_check_messages(m, entries, message):
         WordDistribution(m, entries)
 
 
+def test_distribution_refuses_a_bool_word():
+    # accepted before, and printed as word 1
+    with pytest.raises(ConfigurationError, match="^words must be ints, got True$"):
+        WordDistribution(1, {True: F(1)})
+
+
 def test_distribution_total_is_exact_over_unlike_denominators():
     # 3**20 and 2**40 share no factor: the integer total must still be exact
     third = F(1, 3**20)

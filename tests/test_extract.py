@@ -131,6 +131,18 @@ def test_extractor_shape_and_validation():
         ext.apply(0, 32)
 
 
+def test_extractor_refuses_a_float_width():
+    # accepted before with d == 5.0; apply then raised TypeError on 1 << 4.0
+    with pytest.raises(ConfigurationError, match="^m must be a positive integer, got 4.0$"):
+        SeededExtractor(4.0, 2)
+
+
+def test_extractor_refuses_bool_widths():
+    # accepted before and recorded as {"m": true, "n": true, "d": 1}
+    with pytest.raises(ConfigurationError, match="^m must be a positive integer, got True$"):
+        SeededExtractor(True, True)
+
+
 def test_two_by_one_hash_is_the_inner_product():
     # m=2, n=1: y = z1*x1 xor z2*x2 with everything written MSB-first
     ext = SeededExtractor(2, 1)

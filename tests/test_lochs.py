@@ -63,6 +63,13 @@ def test_config_validation():
         LochsExperiment(beta=F(3, 2), m_values=(True, 4))
 
 
+def test_experiment_refuses_a_fractional_precision():
+    # accepted before, then run_lochs raised TypeError on 1 << 100.5
+    with pytest.raises(ConfigurationError,
+                       match="^precision_bits must be a positive integer, got 100.5$"):
+        LochsExperiment(beta=F(3, 2), m_values=(4,), precision_bits=100.5)
+
+
 @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 1, True, 1.0, "3"])
 def test_seeds_outside_64_bits_are_refused(seed):
     with pytest.raises(ConfigurationError, match=r"^rng_seed must be an integer in \[0, 2\*\*64\)"):
