@@ -41,7 +41,6 @@ from .encoder import (
     apply_Tu,
     encode,
     encode_bits,
-    reconstruct_partial,
 )
 from .entropy import (
     BoundCheck,
@@ -61,17 +60,13 @@ from .extract import (
     PipelineConfig,
     SeededExtractor,
     adversarial_source,
-    avg_seed_tv,
     flat_avg_seed_tv,
     flat_source_family,
     leftover_hash_bound_ok,
     max_extractable_bits,
     pipeline_extract,
     required_block_length,
-    seeded_extract,
-    tv_distance,
     two_source_bound_ok,
-    two_source_extract,
     two_source_tv,
 )
 from .lochs import (
@@ -122,7 +117,6 @@ __all__ = [
     "apply_Tu",
     "encode",
     "encode_bits",
-    "reconstruct_partial",
     "ConversionState",
     "KResult",
     "fresh_state",
@@ -141,15 +135,11 @@ __all__ = [
     "word_distribution",
     "BoundCheck",
     "min_entropy_bound_check",
-    "tv_distance",
     "adversarial_source",
     "SeededExtractor",
-    "seeded_extract",
-    "avg_seed_tv",
     "flat_avg_seed_tv",
     "flat_source_family",
     "leftover_hash_bound_ok",
-    "two_source_extract",
     "two_source_tv",
     "two_source_bound_ok",
     "PipelineConfig",

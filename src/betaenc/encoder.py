@@ -381,25 +381,6 @@ def encode(
     )
 
 
-def reconstruct_partial(trace: EncoderTrace, n: int) -> Fraction:
-    """Partial value sum_{i<=n} b_i / (beta_1...beta_i) of a trace.
-
-    Exact mode only: the residual x0 - result equals x_n / (beta_1...beta_n)
-    and sits in [0, kappa / beta_min**n].
-    """
-    if trace.float_bits is not None:
-        raise ConfigurationError("reconstruction is an exact-mode contract")
-    if not (0 <= n <= len(trace)):
-        raise DomainError(f"n must be in [0, {len(trace)}], got {n}")
-    total = ZERO
-    prod = ONE
-    for i in range(n):
-        prod *= trace.betas[i]
-        if trace.bits[i]:
-            total += 1 / prod
-    return total
-
-
 def encode_bits(x0, beta, u, n_bits: int) -> np.ndarray:
     """Fast exact bit stream for fixed gain and constant threshold.
 

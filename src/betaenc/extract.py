@@ -18,7 +18,6 @@ n <= m*log2(beta_min) - log2(kappa) as an exact power inequality.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -31,7 +30,6 @@ from .bitio import as_bit_array, bits_to_word, word_to_bits
 from .entropy import WordDistribution, flat_supports
 from .errors import ConfigurationError, DomainError, ResourceBudgetError
 from .numerics import (
-    ZERO,
     as_fraction,
     check_beta,
     check_nonnegative_int,
@@ -49,23 +47,6 @@ from .prng import PRNG_ID, SplitMix64
 TWO_SOURCE_WARNING = "two-source extraction requires beta_min > sqrt(2)"
 
 
-@functools.cache
-def _parity16() -> np.ndarray:
-    """Parity lookup for 16-bit words, built once."""
-    t = np.arange(1 << 16, dtype=np.uint16)
-    for shift in (8, 4, 2, 1):
-        t ^= t >> shift
-    return (t & 1).astype(np.uint8)
-
-
-def tv_distance(p: WordDistribution, q: WordDistribution) -> Fraction:
-    """Exact (1/2) * sum over words of |p - q|."""
-    if p.m != q.m:
-        raise DomainError(f"length mismatch: {p.m} vs {q.m}")
-    words = set(p.entries) | set(q.entries)
-    return sum((abs(p.prob(w) - q.prob(w)) for w in words), ZERO) / 2
-
-
 def adversarial_source(ext: Callable, m: int) -> WordDistribution:
     """Flat source with min-entropy >= m-1 on which ``ext`` is constant.
 
@@ -73,7 +54,8 @@ def adversarial_source(ext: Callable, m: int) -> WordDistribution:
     returns the uniform law on the larger class, so any one-function
     post-processor fails maximally on an almost-full-entropy source.
     """
-    if m < 1 or m > 24:
+    check_positive_int(m, "m", ConfigurationError)
+    if m > 24:
         raise ResourceBudgetError(f"need 1 <= m <= 24 to enumerate, got {m}")
     classes = ([], [])
     for word in range(1 << m):
@@ -126,39 +108,6 @@ class SeededExtractor:
         return {"kind": "toeplitz", "m": self.m, "n": self.n, "d": self.d}
 
 
-def seeded_extract(x_bits: Sequence[int], z_bits: Sequence[int], n: int):
-    """Bit-sequence front end for the Toeplitz hash."""
-    m = len(x_bits)
-    ext = SeededExtractor(m, n)
-    if len(z_bits) != ext.d:
-        raise DomainError(f"seed must have m+n-1 = {ext.d} bits, got {len(z_bits)}")
-    return word_to_bits(ext.apply(bits_to_word(x_bits), bits_to_word(z_bits)), n)
-
-
-def avg_seed_tv(source: WordDistribution, n: int) -> Fraction:
-    """Exact seed-averaged TV of the hash output from uniform.
-
-    Equals the TV between the joint (seed, output) law and seed x uniform.
-    Enumerates every seed; meant for small m (the flat-source harness
-    below is the fast path).
-    """
-    ext = SeededExtractor(source.m, n)
-    if ext.d > 20:
-        raise ResourceBudgetError(f"2**{ext.d} seeds is past the exhaustive budget")
-    u = Fraction(1, 1 << n)
-    items = sorted(source.entries.items())
-    total = ZERO
-    for z in range(1 << ext.d):
-        cond: dict = {}
-        for x, p in items:
-            y = ext.apply(x, z)
-            cond[y] = cond.get(y, ZERO) + p
-        tv = sum((abs(p - u) for p in cond.values()), ZERO)
-        tv += ((1 << n) - len(cond)) * u
-        total += tv / 2
-    return total / (1 << ext.d)
-
-
 # entries of the gathered (character, seed, support) block per batch
 _GATHER_ENTRIES = 1 << 18
 
@@ -208,13 +157,15 @@ def _indicators(m: int, batch: list) -> tuple:
 
 
 def flat_avg_seed_tv(m: int, n: int, supports: Iterable) -> list:
-    """avg_seed_tv for many flat sources at once; exact Fractions out.
+    """Exact seed-averaged TV from uniform of the Toeplitz hash, per flat source.
 
-    For each support S the conditional output law given seed z is
-    N_z(y)/|S|, so the seed-averaged TV is sum_z,y |2**n N_z(y) - |S||
-    over 2**(d+1) * |S| * 2**n.  The counts come from the XOR lemma,
-    2**n N_z(y) = sum_c (-1)**(c.y) S^(w[c, z]), with S^ the Walsh
-    transform of the support's indicator: per batch of supports one
+    The average over the 2**d seeds z of the output law's TV from uniform
+    on n bits equals the TV of the joint (seed, output) law from seed x
+    uniform.  For each support S the output law given z is N_z(y)/|S|, so
+    the average is sum_z,y |2**n N_z(y) - |S|| over 2**(d+1) * |S| * 2**n.
+    The counts come from the XOR lemma, 2**n N_z(y) = sum_c (-1)**(c.y)
+    S^(w[c, z]), with S^ the Walsh transform of the support's indicator
+    (d = m + n - 1, S a set of m-bit words): per batch of supports one
     transform over the 2**m words, one gather through w, and one
     transform over the 2**n characters.  Every value is an integer of at
     most 2**(d+1) in magnitude, so int32 holds it exactly.
@@ -245,8 +196,17 @@ def leftover_hash_bound_ok(avg_tv: Fraction, n: int, k) -> bool:
     return cmp_pow2(avg_tv, (Fraction(n) - k - 2) / 2) <= 0
 
 
+def _check_flat_shape(m: int, k: int) -> None:
+    """m >= 1 and 0 <= k <= m, both ints: the shape of a flat (m, k)-source."""
+    check_positive_int(m, "m", ConfigurationError)
+    check_nonnegative_int(k, "k", ConfigurationError)
+    if k > m:
+        raise ConfigurationError(f"need 0 <= k <= m, got k={k}, m={m}")
+
+
 def subcube_supports(m: int, k: int) -> list:
     """All axis-aligned subcubes of dimension k: fix m-k bits, free the rest."""
+    _check_flat_shape(m, k)
     out = []
     for free in itertools.combinations(range(m), k):
         fixed = [i for i in range(m) if i not in free]
@@ -275,11 +235,11 @@ def flat_source_family(m: int, k: int, seed: int = 0, random_count: int = 16) ->
     a hypothesis; the unit suite additionally enumerates literally all
     flat sources at tiny sizes.
     """
+    _check_flat_shape(m, k)
     check_seed(seed, "seed", ConfigurationError)
+    check_nonnegative_int(random_count, "random_count", ConfigurationError)
     size = 1 << k
     total = 1 << m
-    if size > total:
-        raise ConfigurationError(f"2**{k} supports do not fit in {m} bits")
     family = {
         tuple(range(size)),
         tuple(range(total - size, total)),
@@ -296,23 +256,10 @@ def flat_source_family(m: int, k: int, seed: int = 0, random_count: int = 16) ->
 # two-source extraction
 
 
-def two_source_extract(x_bits: Sequence[int], y_bits: Sequence[int]) -> int:
-    """GF(2) inner product of two equal-length words: one output bit."""
-    if len(x_bits) != len(y_bits):
-        raise DomainError(f"length mismatch: {len(x_bits)} vs {len(y_bits)}")
-    acc = 0
-    for a, b in zip(x_bits, y_bits):
-        if a not in (0, 1) or b not in (0, 1):
-            raise DomainError("bits must be 0 or 1")
-        acc ^= a & b
-    return acc
-
-
 def two_source_tv(support_x: Sequence[int], support_y: Sequence[int]) -> Fraction:
     """Exact TV from uniform of the inner-product bit over flat sources on at most 16 bits."""
     xs, ys = (flat_supports([s], 16)[0].astype(np.uint16) for s in (support_x, support_y))
-    par = _parity16()
-    odd = int(par[xs[:, None] & ys[None, :]].sum())
+    odd = int((np.bitwise_count(xs[:, None] & ys[None, :]) & 1).sum())
     return abs(Fraction(odd, xs.size * ys.size) - Fraction(1, 2))
 
 

@@ -122,6 +122,15 @@ def encoder_run(x, beta, u, n: int, tie_bit: int = 1) -> tuple:
     return tuple(bits), s
 
 
+def reconstruct_partial(trace, n: int) -> Fraction:
+    """Partial value sum_{i<=n} b_i / (beta_1...beta_i) of a trace's bits and gains."""
+    total, product = Fraction(0), ONE
+    for bit, beta in zip(trace.bits[:n], trace.betas[:n]):
+        product *= beta
+        total += bit / product
+    return total
+
+
 def encoder_stream_scaled(x, beta, u, n: int) -> tuple:
     """Fixed-gain stream by one exact scaled-integer step per bit.
 
@@ -576,6 +585,32 @@ def flat_avg_seed_tv_table(m: int, n: int, supports) -> list:
         deviation = np.abs(counts * (1 << n) - len(sup)).sum()
         out.append(Fraction(int(deviation), (1 << (d + 1)) * len(sup) * (1 << n)))
     return out
+
+
+def avg_seed_tv_per_seed(dist, n: int) -> Fraction:
+    """Seed-averaged TV from uniform of the Toeplitz hash, one seed at a time.
+
+    ``dist`` is any word law with ``.m`` and ``.entries``.  For each seed
+    z_1..z_d (d = m + n - 1, MSB-first) row i of the matrix of
+    ``toeplitz_apply`` is z_(n-i)..z_(n-i+m-1); the output law of the
+    hashed words is summed in Fractions and its TV from uniform on n bits
+    averaged over the seeds.  This is the loop ``flat_avg_seed_tv`` replaced.
+    """
+    m = dist.m
+    d = m + n - 1
+    total = Fraction(0)
+    for z in range(1 << d):
+        z_bits = [(z >> (d - 1 - t)) & 1 for t in range(d)]
+        rows = [sum(b << (m - 1 - j) for j, b in enumerate(z_bits[n - 1 - i : n - 1 - i + m]))
+                for i in range(n)]
+        law = {}
+        for x, p in dist.entries.items():
+            y = 0
+            for row in rows:
+                y = (y << 1) | inner_product_bit(row, x)
+            law[y] = law.get(y, Fraction(0)) + p
+        total += tv_from_uniform(WordLaw(n, law))
+    return total / (1 << d)
 
 
 def all_flat_sources(m: int, k: int):

@@ -16,7 +16,6 @@ from betaenc.extract import (
     PipelineConfig,
     SeededExtractor,
     adversarial_source,
-    avg_seed_tv,
     entropy_budget_ok,
     flat_avg_seed_tv,
     flat_source_family,
@@ -24,11 +23,8 @@ from betaenc.extract import (
     max_extractable_bits,
     pipeline_extract,
     required_block_length,
-    seeded_extract,
     subcube_supports,
-    tv_distance,
     two_source_bound_ok,
-    two_source_extract,
     two_source_tv,
 )
 from betaenc.prng import SplitMix64
@@ -65,12 +61,8 @@ def test_min_entropy_predicate():
 def test_tv_basics():
     u = WordDistribution.uniform(2)
     point = oracles.point_mass(0, 2)
-    assert tv_distance(u, u) == 0
-    assert tv_distance(u, point) == F(3, 4)
     assert oracles.tv_from_uniform(point) == F(3, 4)
     assert oracles.tv_from_uniform(u) == 0
-    with pytest.raises(DomainError):
-        tv_distance(u, WordDistribution.uniform(3))
 
 
 @given(st.integers(min_value=1, max_value=5), st.data())
@@ -88,7 +80,6 @@ def test_tv_matches_direct_oracle(n, data):
     full = {w: dist.prob(w) for w in range(words)}
     uniform = {w: F(1, words) for w in range(words)}
     assert oracles.tv_from_uniform(dist) == oracles.tv_direct(full, uniform)
-    assert tv_distance(dist, WordDistribution.uniform(n)) == oracles.tv_from_uniform(dist)
 
 
 def test_adversarial_source_parity():
@@ -169,7 +160,6 @@ def test_hash_matches_matrix_oracle(m, n, data):
     x_bits = word_to_bits(x, m)
     z_bits = word_to_bits(z, d)
     assert word_to_bits(ext.apply(x, z), n) == oracles.toeplitz_apply(x_bits, z_bits, n)
-    assert seeded_extract(x_bits, z_bits, n) == oracles.toeplitz_apply(x_bits, z_bits, n)
 
 
 @given(st.data())
@@ -184,25 +174,9 @@ def test_hash_is_linear_in_the_input(data):
     assert ext.apply(0, z) == 0
 
 
-def test_seeded_extract_validation():
-    with pytest.raises(DomainError):
-        seeded_extract([0, 1], [0], 1)
-    with pytest.raises(DomainError):
-        seeded_extract([0, 2], [0, 0], 1)
-    with pytest.raises(DomainError):
-        seeded_extract(np.array([0, 2], dtype=np.uint8), np.zeros(2, dtype=np.uint8), 1)
-
-
-def test_seeded_extract_reads_numpy_bits_like_tuples():
-    # words wider than 8 bits must not wrap in the uint8 dtype
-    expected = seeded_extract((1,) * 12, (1,) * 15, 4)
-    assert expected == oracles.toeplitz_apply((1,) * 12, (1,) * 15, 4)
-    assert seeded_extract(np.ones(12, dtype=np.uint8), np.ones(15, dtype=np.uint8), 4) == expected
-
-
 def test_average_tv_frozen_prefix_case():
     source = WordDistribution.flat(range(4), 4)
-    slow = avg_seed_tv(source, 2)
+    slow = oracles.avg_seed_tv_per_seed(source, 2)
     assert slow == F(9, 32)
     fast = flat_avg_seed_tv(4, 2, [tuple(range(4))])
     assert fast == [F(9, 32)]
@@ -213,7 +187,7 @@ def test_fast_harness_agrees_with_slow_path():
     for n in (1, 2):
         fast = flat_avg_seed_tv(4, n, supports)
         for sup, tv in zip(supports, fast):
-            assert tv == avg_seed_tv(WordDistribution.flat(sup, 4), n)
+            assert tv == oracles.avg_seed_tv_per_seed(WordDistribution.flat(sup, 4), n)
 
 
 def test_every_tiny_flat_source_obeys_the_hash_bound():
@@ -247,7 +221,7 @@ def test_walsh_path_matches_the_oracles(case):
     assert fast == oracles.flat_avg_seed_tv_table(m, n, supports)
     if m + n - 1 <= 7:
         for support, tv in zip(supports, fast):
-            assert tv == avg_seed_tv(WordDistribution.flat(support, m), n)
+            assert tv == oracles.avg_seed_tv_per_seed(WordDistribution.flat(support, m), n)
 
 
 def test_walsh_path_on_uneven_support_sizes():
@@ -262,7 +236,7 @@ def test_walsh_path_on_uneven_support_sizes():
         assert fast[0] == 1 - F(1, 1 << n)
         if n <= 2:
             for support, tv in zip(supports, fast):
-                assert tv == avg_seed_tv(WordDistribution.flat(support, m), n)
+                assert tv == oracles.avg_seed_tv_per_seed(WordDistribution.flat(support, m), n)
 
 
 def test_walsh_path_batch_boundaries_and_generators():
@@ -301,8 +275,6 @@ def test_output_table_budget():
         flat_avg_seed_tv(14, 4, [(0, 1)])
     # m = 14 with d = 16 is the largest table; a point mass gives 1 - 2**-n
     assert flat_avg_seed_tv(14, 3, [(12345,)]) == [F(7, 8)]
-    with pytest.raises(ResourceBudgetError):
-        avg_seed_tv(WordDistribution.flat(range(4), 12), 12)
     with pytest.raises(ConfigurationError):
         flat_avg_seed_tv(4, 2, [()])
 
@@ -328,14 +300,28 @@ def test_flat_source_family_contents():
         flat_source_family(2, 3)
 
 
+# each case raised a bare TypeError or ValueError, or was accepted, before
+@pytest.mark.parametrize("call, message", [
+    (lambda: adversarial_source(lambda bits: 0, 2.5), "m must be a positive integer, got 2.5"),
+    (lambda: flat_source_family(4.0, 2), "m must be a positive integer, got 4.0"),
+    (lambda: flat_source_family(4, 2, 0, random_count=-1),
+     "random_count must be a nonnegative integer, got -1"),
+    (lambda: flat_source_family(4, 2, 0, random_count=2.5),
+     "random_count must be a nonnegative integer, got 2.5"),
+    (lambda: subcube_supports(3, 5), "need 0 <= k <= m, got k=5, m=3"),
+    (lambda: subcube_supports(3, -1), "k must be a nonnegative integer, got -1"),
+], ids=["adversarial-float-m", "family-float-m", "family-negative-count",
+        "family-float-count", "subcube-k-above-m", "subcube-negative-k"])
+def test_source_counts_are_strict(call, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        call()
+
+
 def test_inner_product_matches_oracle():
     for x in range(8):
         for y in range(8):
             expected = oracles.inner_product(word_to_bits(x, 3), word_to_bits(y, 3))
             assert oracles.inner_product_bit(x, y) == expected
-            assert two_source_extract(word_to_bits(x, 3), word_to_bits(y, 3)) == expected
-    with pytest.raises(DomainError):
-        two_source_extract([0, 1], [0])
 
 
 def test_two_source_tv_full_entropy():

@@ -2,7 +2,8 @@
 
 No linter ships with the toolchain, so this stdlib ``ast`` pass stands in
 for one.  ``__init__.py`` is exempt: its imports are the public API, and
-its ``__all__`` lists exactly those names and ``__version__``.
+its ``__all__`` lists exactly those names and ``__version__``.  The test
+oracles import nothing from the package, so they stay independent of it.
 """
 
 import ast
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "betaenc"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -63,3 +65,37 @@ def test_all_lists_exactly_what_init_imports():
                    if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"]
     assert len(exported) == len(set(exported))
     assert set(exported) - {"__version__"} == imported
+
+
+def package_imports(source: str) -> list:
+    """'module (line n)' for each import of betaenc or one of its modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in modules
+                  if name.split(".")[0] == "betaenc"]
+    return found
+
+
+def test_oracles_import_nothing_from_the_package():
+    assert package_imports(ORACLES.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_package_imports():
+    source = (
+        "import betaenc\n"
+        "from betaenc.extract import two_source_tv\n"
+        "import numpy as np, betaenc.numerics as nx\n"
+        "from fractions import Fraction\n"
+        "def f():\n"
+        "    from betaenc import encoder\n"
+    )
+    assert package_imports(source) == [
+        "betaenc (line 1)", "betaenc.extract (line 2)", "betaenc.numerics (line 3)",
+        "betaenc (line 6)",
+    ]
