@@ -3,18 +3,18 @@
 After k bits the input is pinned down to a closed interval of length
 beta**(-k) / (beta - 1) (the cylinder).  A binary digit of order j is
 certain as soon as the cylinder fits inside a single dyadic cell of order
-j, under the half-open cell convention of ``numerics``.  This module
-streams that refinement (``push_bit``), answers "how many bits buy m
-digits" (``k_of_m``), and exhibits why a drifting gain destroys the
+j, under the half-open cell convention of ``numerics.cell_of``.  This
+module streams that refinement (``push_bit``), answers "how many bits buy
+m digits" (``k_of_m``), and exhibits why a drifting gain destroys the
 conversion (``uncertainty_interval``): with beta known only up to an
 interval, any word containing a 1 leaves a residual uncertainty that never
 shrinks, no matter how many bits are spent.
 
-The cost scan is also the Monte-Carlo kernel, so it works on scaled
-integers and touches no Fraction inside its loop.  Under a constant
-threshold it pulls K bits per cylinder from the stream kernel's walker
-(``encoder._cylinders``) and takes one exact step where the walk stops;
-other thresholds take one exact step per bit.
+``push_bit`` and the cost scan walk the same integer cylinder, so neither
+touches a Fraction per bit; the scan is also the Monte-Carlo kernel.
+Under a constant threshold it pulls K bits per cylinder from the stream
+kernel's walker (``encoder._cylinders``) and takes one exact step where
+the walk stops; other thresholds take one exact step per bit.
 """
 
 from __future__ import annotations
@@ -31,15 +31,14 @@ from .numerics import (
     ZERO,
     Interval,
     as_fraction,
+    cell_of,
     check_beta,
     check_orders,
     check_positive_int,
     check_thresholds,
     check_unit,
     decimal_str,
-    dyadic_index,
     format_rational,
-    interval_in_dyadic_cell,
     least_power_at_least,
     log_ratio_decimal,
     state_bound,
@@ -49,20 +48,36 @@ from .prng import SplitMix64
 
 @dataclass(frozen=True)
 class ConversionState:
-    """Everything the streaming converter knows after k bits."""
+    """Everything the streaming converter knows after k bits at gain beta = p/q.
 
-    cylinder: Interval
-    emitted: tuple
+    The cylinder is [L/P, (L*(p-q) + Q*q) / (P*(p-q))] with P = p**k and
+    Q = q**k, as in ``_scan``, and its first ``m_confirmed`` digits are
+    certain.  Cylinders are nested, so those digits are the order-j cell
+    of L/P, j = m_confirmed.
+    """
+
+    beta: Fraction
     k: int
+    L: int
+    P: int
+    Q: int
+    m_confirmed: int
 
     @property
-    def m_confirmed(self) -> int:
-        return len(self.emitted)
+    def cylinder(self) -> Interval:
+        p, q = self.beta.numerator, self.beta.denominator
+        return Interval(Fraction(self.L, self.P),
+                        Fraction(self.L * (p - q) + self.Q * q, self.P * (p - q)))
+
+    @property
+    def emitted(self) -> tuple:
+        j = self.m_confirmed
+        cell = (self.L << j) // self.P
+        return tuple(cell >> i & 1 for i in reversed(range(j)))
 
 
 def fresh_state(beta) -> ConversionState:
-    beta = check_beta(beta)
-    return ConversionState(Interval(ZERO, state_bound(beta)), (), 0)
+    return ConversionState(check_beta(beta), 0, 0, 1, 1, 0)
 
 
 def push_bit(state: ConversionState, bit: int, beta):
@@ -72,28 +87,22 @@ def push_bit(state: ConversionState, bit: int, beta):
     lower end has left [0,1] (possible only for bit streams no actual
     input produces) can never fit a cell again, so nothing is emitted.
     """
-    beta = check_beta(beta)
+    # fresh_state checked the state's own gain, so the same object needs no check
+    if beta is not state.beta and check_beta(beta) != state.beta:
+        raise DomainError(f"state was made for gain {state.beta}, got {beta}")
     if bit not in (0, 1):
         raise DomainError(f"bits must be 0 or 1, got {bit!r}")
-    k = state.k + 1
-    step = beta ** (-k)
-    lo = state.cylinder.lo + (step if bit else ZERO)
-    hi = lo + step / (beta - ONE)
-    cylinder = Interval(lo, hi)
-
-    emitted = list(state.emitted)
+    beta = state.beta
+    p, q = beta.numerator, beta.denominator
+    P, Q = state.P * p, state.Q * q
+    L = state.L * p + (Q if bit else 0)
+    hi_n, hi_d = L * (p - q) + Q * q, P * (p - q)
+    j = state.m_confirmed
     fresh = []
-    while lo <= ONE:
-        order = len(emitted) + 1
-        idx = dyadic_index(lo, order)
-        den = 1 << order
-        cell = Interval(Fraction(idx, den), Fraction(idx + 1, den))
-        if not interval_in_dyadic_cell(cylinder, cell):
-            break
-        digit = idx & 1
-        emitted.append(digit)
-        fresh.append(digit)
-    return ConversionState(cylinder, tuple(emitted), k), tuple(fresh)
+    while (cell := cell_of(L, P, hi_n, hi_d, j + 1)) is not None:
+        j += 1
+        fresh.append(cell & 1)
+    return ConversionState(beta, state.k + 1, L, P, Q, j), tuple(fresh)
 
 
 class KResult(NamedTuple):
@@ -153,11 +162,6 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
     pmq = p - q
     xn, xd = x.numerator, x.denominator
 
-    def settles(k, L, P, Q) -> bool:
-        """Whether the cylinder after k bits sits in the pending target's cell."""
-        return (k >= k_min and (L << m) >= a * P
-                and ((L * pmq + Q * q) << m) < hi_cell * P + last_cell)
-
     plan = thresholds if isinstance(thresholds, _Plan) else None
     if plan:
         K, words, offsets, u = plan.K, plan.words, plan.offsets, plan.u
@@ -171,15 +175,17 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
     walk = None  # the cylinder walk of the window of 2**256 * state after k bits
     rest = None  # the bits of a block whose end settles the pending target
     for m, cap, k_min in targets:
-        a = (xn << m) // xd
-        if a == 1 << m:  # x == 1 sits in the closed last cell
-            a -= 1
-        # hi < (a + 1) / 2**m, or hi <= 1 in the closed last cell
+        a = cell_of(xn, xd, xn, xd, m)  # x's own cell: a point always has one
         hi_cell, last_cell = (a + 1) * pmq, int(a == (1 << m) - 1)
-        if rest is not None and not settles(k1, L1, P1, Q1):
+        if rest is not None and (k1 < k_min or
+                                 cell_of(L1, P1, L1 * pmq + Q1 * q, P1 * pmq, m) != a):
             # the settling block's end does not settle this target: skip there
             L, P, Q, k, rest = L1, P1, Q1, k1, None
-        # settles(k, L, P, Q) inline: the per-step path tests it every bit
+        # cell_of(L, P, L * pmq + Q * q, P * pmq, m) == a written out: the
+        # per-step path tests it every bit (~21k tests per 1000 samples at
+        # beta = 3/2, u = 1; ~118k under u ~ U[1, 2]), and a call there took
+        # the six lochs configurations of the benchmark from a median 0.53 s
+        # to 0.57 s (16 interleaved pairs, 2-CPU Xeon, noisy)
         while not (k >= k_min and (L << m) >= a * P
                    and ((L * pmq + Q * q) << m) < hi_cell * P + last_cell):
             if k >= cap:  # containment at k == cap still counts
@@ -201,7 +207,7 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
                 # target is tested at each block end only
                 for c in walk:
                     L1, P1, Q1, k1 = L * PK + Q * offsets[c], P * PK, Q * QK, k + K
-                    if settles(k1, L1, P1, Q1):
+                    if k1 >= k_min and cell_of(L1, P1, L1 * pmq + Q1 * q, P1 * pmq, m) == a:
                         rest = iter(words[c])
                         break
                     L, P, Q, k = L1, P1, Q1, k1

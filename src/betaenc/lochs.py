@@ -34,6 +34,7 @@ from .errors import ConfigurationError, DomainError
 from .numerics import (
     as_decimal,
     as_fraction,
+    cell_of,
     check_beta,
     check_orders,
     check_positive_int,
@@ -398,13 +399,12 @@ def pm_measure_exact(
     # a leaf's inputs lie in its cylinder [E/P, (E (p - q) + Q q) / (P (p - q))],
     # so all of them are in the tail set unless the cylinder sits in its cell
     p, q = beta.numerator, beta.denominator
-    pmq, P, Qq, last = p - q, p**kbar, q ** (kbar + 1), (1 << m) - 1
+    pmq, P, Qq = p - q, p**kbar, q ** (kbar + 1)
+    Ppmq = P * pmq
     unit, leaves = prefix_leaves([[(beta, 1)]] * kbar, (u,) * kbar, node_budget=node_budget)
     bad = 0
     for _, lo, hi, _, E in leaves:
-        a = (E << m) // P  # the order-m cell of the cylinder's lower end
-        top = E * pmq + Qq
-        if not (top <= P * pmq if a == last else top << m < (a + 1) * P * pmq):
+        if cell_of(E, P, E * pmq + Qq, Ppmq, m) is None:
             bad += hi - lo
     return Fraction(bad, unit)
 

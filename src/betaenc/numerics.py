@@ -10,7 +10,10 @@ Conventions, fixed once here and used everywhere:
 * Dyadic cells of order m are half-open ``[k/2^m, (k+1)/2^m)`` except the
   last cell, which closes at 1 so the cells cover [0, 1] exactly.
 * "Interval I sits inside cell D" means ``D.lo <= I.lo`` and ``I.hi < D.hi``,
-  with ``I.hi <= 1`` accepted for the last cell.
+  with ``I.hi <= 1`` accepted for the last cell.  ``cell_of`` is the one
+  implementation of this rule, on integer numerators and denominators: the
+  streaming converter, the cost scan and the exact tail measure all ask it
+  (the scan's per-bit test is an inline copy).
 * Expansion cylinders are the closed intervals
   ``[sum b_i beta^-i, sum b_i beta^-i + beta^-k/(beta-1)]``.
 """
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Optional, Union
 
 from .errors import DomainError
 
@@ -139,30 +142,18 @@ class Interval:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
 
-    def to_json(self) -> dict:
-        return {"lo": format_rational(self.lo), "hi": format_rational(self.hi)}
+def cell_of(lo_n: int, lo_d: int, hi_n: int, hi_d: int, m: int) -> Optional[int]:
+    """Index of the order-m dyadic cell that holds [lo_n/lo_d, hi_n/hi_d], or None.
 
-
-def dyadic_index(x: Fraction, m: int) -> int:
-    """Index k of the order-m dyadic cell containing x (last cell closed)."""
-    x = check_unit(x, "x", DomainError)
-    check_positive_int(m, "cell order", DomainError)
-    k = (x.numerator << m) // x.denominator
-    if k == 1 << m:  # x == 1 belongs to the closed last cell
-        k -= 1
-    return k
-
-
-def interval_in_dyadic_cell(interval: Interval, cell: Interval) -> bool:
-    """Containment under the half-open cell convention (last cell closed)."""
-    if cell.lo > interval.lo:
-        return False
-    if cell.hi == ONE:
-        return interval.hi <= ONE
-    return interval.hi < cell.hi
+    Positive denominators and 0 <= lo <= hi.  A lower end at or past 1 is
+    clamped to the last cell, whose test hi <= 1 then fails unless lo == hi == 1.
+    """
+    last = (1 << m) - 1
+    a = (lo_n << m) // lo_d
+    if a >= last:  # the closed last cell: hi <= 1
+        return last if hi_n <= hi_d else None
+    return a if (hi_n << m) < (a + 1) * hi_d else None
 
 
 def cmp_pow2(value: Fraction, exponent: Union[Fraction, int]) -> int:

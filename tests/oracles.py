@@ -89,6 +89,48 @@ def beta_cylinder(bits, beta: Fraction) -> Cylinder:
     return Cylinder(lo, lo + cylinder_length(len(bits), beta))
 
 
+def dyadic_index(x: Fraction, m: int) -> int:
+    """Index k of the order-m dyadic cell containing x in [0, 1] (last cell closed)."""
+    if not 0 <= x <= 1:
+        raise ValueError("x outside [0,1]")
+    return min((x.numerator << m) // x.denominator, (1 << m) - 1)
+
+
+def interval_in_dyadic_cell(interval, cell) -> bool:
+    """Containment of one closed interval in a cell, half-open unless it closes at 1."""
+    if cell.lo > interval.lo:
+        return False
+    if cell.hi == ONE:
+        return interval.hi <= ONE
+    return interval.hi < cell.hi
+
+
+def push_bit_fraction(state, bit: int, beta: Fraction) -> tuple:
+    """(state, fresh digits) after one more expansion bit, all in Fractions.
+
+    ``state`` is (cylinder, emitted digits, k), starting at
+    (Cylinder(0, 1/(beta - 1)), (), 0).  Digit j is certain once the
+    cylinder sits inside one order-j dyadic cell; a lower end past 1 fits
+    no cell.
+    """
+    cylinder, emitted, k = state
+    k += 1
+    step = beta ** (-k)
+    lo = cylinder.lo + (step if bit else 0)
+    cylinder = Cylinder(lo, lo + step / (beta - 1))
+    emitted = list(emitted)
+    fresh = []
+    while lo <= 1:
+        order = len(emitted) + 1
+        idx = dyadic_index(lo, order)
+        if not interval_in_dyadic_cell(cylinder, Cylinder(Fraction(idx, 1 << order),
+                                                          Fraction(idx + 1, 1 << order))):
+            break
+        emitted.append(idx & 1)
+        fresh.append(idx & 1)
+    return (cylinder, tuple(emitted), k), tuple(fresh)
+
+
 def encoder_bits(x: Fraction, beta: Fraction, u_values, n: int) -> tuple:
     """Greedy quantizer run by the definition: emit 1 iff beta*s >= u."""
     s = Fraction(x)

@@ -26,6 +26,7 @@ from betaenc.encoder import (
     UniformThresholds,
     _kernel_plan,
     encode,
+    encode_bits,
 )
 from betaenc.errors import ConfigurationError, DomainError
 from betaenc.numerics import Interval, state_bound
@@ -85,6 +86,41 @@ def test_streaming_all_ones_never_emits():
 def test_push_bit_rejects_junk():
     with pytest.raises(DomainError):
         push_bit(fresh_state(F(3, 2)), 2, F(3, 2))
+
+
+def test_push_bit_refuses_a_gain_its_state_was_not_made_for():
+    # mixing gains would give [2/3, 341/324], a cylinder of neither gain
+    state, _ = push_bit(fresh_state(F(3, 2)), 1, F(3, 2))
+    with pytest.raises(DomainError, match="gain"):
+        push_bit(state, 0, F(9, 5))
+
+
+@st.composite
+def bit_streams(draw):
+    """(beta, bits): random, all-ones, all-zeros or encoder streams."""
+    beta = draw(st.sampled_from([F(3, 2), F(9, 5), F(17, 16)]))
+    n = draw(st.integers(min_value=1, max_value=240))
+    kind = draw(st.sampled_from(["random", "ones", "zeros", "encoded"]))
+    if kind == "random":
+        return beta, draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if kind != "encoded":
+        return beta, [int(kind == "ones")] * n
+    x = draw(st.one_of(st.just(F(0)), st.just(F(1)), unit_fractions))
+    return beta, [int(b) for b in encode_bits(x, beta, 1, n)]
+
+
+@given(bit_streams())
+@settings(max_examples=80)
+def test_push_bit_matches_the_fraction_oracle(case):
+    beta, bits = case
+    state = fresh_state(beta)
+    ref = (oracles.Cylinder(F(0), 1 / (beta - 1)), (), 0)
+    for b in bits:
+        state, fresh = push_bit(state, b, beta)
+        ref, ref_fresh = oracles.push_bit_fraction(ref, b, beta)
+        assert fresh == ref_fresh
+        assert (state.cylinder.lo, state.cylinder.hi) == ref[0]
+    assert (state.emitted, state.k) == ref[1:]
 
 
 @given(unit_fractions, small_betas, st.integers(min_value=1, max_value=10))

@@ -1,4 +1,4 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package and of the test suite uses each name it imports.
 
 No linter ships with the toolchain, so this stdlib ``ast`` pass stands in
 for one.  ``__init__.py`` is exempt: its imports are the public API, and
@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "betaenc"
-ORACLES = Path(__file__).resolve().parent / "oracles.py"
+TESTS = Path(__file__).resolve().parent
+ORACLES = TESTS / "oracles.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:

@@ -25,7 +25,7 @@ from betaenc.lochs import (
     pm_measure_exact,
     run_lochs,
 )
-from betaenc.numerics import Interval, dyadic_index, interval_in_dyadic_cell, state_bound
+from betaenc.numerics import Interval, state_bound
 from betaenc.prng import SplitMix64
 
 F = Fraction
@@ -372,9 +372,9 @@ def test_straddle_measure_matches_grid():
         bits = oracles.encoder_bits(mid, beta, [u] * kbar, kbar)
         lo = sum(F(b) * beta**-j for j, b in enumerate(bits, start=1))
         cylinder = Interval(lo, lo + kappa * scale)
-        idx = dyadic_index(mid, m)
+        idx = oracles.dyadic_index(mid, m)
         cell = Interval(F(idx, 1 << m), F(idx + 1, 1 << m))
-        if not interval_in_dyadic_cell(cylinder, cell):
+        if not oracles.interval_in_dyadic_cell(cylinder, cell):
             hits += 1
     assert abs(exact - F(hits, grid)) < F(1, 100)
 

@@ -13,12 +13,11 @@ from betaenc.errors import DomainError
 from betaenc.numerics import (
     Interval,
     as_fraction,
+    cell_of,
     check_beta,
     cmp_pow2,
     decimal_str,
-    dyadic_index,
     format_rational,
-    interval_in_dyadic_cell,
     least_power_at_least,
     log2_decimal,
     log_ratio_decimal,
@@ -68,8 +67,6 @@ def test_state_bound_values():
 def test_interval_basics():
     iv = Interval(Fraction(1, 3), Fraction(1, 2))
     assert iv.length == Fraction(1, 6)
-    assert iv.contains(Fraction(2, 5))
-    assert not iv.contains(Fraction(3, 5))
     with pytest.raises(DomainError):
         Interval(Fraction(1, 2), Fraction(1, 3))
 
@@ -213,34 +210,32 @@ def test_least_power_fast_refusal_is_exact_at_a_small_limit(big, e, coefficient,
 # -- dyadic cells ------------------------------------------------------------
 
 
-def test_dyadic_index_interior_and_edges():
-    assert dyadic_index(Fraction(0), 3) == 0
-    assert dyadic_index(Fraction(1, 8), 3) == 1  # cells are half-open below
-    assert dyadic_index(Fraction(1, 3), 2) == 1
-    assert dyadic_index(Fraction(1), 3) == 7  # x = 1 sits in the closed last cell
-    with pytest.raises(DomainError):
-        dyadic_index(Fraction(3, 2), 3)
-    for m in (0, True, 2.0):
-        with pytest.raises(DomainError, match="cell order must be a positive integer"):
-            dyadic_index(Fraction(1, 3), m)
+def point_cell(x: Fraction, m: int):
+    """cell_of on the one-point interval [x, x]."""
+    return cell_of(x.numerator, x.denominator, x.numerator, x.denominator, m)
+
+
+def test_cell_of_points_interior_and_edges():
+    assert point_cell(Fraction(0), 3) == 0
+    assert point_cell(Fraction(1, 8), 3) == 1  # cells are half-open below
+    assert point_cell(Fraction(1, 3), 2) == 1
+    assert point_cell(Fraction(1), 3) == 7  # x = 1 sits in the closed last cell
+    assert point_cell(Fraction(3, 2), 3) is None  # past 1 lies in no cell
 
 
 @given(st.fractions(min_value=0, max_value=1, max_denominator=1 << 16),
        st.integers(min_value=1, max_value=16))
-def test_dyadic_index_cell_contains_its_point(x, m):
-    k = dyadic_index(x, m)
+def test_cell_of_point_is_the_cell_of_the_point(x, m):
+    k = point_cell(x, m)
+    assert k == oracles.dyadic_index(x, m)
     assert 0 <= k < 1 << m
     assert Fraction(k, 1 << m) <= x <= Fraction(k + 1, 1 << m)
 
 
-def test_interval_in_dyadic_cell_half_open_rule():
-    cell = Interval(Fraction(1, 4), Fraction(1, 2))
-    inside = Interval(Fraction(1, 4), Fraction(2, 5))
-    touches_top = Interval(Fraction(1, 3), Fraction(1, 2))
-    assert interval_in_dyadic_cell(inside, cell)
-    assert not interval_in_dyadic_cell(touches_top, cell)  # 1/2 is the next cell
-    last = Interval(Fraction(3, 4), Fraction(1))
-    assert interval_in_dyadic_cell(Interval(Fraction(3, 4), Fraction(1)), last)
+def test_cell_of_half_open_rule():
+    assert cell_of(1, 4, 2, 5, 2) == 1  # [1/4, 2/5] in [1/4, 1/2)
+    assert cell_of(1, 3, 1, 2, 2) is None  # [1/3, 1/2] touches 1/2, the next cell
+    assert cell_of(3, 4, 1, 1, 2) == 3  # [3/4, 1] in the closed last cell
 
 
 def test_beta_cylinder_and_length():
