@@ -21,7 +21,7 @@ import numpy as np
 
 from .bitio import as_bit_array
 from .errors import DomainError, InsufficientLengthError
-from .numerics import check_positive_int, decimal_str
+from .numerics import check_positive_int, check_seed, decimal_str
 from .prng import PRNG_ID, SplitMix64, _counter_words
 
 # calibration runs drawn and counted per word block; at 2**15 bits a block is 128 KiB
@@ -232,6 +232,7 @@ def rejection_rates(n_runs: int = 1000, n_bits: int = 1 << 15,
     """
     check_positive_int(n_runs, "n_runs", DomainError)
     check_positive_int(n_bits, "n_bits", DomainError)
+    check_seed(seed, "seed", DomainError)
     rng = SplitMix64(seed).derive("battery-calibration")
     n_words = -(-n_bits // 64)
     # the bits of the last word that lie before n_bits

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -280,14 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="betaenc",
+        allow_abbrev=False,
         description="beta-encoder bit streams: generation, digit transfer, "
         "entropy accounting, extraction, and testing",
     )
     parser.add_argument("--version", action="version", version=f"betaenc {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # each flag has one spelling: an abbreviation such as --out would slip
+    # past _strip_out_dir into the manifest
+    add = partial(parser.add_subparsers(dest="command", required=True).add_parser,
+                  parents=[common], allow_abbrev=False)
 
-    p = sub.add_parser("encode", parents=[common],
-                       help="run the encoder and record the trace")
+    p = add("encode", help="run the encoder and record the trace")
     p.add_argument("--x", type=rational, required=True, help="input in [0,1], p/q")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--stream-bits", type=int, default=None,
@@ -298,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gain_args(p)
     _add_threshold_args(p)
 
-    p = sub.add_parser("convert", parents=[common],
-                       help="bits needed per certain binary digit")
+    p = add("convert", help="bits needed per certain binary digit")
     p.add_argument("--x", type=rational, required=True)
     p.add_argument("--beta", type=rational, required=True)
     p.add_argument("--m-list", type=int_list, required=True, metavar="M1,M2,..")
@@ -308,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     _add_threshold_args(p)
 
-    p = sub.add_parser("lochs", parents=[common],
-                       help="Monte-Carlo digit-transfer statistics")
+    p = add("lochs", help="Monte-Carlo digit-transfer statistics")
     p.add_argument("--beta", type=rational, required=True)
     p.add_argument("--m-list", type=int_list, default=(8, 16, 32, 64), metavar="M1,M2,..")
     p.add_argument("--samples", type=int, default=1000)
@@ -324,14 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="env BETAENC_WORKERS, default available parallelism")
     _add_threshold_args(p)
 
-    p = sub.add_parser("entropy", parents=[common],
-                       help="exact output-word distribution and min-entropy")
+    p = add("entropy", help="exact output-word distribution and min-entropy")
     p.add_argument("--m", type=int, required=True)
     _add_gain_args(p)
     _add_threshold_args(p)
 
-    p = sub.add_parser("extract", parents=[common],
-                       help="post-process a bit stream into nearly uniform bits")
+    p = add("extract", help="post-process a bit stream into nearly uniform bits")
     p.add_argument("--input", type=Path, required=True, help="packed bit file")
     p.add_argument("--mode", choices=("seeded", "two-source"), required=True)
     p.add_argument("--block-bits", type=int, required=True)
@@ -342,13 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--seed-mode", choices=("explicit", "stream"), default="explicit")
 
-    p = sub.add_parser("battery", parents=[common],
-                       help="four-test statistical battery")
+    p = add("battery", help="four-test statistical battery")
     p.add_argument("--input", type=Path, required=True, help="packed bit file")
     p.add_argument("--alpha", type=float, default=0.01)
 
-    p = sub.add_parser("replay", parents=[common],
-                       help="re-run a recorded manifest byte-identically")
+    p = add("replay", help="re-run a recorded manifest byte-identically")
     p.add_argument("manifest", type=Path)
 
     return parser

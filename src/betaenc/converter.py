@@ -87,8 +87,9 @@ def push_bit(state: ConversionState, bit: int, beta):
     lower end has left [0,1] (possible only for bit streams no actual
     input produces) can never fit a cell again, so nothing is emitted.
     """
-    # fresh_state checked the state's own gain, so the same object needs no check
-    if beta is not state.beta and check_beta(beta) != state.beta:
+    # fresh_state range-checked the state's own gain: an equal one needs only
+    # the conversion, which still refuses floats and bools
+    if beta is not state.beta and as_fraction(beta) != state.beta:
         raise DomainError(f"state was made for gain {state.beta}, got {beta}")
     if bit not in (0, 1):
         raise DomainError(f"bits must be 0 or 1, got {bit!r}")

@@ -31,7 +31,6 @@ from .numerics import (
     check_beta,
     check_nonnegative_int,
     check_positive_int,
-    check_seed,
     check_thresholds,
     check_unit,
     cmp_pow2,
@@ -41,16 +40,6 @@ from .numerics import (
     state_bound,
 )
 from .prng import PRNG_ID, SplitMix64
-
-
-def _resolve_rng(seed, rng, label: str) -> SplitMix64:
-    if seed is not None:
-        return SplitMix64(seed).derive(label)
-    if rng is None:
-        raise ConfigurationError(
-            f"{label} process draws random values; pass rng= or set seed="
-        )
-    return rng
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +129,14 @@ class _Listed:
 
 @dataclass(frozen=True)
 class _Uniform:
-    """Fresh dyadic draw from [lo, hi] at every step, kept rational."""
+    """Fresh dyadic draw from [lo, hi] at every step, kept rational.
+
+    Each draw is lo + span*odd/2**64 with odd the numerator of
+    rng.odd_dyadic(64), which takes one stream word.
+    """
 
     lo: Fraction
     hi: Fraction
-    seed: Optional[int] = None
-    precision_bits: int = 64
 
     is_random = True
 
@@ -153,11 +144,6 @@ class _Uniform:
         lo, hi = self._check(self.lo), self._check(self.hi)
         if lo > hi:
             raise ConfigurationError(f"need lo <= hi, got [{lo}, {hi}]")
-        if isinstance(self.precision_bits, int) and self.precision_bits < 2:
-            raise ConfigurationError(f"need precision_bits >= 2, got {self.precision_bits}")
-        check_positive_int(self.precision_bits, "precision_bits", ConfigurationError)
-        if self.seed is not None:
-            check_seed(self.seed, "seed", ConfigurationError)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -168,13 +154,13 @@ class _Uniform:
         return tuple(Fraction(r, d) for r, d in self.scaled(n_steps, rng))
 
     def scaled(self, n_steps: int, rng: Optional[SplitMix64] = None) -> list:
-        """The draws lo + span*odd/2**P as unreduced integer pairs (num, den).
+        """The next n_steps draws of rng as unreduced integer pairs (num, den).
 
-        odd is the numerator of rng.odd_dyadic(P), drawn in the same order;
-        every pair shares the denominator lo_d*span_d*2**P.
+        Every pair shares the denominator lo_d*span_d*2**64.
         """
-        rng = _resolve_rng(self.seed, rng, self._label)
-        return self.pairs(rng.odd_numerators(self.precision_bits, n_steps))
+        if rng is None:
+            raise ConfigurationError(f"{self._label} process draws random values; pass rng=")
+        return self.pairs(rng.odd_numerators(64, n_steps))
 
     def pairs(self, odds) -> list:
         """``scaled``'s pairs for given odd numerators."""
@@ -183,19 +169,19 @@ class _Uniform:
 
     @cached_property
     def _scale(self) -> tuple:
-        """(lo_n*span_d*2**P, span_n*lo_d, lo_d*span_d*2**P), fixed per process."""
-        P, lo = self.precision_bits, self.lo
+        """(lo_n*span_d*2**64, span_n*lo_d, lo_d*span_d*2**64), fixed per process."""
+        lo = self.lo
         span = self.hi - lo
-        return (lo.numerator * span.denominator << P, span.numerator * lo.denominator,
-                lo.denominator * span.denominator << P)
+        return (lo.numerator * span.denominator << 64, span.numerator * lo.denominator,
+                lo.denominator * span.denominator << 64)
 
     def to_json(self) -> dict:
         return {
             "kind": "uniform",
             "lo": format_rational(self.lo),
             "hi": format_rational(self.hi),
-            "seed": self.seed,
-            "precision_bits": self.precision_bits,
+            "seed": None,  # draws use the caller's rng; kept so recorded JSON stays byte-identical
+            "precision_bits": 64,  # one word per draw; kept so recorded JSON stays byte-identical
         }
 
 
@@ -228,7 +214,6 @@ class IidSupportBetas(_GainRole, _Listed):
     """I.i.d. gains on a finite support; the exact-enumeration model."""
 
     probs: Optional[tuple] = None
-    seed: Optional[int] = None
 
     is_random = True
 
@@ -240,12 +225,11 @@ class IidSupportBetas(_GainRole, _Listed):
             raise ConfigurationError("one probability per support value")
         if any(p < 0 for p in probs) or sum(probs) != 1:
             raise ConfigurationError("probabilities must be >= 0 and sum to 1")
-        if self.seed is not None:
-            check_seed(self.seed, "seed", ConfigurationError)
         object.__setattr__(self, "probs", probs)
 
     def realize(self, n_steps: int, rng: Optional[SplitMix64] = None) -> tuple:
-        rng = _resolve_rng(self.seed, rng, self._label)
+        if rng is None:
+            raise ConfigurationError(f"{self._label} process draws random values; pass rng=")
         return tuple(self.values[rng.choose_weighted(self.probs)] for _ in range(n_steps))
 
     def to_json(self) -> dict:
@@ -253,7 +237,7 @@ class IidSupportBetas(_GainRole, _Listed):
             "kind": "iid-support",
             "values": [format_rational(v) for v in self.values],
             "probs": [format_rational(p) for p in self.probs],
-            "seed": self.seed,
+            "seed": None,  # draws use the caller's rng; kept so recorded JSON stays byte-identical
         }
 
 
@@ -332,9 +316,8 @@ def encode(
 
     ``float_bits=None`` runs the loop exactly; an int of at least 4 emulates
     binary floats with that many mantissa bits, rounded to nearest even.
-    Random processes draw from ``rng`` (split per role) unless they carry
-    their own seed.  The trace is a pure function of x0 and the realized
-    sequences.
+    Random processes draw from ``rng``, split per role.  The trace is a
+    pure function of x0 and the realized sequences.
     """
     x0 = check_unit(x0, "x0", DomainError)
     check_positive_int(n_steps, "n_steps", DomainError)
@@ -350,9 +333,10 @@ def encode(
     if betas.is_random or thresholds.is_random:
         rng_info = {
             "prng": PRNG_ID,
-            "ambient": rng.describe() if rng is not None else None,
-            "beta_seed": getattr(betas, "seed", None),
-            "threshold_seed": getattr(thresholds, "seed", None),
+            "ambient": rng.describe(),
+            # processes have no seed; kept so that recorded traces stay byte-identical
+            "beta_seed": None,
+            "threshold_seed": None,
         }
 
     # float mode rounds every arithmetic result, never a comparison

@@ -48,7 +48,7 @@ from .numerics import (
     log_ratio_decimal,
     state_bound,
 )
-from .prng import PRNG_ID, SplitMix64, derive_keys, odd_numerator_rows, words_per_draw
+from .prng import PRNG_ID, SplitMix64, derive_keys, odd_numerator_rows
 
 SCALINGS = ("linear", "sqrt")
 QUANTILE_LEVELS = (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100))
@@ -172,25 +172,23 @@ def _chunk(exp: LochsExperiment, bounds) -> tuple:
     """Histograms of samples start..stop-1, drawn in sub-batches.
 
     Sample i scans x = sub.derive("x").odd_dyadic(P) with sub =
-    SplitMix64(rng_seed).derive("lochs", "sample", i); an unseeded random
-    process draws its thresholds from sub.derive("thresholds").  Each
-    sub-batch computes those keys, the x numerators and every sample's
-    first ``head`` threshold numerators as arrays; a sample's later
-    thresholds come from its own stream, positioned after the head.
+    SplitMix64(rng_seed).derive("lochs", "sample", i); a random process
+    draws its thresholds from sub.derive("thresholds").  Each sub-batch
+    computes those keys, the x numerators and every sample's first
+    ``head`` threshold numerators as arrays; a sample's later thresholds
+    come from its own stream, positioned after the head.
     """
     start, stop = bounds
     targets = scan_targets(exp.m_values, exp.beta, exp.k_cap)
     # the scan always draws up to the deepest target's k_min or its cap
     _, cap_max, first = targets[-1]
     process = exp.thresholds
-    per_sample = process.is_random and getattr(process, "seed", None) is None
     if isinstance(process, ConstantThreshold):
         thresholds = _kernel_plan(exp.beta, process.value, _WINDOW_BITS)  # once per chunk
-    elif not per_sample:
-        thresholds = process.scaled(cap_max)
+    elif not process.is_random:
+        thresholds = process.scaled(cap_max)  # listed thresholds, shared by every sample
     else:
         head = min(first + _HEAD_MARGIN, cap_max)
-        tail_at = head * words_per_draw(process.precision_bits)
     base = SplitMix64(exp.rng_seed).derive("lochs")
     precision = exp.resolved_precision()
     den = 1 << precision
@@ -199,13 +197,14 @@ def _chunk(exp: LochsExperiment, bounds) -> tuple:
     for lo in range(start, stop, _SUB_BATCH):
         keys = base.derive_array("sample", range(lo, min(lo + _SUB_BATCH, stop)))
         xs = odd_numerator_rows(derive_keys(keys, "x"), precision, 1)
-        if per_sample:
+        if process.is_random:
             threshold_keys = derive_keys(keys, "thresholds")
-            heads = odd_numerator_rows(threshold_keys, process.precision_bits, head)
+            heads = odd_numerator_rows(threshold_keys, 64, head)
             tail_keys = threshold_keys.tolist()
         for j, (xn,) in enumerate(xs):
-            if per_sample:
-                tail = SplitMix64(exp.rng_seed, (), tail_keys[j], tail_at)
+            if process.is_random:
+                # one stream word per draw: the tail starts at word `head`
+                tail = SplitMix64(exp.rng_seed, (), tail_keys[j], head)
                 thresholds = chain(process.pairs(next(heads)),
                                    _lazy_scaled(process, tail, cap_max - head))
             for slot, res in enumerate(_scan(Fraction(xn, den), targets, exp.beta, thresholds)):

@@ -136,6 +136,10 @@ def test_input_validation():
     for counts in ({"n_runs": 0}, {"n_runs": 2.5}, {"n_bits": 0}, {"n_bits": True}):
         with pytest.raises(DomainError, match="must be a positive integer"):
             rejection_rates(**counts)
+    # 2**64 + 5 drew seed 5's runs but was reported as given
+    for seed in (-1, 1 << 64, (1 << 64) + 5, True, 1.0):
+        with pytest.raises(DomainError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+            rejection_rates(n_runs=3, n_bits=256, seed=seed)
 
 
 def test_result_json_round_trip():

@@ -329,6 +329,20 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch):
     assert (target / "encode.json").exists()
 
 
+def test_abbreviated_flags_are_usage_errors(tmp_path, monkeypatch, capsys):
+    # --out was read as --out-dir and kept in the manifest's argv, so a
+    # replay wrote into o1 again
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BETAENC_OUT_DIR", raising=False)
+    for argv in (["encode", "--x", "1/2", "--beta", "3/2", "--steps", "3", "--out", "o1"],
+                 ["encode", "--x", "1/2", "--beta", "3/2", "--ste", "3"],
+                 ["--vers"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_entropy_outputs(tmp_path):
     code, out = run(["entropy", "--beta", "8/5", "--m", "1"], tmp_path)
     assert code == 0

@@ -95,6 +95,23 @@ def test_push_bit_refuses_a_gain_its_state_was_not_made_for():
         push_bit(state, 0, F(9, 5))
 
 
+def test_push_bit_takes_an_equal_gain_in_any_exact_form():
+    # one object, a fresh Fraction per bit, a string per bit
+    beta = F(3, 2)
+    bits = [int(b) for b in encode_bits(F(5, 17), beta, 1, 60)]
+    digits = []
+    for make in (lambda: beta, lambda: F(3, 2), lambda: "3/2"):
+        state, out = fresh_state(beta), []
+        for b in bits:
+            state, fresh = push_bit(state, b, make())
+            out.extend(fresh)
+        digits.append(out)
+    assert digits[0] and digits[1] == digits[0] and digits[2] == digits[0]
+    for junk in (1.5, True):
+        with pytest.raises(DomainError):
+            push_bit(fresh_state(beta), 1, junk)
+
+
 @st.composite
 def bit_streams(draw):
     """(beta, bits): random, all-ones, all-zeros or encoder streams."""

@@ -86,23 +86,6 @@ def test_threshold_process_validation():
         UniformThresholds(F(3, 2), F(5, 4))
 
 
-def test_uniform_processes_need_two_precision_bits():
-    # refused when built, not at the first draw with a bare ValueError
-    for process in (UniformThresholds, UniformBetas):
-        lo, hi = (1, 2) if process is UniformThresholds else (F(3, 2), F(9, 5))
-        for bits in (1, 0, -3):
-            with pytest.raises(ConfigurationError, match="precision_bits >= 2"):
-                process(lo, hi, seed=1, precision_bits=bits)
-        assert len(process(lo, hi, seed=1, precision_bits=2).realize(3)) == 3
-
-
-def test_uniform_processes_refuse_a_fractional_precision():
-    # accepted before, then the first draw raised TypeError
-    with pytest.raises(ConfigurationError,
-                       match="^precision_bits must be a positive integer, got 8.5$"):
-        UniformThresholds(1, 2, precision_bits=8.5)
-
-
 def test_explicit_sequences_must_cover_run():
     betas = ExplicitBetas((F(3, 2), F(8, 5)))
     with pytest.raises(ConfigurationError):
@@ -121,11 +104,21 @@ def test_iid_support_prob_validation():
     assert p.beta_range == (F(3, 2), F(8, 5))
 
 
-def test_random_processes_need_a_seed_or_rng():
-    with pytest.raises(ConfigurationError):
-        UniformBetas(F(3, 2), F(9, 5)).realize(4)
-    seeded = UniformBetas(F(3, 2), F(9, 5), seed=1)
-    assert seeded.realize(4) == seeded.realize(4)
+def test_random_processes_need_an_rng():
+    for process in (UniformBetas(F(3, 2), F(9, 5)), UniformThresholds(1, 2),
+                    IidSupportBetas((F(3, 2), F(8, 5)))):
+        with pytest.raises(ConfigurationError, match="process draws random values; pass rng=$"):
+            process.realize(4)
+        assert process.realize(4, SplitMix64(1)) == process.realize(4, SplitMix64(1))
+    with pytest.raises(ConfigurationError, match="^threshold process draws random values"):
+        encode(F(1, 2), FixedBeta(F(3, 2)), UniformThresholds(1, 2), 3)
+    # a process is a law, with no stream of its own
+    with pytest.raises(TypeError):
+        UniformThresholds(1, 2, seed=3)
+    with pytest.raises(TypeError):
+        UniformBetas(F(3, 2), F(9, 5), precision_bits=8)
+    with pytest.raises(TypeError):
+        IidSupportBetas((F(3, 2), F(8, 5)), seed=5)
 
 
 def test_encode_records_rng_info_for_random_processes():
@@ -512,22 +505,22 @@ FROZEN_PROCESSES = [
     (ExplicitBetas((F(3, 2), F(8, 5))),
      "ExplicitBetas(values=(Fraction(3, 2), Fraction(8, 5)))",
      {"kind": "explicit", "betas": ["3/2", "8/5"]}),
-    (IidSupportBetas((F(3, 2), F(8, 5)), (F(1, 4), F(3, 4)), seed=5),
+    (IidSupportBetas((F(3, 2), F(8, 5)), (F(1, 4), F(3, 4))),
      "IidSupportBetas(values=(Fraction(3, 2), Fraction(8, 5)), "
-     "probs=(Fraction(1, 4), Fraction(3, 4)), seed=5)",
-     {"kind": "iid-support", "values": ["3/2", "8/5"], "probs": ["1/4", "3/4"], "seed": 5}),
-    (UniformBetas(F(3, 2), F(9, 5), seed=1, precision_bits=8),
-     "UniformBetas(lo=Fraction(3, 2), hi=Fraction(9, 5), seed=1, precision_bits=8)",
-     {"kind": "uniform", "lo": "3/2", "hi": "9/5", "seed": 1, "precision_bits": 8}),
+     "probs=(Fraction(1, 4), Fraction(3, 4)))",
+     {"kind": "iid-support", "values": ["3/2", "8/5"], "probs": ["1/4", "3/4"], "seed": None}),
+    (UniformBetas(F(3, 2), F(9, 5)),
+     "UniformBetas(lo=Fraction(3, 2), hi=Fraction(9, 5))",
+     {"kind": "uniform", "lo": "3/2", "hi": "9/5", "seed": None, "precision_bits": 64}),
     (ConstantThreshold(F(3, 2)),
      "ConstantThreshold(value=Fraction(3, 2))",
      {"kind": "constant", "u": "3/2"}),
     (ExplicitThresholds((1, F(5, 4))),
      "ExplicitThresholds(values=(Fraction(1, 1), Fraction(5, 4)))",
      {"kind": "explicit", "us": ["1/1", "5/4"]}),
-    (UniformThresholds(1, F(5, 4), seed=1, precision_bits=8),
-     "UniformThresholds(lo=Fraction(1, 1), hi=Fraction(5, 4), seed=1, precision_bits=8)",
-     {"kind": "uniform", "lo": "1/1", "hi": "5/4", "seed": 1, "precision_bits": 8}),
+    (UniformThresholds(1, F(5, 4)),
+     "UniformThresholds(lo=Fraction(1, 1), hi=Fraction(5, 4))",
+     {"kind": "uniform", "lo": "1/1", "hi": "5/4", "seed": None, "precision_bits": 64}),
 ]
 
 
@@ -558,10 +551,17 @@ def test_process_roles_and_draws_are_frozen():
         (F(3, 2), F(3, 2)), (F(3, 2), F(8, 5)), (F(3, 2), F(8, 5)), (F(3, 2), F(9, 5))]
     assert [p.threshold_range for p, _, _ in thresholds] == [
         (F(3, 2), F(3, 2)), (F(1), F(5, 4)), (F(1), F(5, 4))]
-    # seeded draws pin each role's PRNG label
-    assert gains[2][0].realize(3) == (F(3, 2), F(8, 5), F(8, 5))
-    assert gains[3][0].realize(3) == (F(843, 512), F(807, 512), F(861, 512))
-    assert thresholds[2][0].realize(3) == (F(1157, 1024), F(1033, 1024), F(1155, 1024))
+    # draws from the streams that process seeds 5 and 1 once named; the
+    # 8-bit uniform draws frozen then have these draws' odd numerators mod
+    # 2**8 (843/512 = 3/2 + 3/10 * 125/256, and 288883583522393619063 =
+    # 15 << 64 + 3 * odd with odd = 125 mod 2**8)
+    assert gains[2][0].realize(3, SplitMix64(5).derive("gain")) == (F(3, 2), F(8, 5), F(8, 5))
+    assert gains[3][0].realize(3, SplitMix64(1).derive("gain")) == (
+        F(288883583522393619063, 10 << 64), F(317991058324850521539, 10 << 64),
+        F(294230503156355081169, 10 << 64))
+    assert thresholds[2][0].realize(3, SplitMix64(1).derive("threshold")) == (
+        F(77668969651164775813, 1 << 66), F(86628765258303815945, 1 << 66),
+        F(83445348280168100995, 1 << 66))
 
 
 # (role, lo, hi): lo == hi, non-dyadic endpoints, and the lochs range [1, kappa]
@@ -579,16 +579,15 @@ UNIFORM_CASES = [
 
 @given(
     st.sampled_from(UNIFORM_CASES),
-    st.sampled_from([2, 17, 63, 64, 65, 129, 130, 438]),
     st.lists(st.integers(min_value=0, max_value=70), min_size=1, max_size=4),
     st.integers(min_value=0, max_value=(1 << 64) - 1),
 )
-def test_uniform_integer_draws_match_the_fraction_oracle(case, precision_bits, chunks, seed):
+def test_uniform_integer_draws_match_the_fraction_oracle(case, chunks, seed):
     role, lo, hi = case
-    process = role(lo, hi, precision_bits=precision_bits)
+    process = role(lo, hi)
     span = hi - lo
-    den = lo.denominator * span.denominator << precision_bits
-    expected = oracles.uniform_draws(lo, hi, precision_bits, SplitMix64(seed), sum(chunks))
+    den = lo.denominator * span.denominator << 64
+    expected = oracles.uniform_draws(lo, hi, 64, SplitMix64(seed), sum(chunks))
     # chunked draws from one stream continue each other, whatever the chunk sizes
     rng = SplitMix64(seed)
     pairs = [pair for n in chunks for pair in process.scaled(n, rng)]
@@ -596,8 +595,3 @@ def test_uniform_integer_draws_match_the_fraction_oracle(case, precision_bits, c
     assert tuple(F(r, d) for r, d in pairs) == expected
     rng = SplitMix64(seed)
     assert tuple(v for n in chunks for v in process.realize(n, rng)) == expected
-    # a seeded process draws from its own stream under the role's label
-    seeded = role(lo, hi, seed=seed, precision_bits=precision_bits)
-    label_rng = SplitMix64(seed).derive(role._label)
-    assert seeded.realize(chunks[0]) == oracles.uniform_draws(
-        lo, hi, precision_bits, label_rng, chunks[0])

@@ -206,7 +206,7 @@ def test_max_probability_tie_prefers_smallest_word():
 
 def test_rejects_continuous_models():
     with pytest.raises(ConfigurationError):
-        word_distribution(UniformBetas(F(3, 2), F(9, 5), seed=1), m=2)
+        word_distribution(UniformBetas(F(3, 2), F(9, 5)), m=2)
     with pytest.raises(ConfigurationError):
         word_distribution(FixedBeta(F(3, 2)), UniformThresholds(F(1), F(2)), m=2)
 

@@ -1,9 +1,11 @@
 """Every module of the package and of the test suite uses each name it imports.
 
 No linter ships with the toolchain, so this stdlib ``ast`` pass stands in
-for one.  ``__init__.py`` is exempt: its imports are the public API, and
-its ``__all__`` lists exactly those names and ``__version__``.  The test
-oracles import nothing from the package, so they stay independent of it.
+for one; it also checks that the package reads every private module-level
+name it defines.  ``__init__.py`` is exempt from the import check: its
+imports are the public API, and its ``__all__`` lists exactly those names
+and ``__version__``.  The test oracles import nothing from the package, so
+they stay independent of it.
 """
 
 import ast
@@ -18,6 +20,20 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 MODULES += sorted(TESTS.glob("*.py"))
 
 
+def names_read(tree: ast.AST) -> set:
+    """The names that expressions and quoted annotations in ``tree`` read."""
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    # a quoted annotation such as -> "WordDistribution" reads names too
+    notes = [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    notes += [node.annotation for node in ast.walk(tree)
+              if isinstance(node, (ast.arg, ast.AnnAssign))]
+    for note in notes:
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            used |= names_read(ast.parse(note.value, mode="eval"))
+    return used
+
+
 def unused_imports(source: str) -> list:
     """'name (line n)' for each name an import binds and no expression reads."""
     tree = ast.parse(source)
@@ -29,16 +45,37 @@ def unused_imports(source: str) -> list:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    # a quoted annotation such as -> "WordDistribution" reads names too
-    notes = [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-    notes += [node.annotation for node in ast.walk(tree)
-              if isinstance(node, (ast.arg, ast.AnnAssign))]
-    for note in notes:
-        if isinstance(note, ast.Constant) and isinstance(note.value, str):
-            used.update(node.id for node in ast.walk(ast.parse(note.value, mode="eval"))
-                        if isinstance(node, ast.Name))
+    used = names_read(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def unread_private_names(sources: dict) -> list:
+    """'module.name' for each private module-level name that no source reads.
+
+    ``sources`` maps module names to their text.  A private name starts
+    with one underscore and is bound at module level by a def, a class or
+    an assignment; an expression, an attribute access or a from-import of
+    it in any of the sources reads it.
+    """
+    read, defined = set(), []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read |= names_read(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        read |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -57,6 +94,29 @@ def test_the_check_sees_unused_imports():
         "    return gcd(x, 2)\n"
     )
     assert unused_imports(source) == ["l (line 2)", "os (line 1)"]
+
+
+def test_package_reads_every_private_name():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
+
+
+def test_the_check_sees_unread_private_names():
+    sources = {
+        "a": ("_A, (_B, c) = 1, (2, 3)\n"
+              "_C: int = 4\n"
+              "__all__ = []\n"
+              "def _f(x: '_K'):\n"
+              "    '_B is named in a docstring only'\n"
+              "    return _A\n"
+              "class _K:\n"
+              "    _inner = 5\n"),
+        "b": ("from .a import _C\n"
+              "import a\n"
+              "x = a._D\n"
+              "_D = _E = 6\n"),
+    }
+    assert unread_private_names(sources) == ["a._B", "a._f", "b._E"]
 
 
 def test_all_lists_exactly_what_init_imports():

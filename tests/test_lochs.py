@@ -10,8 +10,7 @@ from betaenc.converter import _scan, k_profile, scan_targets
 from betaenc.encoder import (
     _WINDOW_BITS,
     ConstantThreshold,
-    IidSupportBetas,
-    UniformBetas,
+    ExplicitThresholds,
     UniformThresholds,
     _kernel_plan,
 )
@@ -78,9 +77,6 @@ def test_seeds_outside_64_bits_are_refused(seed):
 
 
 SEEDED_PROCESSES = {
-    "UniformBetas": lambda seed: UniformBetas(F(3, 2), F(8, 5), seed=seed),
-    "UniformThresholds": lambda seed: UniformThresholds(1, 2, seed=seed),
-    "IidSupportBetas": lambda seed: IidSupportBetas((F(3, 2), F(8, 5)), seed=seed),
     "PipelineConfig": lambda seed: PipelineConfig(mode="seeded", block_bits=48, beta_min=F(3, 2),
                                                   beta_max=F(3, 2), seed=seed),
     "flat_source_family": lambda seed: flat_source_family(4, 2, seed=seed, random_count=1),
@@ -163,30 +159,17 @@ def test_random_thresholds_per_sample():
 # sha256 of the sorted-key JSON report and k_profile(1/3, (4, 8, 16)) under
 # UniformThresholds(1, kappa), recorded before the draws became integer pairs
 FROZEN_UNIFORM_RUNS = [
-    (F(3, 2), None, 17, "60acfb4a61627cbb52b45acd3571d09e4f9e89a2a09667a113c88d05d3ddcdbe",
-     [(11, False), (18, False), (32, False)]),
-    (F(3, 2), None, 64, "f3050b029e32385c4f2872db4d1a9b5616f3307597951ad6dbed8d1fe61f1f42",
+    (F(3, 2), "f3050b029e32385c4f2872db4d1a9b5616f3307597951ad6dbed8d1fe61f1f42",
      [(11, False), (17, False), (30, False)]),
-    (F(3, 2), 3, 17, "222e6d9e6dc2eac20400ed30f3345066f997495e197a5f7365982e946422073e",
-     [(10, False), (18, False), (31, False)]),
-    (F(3, 2), 3, 64, "30549ba2c49c1ee4612c70086ccb9f412812b675a967bbf936878396234bfb87",
-     [(10, False), (16, False), (31, False)]),
-    (F(9, 5), None, 17, "bc7ae440316ab9d90025c452ad5d2a40e62d8512b5d08100b74c19d7d6eaa635",
-     [(7, False), (11, False), (20, False)]),
-    (F(9, 5), None, 64, "fb491b9ec02d29e39ad6bc32e32c66d6d89bea0fff5ef9c6f2ad2aff74de2053",
-     [(6, False), (11, False), (21, False)]),
-    (F(9, 5), 3, 17, "92a1d9459d600fa8925edd80fde246b56d323045377241313739b53f8f3fec13",
-     [(7, False), (11, False), (20, False)]),
-    (F(9, 5), 3, 64, "0b92fce15bc3a56dc405387697b38c0d90e9b97774a8e15f9ba84f4abe03151f",
+    (F(9, 5), "fb491b9ec02d29e39ad6bc32e32c66d6d89bea0fff5ef9c6f2ad2aff74de2053",
      [(6, False), (11, False), (21, False)]),
 ]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("beta, seed, precision_bits, digest, profile", FROZEN_UNIFORM_RUNS)
-def test_uniform_threshold_reports_are_frozen(beta, seed, precision_bits, digest, profile,
-                                              workers):
-    thresholds = UniformThresholds(1, state_bound(beta), seed=seed, precision_bits=precision_bits)
+@pytest.mark.parametrize("beta, digest, profile", FROZEN_UNIFORM_RUNS)
+def test_uniform_threshold_reports_are_frozen(beta, digest, profile, workers):
+    thresholds = UniformThresholds(1, state_bound(beta))
     exp = LochsExperiment(beta=beta, thresholds=thresholds, m_values=(4, 8), n_samples=24,
                           rng_seed=7, workers=workers)
     doc = json.dumps(run_lochs(exp).to_json(), sort_keys=True)
@@ -199,30 +182,18 @@ def test_uniform_threshold_reports_are_frozen(beta, seed, precision_bits, digest
 # 438-bit (beta 3/2) or 302-bit (beta 9/5) draw; 290 samples split into
 # chunks that are not whole sub-batches; recorded before the draws were batched
 FROZEN_DEEP_RUNS = [
-    (F(3, 2), None, None, "96bf55824a92fe50a0b480fbe1081477b6320888f2b92199ceed75fef7f9ef96"),
-    (F(3, 2), 3, 65, "e782b1464a2744bc9fcb6f26b3b92afab3320a683a8cd1a3d42cc09a3ce921c0"),
-    (F(3, 2), None, 17, "a827955c783650c604630225e532f4e47eb1f82239f76988080e6a1353d6ae10"),
-    (F(3, 2), None, 64, "ec46b28216ae5809d86ea76c7e020402af9d26d15543782d548525eb3d60aab4"),
-    (F(3, 2), None, 65, "31f6cba520514aa1a3cca22c924b49b9ecca1a896402ff24ca683bc7882540a9"),
-    (F(3, 2), None, 130, "5070f9593af2794232777d426d42ba42e441c96fcc58635e919dd910d18df6e2"),
-    (F(9, 5), None, None, "6d7220ea075c73b799701c8070f28520efe38875992dcab98c27a800addb4c83"),
-    (F(9, 5), 3, 65, "63cd927caeaca52863c6c3a1ec17b900107a556c1e83b4af64bda3c626cbcf9b"),
-    (F(9, 5), None, 17, "f31627d8e8e0cda4753b2b6d55660faa9139c1c6b613281950d9cc7f77ea088a"),
-    (F(9, 5), None, 64, "3904582c77474c5948d0cb9bdaca7281e3239161973ebf762931a4b2b0b2dfd9"),
-    (F(9, 5), None, 65, "9efa9870c29aa247792a9a8fc29f55289b34bbcc8a241749f68dfeb7d00e47db"),
-    (F(9, 5), None, 130, "525e527c0e7b5b1bb76ad2f47ead9a340000dd20427165546c105dccec48768b"),
+    (F(3, 2), False, "96bf55824a92fe50a0b480fbe1081477b6320888f2b92199ceed75fef7f9ef96"),
+    (F(3, 2), True, "ec46b28216ae5809d86ea76c7e020402af9d26d15543782d548525eb3d60aab4"),
+    (F(9, 5), False, "6d7220ea075c73b799701c8070f28520efe38875992dcab98c27a800addb4c83"),
+    (F(9, 5), True, "3904582c77474c5948d0cb9bdaca7281e3239161973ebf762931a4b2b0b2dfd9"),
 ]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("beta, seed, precision_bits, digest", FROZEN_DEEP_RUNS)
-def test_deep_reports_are_frozen(beta, seed, precision_bits, digest, workers):
-    """Constant u = 1 (precision_bits None), seeded and per-sample uniform thresholds."""
-    if precision_bits is None:
-        thresholds = ConstantThreshold(1)
-    else:
-        thresholds = UniformThresholds(1, state_bound(beta), seed=seed,
-                                       precision_bits=precision_bits)
+@pytest.mark.parametrize("beta, uniform, digest", FROZEN_DEEP_RUNS)
+def test_deep_reports_are_frozen(beta, uniform, digest, workers):
+    """Constant u = 1, or per-sample uniform thresholds on [1, kappa]."""
+    thresholds = UniformThresholds(1, state_bound(beta)) if uniform else ConstantThreshold(1)
     exp = LochsExperiment(beta=beta, thresholds=thresholds, n_samples=290, rng_seed=11,
                           workers=workers)
     assert exp.resolved_precision() == (438 if beta == F(3, 2) else 302)
@@ -231,33 +202,23 @@ def test_deep_reports_are_frozen(beta, seed, precision_bits, digest, workers):
 
 
 @pytest.mark.parametrize("beta", [F(3, 2), F(9, 5)])
-@pytest.mark.parametrize("seed, precision_bits, k_cap", [
-    (None, None, None), (None, 17, None), (None, 64, None), (None, 65, None),
-    (None, 130, None), (None, 64, 40), (5, 64, None)])
-def test_batched_chunks_match_the_scalar_loop(beta, seed, precision_bits, k_cap, monkeypatch):
-    """Constant u = 1 (precision_bits None), per-sample and seeded uniform thresholds.
+@pytest.mark.parametrize("uniform, k_cap", [(False, None), (True, None), (True, 40)])
+def test_batched_chunks_match_the_scalar_loop(beta, uniform, k_cap, monkeypatch):
+    """Constant u = 1, or per-sample uniform thresholds on [1, kappa].
 
     Sub-batches of 7 split the chunk 3..26 unevenly.  Head margins of 0 and
     -k_min (no head at all) send most samples into the lazy tail; the
     wrapped tail counts the pairs it hands out.
     """
     kappa = state_bound(beta)
-    if precision_bits is None:
-        thresholds = ConstantThreshold(1)
-    else:
-        thresholds = UniformThresholds(1, kappa, seed=seed, precision_bits=precision_bits)
+    thresholds = UniformThresholds(1, kappa) if uniform else ConstantThreshold(1)
     exp = LochsExperiment(beta=beta, thresholds=thresholds, m_values=(4, 16, 64),
                           n_samples=30, rng_seed=(1 << 64) - 3, k_cap=k_cap)
     targets = scan_targets(exp.m_values, beta, k_cap)
-    if precision_bits is None:
-        fixed, uniform = _kernel_plan(beta, F(1), _WINDOW_BITS), None
-    elif seed is None:
-        fixed, uniform = None, (F(1), kappa, precision_bits)
-    else:
-        fixed, uniform = thresholds.scaled(targets[-1][1]), None
+    fixed = None if uniform else _kernel_plan(beta, F(1), _WINDOW_BITS)
     hists, cap_hits = oracles.lochs_histograms(exp.rng_seed, beta, targets,
                                                exp.resolved_precision(), (3, 26), _scan,
-                                               fixed, uniform)
+                                               fixed, (F(1), kappa, 64) if uniform else None)
     tail_pairs = []
 
     def counted_tail(*args):
@@ -273,10 +234,29 @@ def test_batched_chunks_match_the_scalar_loop(beta, seed, precision_bits, k_cap,
         tail_pairs.clear()
         got_hists, got_caps = lochs._chunk(exp, (3, 26))
         assert [dict(h) for h in got_hists] == hists and got_caps == cap_hits
-        if uniform is not None and k_cap is None:
+        if uniform and k_cap is None:
             # with no head every sample takes at least k_min pairs from its tail
             least = {16: 0, 0: 1}.get(margin, 23 * targets[-1][2])
             assert len(tail_pairs) >= least
+
+
+@pytest.mark.parametrize("beta", [F(3, 2), F(9, 5)])
+def test_listed_thresholds_take_the_shared_route(beta):
+    """Listed thresholds as long as the cap: one list read by every sample."""
+    ms = (4, 8, 16)
+    targets = scan_targets(ms, beta)
+    seq = UniformThresholds(1, state_bound(beta)).realize(targets[-1][1], SplitMix64(9))
+    pairs = [(u.numerator, u.denominator) for u in seq]
+    thresholds = ExplicitThresholds(seq)
+    results = k_profile(F(1, 3), ms, beta, thresholds)
+    assert [tuple(r) for r in results] == oracles.scan_steps(F(1, 3), targets, beta, iter(pairs))
+    exp = LochsExperiment(beta=beta, thresholds=thresholds, m_values=ms, n_samples=30,
+                          rng_seed=7)
+    hists, cap_hits = oracles.lochs_histograms(exp.rng_seed, beta, targets,
+                                               exp.resolved_precision(), (0, 30), _scan,
+                                               pairs)
+    got_hists, got_caps = lochs._chunk(exp, (0, 30))
+    assert [dict(h) for h in got_hists] == hists and got_caps == cap_hits
 
 
 @pytest.mark.parametrize("cap", [1, 31, 32, 33, 70, 502])
