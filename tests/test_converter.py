@@ -23,6 +23,8 @@ from betaenc.encoder import (
     ConstantThreshold,
     ExplicitThresholds,
     FixedBeta,
+    IidSupportBetas,
+    UniformBetas,
     UniformThresholds,
     _kernel_plan,
     encode,
@@ -175,6 +177,40 @@ def test_cost_under_random_thresholds_matches_oracle():
     cap = default_k_cap(4, beta)
     seq = thresholds.realize(cap, SplitMix64(11).derive("thresholds"))
     assert res.k == oracles.cylinder_k(F(1, 3), 4, beta, u_values=seq)
+
+
+@pytest.mark.parametrize("beta", [F(3, 2), F(9, 5)])
+@pytest.mark.parametrize("lo, hi", [(F(1), None), (F(7, 6), F(5, 4))])
+def test_k_profile_draws_thresholds_from_the_callers_rng(beta, lo, hi):
+    """A random process draws the cap's thresholds from rng.derive("thresholds")."""
+    hi = state_bound(beta) if hi is None else hi
+    ms = (4, 8, 16)
+    targets = scan_targets(ms, beta)
+    seq = oracles.uniform_draws(lo, hi, 64, SplitMix64(11).derive("thresholds"), targets[-1][1])
+    want = oracles.scan_steps(F(1, 3), targets, beta, ((u.numerator, u.denominator) for u in seq))
+    results = k_profile(F(1, 3), ms, beta, UniformThresholds(lo, hi), rng=SplitMix64(11))
+    assert [tuple(r) for r in results] == want
+
+
+# every entry point that draws refuses a random process with no rng, naming its role
+NO_RNG_CALLS = {
+    "encode-uniform-gains": (lambda: encode(F(1, 2), UniformBetas(F(3, 2), F(9, 5)),
+                                            ConstantThreshold(1), 3), "gain"),
+    "encode-iid-gains": (lambda: encode(F(1, 2), IidSupportBetas((F(3, 2), F(8, 5))),
+                                        ConstantThreshold(1), 3), "gain"),
+    "encode-uniform-thresholds": (lambda: encode(F(1, 2), FixedBeta(F(3, 2)),
+                                                 UniformThresholds(1, 2), 3), "threshold"),
+    "k_profile": (lambda: k_profile(F(1, 3), (4, 8), F(3, 2), UniformThresholds(1, 2)),
+                  "threshold"),
+    "k_of_m": (lambda: k_of_m(F(1, 3), 4, F(3, 2), UniformThresholds(1, 2)), "threshold"),
+}
+
+
+@pytest.mark.parametrize("call, role", NO_RNG_CALLS.values(), ids=NO_RNG_CALLS)
+def test_entry_points_refuse_a_random_process_without_an_rng(call, role):
+    with pytest.raises(ConfigurationError,
+                       match=f"^{role} process draws random values; pass rng=$"):
+        call()
 
 
 @st.composite

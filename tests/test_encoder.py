@@ -121,6 +121,24 @@ def test_random_processes_need_an_rng():
         IidSupportBetas((F(3, 2), F(8, 5)), seed=5)
 
 
+@pytest.mark.parametrize("betas, thresholds", [
+    (UniformBetas(F(3, 2), F(9, 5)), ConstantThreshold(1)),
+    (IidSupportBetas((F(3, 2), F(8, 5)), (F(1, 4), F(3, 4))), ConstantThreshold(1)),
+    (FixedBeta(F(3, 2)), UniformThresholds(1, 2)),
+    (UniformBetas(F(3, 2), F(9, 5)), UniformThresholds(F(1), F(5, 4))),
+], ids=["uniform-gains", "iid-gains", "uniform-thresholds", "both"])
+def test_encode_draws_each_role_from_its_child_of_the_callers_rng(betas, thresholds):
+    rng = SplitMix64(3)
+    trace = encode(F(1, 3), betas, thresholds, 12, rng=rng)
+    assert trace.betas == betas.realize(12, SplitMix64(3).derive("betas"))
+    assert trace.thresholds == thresholds.realize(12, SplitMix64(3).derive("thresholds"))
+    assert trace.rng_info == {"prng": "splitmix64/v1", "ambient": rng.describe(),
+                              "beta_seed": None, "threshold_seed": None}
+    # the trace is a function of x0 and the realized sequences alone
+    listed = encode(F(1, 3), ExplicitBetas(trace.betas), ExplicitThresholds(trace.thresholds), 12)
+    assert listed == trace
+
+
 def test_encode_records_rng_info_for_random_processes():
     trace = encode(
         F(1, 2),

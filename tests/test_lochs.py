@@ -156,69 +156,135 @@ def test_random_thresholds_per_sample():
     assert report.rows == again.rows
 
 
+def seeded_thresholds(beta, m_values, seed, precision_bits):
+    """The one list of thresholds a seeded UniformThresholds(1, kappa) drew.
+
+    A process seed, an option since removed, made every sample read the
+    same draws, from SplitMix64(seed).derive("threshold") at the given
+    precision; listed thresholds replay such a run exactly.  Returns the
+    list and the JSON the seeded process wrote for itself.
+    """
+    kappa = state_bound(beta)
+    cap = scan_targets(m_values, beta)[-1][1]
+    seq = oracles.uniform_draws(1, kappa, precision_bits, SplitMix64(seed).derive("threshold"), cap)
+    doc = dict(UniformThresholds(1, kappa).to_json(), seed=seed, precision_bits=precision_bits)
+    return ExplicitThresholds(seq), doc
+
+
+def report_digest(exp, thresholds_doc=None):
+    """sha256 of the sorted-key JSON report, its thresholds entry replaced if given."""
+    doc = run_lochs(exp).to_json()
+    if thresholds_doc is not None:
+        doc["config"]["thresholds"] = thresholds_doc
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 # sha256 of the sorted-key JSON report and k_profile(1/3, (4, 8, 16)) under
-# UniformThresholds(1, kappa), recorded before the draws became integer pairs
+# UniformThresholds(1, kappa), recorded before the draws became integer
+# pairs; a row with a seed was recorded with the seeded process, whose one
+# list of draws at precision_bits every sample shared
 FROZEN_UNIFORM_RUNS = [
-    (F(3, 2), "f3050b029e32385c4f2872db4d1a9b5616f3307597951ad6dbed8d1fe61f1f42",
+    (F(3, 2), None, 64, "f3050b029e32385c4f2872db4d1a9b5616f3307597951ad6dbed8d1fe61f1f42",
      [(11, False), (17, False), (30, False)]),
-    (F(9, 5), "fb491b9ec02d29e39ad6bc32e32c66d6d89bea0fff5ef9c6f2ad2aff74de2053",
+    (F(3, 2), 3, 17, "222e6d9e6dc2eac20400ed30f3345066f997495e197a5f7365982e946422073e",
+     [(10, False), (18, False), (31, False)]),
+    (F(3, 2), 3, 64, "30549ba2c49c1ee4612c70086ccb9f412812b675a967bbf936878396234bfb87",
+     [(10, False), (16, False), (31, False)]),
+    (F(9, 5), None, 64, "fb491b9ec02d29e39ad6bc32e32c66d6d89bea0fff5ef9c6f2ad2aff74de2053",
+     [(6, False), (11, False), (21, False)]),
+    (F(9, 5), 3, 17, "92a1d9459d600fa8925edd80fde246b56d323045377241313739b53f8f3fec13",
+     [(7, False), (11, False), (20, False)]),
+    (F(9, 5), 3, 64, "0b92fce15bc3a56dc405387697b38c0d90e9b97774a8e15f9ba84f4abe03151f",
      [(6, False), (11, False), (21, False)]),
 ]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("beta, digest, profile", FROZEN_UNIFORM_RUNS)
-def test_uniform_threshold_reports_are_frozen(beta, digest, profile, workers):
-    thresholds = UniformThresholds(1, state_bound(beta))
+@pytest.mark.parametrize("beta, seed, precision_bits, digest, profile", FROZEN_UNIFORM_RUNS)
+def test_uniform_threshold_reports_are_frozen(beta, seed, precision_bits, digest, profile,
+                                              workers):
+    """Per-sample draws (no seed), or the list a seeded process shared."""
+    if seed is None:
+        thresholds, doc = UniformThresholds(1, state_bound(beta)), None
+    else:
+        thresholds, doc = seeded_thresholds(beta, (4, 8, 16), seed, precision_bits)
     exp = LochsExperiment(beta=beta, thresholds=thresholds, m_values=(4, 8), n_samples=24,
                           rng_seed=7, workers=workers)
-    doc = json.dumps(run_lochs(exp).to_json(), sort_keys=True)
-    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+    assert report_digest(exp, doc) == digest
     results = k_profile(F(1, 3), (4, 8, 16), beta, thresholds, rng=SplitMix64(5))
     assert [tuple(r) for r in results] == profile
 
 
 # sha256 of the sorted-key JSON report at the default m = 8..64, so x is a
 # 438-bit (beta 3/2) or 302-bit (beta 9/5) draw; 290 samples split into
-# chunks that are not whole sub-batches; recorded before the draws were batched
+# chunks that are not whole sub-batches; recorded before the draws were
+# batched, except the seed-3 rows at 64 and 130 bits, recorded with the
+# seeded process just before its removal
 FROZEN_DEEP_RUNS = [
-    (F(3, 2), False, "96bf55824a92fe50a0b480fbe1081477b6320888f2b92199ceed75fef7f9ef96"),
-    (F(3, 2), True, "ec46b28216ae5809d86ea76c7e020402af9d26d15543782d548525eb3d60aab4"),
-    (F(9, 5), False, "6d7220ea075c73b799701c8070f28520efe38875992dcab98c27a800addb4c83"),
-    (F(9, 5), True, "3904582c77474c5948d0cb9bdaca7281e3239161973ebf762931a4b2b0b2dfd9"),
+    (F(3, 2), None, None, "96bf55824a92fe50a0b480fbe1081477b6320888f2b92199ceed75fef7f9ef96"),
+    (F(3, 2), None, 64, "ec46b28216ae5809d86ea76c7e020402af9d26d15543782d548525eb3d60aab4"),
+    (F(3, 2), 3, 64, "741aef58503aaa90b5314bf03cd8627360e3ced8415950b6619e4336f758b856"),
+    (F(3, 2), 3, 65, "e782b1464a2744bc9fcb6f26b3b92afab3320a683a8cd1a3d42cc09a3ce921c0"),
+    (F(3, 2), 3, 130, "b5c08237c61948e8b8074e95a2f03388c0388ac25db27e280fbdcbf409fd4412"),
+    (F(9, 5), None, None, "6d7220ea075c73b799701c8070f28520efe38875992dcab98c27a800addb4c83"),
+    (F(9, 5), None, 64, "3904582c77474c5948d0cb9bdaca7281e3239161973ebf762931a4b2b0b2dfd9"),
+    (F(9, 5), 3, 64, "964894eeeb1950424b61303bfbf0ff18d035c8296cc776e48468e253c3451d96"),
+    (F(9, 5), 3, 65, "63cd927caeaca52863c6c3a1ec17b900107a556c1e83b4af64bda3c626cbcf9b"),
+    (F(9, 5), 3, 130, "a3ca7210263ed9e93875348f27e2165e9adc7d6617f14cde623e70b3046ea09f"),
 ]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("beta, uniform, digest", FROZEN_DEEP_RUNS)
-def test_deep_reports_are_frozen(beta, uniform, digest, workers):
-    """Constant u = 1, or per-sample uniform thresholds on [1, kappa]."""
-    thresholds = UniformThresholds(1, state_bound(beta)) if uniform else ConstantThreshold(1)
+@pytest.mark.parametrize("beta, seed, precision_bits, digest", FROZEN_DEEP_RUNS)
+def test_deep_reports_are_frozen(beta, seed, precision_bits, digest, workers):
+    """Constant u = 1 (precision_bits None), per-sample uniform thresholds on
+    [1, kappa] (no seed), or the list a seeded process shared."""
+    doc = None
+    if precision_bits is None:
+        thresholds = ConstantThreshold(1)
+    elif seed is None:
+        thresholds = UniformThresholds(1, state_bound(beta))
+    else:
+        thresholds, doc = seeded_thresholds(beta, (8, 16, 32, 64), seed, precision_bits)
     exp = LochsExperiment(beta=beta, thresholds=thresholds, n_samples=290, rng_seed=11,
                           workers=workers)
     assert exp.resolved_precision() == (438 if beta == F(3, 2) else 302)
-    doc = json.dumps(run_lochs(exp).to_json(), sort_keys=True)
-    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+    assert report_digest(exp, doc) == digest
 
 
 @pytest.mark.parametrize("beta", [F(3, 2), F(9, 5)])
-@pytest.mark.parametrize("uniform, k_cap", [(False, None), (True, None), (True, 40)])
-def test_batched_chunks_match_the_scalar_loop(beta, uniform, k_cap, monkeypatch):
-    """Constant u = 1, or per-sample uniform thresholds on [1, kappa].
+@pytest.mark.parametrize("kind, k_cap", [
+    ("constant", None), ("constant", 40), ("uniform", None), ("uniform", 40), ("uniform", 12),
+    ("narrow", None), ("point", None), ("listed", None), ("listed", 40)])
+def test_batched_chunks_match_the_scalar_loop(beta, kind, k_cap, monkeypatch):
+    """Constant u = 1; per-sample uniform thresholds on [1, kappa], on
+    [7/6, 5/4] (a common denominator of 6*12*2**64) or on [1, 1]
+    (unreduced pairs equal to 1); or the list a seed-5 process shared.
 
     Sub-batches of 7 split the chunk 3..26 unevenly.  Head margins of 0 and
     -k_min (no head at all) send most samples into the lazy tail; the
-    wrapped tail counts the pairs it hands out.
+    wrapped tail counts the pairs it hands out.  A cap of 12 lies inside
+    every head but the empty one, and then no sample has a tail.
     """
     kappa = state_bound(beta)
-    thresholds = UniformThresholds(1, kappa) if uniform else ConstantThreshold(1)
-    exp = LochsExperiment(beta=beta, thresholds=thresholds, m_values=(4, 16, 64),
+    ranges = {"uniform": (F(1), kappa), "narrow": (F(7, 6), F(5, 4)), "point": (F(1), F(1))}
+    m_values = (4, 16, 64)
+    fixed = uniform = None
+    if kind == "constant":
+        thresholds = ConstantThreshold(1)
+        fixed = _kernel_plan(beta, F(1), _WINDOW_BITS)
+    elif kind == "listed":
+        thresholds, _ = seeded_thresholds(beta, m_values, 5, 64)
+        fixed = thresholds.scaled(scan_targets(m_values, beta, k_cap)[-1][1])
+    else:
+        thresholds = UniformThresholds(*ranges[kind])
+        uniform = ranges[kind] + (64,)
+    exp = LochsExperiment(beta=beta, thresholds=thresholds, m_values=m_values,
                           n_samples=30, rng_seed=(1 << 64) - 3, k_cap=k_cap)
     targets = scan_targets(exp.m_values, beta, k_cap)
-    fixed = None if uniform else _kernel_plan(beta, F(1), _WINDOW_BITS)
     hists, cap_hits = oracles.lochs_histograms(exp.rng_seed, beta, targets,
                                                exp.resolved_precision(), (3, 26), _scan,
-                                               fixed, (F(1), kappa, 64) if uniform else None)
+                                               fixed, uniform)
     tail_pairs = []
 
     def counted_tail(*args):
@@ -234,18 +300,26 @@ def test_batched_chunks_match_the_scalar_loop(beta, uniform, k_cap, monkeypatch)
         tail_pairs.clear()
         got_hists, got_caps = lochs._chunk(exp, (3, 26))
         assert [dict(h) for h in got_hists] == hists and got_caps == cap_hits
-        if uniform and k_cap is None:
+        if uniform is not None and k_cap is None:
             # with no head every sample takes at least k_min pairs from its tail
             least = {16: 0, 0: 1}.get(margin, 23 * targets[-1][2])
             assert len(tail_pairs) >= least
+        elif uniform is None or (k_cap == 12 and margin >= 0):
+            assert not tail_pairs
 
 
 @pytest.mark.parametrize("beta", [F(3, 2), F(9, 5)])
-def test_listed_thresholds_take_the_shared_route(beta):
-    """Listed thresholds as long as the cap: one list read by every sample."""
+@pytest.mark.parametrize("precision_bits", [17, 64, 65, 130])
+def test_listed_thresholds_take_the_shared_route(beta, precision_bits):
+    """Listed thresholds as long as the cap: one list read by every sample.
+
+    The draws are lo + span*odd/2**P at P of one, two and three stream
+    words, as a seeded process once drew them.
+    """
     ms = (4, 8, 16)
     targets = scan_targets(ms, beta)
-    seq = UniformThresholds(1, state_bound(beta)).realize(targets[-1][1], SplitMix64(9))
+    seq = oracles.uniform_draws(1, state_bound(beta), precision_bits, SplitMix64(9),
+                                targets[-1][1])
     pairs = [(u.numerator, u.denominator) for u in seq]
     thresholds = ExplicitThresholds(seq)
     results = k_profile(F(1, 3), ms, beta, thresholds)
