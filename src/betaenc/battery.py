@@ -2,11 +2,11 @@
 
 Monobit, runs, serial (order 2), and approximate entropy (order 2):
 chosen so every p-value is an erfc / exponential expression and no
-incomplete-gamma tables are needed.  All four read one cyclic order-3
-pattern count of the stream, built once per battery run from exact
-integer moments that popcounts of the stream packed into 64-bit words
-give.  The self-calibration draws its PRNG runs 32 at a time as packed
-SplitMix64 words and counts each block without unpacking a bit.  This is
+incomplete-gamma tables are needed.  Each test is one float function of
+the stream's cyclic order-3 pattern count (n, order3, wraps), which exact
+popcounts of the stream packed into 64-bit words give.  The calibration
+draws its PRNG runs 32 at a time as packed SplitMix64 words, counts them
+and reads those functions' p-values directly, building no TestResult.  This is
 supporting evidence for the extraction pipeline, not a conformance suite.
 """
 
@@ -73,15 +73,11 @@ class PatternCounts:
         return self.n
 
     def order(self, k: int) -> tuple:
-        c = self.order3
-        if k == 3:
-            return c
-        pairs = (c[0] + c[1], c[2] + c[3], c[4] + c[5], c[6] + c[7])
-        return pairs if k == 2 else (pairs[0] + pairs[1], pairs[2] + pairs[3])
+        return (*_marginals(self.order3), self.order3)[k - 1]
 
 
 def _packed_counts(words: np.ndarray, n: int) -> list:
-    """PatternCounts of each row of a (rows, words) uint64 array of n-bit streams.
+    """(order3, wraps) of each row of a (rows, words) uint64 array of n-bit streams.
 
     Bits are MSB-first and bits past n are zero; a row has at least one
     word.  With p, q, r the stream and its cyclic shifts by 1 and 2, each
@@ -117,7 +113,7 @@ def _packed_counts(words: np.ndarray, n: int) -> list:
         x, y, z = s_pq - s_pqr, s_pr - s_pqr, s_pqr  # #011 = #110, #101, #111
         e = s1 - x - y - z  # #100 = #001
         order3 = (n - 2 * e - s1 - y, e, s1 - 2 * x - z, x, e, y, x, z)
-        out.append(PatternCounts(n, order3, wraps))
+        out.append((order3, wraps))
     return out
 
 
@@ -129,83 +125,99 @@ def pattern_counts(bits) -> PatternCounts:
     n = arr.size
     packed = np.zeros(8 * max(1, -(-n // 64)), dtype=np.uint8)
     packed[: -(-n // 8)] = np.packbits(arr)
-    (counts,) = _packed_counts(packed.view(">u8").astype(np.uint64)[None, :], n)
-    return counts
+    return PatternCounts(n, *_packed_counts(packed.view(">u8").astype(np.uint64)[None, :], n)[0])
 
 
-def _psi_sq(counts: PatternCounts, order: int) -> float:
-    n = counts.n
-    return float((1 << order) / n * sum(c * c for c in counts.order(order)) - n)
+def _marginals(c: tuple) -> tuple:
+    """The order-1 and order-2 counts of an order-3 pattern count."""
+    pairs = (c[0] + c[1], c[2] + c[3], c[4] + c[5], c[6] + c[7])
+    return (pairs[0] + pairs[1], pairs[2] + pairs[3]), pairs
 
 
-def monobit_test(bits, alpha: float = 0.01) -> TestResult:
-    counts = pattern_counts(bits)
-    n = counts.n
-    total = 2 * counts.order(1)[1] - n
+def _monobit(n: int, order3: tuple, wraps: int) -> tuple:
+    total = 2 * _marginals(order3)[0][1] - n
     s_obs = abs(total) / math.sqrt(n)
-    p = math.erfc(s_obs / math.sqrt(2))
-    return TestResult("monobit", s_obs, p, p >= alpha, alpha, {"bit_sum": total})
+    return s_obs, math.erfc(s_obs / math.sqrt(2)), {"bit_sum": total}
 
 
-def runs_test(bits, alpha: float = 0.01) -> TestResult:
-    counts = pattern_counts(bits)
-    n = counts.n
-    pi = counts.order(1)[1] / n
+def _runs(n: int, order3: tuple, wraps: int) -> tuple:
+    ones, pairs = _marginals(order3)
+    pi = ones[1] / n
     if abs(pi - 0.5) >= 2 / math.sqrt(n):
         # monobit prerequisite failed; the runs statistic is meaningless here
-        return TestResult("runs", float("nan"), 0.0, False, alpha,
-                          {"ones_fraction": pi, "prerequisite": "failed"})
-    pairs = counts.order(2)
-    v = 1 + pairs[0b01] + pairs[0b10] - counts.wraps
+        return float("nan"), 0.0, {"ones_fraction": pi, "prerequisite": "failed"}
+    v = 1 + pairs[0b01] + pairs[0b10] - wraps
     num = abs(v - 2 * n * pi * (1 - pi))
     den = 2 * math.sqrt(2 * n) * pi * (1 - pi)
-    p = math.erfc(num / den)
-    return TestResult("runs", float(v), p, p >= alpha, alpha, {"ones_fraction": pi})
+    return float(v), math.erfc(num / den), {"ones_fraction": pi}
 
 
-def serial_test(bits, alpha: float = 0.01) -> TestResult:
+def _serial(n: int, order3: tuple, wraps: int) -> tuple:
     """Order-2 overlapping serial test; p = exp(-delta_psi2 / 2)."""
-    counts = pattern_counts(bits)
-    delta = _psi_sq(counts, 2) - _psi_sq(counts, 1)
+    ones, pairs = _marginals(order3)
+    delta = (4 / n * sum(c * c for c in pairs) - n) - (2 / n * sum(c * c for c in ones) - n)
     # delta >= 0 up to rounding; clamp so p stays a probability
-    p = min(1.0, math.exp(-delta / 2))
-    return TestResult("serial", delta, p, p >= alpha, alpha, {})
+    return delta, min(1.0, math.exp(-delta / 2)), {}
 
 
-def approximate_entropy_test(bits, alpha: float = 0.01) -> TestResult:
+def _approximate_entropy(n: int, order3: tuple, wraps: int) -> tuple:
     """Order-2 approximate entropy; p = exp(-x/2) * (1 + x/2) for x = chi2."""
-    counts = pattern_counts(bits)
-    n = counts.n
 
-    def phi(order: int) -> float:
+    def phi(counts: tuple) -> float:
         acc = 0.0
-        for c in counts.order(order):
+        for c in counts:
             if c:
                 acc += (c / n) * math.log(c / n)
         return acc
 
-    ap_en = phi(2) - phi(3)
+    ap_en = phi(_marginals(order3)[1]) - phi(order3)
     chi2 = 2 * n * (math.log(2) - ap_en)
     x = chi2 / 2
-    p = min(1.0, math.exp(-x) * (1 + x))
-    return TestResult("approximate-entropy", chi2, p, p >= alpha, alpha,
-                      {"ap_en": ap_en})
+    return chi2, min(1.0, math.exp(-x) * (1 + x)), {"ap_en": ap_en}
+
+
+# (statistic, p_value, extras) of each test from (n, order3, wraps), by test name
+_STATISTICS = dict(zip(MINIMUM_BITS, (_monobit, _runs, _serial, _approximate_entropy)))
+
+
+def _result(name: str, bits, alpha: float) -> TestResult:
+    counts = pattern_counts(bits)
+    stat, p, extras = _STATISTICS[name](counts.n, counts.order3, counts.wraps)
+    return TestResult(name, stat, p, p >= alpha, alpha, extras)
+
+
+def monobit_test(bits, alpha: float = 0.01) -> TestResult:
+    return _result("monobit", bits, alpha)
+
+
+def runs_test(bits, alpha: float = 0.01) -> TestResult:
+    return _result("runs", bits, alpha)
+
+
+def serial_test(bits, alpha: float = 0.01) -> TestResult:
+    return _result("serial", bits, alpha)
+
+
+def approximate_entropy_test(bits, alpha: float = 0.01) -> TestResult:
+    return _result("approximate-entropy", bits, alpha)
 
 
 _TESTS = (monobit_test, runs_test, serial_test, approximate_entropy_test)
 
 
-def run_battery(bits, significance: float = 0.01) -> list:
-    """All four tests on one stream; deterministic; pass iff p >= significance."""
+def _check_battery(n: int, significance: float) -> None:
+    """The refusals of every battery run: a significance outside (0, 1), then a short stream."""
     if not (0 < significance < 1):
         raise DomainError(f"significance must lie in (0,1), got {significance}")
-    counts = pattern_counts(bits)
-    needed = max(MINIMUM_BITS.values())
-    if counts.n < needed:
+    if n < max(MINIMUM_BITS.values()):
         mins = ", ".join(f"{name} {m}" for name, m in MINIMUM_BITS.items())
-        raise InsufficientLengthError(
-            f"stream of {counts.n} bits is below the battery minimums ({mins})"
-        )
+        raise InsufficientLengthError(f"stream of {n} bits is below the battery minimums ({mins})")
+
+
+def run_battery(bits, significance: float = 0.01) -> list:
+    """All four tests on one stream; deterministic; pass iff p >= significance."""
+    counts = pattern_counts(bits)
+    _check_battery(counts.n, significance)
     return [test(counts, significance) for test in _TESTS]
 
 
@@ -233,19 +245,21 @@ def rejection_rates(n_runs: int = 1000, n_bits: int = 1 << 15,
     check_positive_int(n_runs, "n_runs", DomainError)
     check_positive_int(n_bits, "n_bits", DomainError)
     check_seed(seed, "seed", DomainError)
+    _check_battery(n_bits, significance)
     rng = SplitMix64(seed).derive("battery-calibration")
     n_words = -(-n_bits // 64)
     # the bits of the last word that lie before n_bits
     tail = np.uint64((1 << 64) - (1 << (64 * n_words - n_bits)))
-    rejected = {}
+    rejected = dict.fromkeys(_STATISTICS, 0)
     for lo in range(0, n_runs, _CALIBRATION_BLOCK):
         # row i - lo is rng.derive("run", i).bit_array(n_bits), still packed
         keys = rng.derive_array("run", range(lo, min(lo + _CALIBRATION_BLOCK, n_runs)))
         words = _counter_words(keys, 0, n_words)
         words[:, -1] &= tail
-        for counts in _packed_counts(words, n_bits):
-            for result in run_battery(counts, significance):
-                rejected[result.name] = rejected.get(result.name, 0) + (not result.passed)
+        for order3, wraps in _packed_counts(words, n_bits):
+            for name, test in _STATISTICS.items():
+                # as TestResult.passed reads it, so a NaN p-value rejects
+                rejected[name] += not (test(n_bits, order3, wraps)[1] >= significance)
     return {
         "prng": PRNG_ID,
         "seed": seed,

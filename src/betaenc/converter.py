@@ -24,7 +24,8 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .encoder import _WINDOW_BITS, ConstantThreshold, _cylinders, _kernel_plan, _Plan, _window
+from .encoder import (_WINDOW_BITS, ConstantThreshold, _cylinders, _kernel_plan, _Plan, _window,
+                      check_role)
 from .errors import ConfigurationError, DomainError
 from .numerics import (
     ONE,
@@ -256,8 +257,7 @@ def k_profile(
     x = check_unit(x, "x", DomainError)
     beta = check_beta(beta)
     ms = check_orders(m_values, "m_values", DomainError)
-    if thresholds is None:
-        thresholds = ConstantThreshold(1)
+    thresholds = check_role(ConstantThreshold(1) if thresholds is None else thresholds, "threshold")
     check_thresholds(thresholds.threshold_range, state_bound(beta), ConfigurationError)
     targets = scan_targets(ms, beta, k_cap)
     if isinstance(thresholds, ConstantThreshold):

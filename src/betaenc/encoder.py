@@ -75,6 +75,13 @@ class _ThresholdRole:
         return self._range()
 
 
+def check_role(process, role: str):
+    """``process`` if it takes the ``role`` ("gain" or "threshold"), else a one-line refusal."""
+    if not isinstance(process, {"gain": _GainRole, "threshold": _ThresholdRole}[role]):
+        raise ConfigurationError(f"expected a {role} process, got {type(process).__name__}")
+    return process
+
+
 @dataclass(frozen=True)
 class _One:
     """The same value at every step."""
@@ -325,8 +332,9 @@ def encode(
                                    or not isinstance(float_bits, int) or float_bits < 4):
         raise DomainError(f"float mode needs at least 4 mantissa bits, got {float_bits!r}")
 
-    beta_seq = betas.realize(n_steps, rng.derive("betas") if rng else None)
-    u_seq = thresholds.realize(n_steps, rng.derive("thresholds") if rng else None)
+    beta_seq = check_role(betas, "gain").realize(n_steps, rng.derive("betas") if rng else None)
+    u_seq = check_role(thresholds, "threshold").realize(
+        n_steps, rng.derive("thresholds") if rng else None)
     check_thresholds(u_seq, state_bound(betas.beta_range[1]), ConfigurationError)
 
     rng_info = None

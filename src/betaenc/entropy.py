@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bitio import word_to_str
-from .encoder import ConstantThreshold, ExplicitBetas, IidSupportBetas, prefix_leaves
+from .encoder import ConstantThreshold, ExplicitBetas, IidSupportBetas, check_role, prefix_leaves
 from .errors import ConfigurationError, DomainError, ResourceBudgetError
 from .numerics import (
     ZERO,
@@ -167,12 +167,11 @@ def word_distribution(betas, thresholds=None, m: int = 1) -> WordDistribution:
     single exact distribution to enumerate.
     """
     check_positive_int(m, "m", ConfigurationError)
-    if thresholds is None:
-        thresholds = ConstantThreshold(1)
+    thresholds = check_role(ConstantThreshold(1) if thresholds is None else thresholds, "threshold")
     if thresholds.is_random:
         raise ConfigurationError("exact enumeration needs deterministic thresholds")
 
-    choices, weight_den = _gain_choices(betas, m)
+    choices, weight_den = _gain_choices(check_role(betas, "gain"), m)
     u_seq = thresholds.realize(m)
     check_thresholds(u_seq, state_bound(betas.beta_range[1]), ConfigurationError)
 

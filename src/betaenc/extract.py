@@ -13,7 +13,8 @@ Three layers, each checked exactly rather than cited:
 
 The pipeline at the bottom slices a long encoder stream into blocks and
 feeds them to either extractor, enforcing the entropy budget
-n <= m*log2(beta_min) - log2(kappa) as an exact power inequality.
+n <= m*log2(beta_min) - log2(kappa) as an exact power inequality, and
+takes every GF(2) inner product as a popcount parity on 64-bit words.
 """
 
 from __future__ import annotations
@@ -343,10 +344,9 @@ def required_block_length(n: int, alpha, beta_min) -> int:
     return -(-least // (b - a))
 
 
-def _toeplitz_matrix(seed_word: int, m: int, n: int) -> np.ndarray:
-    """SeededExtractor.apply as an n x m uint8 matrix: R[i, j] = bit i + m - 1 - j of z."""
-    seed_bits = np.array(word_to_bits(seed_word, m + n - 1)[::-1], dtype=np.uint8)
-    return seed_bits[np.arange(n)[:, None] + np.arange(m - 1, -1, -1)]
+def _parity_of_and(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """GF(2) inner products of the rows of two (.., words) uint64 arrays, as uint8."""
+    return np.bitwise_count(np.bitwise_xor.reduce(x & y, axis=1)) & 1
 
 
 def pipeline_extract(bits, config: PipelineConfig):
@@ -355,9 +355,10 @@ def pipeline_extract(bits, config: PipelineConfig):
     Returns (extracted bits as a uint8 array, report dict).  Two-source
     mode pairs consecutive blocks; seeded mode hashes every block with one
     Toeplitz seed (explicit from the PRNG, or - experimentally, with no
-    uniformity claim - read off the head of the stream itself).  Seeded mode
-    is one GF(2) matrix product over all blocks, two-source mode one
-    AND-and-parity over all block pairs.
+    uniformity claim - read off the head of the stream itself).  Every block
+    is packed once into 64-bit words; output bit i of a seeded block is the
+    parity of its AND with hash row i, and a pair's two-source bit the
+    parity of the AND of its two blocks, one pass over all blocks per row.
     """
     stream = np.ascontiguousarray(as_bit_array(bits))
     m, g, n = config.block_bits, config.gap_bits, config.out_bits
@@ -398,13 +399,21 @@ def pipeline_extract(bits, config: PipelineConfig):
     blocks = np.lib.stride_tricks.as_strided(
         stream[start:], shape=(count, m), strides=((m + g) * stride, stride), writeable=False
     )
-    pairs = len(blocks) // 2
+    # each block as ceil(m/64) native words of its packed bytes, zeros past m: the byte
+    # order inside a word changes neither AND, XOR nor the parity of a popcount
+    width = -(-m // 64)
+    packed = np.zeros((count, 8 * width), dtype=np.uint8)
+    packed[:, : -(-m // 8)] = np.packbits(blocks, axis=1)
+    words = packed.view(np.uint64)
+    pairs = count // 2
     if config.mode == "seeded":
-        # uint8 products wrap mod 256, which keeps their parity
-        out = ((blocks @ _toeplitz_matrix(seed_word, m, n).T) & 1).ravel()
+        # row i of the hash is (z >> i) & (2**m - 1), laid out like the blocks
+        pad, full = 64 * width - m, (1 << m) - 1
+        rows = np.frombuffer(b"".join((((seed_word >> i) & full) << pad).to_bytes(8 * width, "big")
+                                      for i in range(n)), dtype=np.uint64).reshape(n, width)
+        out = np.stack([_parity_of_and(words, row) for row in rows], axis=1).ravel()
     else:
-        x, y = blocks[0 : 2 * pairs : 2], blocks[1 : 2 * pairs : 2]
-        out = np.bitwise_and(x, y).sum(axis=1, dtype=np.uint8) & 1
+        out = _parity_of_and(words[0 : 2 * pairs : 2], words[1 : 2 * pairs : 2])
 
     kappa = state_bound(config.beta_max)
     with localcontext() as ctx:
@@ -419,7 +428,7 @@ def pipeline_extract(bits, config: PipelineConfig):
             "block_bits": m,
             "gap_bits": g,
             "out_bits": n,
-            "blocks": len(blocks),
+            "blocks": count,
             "pairs": pairs if config.mode == "two-source" else None,
             "bits_in": int(stream.size),
             "bits_out": len(out),

@@ -29,7 +29,7 @@ from itertools import chain
 from typing import Optional
 
 from .converter import _scan, scan_targets
-from .encoder import _WINDOW_BITS, ConstantThreshold, _kernel_plan, prefix_leaves
+from .encoder import _WINDOW_BITS, ConstantThreshold, _kernel_plan, check_role, prefix_leaves
 from .errors import ConfigurationError, DomainError
 from .numerics import (
     as_decimal,
@@ -93,8 +93,8 @@ class LochsExperiment:
         check_positive_int(self.workers, "workers", ConfigurationError)
         if self.k_cap is not None:
             check_positive_int(self.k_cap, "k_cap", ConfigurationError)
-        check_thresholds(self.thresholds.threshold_range, state_bound(self.beta),
-                         ConfigurationError)
+        check_thresholds(check_role(self.thresholds, "threshold").threshold_range,
+                         state_bound(self.beta), ConfigurationError)
 
     def resolved_precision(self) -> int:
         if self.precision_bits is not None:

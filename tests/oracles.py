@@ -714,6 +714,38 @@ def pipeline_extract_blocks(bits, mode, block_bits, out_bits=1, gap_bits=0, seed
     return np.array(out, dtype=np.uint8), report
 
 
+def toeplitz_matrix(seed_word: int, m: int, n: int) -> np.ndarray:
+    """The seeded hash as an n x m uint8 matrix: R[i, j] = bit i + m - 1 - j of the seed."""
+    seed_bits = np.array([(seed_word >> t) & 1 for t in range(m + n - 1)], dtype=np.uint8)
+    return seed_bits[np.arange(n)[:, None] + np.arange(m - 1, -1, -1)]
+
+
+def pipeline_extract_product(bits, mode, block_bits, out_bits=1, gap_bits=0, seed_word=None):
+    """Stream extraction as one uint8 product over a strided view of the blocks.
+
+    Arguments as in ``pipeline_extract_blocks``.  Seeded mode is
+    ``(blocks @ R.T) & 1`` with R = ``toeplitz_matrix`` (uint8 products wrap
+    mod 256, which keeps their parity); two-source mode sums the AND of
+    blocks 2j and 2j + 1 in uint8 and keeps the low bit.  This is the
+    matrix-product path the packed-word popcount parities replaced.
+    """
+    stream = np.ascontiguousarray(np.asarray(bits, dtype=np.uint8))
+    m, g, n = block_bits, gap_bits, out_bits
+    start = 0
+    if mode == "seeded" and seed_word is None:
+        d = m + n - 1
+        seed_word = int("".join(map(str, stream[:d].tolist())), 2)
+        start = d + g
+    count = (stream.size - start - m) // (m + g) + 1 if stream.size >= start + m else 0
+    blocks = np.lib.stride_tricks.as_strided(
+        stream[start:], shape=(count, m), strides=(m + g, 1), writeable=False
+    )
+    if mode == "seeded":
+        return ((blocks @ toeplitz_matrix(seed_word, m, n).T) & 1).ravel()
+    x, y = blocks[0 : count - count % 2 : 2], blocks[1 : count - count % 2 : 2]
+    return np.bitwise_and(x, y).sum(axis=1, dtype=np.uint8) & 1
+
+
 def max_extractable_bits_doubling(block_bits: int, beta_min, beta_max) -> int:
     """Largest n with 2**n * kappa <= beta_min**block_bits (0 when none), by doubling.
 

@@ -291,3 +291,18 @@ def test_rejection_rates_match_the_per_run_loop(n_runs, n_bits, significance):
     want = oracles.rejection_rates_per_run(n_runs, n_bits, significance, seed=3)
     assert doc["rates"] == want
     assert list(doc["rates"]) == list(want)
+
+
+def test_rejection_rates_refusals():
+    # the same types and messages as run_battery's, whichever call makes them
+    for n_bits in (1, 255):
+        with pytest.raises(InsufficientLengthError) as err:
+            rejection_rates(n_runs=3, n_bits=n_bits)
+        assert str(err.value) == (
+            f"stream of {n_bits} bits is below the battery minimums "
+            "(monobit 100, runs 100, serial 64, approximate-entropy 256)"
+        )
+    for significance in (0, 1, -0.5, float("nan")):
+        with pytest.raises(DomainError,
+                           match=fr"^significance must lie in \(0,1\), got {significance}$"):
+            rejection_rates(n_runs=3, n_bits=256, significance=significance)

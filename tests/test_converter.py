@@ -363,3 +363,11 @@ def test_transfer_rows_shape():
     # k - m * log(2)/log(beta) at 12 places; m=4 target is 6.83...
     assert rows[0]["deviation"].startswith("2.16")
     assert len(rows[0]["deviation"].split(".")[1]) == 12
+
+
+def test_k_profile_refuses_a_gain_process_as_thresholds():
+    # an AttributeError on threshold_range before roles were checked
+    betas = IidSupportBetas((F(3, 2), F(8, 5)))
+    with pytest.raises(ConfigurationError,
+                       match="^expected a threshold process, got IidSupportBetas$"):
+        k_profile(F(1, 3), (4,), F(3, 2), betas)

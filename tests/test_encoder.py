@@ -613,3 +613,11 @@ def test_uniform_integer_draws_match_the_fraction_oracle(case, chunks, seed):
     assert tuple(F(r, d) for r, d in pairs) == expected
     rng = SplitMix64(seed)
     assert tuple(v for n in chunks for v in process.realize(n, rng)) == expected
+
+
+def test_encode_refuses_processes_in_the_wrong_role():
+    # swapped roles raised an AttributeError on beta_range before roles were checked
+    with pytest.raises(ConfigurationError, match="^expected a gain process, got ConstantThreshold$"):
+        encode(F(1, 3), ConstantThreshold(1), FixedBeta(F(3, 2)), 4)
+    with pytest.raises(ConfigurationError, match="^expected a threshold process, got FixedBeta$"):
+        encode(F(1, 3), FixedBeta(F(3, 2)), FixedBeta(F(3, 2)), 4)

@@ -347,3 +347,11 @@ def test_integer_walk_matches_the_fraction_walk(case):
             model.values, model.probs)
         oracle = oracles.word_distribution_oracle(support, probs, u_seq, m)
     assert dist.entries == {w: p for w, p in oracle.items() if p > 0}
+
+
+def test_word_distribution_refuses_processes_in_the_wrong_role():
+    # an AttributeError on beta_range before roles were checked
+    with pytest.raises(ConfigurationError, match="^expected a gain process, got ConstantThreshold$"):
+        word_distribution(ConstantThreshold(1), m=4)
+    with pytest.raises(ConfigurationError, match="^expected a threshold process, got FixedBeta$"):
+        word_distribution(FixedBeta(F(3, 2)), FixedBeta(F(3, 2)), m=4)

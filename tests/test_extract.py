@@ -544,7 +544,7 @@ PIPE_BETA = F(19, 10)
 
 
 def _pipeline_case(bits, mode, m, g, n=1, seed=None, seed_mode="explicit"):
-    """Run the pipeline and the per-block oracle on the same stream."""
+    """Run the pipeline, the per-block oracle and the uint8 product on the same stream."""
     config = PipelineConfig(mode=mode, block_bits=m, gap_bits=g, out_bits=n,
                             beta_min=PIPE_BETA, beta_max=PIPE_BETA,
                             seed=seed, seed_mode=seed_mode)
@@ -555,6 +555,7 @@ def _pipeline_case(bits, mode, m, g, n=1, seed=None, seed_mode="explicit"):
     want, counts = oracles.pipeline_extract_blocks(bits, mode, m, n, g, seed_word)
     assert out.dtype == np.uint8 and out.ndim == 1
     assert np.array_equal(out, want)
+    assert np.array_equal(oracles.pipeline_extract_product(bits, mode, m, n, g, seed_word), want)
     assert {key: report[key] for key in counts} == counts
     return report
 
@@ -620,6 +621,16 @@ def test_pipeline_block_count_edges():
         _pipeline_case(bits, "seeded", m, 1, 9, seed=m)
         _pipeline_case(bits, "seeded", m, 2, 4, seed_mode="stream")
         _pipeline_case(bits, "two-source", m, 0)
+    # three to five packed words per block, gaps that move block starts off byte
+    # boundaries, and out_bits at the entropy budget
+    bits = encode_bits(F(5, 17), F(3, 2), F(1), 2500)
+    for m, gaps in ((191, (1, 2)), (192, (3, 4)), (193, (5, 6)), (256, (7, 1)), (257, (2, 3))):
+        n = max_extractable_bits(m, PIPE_BETA, PIPE_BETA)
+        for g in gaps:
+            _pipeline_case(bits, "seeded", m, g, n, seed=m + g)
+            report = _pipeline_case(bits, "seeded", m, g, n, seed_mode="stream")
+            assert report["blocks"] >= 5 and report["bits_out"] == n * report["blocks"]
+            _pipeline_case(bits, "two-source", m, g)
 
 
 def test_pipeline_reads_strided_and_list_input_like_arrays():

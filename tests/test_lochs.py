@@ -11,6 +11,7 @@ from betaenc.encoder import (
     _WINDOW_BITS,
     ConstantThreshold,
     ExplicitThresholds,
+    FixedBeta,
     UniformThresholds,
     _kernel_plan,
 )
@@ -446,3 +447,9 @@ def test_straddle_measure_validation():
             pm_measure_exact(F(3, 2), F(1), 3, F(1, 2), kbar=kbar)
     with pytest.raises(ResourceBudgetError, match="^prefix-tree walk passed 10 nodes; shrink the depth$"):
         pm_measure_exact(F(3, 2), F(1), 3, F(1, 2), node_budget=10)
+
+
+def test_experiment_refuses_a_gain_process_as_thresholds():
+    # an AttributeError on threshold_range before roles were checked
+    with pytest.raises(ConfigurationError, match="^expected a threshold process, got FixedBeta$"):
+        LochsExperiment(beta=F(3, 2), thresholds=FixedBeta(F(3, 2)))
