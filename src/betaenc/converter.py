@@ -166,9 +166,8 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
 
     plan = thresholds if isinstance(thresholds, _Plan) else None
     if plan:
-        K, words, offsets, u = plan.K, plan.words, plan.offsets, plan.u
+        K, PK, QK, words, offsets, u = plan.K, plan.PK, plan.QK, plan.words, plan.offsets, plan.u
         r, s = u.numerator, u.denominator
-        PK, QK = plan.ppow[K], plan.qpow[K]
     else:
         thresholds = iter(thresholds)
     results = []

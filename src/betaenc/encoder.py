@@ -508,14 +508,13 @@ def prefix_leaves(choices, u_seq, end=ONE, node_budget: Optional[int] = None):
 
 
 class _Plan(NamedTuple):
-    """Spans, powers and cylinder table of the stream kernel for one (beta, u, W)."""
+    """Spans, cylinder table and one cylinder's step of the stream kernel for one (beta, u, W)."""
 
     K: int  # table depth
     k_blk: int  # steps per inner block, a multiple of K
     k_mid: int  # steps of the mid window between commits
-    ppow: tuple  # p**j and q**j for j <= k_blk
-    qpow: tuple
-    tweight: tuple  # see _kernel_plan
+    PK: int  # p**K and q**K: a cylinder steps x to (PK * x - offset) / QK
+    QK: int
     bounds: tuple  # the cylinder table, see _kernel_plan
     words: tuple
     offsets: tuple
@@ -535,8 +534,9 @@ def _kernel_plan(beta: Fraction, u: Fraction, W: int) -> _Plan:
     lo <= hi, lo >= ceil(2**W c) iff lo >= 2**W c and hi < ceil(2**W c') iff
     hi < 2**W c', so a window [lo, hi] with bounds[i - 1] <= lo and hi <
     bounds[i] lies in cylinder i exactly.  Its states then emit the K bytes
-    words[i] and move to beta**K * x - offsets[i] / q**K; scaled[i] is
-    offsets[i] * 2**W.  Both table kernels walk it through ``_cylinders``.
+    words[i] and move to (PK * x - offsets[i]) / QK with PK = p**K and QK =
+    q**K; scaled[i] is offsets[i] * 2**W.  Both table kernels walk it
+    through ``_cylinders``.
     """
     p, q = beta.numerator, beta.denominator
     # an inner block widens the window by about beta per step: stop while
@@ -548,11 +548,6 @@ def _kernel_plan(beta: Fraction, u: Fraction, W: int) -> _Plan:
     # the mid window commits once beta**k passes 2**(W2/2), or after W2 steps
     W2 = _MID_FACTOR * W
     k_mid = min(W2, _steps_above(beta, W2 // 2, W2))
-    ppow = tuple(p**j for j in range(k_blk + 1))
-    qpow = tuple(q**j for j in range(k_blk + 1))
-    # R accumulates S * p**(k_blk - k) over a block of k steps: a table
-    # step at j adds its offset * tweight[j]
-    tweight = tuple(qpow[j] * ppow[k_blk - j - K] for j in range(k_blk - K + 1))
 
     # the depth-K cylinders of [0, kappa); the walk yields the highest first.
     # The lowest is open below, and the last bound is far above
@@ -563,7 +558,7 @@ def _kernel_plan(beta: Fraction, u: Fraction, W: int) -> _Plan:
     # one byte per bit: the low K (<= _TABLE_DEPTH_CAP = 16) bits of each word
     digits = np.unpackbits(np.array(words, ">u2").view(np.uint8)).reshape(-1, 16)
     digits = digits[:, 16 - K:].tobytes()
-    return _Plan(K, k_blk, k_mid, ppow, qpow, tweight,
+    return _Plan(K, k_blk, k_mid, p**K, q**K,
                  tuple(-((-lo << W) // unit) for lo in lows[1:])
                  + ((q // (p - q) + 2) << (W + 4),),
                  tuple(digits[i:i + K] for i in range(0, len(digits), K)), offsets,
@@ -577,8 +572,7 @@ def _cylinders(plan: _Plan, lo: int, hi: int):
     and stops at the first straddle.  The window takes the cylinder's step,
     rounded outward, only when the caller asks for the next index.
     """
-    bounds, scaled = plan.bounds, plan.scaled
-    PK, QK = plan.ppow[plan.K], plan.qpow[plan.K]
+    bounds, scaled, PK, QK = plan.bounds, plan.scaled, plan.PK, plan.QK
     while True:
         # lo <= 2**W * kappa < bounds[-1]: c indexes a cylinder
         c = bisect_right(bounds, lo)
@@ -595,12 +589,14 @@ def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
     """Three-level exact stream; returns (bits, StreamCounts).
 
     Exact for every inner window width W >= 1; W only sets how many bits
-    the windows decide before a wider level must be read.
+    the windows decide before a wider level must be read.  A block's
+    cylinders compose by the Horner update S <- PK * S + Qk * offsets[c],
+    with Qk the running product of QK, into its step x -> (p**k * x - S) / Qk;
+    blocks compose into S_tot by the same rule.
     """
     p, q = beta.numerator, beta.denominator
     r, s = u.numerator, u.denominator
-    K, k_blk, k_mid, ppow, qpow, tweight, _, words, offsets, _, _ = plan = \
-        _kernel_plan(beta, u, W)
+    K, k_blk, k_mid, PK, QK, _, words, offsets, _, _ = plan = _kernel_plan(beta, u, W)
     W2 = _MID_FACTOR * W
     drop = W2 - W
 
@@ -615,20 +611,21 @@ def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
     i = 0
     while i < n_bits:
         end = min(i + k_blk, n_bits)
-        R = 0
+        S, Qk = 0, 1
         j = i
         for c in _cylinders(plan, L2 >> drop, -(-(L2 + w2) >> drop)):
             out[j:j + K] = words[c]
-            R += offsets[c] * tweight[j - i]
+            S = PK * S + Qk * offsets[c]
+            Qk *= QK
             j += K
             if j >= end:
                 break
         k = j - i
         if k:
-            S = R // ppow[k_blk - k]
-            L2, w2 = _map_window(L2, w2, ppow[k], qpow[k], S << W2)
-            S_tot = ppow[k] * S_tot + q_tot * S
-            q_tot *= qpow[k]
+            Pk = p**k
+            L2, w2 = _map_window(L2, w2, Pk, Qk, S << W2)
+            S_tot = Pk * S_tot + q_tot * S
+            q_tot *= Qk
             k_tot += k
             i = j
             if k_tot < k_mid:

@@ -20,6 +20,7 @@ takes every GF(2) inner product as a popcount parity on 64-bit words.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -28,7 +29,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .bitio import as_bit_array, bits_to_word, word_to_bits
-from .entropy import WordDistribution, flat_supports
+from .entropy import ENUMERATION_BUDGET, WordDistribution, flat_supports
 from .errors import ConfigurationError, DomainError, ResourceBudgetError
 from .numerics import (
     as_fraction,
@@ -205,51 +206,50 @@ def _check_flat_shape(m: int, k: int) -> None:
         raise ConfigurationError(f"need 0 <= k <= m, got k={k}, m={m}")
 
 
+def _spread(positions) -> list:
+    """The words with bit j of i at positions[j], for i = 0 .. 2**len(positions) - 1."""
+    words = [0]
+    for pos in positions:
+        words += [w | 1 << pos for w in words]
+    return words
+
+
 def subcube_supports(m: int, k: int) -> list:
-    """All axis-aligned subcubes of dimension k: fix m-k bits, free the rest."""
+    """All axis-aligned subcubes of dimension k: fix m-k bits, free the rest.
+
+    The free-bit patterns of one set of free positions ascend, as the
+    positions do; each base (the fixed bits) shares no bit with them, so
+    adding it keeps them sorted.  More than 2**24 words in all, C(m, k) *
+    2**m, is refused before any is built.
+    """
     _check_flat_shape(m, k)
+    # C(m, k) * 2**m >= 2**m, so every m > 24 is past the budget
+    if m > 24 or math.comb(m, k) << m > ENUMERATION_BUDGET:
+        raise ResourceBudgetError(f"C({m}, {k}) * 2**{m} subcube words exceed the budget of 2**24")
     out = []
     for free in itertools.combinations(range(m), k):
-        fixed = [i for i in range(m) if i not in free]
-        for assignment in range(1 << (m - k)):
-            base = 0
-            for j, pos in enumerate(fixed):
-                if (assignment >> j) & 1:
-                    base |= 1 << pos
-            words = []
-            for choice in range(1 << k):
-                w = base
-                for j, pos in enumerate(free):
-                    if (choice >> j) & 1:
-                        w |= 1 << pos
-                words.append(w)
-            out.append(tuple(sorted(words)))
+        patterns = _spread(free)
+        out += [tuple(base + w for w in patterns)
+                for base in _spread([i for i in range(m) if i not in free])]
     return out
 
 
 def flat_source_family(m: int, k: int, seed: int = 0, random_count: int = 16) -> list:
     """The flat (m,k)-sources the exhaustive harness runs against.
 
-    Prefix, suffix, and evenly strided supports, every axis-aligned
-    subcube, and ``random_count`` seeded random supports.  Any flat source
-    obeys the leftover-hash bound, so the family is a coverage choice, not
-    a hypothesis; the unit suite additionally enumerates literally all
-    flat sources at tiny sizes.
+    Every axis-aligned subcube (the prefix, suffix and evenly strided
+    supports among them) and ``random_count`` seeded random supports.  Any
+    flat source obeys the leftover-hash bound, so the family is a coverage
+    choice, not a hypothesis; the unit suite additionally enumerates
+    literally all flat sources at tiny sizes.
     """
     _check_flat_shape(m, k)
     check_seed(seed, "seed", ConfigurationError)
     check_nonnegative_int(random_count, "random_count", ConfigurationError)
-    size = 1 << k
-    total = 1 << m
-    family = {
-        tuple(range(size)),
-        tuple(range(total - size, total)),
-        tuple(range(0, total, total // size)),
-    }
-    family.update(subcube_supports(m, k))
+    family = set(subcube_supports(m, k))
     rng = SplitMix64(seed).derive("flat-family", m, k)
     for _ in range(random_count):
-        family.add(tuple(sorted(rng.sample_distinct(total, size))))
+        family.add(tuple(sorted(rng.sample_distinct(1 << m, 1 << k))))
     return sorted(family)
 
 

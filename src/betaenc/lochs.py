@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -52,6 +51,7 @@ from .prng import PRNG_ID, SplitMix64, derive_keys, odd_numerator_rows
 
 SCALINGS = ("linear", "sqrt")
 QUANTILE_LEVELS = (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100))
+NODE_BUDGET = 1 << 22  # nodes the exact prefix-tree walk may visit
 
 
 @dataclass(frozen=True)
@@ -334,6 +334,9 @@ def run_lochs(exp: LochsExperiment) -> LochsReport:
         bounds = [(i, min(i + step, n)) for i in range(0, n, step)]
         hists = [Counter() for _ in exp.m_values]
         cap_hits = [0] * len(exp.m_values)
+        # imported here: loading multiprocessing costs every import of the package
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=exp.workers) as pool:
             for part_hists, part_caps in pool.map(partial(_chunk, exp), bounds):
                 for slot in range(len(exp.m_values)):
@@ -374,7 +377,6 @@ def pm_measure_exact(
     m: int,
     eps,
     kbar: Optional[int] = None,
-    node_budget: int = 1 << 22,
 ) -> Fraction:
     """Exact measure of inputs whose depth-kbar cylinder straddles a cell edge.
 
@@ -382,7 +384,8 @@ def pm_measure_exact(
     threshold u together with its exact interval of consistent inputs in
     [0,1]; an input is in the tail set when its cylinder is not contained
     in its own order-m dyadic cell.  Small m only: the tree has roughly
-    beta**kbar live nodes per level.
+    beta**kbar live nodes per level, and a walk past NODE_BUDGET nodes
+    raises ResourceBudgetError.
     """
     beta = check_beta(beta)
     u = as_fraction(u)
@@ -400,7 +403,7 @@ def pm_measure_exact(
     p, q = beta.numerator, beta.denominator
     pmq, P, Qq = p - q, p**kbar, q ** (kbar + 1)
     Ppmq = P * pmq
-    unit, leaves = prefix_leaves([[(beta, 1)]] * kbar, (u,) * kbar, node_budget=node_budget)
+    unit, leaves = prefix_leaves([[(beta, 1)]] * kbar, (u,) * kbar, node_budget=NODE_BUDGET)
     bad = 0
     for _, lo, hi, _, E in leaves:
         if cell_of(E, P, E * pmq + Qq, Ppmq, m) is None:

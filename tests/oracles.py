@@ -662,6 +662,54 @@ def all_flat_sources(m: int, k: int):
     yield from itertools.combinations(range(1 << m), 1 << k)
 
 
+def subcube_supports(m: int, k: int) -> list:
+    """Every axis-aligned k-dimensional subcube of m-bit words, one bit at a time.
+
+    Per set of free positions (in ``itertools.combinations`` order) and
+    per assignment of the fixed bits (bit j of the assignment at the j-th
+    fixed position), each word is built bit by bit and the support sorted.
+    This is the loop the pattern-plus-base ``extract.subcube_supports``
+    replaced.
+    """
+    out = []
+    for free in itertools.combinations(range(m), k):
+        fixed = [i for i in range(m) if i not in free]
+        for assignment in range(1 << (m - k)):
+            base = 0
+            for j, pos in enumerate(fixed):
+                if (assignment >> j) & 1:
+                    base |= 1 << pos
+            words = []
+            for choice in range(1 << k):
+                w = base
+                for j, pos in enumerate(free):
+                    if (choice >> j) & 1:
+                        w |= 1 << pos
+                words.append(w)
+            out.append(tuple(sorted(words)))
+    return out
+
+
+def flat_source_family(m: int, k: int, rng, random_count: int = 16) -> list:
+    """Prefix, suffix and strided supports, every subcube, and random supports, sorted.
+
+    ``rng`` is the family's stream, ``SplitMix64(seed).derive("flat-family",
+    m, k)``; each random support is ``rng.sample_distinct(2**m, 2**k)``.
+    This is the family as built before its three named supports were
+    folded into the subcubes they are.
+    """
+    size, total = 1 << k, 1 << m
+    family = {
+        tuple(range(size)),
+        tuple(range(total - size, total)),
+        tuple(range(0, total, total // size)),
+    }
+    family.update(subcube_supports(m, k))
+    for _ in range(random_count):
+        family.add(tuple(sorted(rng.sample_distinct(total, size))))
+    return sorted(family)
+
+
 def inner_product(x_bits, y_bits) -> int:
     acc = 0
     for a, b in zip(x_bits, y_bits):

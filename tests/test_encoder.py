@@ -400,6 +400,7 @@ def test_integer_walk_builds_the_fraction_walk_table(beta, u, window_bits):
                                for word, *_ in leaves)
     assert plan.offsets == tuple(shift * qK for *_, shift in leaves)
     assert plan.scaled == tuple(o * scale for o in plan.offsets)
+    assert plan.PK == beta.numerator**plan.K and plan.QK == qK
 
 
 def test_stream_kernel_counts_its_steps():

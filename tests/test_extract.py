@@ -300,6 +300,25 @@ def test_flat_source_family_contents():
         flat_source_family(2, 3)
 
 
+@pytest.mark.parametrize("m, k, seed", [(m, k, seed) for m in range(1, 9) for k in range(m + 1)
+                                         for seed in (0, 1, 5)] + [(10, 6, 0)])
+def test_subcubes_and_family_match_the_per_bit_oracles(m, k, seed):
+    assert subcube_supports(m, k) == oracles.subcube_supports(m, k)
+    rng = SplitMix64(seed).derive("flat-family", m, k)
+    assert flat_source_family(m, k, seed) == oracles.flat_source_family(m, k, rng)
+
+
+@pytest.mark.parametrize("m, k", [(24, 12), (14, 7), (30, 0)])
+def test_subcube_enumeration_past_the_budget_is_refused(m, k):
+    # C(24, 12) * 2**24 is about 4e13 words and C(14, 7) * 2**14 about 5.6e7;
+    # both were enumerated before, with no budget
+    with pytest.raises(ResourceBudgetError, match=rf"^C\({m}, {k}\) \* 2\*\*{m} subcube words "
+                       r"exceed the budget of 2\*\*24$"):
+        subcube_supports(m, k)
+    with pytest.raises(ResourceBudgetError):
+        flat_source_family(m, k)
+
+
 # each case raised a bare TypeError or ValueError, or was accepted, before
 @pytest.mark.parametrize("call, message", [
     (lambda: adversarial_source(lambda bits: 0, 2.5), "m must be a positive integer, got 2.5"),

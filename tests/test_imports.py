@@ -9,6 +9,9 @@ they stay independent of it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -161,3 +164,12 @@ def test_the_check_sees_package_imports():
         "betaenc (line 1)", "betaenc.extract (line 2)", "betaenc.numerics (line 3)",
         "betaenc (line 6)",
     ]
+
+
+def test_importing_the_package_loads_no_worker_pool():
+    # run_lochs imports its process pool only when it starts workers
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = "import sys, betaenc; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"

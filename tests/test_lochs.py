@@ -434,7 +434,7 @@ def test_straddle_measure_matches_grid():
     assert abs(exact - F(hits, grid)) < F(1, 100)
 
 
-def test_straddle_measure_validation():
+def test_straddle_measure_validation(monkeypatch):
     with pytest.raises(DomainError):
         pm_measure_exact(F(3, 2), F(1, 2), 3, F(1, 2))
     for m in (0, True):
@@ -445,8 +445,9 @@ def test_straddle_measure_validation():
     for kbar in (0, 2.5, True):
         with pytest.raises(DomainError, match="kbar must be a positive integer"):
             pm_measure_exact(F(3, 2), F(1), 3, F(1, 2), kbar=kbar)
+    monkeypatch.setattr(lochs, "NODE_BUDGET", 10)
     with pytest.raises(ResourceBudgetError, match="^prefix-tree walk passed 10 nodes; shrink the depth$"):
-        pm_measure_exact(F(3, 2), F(1), 3, F(1, 2), node_budget=10)
+        pm_measure_exact(F(3, 2), F(1), 3, F(1, 2))
 
 
 def test_experiment_refuses_a_gain_process_as_thresholds():
