@@ -234,21 +234,24 @@ def subcube_supports(m: int, k: int) -> list:
     return out
 
 
-def flat_source_family(m: int, k: int, seed: int = 0, random_count: int = 16) -> list:
+# seeded random supports that flat_source_family adds to the subcubes
+_RANDOM_SUPPORTS = 16
+
+
+def flat_source_family(m: int, k: int, seed: int = 0) -> list:
     """The flat (m,k)-sources the exhaustive harness runs against.
 
     Every axis-aligned subcube (the prefix, suffix and evenly strided
-    supports among them) and ``random_count`` seeded random supports.  Any
-    flat source obeys the leftover-hash bound, so the family is a coverage
-    choice, not a hypothesis; the unit suite additionally enumerates
-    literally all flat sources at tiny sizes.
+    supports among them) and 16 seeded random supports.  Any flat source
+    obeys the leftover-hash bound, so the family is a coverage choice, not
+    a hypothesis; the unit suite additionally enumerates literally all flat
+    sources at tiny sizes.
     """
     _check_flat_shape(m, k)
     check_seed(seed, "seed", ConfigurationError)
-    check_nonnegative_int(random_count, "random_count", ConfigurationError)
     family = set(subcube_supports(m, k))
     rng = SplitMix64(seed).derive("flat-family", m, k)
-    for _ in range(random_count):
+    for _ in range(_RANDOM_SUPPORTS):
         family.add(tuple(sorted(rng.sample_distinct(1 << m, 1 << k))))
     return sorted(family)
 

@@ -18,7 +18,6 @@ straddles a dyadic cell boundary - the quantity the tail-set bound
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -216,13 +215,13 @@ def _chunk(exp: LochsExperiment, bounds) -> tuple:
 
 
 def _quantile(hist: Counter, n: int, level: Fraction) -> int:
+    """Least k whose cumulative count reaches ceil(level * n) <= n, for level in (0, 1]."""
     target = -(-level.numerator * n // level.denominator)  # ceil(level * n)
     seen = 0
     for k in sorted(hist):
         seen += hist[k]
         if seen >= target:
             return k
-    return max(hist)
 
 
 def _tail_exceeds(beta: Fraction, m: int, k: int, t: Fraction) -> bool:
@@ -263,8 +262,6 @@ def _row(exp: LochsExperiment, m: int, hist: Counter, cap_hits: int) -> dict:
                 c for k, c in hist.items() if cmp_pow2(eps * beta ** (k - 1), m + 1) > 0
             )
             frac = Fraction(count, n)
-            eps_f = float(eps)
-            se = math.sqrt(eps_f * (1 - eps_f) / n)
             c_eps = (Decimal(1) - log2_decimal(eps)) / log2_decimal(beta) + 1
             exceed.append(
                 {
@@ -273,7 +270,8 @@ def _row(exp: LochsExperiment, m: int, hist: Counter, cap_hits: int) -> dict:
                     "fraction": format_rational(frac),
                     "fraction_decimal": decimal_str(as_decimal(frac), 12),
                     "bound_ok": frac < eps,
-                    "within_2se": abs(float(frac) - eps_f) <= 2 * se,
+                    # |frac - eps| <= 2 * sqrt(eps * (1 - eps) / n), squared
+                    "within_2se": (frac - eps) ** 2 * n <= 4 * eps * (1 - eps),
                 }
             )
 

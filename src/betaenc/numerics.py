@@ -175,33 +175,29 @@ def cmp_pow2(value: Fraction, exponent: Union[Fraction, int]) -> int:
 _POWER_SEARCH_LIMIT = 1 << 20
 
 
-def _bit_log2(x: Fraction) -> int:
-    """bitlen(p) - bitlen(q) for x = p/q > 0; log2(x) lies strictly within 1 of it."""
-    return x.numerator.bit_length() - x.denominator.bit_length()
+def _times(a: tuple, b: tuple) -> tuple:
+    """(m, e) with m * 2**e >= a[0] * 2**a[1] * b[0] * 2**b[1], m rounded up to 64 bits."""
+    m, e = a[0] * b[0], a[1] + b[1]
+    drop = m.bit_length() - 64
+    return (-(-m >> drop), e + drop) if drop > 0 else (m, e)
 
 
-def _power_upper_bound(beta: Fraction, k: int, bits: int = 64) -> tuple:
-    """(m, e) with m * 2**e >= beta**k and m short, by square-and-multiply.
+def _upper(x: Fraction) -> tuple:
+    """A short (m, e) with m * 2**e >= x > 0."""
+    scale = 64 + x.denominator.bit_length()
+    return _times((-((-x.numerator << scale) // x.denominator), -scale), (1, 0))
 
-    Every product is cut back to ``bits`` significant bits by rounding up,
-    so the bound costs k.bit_length() small multiplications and exceeds
-    beta**k by a factor of at most about 1 + 4*k / 2**bits.
+
+def _rounded_squares(beta: Fraction):
+    """Short (m, e) with m * 2**e >= beta**(2**i), for i = 0, 1, 2, ...
+
+    Each square is rounded up to 64 bits, so the i-th bound exceeds
+    beta**(2**i) by a factor of at most about 1 + 4 * 2**i / 2**64.
     """
-
-    def up(m: int, e: int) -> tuple:
-        drop = m.bit_length() - bits
-        return (-(-m >> drop), e + drop) if drop > 0 else (m, e)
-
-    scale = bits + beta.denominator.bit_length()
-    base = up(-((-beta.numerator << scale) // beta.denominator), -scale)
-    acc = (1, 0)
-    while k:
-        if k & 1:
-            acc = up(acc[0] * base[0], acc[1] + base[1])
-        k >>= 1
-        if k:
-            base = up(base[0] * base[0], 2 * base[1])
-    return acc
+    square = _upper(beta)
+    while True:
+        yield square
+        square = _times(square, square)
 
 
 def least_power_at_least(
@@ -214,14 +210,19 @@ def least_power_at_least(
     """Least k >= 0 with coefficient * beta**k >= 2**exponent2 (or > if strict).
 
     This is the exact evaluation of ceilings like ``ceil(s * log2/log(beta))``
-    without touching floating point.  Bit lengths give a first guess; every
-    decision after it is an exact ``cmp_pow2`` test: gallop from the guess
-    until k is bracketed, then bisect.  Answers above K = 2**20 are refused,
-    at once when an upward-rounded bound on beta**K already misses the
-    target, so a base near 1 never forms its K-th power exactly.
+    without touching floating point.  Upward-rounded 64-bit bounds on
+    beta**(2**i) are squared until one carries the coefficient past the
+    target; k is then lifted from the top level down, taking a step of 2**i
+    only while the bound on coefficient * beta**(k + 2**i) misses the target.
+    So every k up to the lifted one misses.  The bounds exceed beta**k by
+    a factor of at most about 1 + 4k/2**64, so exact ``cmp_pow2`` steps
+    from the lifted k + 1 prove the answer in one or two tests unless
+    beta - 1 is below about 4k/2**64.  Answers above K = 2**20 are
+    refused; when the lifting reaches K no exact power is formed.
     """
     beta = as_fraction(beta)
     coefficient = as_fraction(coefficient)
+    exponent2 = as_fraction(exponent2)
     if beta <= ONE or coefficient <= ZERO:
         raise DomainError("need beta > 1 and a positive coefficient")
 
@@ -229,45 +230,33 @@ def least_power_at_least(
         c = cmp_pow2(value, exponent2)
         return c > 0 or (c == 0 and not strict)
 
-    def reaches(k: int) -> bool:
-        return meets(coefficient * beta**k)
+    def misses(bound: tuple) -> bool:
+        m, e = bound
+        top = e + m.bit_length()  # 2**(top - 1) <= m * 2**e < 2**top
+        if top <= exponent2:
+            return True
+        if top - 1 > exponent2:
+            return False
+        return not meets(Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e))
 
-    if reaches(0):
+    if meets(coefficient):
         return 0
-    need = as_fraction(exponent2) - _bit_log2(coefficient)
-    # beta**K <= m * 2**e: when even that misses the target, so does every k <= K
-    # (a bound more than a bit above the target surely meets it and is not formed)
-    m, e = _power_upper_bound(beta, _POWER_SEARCH_LIMIT)
-    if e + m.bit_length() < need + 2:
-        bound = Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
-        if not meets(coefficient * bound):
-            raise DomainError("power search ran away; check arguments")
-    # log2 of beta**64 to within 1, so of beta to within 1/64
-    scaled_log = _bit_log2(beta**64)
-    guess = -(-need * 64 // scaled_log) if scaled_log > 0 and need > 0 else 1
-    # gallop from the guess until lo does not reach and hi does, then bisect
-    lo, hi = 0, min(guess, _POWER_SEARCH_LIMIT)
-    step = 1
-    if reaches(hi):
-        while hi - step > lo and reaches(hi - step):
-            hi -= step
-            step *= 2
-        lo = max(lo, hi - step)
-    else:
-        while True:
-            if hi >= _POWER_SEARCH_LIMIT:
-                raise DomainError("power search ran away; check arguments")
-            lo, hi = hi, min(hi + step, _POWER_SEARCH_LIMIT)
-            if reaches(hi):
-                break
-            step *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    limit = _POWER_SEARCH_LIMIT
+    lifted, k, squares = _upper(coefficient), 0, []
+    for square in _rounded_squares(beta):
+        squares.append(square)
+        if 1 << len(squares) > limit or not misses(_times(lifted, square)):
+            break
+    for i in reversed(range(len(squares))):
+        step = _times(lifted, squares[i])
+        if misses(step):
+            lifted, k = step, k + (1 << i)
+    # every k' <= k misses even by an upper bound, so exact tests start at k + 1
+    while k < limit:
+        k += 1
+        if meets(coefficient * beta**k):
+            return k
+    raise DomainError("power search ran away; check arguments")
 
 
 # The two logs below are pure and their Decimals immutable, so reports that

@@ -690,8 +690,8 @@ def subcube_supports(m: int, k: int) -> list:
     return out
 
 
-def flat_source_family(m: int, k: int, rng, random_count: int = 16) -> list:
-    """Prefix, suffix and strided supports, every subcube, and random supports, sorted.
+def flat_source_family(m: int, k: int, rng) -> list:
+    """Prefix, suffix and strided supports, every subcube, and 16 random supports, sorted.
 
     ``rng`` is the family's stream, ``SplitMix64(seed).derive("flat-family",
     m, k)``; each random support is ``rng.sample_distinct(2**m, 2**k)``.
@@ -705,7 +705,7 @@ def flat_source_family(m: int, k: int, rng, random_count: int = 16) -> list:
         tuple(range(0, total, total // size)),
     }
     family.update(subcube_supports(m, k))
-    for _ in range(random_count):
+    for _ in range(16):
         family.add(tuple(sorted(rng.sample_distinct(total, size))))
     return sorted(family)
 

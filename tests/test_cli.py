@@ -50,6 +50,13 @@ def test_rational_parser_rejects_decimals(capsys):
     assert "p/q" in capsys.readouterr().err
 
 
+def test_int_list_parser_rejects_non_integers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["convert", "--x", "1/3", "--beta", "3/2", "--m-list", "4,x"])
+    assert exc.value.code == 2
+    assert "argument --m-list: '4,x': invalid literal for int()" in capsys.readouterr().err
+
+
 def test_encode_trace(tmp_path, capsys):
     code, out = run(
         ["encode", "--x", "1/2", "--beta", "3/2", "--steps", "3"], tmp_path
@@ -105,6 +112,25 @@ def test_stream_bits_refuses_trace_flags(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert err.startswith("error: --stream-bits") and extra[0] in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["encode", "--x", "1/3", "--beta-list", "3/2,3/2", "--stream-bits", "100"],
+     "--stream-bits is the fixed-gain fast path; it needs --beta and --u"),
+    (["lochs", "--beta", "3/2", "--m-list", "4", "--samples", "3", "--u-uniform", "1",
+      "--workers", "1"], "--u-uniform takes exactly LO,HI"),
+], ids=["stream-bits-beta-list", "u-uniform-one-value"])
+def test_process_flags_out_of_place_are_one_line_errors(tmp_path, capsys, argv, message):
+    code, _ = run(argv, tmp_path, "out")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_dir_with_an_equals_sign_is_left_out_of_the_manifest(tmp_path):
+    argv = ["encode", "--x", "1/2", "--beta", "3/2", "--steps", "3"]
+    assert main(argv + [f"--out-dir={tmp_path / 'o'}"]) == 0
+    assert read_json(tmp_path / "o" / "manifest.json")["argv"] == argv
 
 
 def test_replay_is_byte_identical(tmp_path):

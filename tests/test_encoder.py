@@ -92,6 +92,8 @@ def test_explicit_sequences_must_cover_run():
         encode(F(1, 2), betas, ConstantThreshold(1), 3)
     trace = encode(F(1, 2), betas, ConstantThreshold(1), 2)
     assert trace.betas == (F(3, 2), F(8, 5))
+    with pytest.raises(ConfigurationError, match="^explicit sequences must be non-empty$"):
+        ExplicitBetas(())
 
 
 def test_iid_support_prob_validation():

@@ -323,14 +323,9 @@ def test_subcube_enumeration_past_the_budget_is_refused(m, k):
 @pytest.mark.parametrize("call, message", [
     (lambda: adversarial_source(lambda bits: 0, 2.5), "m must be a positive integer, got 2.5"),
     (lambda: flat_source_family(4.0, 2), "m must be a positive integer, got 4.0"),
-    (lambda: flat_source_family(4, 2, 0, random_count=-1),
-     "random_count must be a nonnegative integer, got -1"),
-    (lambda: flat_source_family(4, 2, 0, random_count=2.5),
-     "random_count must be a nonnegative integer, got 2.5"),
     (lambda: subcube_supports(3, 5), "need 0 <= k <= m, got k=5, m=3"),
     (lambda: subcube_supports(3, -1), "k must be a nonnegative integer, got -1"),
-], ids=["adversarial-float-m", "family-float-m", "family-negative-count",
-        "family-float-count", "subcube-k-above-m", "subcube-negative-k"])
+], ids=["adversarial-float-m", "family-float-m", "subcube-k-above-m", "subcube-negative-k"])
 def test_source_counts_are_strict(call, message):
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
         call()
@@ -456,6 +451,8 @@ def test_pipeline_config_validation():
         PipelineConfig(mode="seeded", block_bits=4, out_bits=5, beta_min=F(3, 2), beta_max=F(3, 2), seed=1)
     with pytest.raises(ConfigurationError):
         PipelineConfig(mode="seeded", block_bits=4, beta_min=F(9, 5), beta_max=F(3, 2), seed=1)
+    with pytest.raises(ConfigurationError, match="^seed_mode must be explicit or stream$"):
+        PipelineConfig(seed=1, seed_mode="bogus", **good)
     # these raised AttributeError or TypeError, or were reported as "out_bits": true
     for counts in ({"block_bits": 48.0}, {"block_bits": 0}, {"out_bits": True},
                    {"out_bits": 0}, {"gap_bits": 0.5}, {"gap_bits": -1}, {"gap_bits": False}):

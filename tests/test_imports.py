@@ -5,7 +5,8 @@ for one; it also checks that the package reads every private module-level
 name it defines.  ``__init__.py`` is exempt from the import check: its
 imports are the public API, and its ``__all__`` lists exactly those names
 and ``__version__``.  The test oracles import nothing from the package, so
-they stay independent of it.
+they stay independent of it.  The exact layer, ``numerics.py``, holds no
+float literal, reads no ``float`` and imports no ``math``.
 """
 
 import ast
@@ -130,6 +131,41 @@ def test_all_lists_exactly_what_init_imports():
                    if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"]
     assert len(exported) == len(set(exported))
     assert set(exported) - {"__version__"} == imported
+
+
+def float_uses(source: str) -> list:
+    """'what (line n)' for each float literal, read of ``float`` and import of ``math``, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"literal {node.value!r}"))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, "import math") for alias in node.names
+                      if alias.name.split(".")[0] == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.append((node.lineno, "from math"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_exact_layer_uses_no_floats():
+    # numerics decides every comparison on integers and Fractions
+    assert float_uses((PACKAGE / "numerics.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_float_uses():
+    source = (
+        "import math, os\n"
+        "from math import log2\n"
+        "x = 0.5 + 2j + 3\n"
+        "y = float('1')\n"
+        "'float and 1.5 in a string are fine'\n"
+    )
+    assert float_uses(source) == [
+        "import math (line 1)", "from math (line 2)", "literal 0.5 (line 3)",
+        "literal 2j (line 3)", "float (line 4)",
+    ]
 
 
 def package_imports(source: str) -> list:

@@ -80,7 +80,7 @@ def test_seeds_outside_64_bits_are_refused(seed):
 SEEDED_PROCESSES = {
     "PipelineConfig": lambda seed: PipelineConfig(mode="seeded", block_bits=48, beta_min=F(3, 2),
                                                   beta_max=F(3, 2), seed=seed),
-    "flat_source_family": lambda seed: flat_source_family(4, 2, seed=seed, random_count=1),
+    "flat_source_family": lambda seed: flat_source_family(4, 2, seed=seed),
 }
 
 

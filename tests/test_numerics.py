@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from decimal import Decimal
@@ -304,13 +305,27 @@ def test_least_power_refuses_the_band_below_the_limit_at_once():
     assert time.perf_counter() - start < 1
 
 
-def test_power_upper_bound_is_tight_and_above():
-    for beta, k in [(Fraction(3, 2), 110), (Fraction(2**21 + 1, 2**21), 1 << 12),
-                    (Fraction(9, 5), 1), (Fraction(7, 4), 0), (Fraction(2**48 + 1, 2**48), 3000)]:
-        m, e = numerics._power_upper_bound(beta, k)
-        bound = m * Fraction(2) ** e
-        assert beta**k <= bound < beta**k * (1 + Fraction(4 * k + 4, 2**64))
-        assert m.bit_length() <= 64
+def test_rounded_squares_are_tight_and_above():
+    for beta, levels in [(Fraction(3, 2), 8), (Fraction(2**21 + 1, 2**21), 13),
+                         (Fraction(9, 5), 1), (Fraction(7, 2), 6), (Fraction(8), 4),
+                         (Fraction(2**48 + 1, 2**48), 12)]:
+        squares = itertools.islice(numerics._rounded_squares(beta), levels)
+        for i, (m, e) in enumerate(squares):
+            k = 1 << i
+            bound = m * Fraction(2) ** e
+            assert beta**k <= bound < beta**k * (1 + Fraction(4 * k + 4, 2**64))
+            assert m.bit_length() <= 64
+
+
+def test_least_power_near_one_is_proved_by_two_exact_comparisons():
+    # 64 * log2 / log(1 + 1/4096) is about 181727; each exact power there has
+    # over two million bits, so the time bound allows only a few of them
+    beta = Fraction(4097, 4096)
+    start = time.perf_counter()
+    k = least_power_at_least(beta, 64)
+    assert time.perf_counter() - start < 2
+    assert k == 181727
+    assert cmp_pow2(beta**k, 64) >= 0 > cmp_pow2(beta ** (k - 1), 64)
 
 
 @given(
