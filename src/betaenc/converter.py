@@ -38,6 +38,7 @@ from .numerics import (
     check_positive_int,
     check_thresholds,
     check_unit,
+    decimal_context,
     decimal_str,
     format_rational,
     least_power_at_least,
@@ -318,7 +319,8 @@ def transfer_rows(
     ratio = log_ratio_decimal(beta)
     rows = []
     for m, res in zip(m_values, k_profile(x, m_values, beta, thresholds, k_cap, rng)):
-        deviation = Decimal(res.k) - Decimal(m) * ratio
+        with decimal_context(28):
+            deviation = Decimal(res.k) - Decimal(m) * ratio
         rows.append(
             {
                 "x": format_rational(as_fraction(x)),

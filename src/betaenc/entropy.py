@@ -34,6 +34,7 @@ from .numerics import (
     check_positive_int,
     check_thresholds,
     cmp_pow2,
+    decimal_context,
     decimal_str,
     format_rational,
     log2_decimal,
@@ -116,17 +117,10 @@ class WordDistribution:
         return cmp_pow2(p, -k) <= 0
 
     def to_csv_rows(self) -> list:
-        rows = []
-        for word in sorted(self.entries):
-            p = self.entries[word]
-            rows.append(
-                {
-                    "word": word_to_str(word, self.m),
-                    "p": format_rational(p),
-                    "decimal": decimal_str(as_decimal(p), 12),
-                }
-            )
-        return rows
+        with decimal_context(28):
+            return [{"word": word_to_str(word, self.m), "p": format_rational(p),
+                     "decimal": decimal_str(as_decimal(p), 12)}
+                    for word, p in sorted(self.entries.items())]
 
 
 def _check_budget(width: int, m: int) -> None:
@@ -197,6 +191,9 @@ class BoundCheck:
     ok: bool
 
     def to_json(self) -> dict:
+        with decimal_context(28):
+            min_entropy_bits = str(-log2_decimal(self.max_probability))
+            bound_bits = str(-log2_decimal(self.bound))
         return {
             "m": self.m,
             "beta_min": format_rational(self.beta_min),
@@ -206,8 +203,8 @@ class BoundCheck:
             "max_probability": format_rational(self.max_probability),
             "slack": format_rational(self.slack),
             "ok": self.ok,
-            "min_entropy_bits": str(-log2_decimal(self.max_probability)),
-            "bound_bits": str(-log2_decimal(self.bound)),
+            "min_entropy_bits": min_entropy_bits,
+            "bound_bits": bound_bits,
         }
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -38,6 +38,7 @@ from .numerics import (
     check_positive_int,
     check_seed,
     cmp_pow2,
+    decimal_context,
     decimal_str,
     format_rational,
     least_power_at_least,
@@ -301,14 +302,14 @@ class PipelineConfig:
         object.__setattr__(self, "beta_max", check_beta(self.beta_max))
         if self.beta_min > self.beta_max:
             raise ConfigurationError("need beta_min <= beta_max")
+        if self.seed_mode not in ("explicit", "stream"):
+            raise ConfigurationError("seed_mode must be explicit or stream")
         if self.mode == "two-source":
             if self.out_bits != 1:
                 raise ConfigurationError("two-source mode emits exactly 1 bit per pair")
         else:
             if not (1 <= self.out_bits <= self.block_bits):
                 raise ConfigurationError("need 1 <= out_bits <= block_bits")
-            if self.seed_mode not in ("explicit", "stream"):
-                raise ConfigurationError("seed_mode must be explicit or stream")
             if self.seed_mode == "explicit" and self.seed is None:
                 raise ConfigurationError("explicit seed mode needs seed=")
 
@@ -419,8 +420,7 @@ def pipeline_extract(bits, config: PipelineConfig):
         out = _parity_of_and(words[0 : 2 * pairs : 2], words[1 : 2 * pairs : 2])
 
     kappa = state_bound(config.beta_max)
-    with localcontext() as ctx:
-        ctx.prec = 60
+    with decimal_context(60):
         budget_dec = Decimal(m) * log2_decimal(config.beta_min) - log2_decimal(kappa)
         rate_unit = Decimal(1) / log2_decimal(config.beta_min)  # log2/log(beta_min)
         ideal = Decimal(n) * rate_unit

@@ -4,9 +4,10 @@ The Monte-Carlo side samples uniform inputs as full-precision dyadic
 rationals (odd numerators, so no sample ever sits on a probed cell
 boundary) and scans each orbit once with the integer kernel from
 ``converter``, collecting the exact histogram of the transfer count k for
-every requested digit order m.  All reported inequalities against the
-irrational rate log2/log(beta) are decided by integer power comparisons;
-logarithms appear only as 50-digit decimals in the report text.
+every requested digit order m.  Each count in a report row is the samples
+below an integer cut, found by one exact power search against the
+irrational rate log2/log(beta), except the sqrt tail's two cuts on 60-digit
+decimals; logarithms appear only as 50-digit decimals in the report text.
 
 The exact side (``pm_measure_exact``) walks the prefix tree of
 ``encoder.prefix_leaves`` to every attainable bit prefix of a chosen depth
@@ -18,12 +19,13 @@ straddles a dyadic cell boundary - the quantity the tail-set bound
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Optional
 
 from .converter import _scan, scan_targets
@@ -39,6 +41,7 @@ from .numerics import (
     check_seed,
     check_thresholds,
     cmp_pow2,
+    decimal_context,
     decimal_str,
     format_rational,
     least_power_at_least,
@@ -214,31 +217,24 @@ def _chunk(exp: LochsExperiment, bounds) -> tuple:
     return hists, cap_hits
 
 
-def _quantile(hist: Counter, n: int, level: Fraction) -> int:
-    """Least k whose cumulative count reaches ceil(level * n) <= n, for level in (0, 1]."""
-    target = -(-level.numerator * n // level.denominator)  # ceil(level * n)
-    seen = 0
-    for k in sorted(hist):
-        seen += hist[k]
-        if seen >= target:
-            return k
-
-
-def _tail_exceeds(beta: Fraction, m: int, k: int, t: Fraction) -> bool:
-    """Exact |k - m*log2/log(beta)| > t for rational t."""
-    tn, td = t.numerator, t.denominator
-    if cmp_pow2(beta ** (k * td - tn), m * td) > 0:  # k - m*r > t
-        return True
-    return cmp_pow2(beta ** (k * td + tn), m * td) < 0  # m*r - k > t
-
-
 def _row(exp: LochsExperiment, m: int, hist: Counter, cap_hits: int) -> dict:
-    beta = exp.beta
-    n = sum(hist.values())
-    if n == 0:
+    """The report row of order m, read off ``hist``, the histogram of k, sorted once.
+
+    Every count is the samples below a cut, the least k where a rule starts
+    or stops holding: one ``least_power_at_least`` search, except the sqrt
+    tail's, the integers around the 60-digit decimals target_k -+ t.
+    """
+    if not hist:
         return {"m": m, "samples": 0, "cap_hits": cap_hits}
-    with localcontext() as ctx:
-        ctx.prec = 60
+    beta = exp.beta
+    ks = sorted(hist)
+    cum = [0, *accumulate(hist[k] for k in ks)]  # cum[i]: samples with k < ks[i]
+    n = cum[-1]
+
+    def below(cut: int) -> int:
+        return cum[bisect_left(ks, cut)]
+
+    with decimal_context(60):
         ratio = log_ratio_decimal(beta)
         target_k = Decimal(m) * ratio
 
@@ -248,20 +244,18 @@ def _row(exp: LochsExperiment, m: int, hist: Counter, cap_hits: int) -> dict:
         mean_ratio = mean_k / m
         mean_ratio_dec = as_decimal(mean_ratio)
 
-        lower_violations = sum(
-            c for k, c in hist.items() if cmp_pow2(beta**k, m) <= 0
-        )
+        # beta**k <= 2**m below the cut
+        lower_violations = below(least_power_at_least(beta, m, strict=True))
 
-        quantiles = {
-            format_rational(q): _quantile(hist, n, q) for q in QUANTILE_LEVELS
-        }
+        # the least k whose cumulative count reaches ceil(level * n)
+        quantiles = {format_rational(q): ks[bisect_left(cum, -(-q * n // 1)) - 1]
+                     for q in QUANTILE_LEVELS}
 
         exceed = []
         for eps in exp.eps_values:
-            count = sum(
-                c for k, c in hist.items() if cmp_pow2(eps * beta ** (k - 1), m + 1) > 0
-            )
-            frac = Fraction(count, n)
+            # eps * beta**(k - 1) > 2**(m + 1) from the cut on
+            cut = least_power_at_least(beta, m + 1, coefficient=eps, strict=True) + 1
+            frac = Fraction(n - below(cut), n)
             c_eps = (Decimal(1) - log2_decimal(eps)) / log2_decimal(beta) + 1
             exceed.append(
                 {
@@ -275,26 +269,28 @@ def _row(exp: LochsExperiment, m: int, hist: Counter, cap_hits: int) -> dict:
                 }
             )
 
+        # |k - target_k| > t holds below lo and from hi on
         if exp.scaling == "sqrt":
             n_m_sq = Fraction(m)
             t_dec = as_decimal(exp.tail_eps) * Decimal(m).sqrt()
-            tail_count = sum(
-                c
-                for k, c in hist.items()
-                if abs(Decimal(k) - target_k) > t_dec
-            )
+            centre, t = Fraction(target_k), Fraction(t_dec)
+            lo, hi = -(-(centre - t) // 1), (centre + t) // 1 + 1
             n_m_label = f"sqrt({m})"
         else:
             n_m_sq = Fraction(m * m)
-            t = exp.tail_eps * m
-            tail_count = sum(
-                c for k, c in hist.items() if _tail_exceeds(beta, m, k, t)
-            )
+            # t = tn/td: beta**(k*td + tn) < 2**(m*td) below lo, and
+            # beta**(k*td - tn) > 2**(m*td) from hi on, searched over beta**td
+            tn, td = (exp.tail_eps * m).as_integer_ratio()
+            base = beta**td
+            lo = least_power_at_least(base, m * td, coefficient=beta**tn)
+            # t >= max k: no k passes m*r + t, a cut whose search could pass the 2**20 limit
+            hi = ks[-1] + 1 if tn >= ks[-1] * td else least_power_at_least(
+                base, m * td, coefficient=beta**-tn, strict=True)
             n_m_label = format_rational(Fraction(m))
-        tail_mass = Fraction(tail_count, n)
+        tail_mass = Fraction(below(lo) + n - below(hi), n)
         scaled_variance = variance / n_m_sq
 
-        min_k, max_k = min(hist), max(hist)
+        min_k, max_k = ks[0], ks[-1]
         return {
             "m": m,
             "samples": n,

@@ -21,7 +21,7 @@ Conventions, fixed once here and used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
@@ -259,6 +259,11 @@ def least_power_at_least(
     raise DomainError("power search ran away; check arguments")
 
 
+def decimal_context(prec: int):
+    """A fresh ``prec``-digit decimal context, half-even with the default traps."""
+    return localcontext(Context(prec=prec, rounding=ROUND_HALF_EVEN))
+
+
 # The two logs below are pure and their Decimals immutable, so reports that
 # ask for the same log many times compute it once; typed, so a refused type
 # (a float) never gets the entry of the rational it equals.
@@ -268,8 +273,7 @@ def log2_decimal(value: Fraction) -> Decimal:
     value = as_fraction(value)
     if value <= 0:
         raise DomainError("log of a nonpositive value")
-    with localcontext() as ctx:
-        ctx.prec = 60
+    with decimal_context(60):
         num = Decimal(value.numerator).ln()
         den = Decimal(value.denominator).ln()
         return (num - den) / Decimal(2).ln()
@@ -281,8 +285,7 @@ def log_ratio_decimal(beta: Fraction) -> Decimal:
     beta = as_fraction(beta)
     if beta <= 1:
         raise DomainError("rate needs beta > 1")
-    with localcontext() as ctx:
-        ctx.prec = 60
+    with decimal_context(60):
         lnb = Decimal(beta.numerator).ln() - Decimal(beta.denominator).ln()
         return Decimal(2).ln() / lnb
 
@@ -293,8 +296,7 @@ def as_decimal(value: Fraction) -> Decimal:
 
 
 def decimal_str(value: Decimal, places: int = 12) -> str:
-    with localcontext() as ctx:
-        ctx.prec = places + 30
+    with decimal_context(places + 30):
         q = Decimal(value).quantize(
             Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN
         )

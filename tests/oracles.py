@@ -433,6 +433,47 @@ def lochs_histograms(seed: int, beta, targets, precision_bits: int, bounds, scan
     return hists, cap_hits
 
 
+def lochs_row_counts(beta, m: int, hist: dict, levels, eps_values, tail_eps, scaling) -> dict:
+    """The counts of a lochs report row, every rule decided bin by bin.
+
+    The per-bin tests of ``lochs._row`` before its counts became cuts into
+    the sorted histogram ``hist`` (k -> samples):
+    the samples with beta**k <= 2**m; for each eps those with
+    eps * beta**(k-1) > 2**(m+1); the tail |k - m*log2/log(beta)| > t, at
+    t = tail_eps*m by exact powers ("linear") or at t = tail_eps*sqrt(m)
+    against 60-digit decimals ("sqrt"); and for each level the least k
+    whose cumulative count reaches level * n.
+    """
+    beta, two = Fraction(beta), Fraction(2)
+    n = sum(hist.values())
+    lower = sum(c for k, c in hist.items() if beta**k <= two**m)
+    exceed = [sum(c for k, c in hist.items() if eps * beta ** (k - 1) > two ** (m + 1))
+              for eps in eps_values]
+    if scaling == "sqrt":
+        with localcontext() as ctx:
+            ctx.prec = 60
+            lnb = Decimal(beta.numerator).ln() - Decimal(beta.denominator).ln()
+            target = Decimal(m) * (Decimal(2).ln() / lnb)
+            t = Decimal(tail_eps.numerator) / Decimal(tail_eps.denominator) * Decimal(m).sqrt()
+            tail = sum(c for k, c in hist.items() if abs(Decimal(k) - target) > t)
+    else:
+        t = tail_eps * m
+        tn, td = t.numerator, t.denominator
+        tail = sum(c for k, c in hist.items()
+                   if beta ** (k * td - tn) > two ** (m * td)  # k - m*r > t
+                   or beta ** (k * td + tn) < two ** (m * td))  # m*r - k > t
+    quantiles = []
+    for level in levels:
+        seen = 0
+        for k in sorted(hist):
+            seen += hist[k]
+            if seen >= level * n:
+                quantiles.append(k)
+                break
+    return {"lower_bound_violations": lower, "exceed": exceed, "tail": tail,
+            "quantiles": quantiles, "min_k": min(hist), "max_k": max(hist)}
+
+
 def least_power_at_least(beta, exponent2, coefficient=ONE, strict=False, limit=1 << 20) -> int:
     """Least k >= 0 with coefficient * beta**k >= 2**exponent2, by linear search.
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+from decimal import ROUND_DOWN, Context, Inexact, getcontext, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,12 +27,18 @@ def read_json(path: Path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def test_help_and_version_exit_zero(capsys):
+def test_help_and_version_exit_zero(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
+    assert exc.value.code == 0
+    assert "betaenc" in capsys.readouterr().out
+    # without arguments main reads sys.argv, as the installed script calls it
+    monkeypatch.setattr("sys.argv", ["betaenc", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        main()
     assert exc.value.code == 0
     assert "betaenc" in capsys.readouterr().out
 
@@ -584,11 +591,17 @@ FROZEN_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(FROZEN_ARGV))
 def test_cli_outputs_match_the_frozen_digests(name, tmp_path, monkeypatch):
-    # relative names: the extract and battery manifests record the input path
-    monkeypatch.chdir(tmp_path)
     argv = FROZEN_ARGV[name]
-    if "--input" in argv:
-        assert main(STREAM_ARGV + ["--out-dir", "enc"]) == 0
-    assert main(argv + ["--out-dir", "out"]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in Path("out").iterdir()}
-    assert got == FROZEN_DIGESTS[name]
+    # again under a caller's decimal context that keeps 6 digits, rounds down
+    # and traps Inexact: report numbers are computed in contexts of their own
+    hostile = Context(prec=6, rounding=ROUND_DOWN, traps=[Inexact])
+    for run_dir, ctx in (("caller", getcontext()), ("hostile", hostile)):
+        # relative names: the extract and battery manifests record the input path
+        (tmp_path / run_dir).mkdir()
+        monkeypatch.chdir(tmp_path / run_dir)
+        with localcontext(ctx):
+            if "--input" in argv:
+                assert main(STREAM_ARGV + ["--out-dir", "enc"]) == 0
+            assert main(argv + ["--out-dir", "out"]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in Path("out").iterdir()}
+        assert got == FROZEN_DIGESTS[name], run_dir

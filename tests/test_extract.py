@@ -453,6 +453,9 @@ def test_pipeline_config_validation():
         PipelineConfig(mode="seeded", block_bits=4, beta_min=F(9, 5), beta_max=F(3, 2), seed=1)
     with pytest.raises(ConfigurationError, match="^seed_mode must be explicit or stream$"):
         PipelineConfig(seed=1, seed_mode="bogus", **good)
+    # two-source mode draws no seed, yet a bogus seed mode was accepted there
+    with pytest.raises(ConfigurationError, match="^seed_mode must be explicit or stream$"):
+        PipelineConfig(**{**good, "mode": "two-source", "seed_mode": "bogus"})
     # these raised AttributeError or TypeError, or were reported as "out_bits": true
     for counts in ({"block_bits": 48.0}, {"block_bits": 0}, {"out_bits": True},
                    {"out_bits": 0}, {"gap_bits": 0.5}, {"gap_bits": -1}, {"gap_bits": False}):

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import math
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from betaenc import lochs
@@ -352,6 +357,84 @@ def test_scaling_variants():
     assert lin["tail"]["n_m"] == "4/1"
     sq = run_lochs(small_experiment(scaling="sqrt")).rows[0]
     assert sq["tail"]["n_m"] == "sqrt(4)"
+
+
+ROW_BETAS = [F(17, 16), F(5, 4), F(3, 2), F(8, 5), F(7, 4), F(9, 5), F(199, 100)]
+
+
+@settings(max_examples=150)
+@given(data=st.data(),
+       beta=st.sampled_from(ROW_BETAS) | st.fractions(F(17, 16), F(199, 100), max_denominator=100),
+       m=st.integers(1, 64), scaling=st.sampled_from(lochs.SCALINGS),
+       tail_eps=st.fractions(F(1, 1000), F(5, 2), max_denominator=1000),
+       eps_values=st.lists(st.fractions(F(1, 1000), F(999, 1000), max_denominator=1000),
+                           min_size=1, max_size=3))
+def test_row_counts_match_the_per_bin_oracle(data, beta, m, scaling, tail_eps, eps_values):
+    """Each count of a row, read at a cut into the sorted histogram, equals
+    the oracle's bin-by-bin count.
+
+    The histogram puts random counts on every k within 2 of a cut (placed
+    by float estimates) and on up to four k anywhere in [0, 2*m*r + 10].
+    """
+    r = math.log(2) / math.log(beta)
+    t = float(tail_eps) * (m if scaling == "linear" else math.sqrt(m))
+    # the linear oracle forms beta**(k*td) per bin: keep those under about 2**18 bits
+    top = 2 * m * r + 10
+    assume(scaling == "sqrt"
+           or top * (tail_eps * m).denominator * beta.numerator.bit_length() <= 1 << 18)
+    anchors = [m * r, m * r - t, m * r + t] + [(m + 1 - math.log2(e)) * r + 1 for e in eps_values]
+    ks = {max(0, round(a) + d) for a in anchors for d in range(-2, 3)}
+    ks = sorted(ks | set(data.draw(st.lists(st.integers(0, int(top)), max_size=4))))
+    counts = data.draw(st.lists(st.integers(0, 3), min_size=len(ks), max_size=len(ks)))
+    hist = Counter({k: c for k, c in zip(ks, counts) if c})
+    assume(hist)
+    assert_row_matches_the_oracle(beta, m, hist, eps_values, tail_eps, scaling)
+
+
+@pytest.mark.parametrize("scaling", lochs.SCALINGS)
+@pytest.mark.parametrize("m, eps", [(1, F(64, 81)), (2, F(512, 729))])
+def test_row_counts_at_an_exact_tie(m, eps, scaling):
+    """eps * (3/2)**(k-1) = 2**(m+1) at k = 5 (m = 1) and k = 7 (m = 2): not an excess.
+
+    Powers of beta never meet a power of 2, so only the eps rule can tie.
+    """
+    hist = Counter({k: 1 for k in range(2 * m + 1, 2 * m + 6)})
+    row = assert_row_matches_the_oracle(F(3, 2), m, hist, [eps], F(1, 10), scaling)
+    assert row["exceed"][0]["fraction"] == "2/5"
+
+
+def assert_row_matches_the_oracle(beta, m, hist, eps_values, tail_eps, scaling) -> dict:
+    exp = LochsExperiment(beta=beta, m_values=(m,), eps_values=eps_values, tail_eps=tail_eps,
+                          scaling=scaling)
+    row = lochs._row(exp, m, hist, 5)
+    want = oracles.lochs_row_counts(beta, m, hist, lochs.QUANTILE_LEVELS, exp.eps_values,
+                                    tail_eps, scaling)
+    n = sum(hist.values())
+    assert (row["samples"], row["cap_hits"]) == (n, 5)
+    assert row["lower_bound_violations"] == want["lower_bound_violations"]
+    assert [F(e["fraction"]) for e in row["exceed"]] == [F(c, n) for c in want["exceed"]]
+    assert F(row["tail"]["mass"]) == F(want["tail"], n)
+    assert list(row["quantile_k"].values()) == want["quantiles"]
+    assert (row["min_k"], row["max_k"]) == (want["min_k"], want["max_k"])
+    return row
+
+
+@pytest.mark.parametrize("m, tail_eps, ks, mass", [
+    # m*log2/log(3/2) = 109.45..., more than t = 64/9973 from every integer
+    (64, F(1, 9973), range(100, 120), "1/1"),
+    # t = 2**20 exceeds every k, and the upper cut m*r + t the search limit
+    (8, F(1 << 17), range(20, 30), "0/1"),
+])
+def test_rows_at_extreme_tail_eps_are_fast(m, tail_eps, ks, mass):
+    """One search per cut: a test per bin forms beta**(k*td -+ tn) for each
+    bin, about 3 s for either row, and a search for the upper cut of the
+    second would be refused."""
+    exp = LochsExperiment(beta=F(3, 2), m_values=(m,), tail_eps=tail_eps)
+    hist = Counter({k: 1 + k % 3 for k in ks})
+    start = time.perf_counter()
+    row = lochs._row(exp, m, hist, 0)
+    assert time.perf_counter() - start < 1.5
+    assert row["tail"]["mass"] == mass
 
 
 @pytest.mark.parametrize("workers", [1, 2])

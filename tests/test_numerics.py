@@ -63,11 +63,16 @@ def test_state_bound_values():
     assert state_bound(Fraction(3, 2)) == 2
     assert state_bound(Fraction(9, 5)) == Fraction(5, 4)
     assert state_bound(Fraction(8, 5)) == Fraction(5, 3)
+    with pytest.raises(DomainError, match="^state bound needs beta > 1$"):
+        state_bound(1)
 
 
 def test_interval_basics():
     iv = Interval(Fraction(1, 3), Fraction(1, 2))
     assert iv.length == Fraction(1, 6)
+    # int endpoints are converted, so equal intervals compare equal
+    assert Interval(0, 2) == Interval(Fraction(0), Fraction(2))
+    assert type(Interval(0, 2).hi) is Fraction
     with pytest.raises(DomainError):
         Interval(Fraction(1, 2), Fraction(1, 3))
 
@@ -253,6 +258,10 @@ def test_beta_cylinder_and_length():
 def test_log2_decimal_exact_powers():
     assert log2_decimal(Fraction(8)) == Decimal(3)
     assert log2_decimal(Fraction(1, 4)) == Decimal(-2)
+    with pytest.raises(DomainError, match="^log of a nonpositive value$"):
+        log2_decimal(Fraction(0))
+    with pytest.raises(DomainError, match="^rate needs beta > 1$"):
+        log_ratio_decimal(Fraction(1))
 
 
 def test_log_ratio_matches_float_log():
@@ -279,6 +288,8 @@ def test_round_to_bits_ties_to_even():
     assert round_to_bits(Fraction(19), 4) == 20
     assert round_to_bits(Fraction(0), 10) == 0
     assert round_to_bits(Fraction(-17), 4) == -16
+    with pytest.raises(DomainError, match="^need a positive mantissa width$"):
+        round_to_bits(Fraction(1, 3), 0)
 
 
 @given(st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=1 << 20))

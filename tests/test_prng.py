@@ -130,6 +130,11 @@ def test_randbelow_and_sample_distinct():
     g = SplitMix64(11)
     vals = [g.randbelow(10) for _ in range(200)]
     assert set(vals) == set(range(10))
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        g.randbelow(0)
+    # one choice needs no draw: the stream stays where it was
+    h = SplitMix64(11)
+    assert h.randbelow(1) == 0 and h.next64() == SplitMix64(11).next64()
     sample = g.sample_distinct(50, 20)
     assert len(sample) == len(set(sample)) == 20
     assert all(0 <= v < 50 for v in sample)
@@ -143,6 +148,8 @@ def test_choose_weighted_respects_zero_weight():
     draws = {g.choose_weighted(weights) for _ in range(200)}
     assert 1 not in draws
     assert draws <= {0, 2}
+    # weights summing below 1 leave the rest of [0, 1) to the last index
+    assert {g.choose_weighted((Fraction(0), Fraction(0))) for _ in range(20)} == {1}
 
 
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
