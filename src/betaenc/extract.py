@@ -115,17 +115,20 @@ class SeededExtractor:
 _GATHER_ENTRIES = 1 << 18
 
 
-def _walsh(a: np.ndarray) -> np.ndarray:
+def _walsh(a: np.ndarray, stages: Optional[int] = None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along axis 0 of a (2**k, ...) array.
 
-    Butterflies ping-pong between ``a`` and one scratch array, so ``a`` is
-    overwritten; the result is whichever of the two holds the last stage.
+    Only the first ``stages`` butterflies run when given: the transform over
+    the low ``stages`` bits of the index.  Butterflies ping-pong between
+    ``a`` and one scratch array, so ``a`` is overwritten; the result is
+    whichever of the two holds the last stage.
     """
     size = a.shape[0]
     a = a.reshape(size, -1)
     out = np.empty_like(a)
+    end = size if stages is None else 1 << stages
     h = 1
-    while h < size:
+    while h < end:
         src = a.reshape(size // (2 * h), 2, -1)
         dst = out.reshape(src.shape)
         np.add(src[:, 0], src[:, 1], out=dst[:, 0])
@@ -142,21 +145,11 @@ def _hash_characters(m: int, n: int) -> np.ndarray:
     SeededExtractor.apply, so c . T_z x = w[c, z] . x for every input x.
     """
     d = m + n - 1
-    if m > 14 or d > 16:
-        raise ResourceBudgetError(f"seed table for m={m}, n={n} is past the budget")
     zs = np.arange(1 << d, dtype=np.uint16)
     w = np.zeros((1, 1 << d), dtype=np.uint16)
     for i in range(n - 1, -1, -1):
         w = np.concatenate((w, w ^ ((zs >> i) & ((1 << m) - 1))))
     return w
-
-
-def _indicators(m: int, batch: list) -> tuple:
-    """Indicator columns (2**m, len(batch)) of the flat supports and their sizes."""
-    words, sizes = flat_supports(batch, m)
-    cols = np.zeros((1 << m, len(batch)), dtype=np.int32)
-    cols[words, np.repeat(np.arange(len(batch)), sizes)] = 1
-    return cols, sizes
 
 
 def flat_avg_seed_tv(m: int, n: int, supports: Iterable) -> list:
@@ -168,28 +161,48 @@ def flat_avg_seed_tv(m: int, n: int, supports: Iterable) -> list:
     the average is sum_z,y |2**n N_z(y) - |S|| over 2**(d+1) * |S| * 2**n.
     The counts come from the XOR lemma, 2**n N_z(y) = sum_c (-1)**(c.y)
     S^(w[c, z]), with S^ the Walsh transform of the support's indicator
-    (d = m + n - 1, S a set of m-bit words): per batch of supports one
-    transform over the 2**m words, one gather through w, and one
-    transform over the 2**n characters.  Every value is an integer of at
-    most 2**(d+1) in magnitude, so int32 holds it exactly.
+    (d = m + n - 1, S a set of m-bit words).  The c = 0 term is
+    S^(0) = |S| for every y, so it cancels the - |S| and is left out.  The
+    last butterfly of the transform over the 2**n characters pairs the
+    halves lo and hi with |lo + hi| + |lo - hi| = 2 max(|lo|, |hi|), so the
+    halves are transformed over n - 1 stages and summed that way.  At
+    n = 1, w[1, z] = z and the deviation is 2 sum_u |S^(u)|, with no
+    gather.  Per batch of supports that is one transform over the 2**m
+    words and, for n > 1, one gather through w.  No value at any stage
+    exceeds 2**(n-1) * max |S| in magnitude, so a batch runs in int16
+    when that bound is below 2**15 and in int32 otherwise.
     """
     ext = SeededExtractor(m, n)
-    w = _hash_characters(m, n)
-    rows = 1 << (ext.d + n)
-    per_batch = max(1, _GATHER_ENTRIES >> (ext.d + n))
+    d = ext.d
+    if m > 14 or d > 16:
+        raise ResourceBudgetError(f"seed table for m={m}, n={n} is past the budget")
+    w = _hash_characters(m, n)[1:] if n > 1 else None
+    half = 1 << (d + n - 1)
+    per_batch = max(1, _GATHER_ENTRIES >> (d + n))
     # fold rows into lines ~4096 wide: ufuncs down a few narrow columns are slow
-    fold = min(rows, max(1, 4096 // per_batch))
+    fold = min(half, max(1, 4096 // per_batch))
     supports = iter(supports)
     out = []
     while batch := list(itertools.islice(supports, per_batch)):
-        cols, sizes = _indicators(m, batch)
-        counts = _walsh(np.take(_walsh(cols), w, axis=0))
-        lines = counts.reshape(rows // fold, fold * len(batch))
-        lines -= np.tile(sizes, fold)
-        np.abs(lines, out=lines)
-        deviation = lines.sum(axis=0, dtype=np.int64).reshape(fold, len(batch)).sum(axis=0)
+        words, sizes = flat_supports(batch, m)
+        dtype = np.int16 if int(sizes.max()) << (n - 1) < 1 << 15 else np.int32
+        cols = np.zeros((1 << m, len(batch)), dtype=dtype)
+        cols[words, np.repeat(np.arange(len(batch)), sizes)] = 1
+        spectrum = _walsh(cols)
+        if n == 1:
+            mags = np.abs(spectrum, out=spectrum)
+        else:
+            block = np.empty((1 << n, 1 << d, len(batch)), dtype=dtype)
+            block[0] = 0
+            # every index is in range; "clip" lets take write into block unbuffered
+            np.take(spectrum, w, axis=0, out=block[1:], mode="clip")
+            block = _walsh(block, n - 1)
+            lo, hi = np.abs(block, out=block).reshape(2, half, -1)
+            mags = np.maximum(lo, hi, out=lo)
+        lines = mags.reshape(half // fold, fold * len(batch))
+        deviation = 2 * lines.sum(axis=0, dtype=np.int64).reshape(fold, len(batch)).sum(axis=0)
         for size, dev in zip(sizes.tolist(), deviation.tolist()):
-            out.append(Fraction(dev, (1 << (ext.d + 1)) * size * (1 << n)))
+            out.append(Fraction(dev, (1 << (d + 1)) * size * (1 << n)))
     return out
 
 

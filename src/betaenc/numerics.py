@@ -157,12 +157,24 @@ def cell_of(lo_n: int, lo_d: int, hi_n: int, hi_d: int, m: int) -> Optional[int]
 
 
 def cmp_pow2(value: Fraction, exponent: Union[Fraction, int]) -> int:
-    """Exact sign of value - 2**exponent for rational value and exponent."""
+    """Exact sign of value - 2**exponent for rational value and exponent.
+
+    With exponent a/b this is the sign of value**b - 2**a.  For b > 1,
+    64-bit upper bounds on value**b and on value**-b decide it first; they
+    exceed them by a factor of about 1 + 2b/2**62 at most, so value**b
+    itself is formed only on a near-tie.
+    """
     value = as_fraction(value)
     if value <= 0:
         return -1
     e = as_fraction(exponent)
     a, b = e.numerator, e.denominator
+    if b > 1:
+        p, q = value.numerator, value.denominator
+        if _sign(_power(_upper(p, q), b), a) < 0:
+            return -1
+        if _sign(_power(_upper(q, p), b), -a) < 0:  # (1/value)**b < 2**-a
+            return 1
     powed = value**b
     num, den = powed.numerator, powed.denominator
     if a >= 0:
@@ -182,10 +194,34 @@ def _times(a: tuple, b: tuple) -> tuple:
     return (-(-m >> drop), e + drop) if drop > 0 else (m, e)
 
 
-def _upper(x: Fraction) -> tuple:
-    """A short (m, e) with m * 2**e >= x > 0."""
-    scale = 64 + x.denominator.bit_length()
-    return _times((-((-x.numerator << scale) // x.denominator), -scale), (1, 0))
+def _upper(p: int, q: int) -> tuple:
+    """A short (m, e) with m * 2**e >= p/q > 0."""
+    shift = 66 + q.bit_length() - p.bit_length()  # a quotient of 66 or 67 bits
+    m = -(-(p << shift) // q) if shift >= 0 else -(-p // (q << -shift))
+    return _times((m, -shift), (1, 0))
+
+
+def _power(bound: tuple, b: int) -> tuple:
+    """A short (m, e) with m * 2**e >= (bound[0] * 2**bound[1])**b, by squaring."""
+    result = (1, 0)
+    while True:
+        if b & 1:
+            result = _times(result, bound)
+        b >>= 1
+        if not b:
+            return result
+        bound = _times(bound, bound)
+
+
+def _sign(bound: tuple, a: int) -> int:
+    """Exact sign of m * 2**e - 2**a for a bound (m, e) with m >= 1."""
+    m, e = bound
+    if a < e:
+        return 1
+    if a - e >= m.bit_length():
+        return -1
+    t = 1 << (a - e)
+    return (m > t) - (m < t)
 
 
 def _rounded_squares(beta: Fraction):
@@ -194,7 +230,7 @@ def _rounded_squares(beta: Fraction):
     Each square is rounded up to 64 bits, so the i-th bound exceeds
     beta**(2**i) by a factor of at most about 1 + 4 * 2**i / 2**64.
     """
-    square = _upper(beta)
+    square = _upper(beta.numerator, beta.denominator)
     while True:
         yield square
         square = _times(square, square)
@@ -230,19 +266,22 @@ def least_power_at_least(
         c = cmp_pow2(value, exponent2)
         return c > 0 or (c == 0 and not strict)
 
+    # for an int t, t <= exponent2 iff t <= floor and t > exponent2 iff t > floor
+    floor = exponent2.numerator // exponent2.denominator
+
     def misses(bound: tuple) -> bool:
         m, e = bound
         top = e + m.bit_length()  # 2**(top - 1) <= m * 2**e < 2**top
-        if top <= exponent2:
+        if top <= floor:
             return True
-        if top - 1 > exponent2:
+        if top - 1 > floor:
             return False
         return not meets(Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e))
 
     if meets(coefficient):
         return 0
     limit = _POWER_SEARCH_LIMIT
-    lifted, k, squares = _upper(coefficient), 0, []
+    lifted, k, squares = _upper(coefficient.numerator, coefficient.denominator), 0, []
     for square in _rounded_squares(beta):
         squares.append(square)
         if 1 << len(squares) > limit or not misses(_times(lifted, square)):

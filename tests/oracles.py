@@ -474,6 +474,19 @@ def lochs_row_counts(beta, m: int, hist: dict, levels, eps_values, tail_eps, sca
             "quantiles": quantiles, "min_k": min(hist), "max_k": max(hist)}
 
 
+def cmp_pow2(value, exponent) -> int:
+    """Exact sign of value - 2**exponent, always by forming value**b for exponent a/b.
+
+    This is the body the package's bounded comparison replaced.
+    """
+    value, e = Fraction(value), Fraction(exponent)
+    if value <= 0:
+        return -1
+    a, b = e.numerator, e.denominator
+    lhs, rhs = value**b, Fraction(2) ** a
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def least_power_at_least(beta, exponent2, coefficient=ONE, strict=False, limit=1 << 20) -> int:
     """Least k >= 0 with coefficient * beta**k >= 2**exponent2, by linear search.
 
@@ -667,6 +680,55 @@ def flat_avg_seed_tv_table(m: int, n: int, supports) -> list:
         counts = np.bincount((seed_ids | cols).ravel(), minlength=1 << (d + n))
         deviation = np.abs(counts * (1 << n) - len(sup)).sum()
         out.append(Fraction(int(deviation), (1 << (d + 1)) * len(sup) * (1 << n)))
+    return out
+
+
+def walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along axis 0 of a (2**k, ...) array, in place."""
+    size = a.shape[0]
+    flat = a.reshape(size, -1)
+    h = 1
+    while h < size:
+        pairs = flat.reshape(size // (2 * h), 2, -1)
+        lo, hi = pairs[:, 0].copy(), pairs[:, 1].copy()
+        pairs[:, 0] = lo + hi
+        pairs[:, 1] = lo - hi
+        h *= 2
+    return a
+
+
+def hash_characters(m: int, n: int) -> np.ndarray:
+    """w[c, z]: the XOR of the seed windows (z >> i) & (2**m - 1) whose bit n-1-i is set in c."""
+    d = m + n - 1
+    zs = np.arange(1 << d, dtype=np.int64)
+    w = np.zeros((1 << n, 1 << d), dtype=np.int64)
+    for c in range(1 << n):
+        for i in range(n):
+            if (c >> (n - 1 - i)) & 1:
+                w[c] ^= (zs >> i) & ((1 << m) - 1)
+    return w
+
+
+def flat_avg_seed_tv_gather(m: int, n: int, supports) -> list:
+    """Seed-averaged TV of the Toeplitz hash over flat sources, by the full XOR lemma.
+
+    Per support: the Walsh transform S^ of its indicator, gathered through
+    every character c (the c = 0 row included) into a (2**n, 2**d) block,
+    transformed over the characters into 2**n N_z(y), and summed as
+    |2**n N_z(y) - |S|| (int32 holds every value, at most 2**(d+1)).  This
+    is the gather-and-transform loop of ``flat_avg_seed_tv`` before the
+    c = 0 row was dropped and the last butterfly fused into the sum, one
+    support at a time; it reaches m = 14, past the table.
+    """
+    d = m + n - 1
+    w = hash_characters(m, n)
+    out = []
+    for support in supports:
+        indicator = np.zeros(1 << m, dtype=np.int32)
+        indicator[list(support)] = 1
+        counts = walsh_hadamard(walsh_hadamard(indicator)[w])
+        deviation = np.abs(counts - len(support)).sum(dtype=np.int64)
+        out.append(Fraction(int(deviation), (1 << (d + 1)) * len(support) * (1 << n)))
     return out
 
 

@@ -255,6 +255,37 @@ def test_walsh_path_batch_boundaries_and_generators():
     assert flat_avg_seed_tv(4, 2, oracles.all_flat_sources(4, 2)) == flat_avg_seed_tv(4, 2, tiny)
 
 
+def test_gather_oracle_agrees_with_the_table_oracle():
+    supports = [(3,), (0, 5, 9), tuple(range(0, 64, 3)), tuple(range(64))]
+    for n in range(1, 7):
+        expected = oracles.flat_avg_seed_tv_table(6, n, supports)
+        assert oracles.flat_avg_seed_tv_gather(6, n, supports) == expected
+
+
+@pytest.mark.parametrize("m", [12, 14])
+def test_walsh_path_matches_the_gather_oracle_past_the_table(m):
+    rng = np.random.default_rng(m)
+    supports = [(0,), tuple(range(1 << (m - 1))), tuple(range(0, 1 << m, 5))]
+    supports += [tuple(sorted(rng.choice(1 << m, int(size), replace=False).tolist()))
+                 for size in (2, 37, 1000)]
+    for n in (1, 2, 3):
+        assert flat_avg_seed_tv(m, n, supports) == oracles.flat_avg_seed_tv_gather(m, n, supports)
+
+
+def test_walsh_path_on_each_side_of_the_int16_bound():
+    # 2**(n-1) * max |S| below 2**15 runs in int16, at 2**15 in int32; the
+    # full supports reach the bound at seed z = 0, where every w[c, 0] is 0
+    cases = [(8, n, tuple(range(size))) for n in (7, 8) for size in (255, 256)]
+    cases += [(14, 3, tuple(range(size))) for size in ((1 << 13) - 1, 1 << 13)]
+    for m, n, support in cases:
+        assert flat_avg_seed_tv(m, n, [support]) == oracles.flat_avg_seed_tv_gather(m, n, [support])
+    # at m = 14, n = 2 a batch holds two supports: one of 2**14 words puts
+    # a small one beside it into int32
+    supports = [tuple(range(1 << 14)), (7, 99), (1, 2, 3), tuple(range(0, 1 << 14, 2))]
+    assert extract._GATHER_ENTRIES >> (14 + 1 + 2) == 2
+    assert flat_avg_seed_tv(14, 2, supports) == oracles.flat_avg_seed_tv_gather(14, 2, supports)
+
+
 def test_flat_supports_are_strict():
     with pytest.raises(DomainError):
         flat_avg_seed_tv(4, 1, [(-1, 0)])  # was read as word 15

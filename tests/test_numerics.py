@@ -5,7 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -103,6 +103,47 @@ def test_cmp_pow2_matches_floats_away_from_ties(value, exponent):
     approx = float(value) - target
     if abs(approx) > 1e-9 * max(1.0, target):
         assert cmp_pow2(value, exponent) == (1 if approx > 0 else -1)
+
+
+def integer_root(n: int, b: int) -> int:
+    """floor(n ** (1/b)) for n >= 0, by bisection."""
+    lo, hi = 0, 1 << (n.bit_length() // b + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**b <= n else (lo, mid)
+    return lo
+
+
+@given(st.integers(min_value=-40, max_value=64), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=40, max_value=100), st.integers(min_value=-3, max_value=3))
+@example(2, 1, 40, 0)  # 4 at 2
+@example(-3, 1, 40, 0)  # 1/8 at -3
+@example(6, 3, 60, 0)  # 4 at 6/3 = 2
+@settings(max_examples=300)
+def test_cmp_pow2_matches_the_full_power_at_and_near_ties(a, b, precision, offset):
+    # r / 2**precision is the largest such value at most 2**(a/b): a tie when
+    # b divides a, and within about 2**-precision of one otherwise
+    r = integer_root(1 << (a + b * precision), b)
+    value, exponent = Fraction(r + offset, 1 << precision), Fraction(a, b)
+    if offset == 0 and a % b == 0:
+        assert cmp_pow2(value, exponent) == 0
+    assert cmp_pow2(value, exponent) == oracles.cmp_pow2(value, exponent)
+    assert cmp_pow2(1 / value, -exponent) == oracles.cmp_pow2(1 / value, -exponent)
+
+
+@given(rationals, st.fractions(min_value=-40, max_value=40, max_denominator=50))
+def test_cmp_pow2_matches_the_full_power(value, exponent):
+    assert cmp_pow2(value, exponent) == oracles.cmp_pow2(value, exponent)
+
+
+def test_least_power_forms_no_full_power_to_decide_its_last_step():
+    # the last exact test compares a 5.4-million-bit value with 2**(794/3);
+    # cubing it took most of 6-10 s, the bounds decide it at once
+    start = time.perf_counter()
+    k = least_power_at_least(Fraction(2624, 2623), Fraction(794, 3),
+                             coefficient=Fraction(377, 136), strict=True)
+    assert k == 478614
+    assert time.perf_counter() - start < 5
 
 
 def test_least_power_basics():
