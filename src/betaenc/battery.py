@@ -48,8 +48,8 @@ class TestResult:
         stat = self.statistic
         return {
             "name": self.name,
-            "statistic": "nan" if math.isnan(stat) else decimal_str(Decimal(repr(float(stat))), 12),
-            "p_value": decimal_str(Decimal(repr(float(self.p_value))), 12),
+            "statistic": "nan" if math.isnan(stat) else decimal_str(Decimal(repr(float(stat)))),
+            "p_value": decimal_str(Decimal(repr(float(self.p_value)))),
             "pass": self.passed,
             "alpha": self.alpha,
             "extras": {k: repr(v) if isinstance(v, float) else v for k, v in self.extras.items()},

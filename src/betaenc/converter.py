@@ -24,8 +24,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .encoder import (_WINDOW_BITS, ConstantThreshold, _cylinders, _kernel_plan, _Plan, _window,
-                      check_role)
+from .encoder import ConstantThreshold, _cylinders, _kernel_plan, _Plan, _window, check_role
 from .errors import ConfigurationError, DomainError
 from .numerics import (
     ONE,
@@ -149,17 +148,18 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
     After k bits the cylinder is [L/P, (L*(p-q) + Q*q) / (P*(p-q))] with
     P = p**k and Q = q**k, and the state is A/D = (P*x - L)/Q.
 
-    ``thresholds`` is the caller's ``_kernel_plan(beta, u, 256)`` for a
+    ``thresholds`` is the caller's ``_kernel_plan(beta, u)`` for a
     constant u, or an iterable of one (numerator, denominator) pair per
     bit, covering the largest cap, which takes one exact step on A/D per
     bit.  With a plan, each exact step starts an ``encoder._cylinders``
-    walk of the outward-rounded window of 2**256 * state; each cylinder it
-    yields decides K bits, and the pending target is tested at block ends
-    only.  A block whose end settles it is stepped again through its word
-    for the least k (a later target its end misses resumes the walk
-    there).  A straddle, or a block that would pass the cap, takes one
-    exact step on A/D rebuilt from L, P and Q and starts a new walk; a
-    window widens by about beta per step, so it straddles in the end.
+    walk of the outward-rounded window of 2**W * state, W the plan's own
+    window width; each cylinder it yields decides K bits, and the pending
+    target is tested at block ends only.  A block whose end settles it is
+    stepped again through its word for the least k (a later target its end
+    misses resumes the walk there).  A straddle, or a block that would
+    pass the cap, takes one exact step on A/D rebuilt from L, P and Q and
+    starts a new walk; a window widens by about beta per step, so it
+    straddles in the end.
     """
     p, q = beta.numerator, beta.denominator
     pmq = p - q
@@ -174,7 +174,7 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
     results = []
     L, P, Q, k = 0, 1, 1, 0
     A, D = xn, xd
-    walk = None  # the cylinder walk of the window of 2**256 * state after k bits
+    walk = None  # the cylinder walk of the window of 2**W * state after k bits
     rest = None  # the bits of a block whose end settles the pending target
     for m, cap, k_min in targets:
         a = cell_of(xn, xd, xn, xd, m)  # x's own cell: a point always has one
@@ -238,7 +238,7 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
             else:
                 L = L * p
             if plan:
-                lo, w = _window(A, D, _WINDOW_BITS)
+                lo, w = _window(A, D, plan.W)
                 walk = _cylinders(plan, lo, lo + w)
         else:
             results.append(KResult(k, False))
@@ -261,7 +261,7 @@ def k_profile(
     check_thresholds(thresholds.threshold_range, state_bound(beta), ConfigurationError)
     targets = scan_targets(ms, beta, k_cap)
     if isinstance(thresholds, ConstantThreshold):
-        return _scan(x, targets, beta, _kernel_plan(beta, thresholds.value, _WINDOW_BITS))
+        return _scan(x, targets, beta, _kernel_plan(beta, thresholds.value))
     seq = thresholds.scaled(targets[-1][1], rng.derive("thresholds") if rng else None)
     return _scan(x, targets, beta, seq)
 
@@ -326,7 +326,7 @@ def transfer_rows(
                 "x": format_rational(as_fraction(x)),
                 "m": m,
                 "k": res.k,
-                "deviation": decimal_str(deviation, 12),
+                "deviation": decimal_str(deviation),
                 "exceeded": int(res.exceeded),
             }
         )

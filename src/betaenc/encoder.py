@@ -520,11 +520,12 @@ class _Plan(NamedTuple):
     offsets: tuple
     scaled: tuple
     u: Fraction  # the constant threshold
+    W: int  # the bounds and scaled offsets are in units of 2**-W
 
 
 @lru_cache(maxsize=64)
-def _kernel_plan(beta: Fraction, u: Fraction, W: int) -> _Plan:
-    """The stream kernel's constants for one (beta, u, W).
+def _kernel_plan(beta: Fraction, u: Fraction, W: int = _WINDOW_BITS) -> _Plan:
+    """The stream kernel's constants for one (beta, u, W), W = 256 by default.
 
     The table lists the depth-K cylinders of the state range [0, kappa),
     one entry per cylinder, lowest first.  Cylinder i holds the states x
@@ -536,7 +537,7 @@ def _kernel_plan(beta: Fraction, u: Fraction, W: int) -> _Plan:
     bounds[i] lies in cylinder i exactly.  Its states then emit the K bytes
     words[i] and move to (PK * x - offsets[i]) / QK with PK = p**K and QK =
     q**K; scaled[i] is offsets[i] * 2**W.  Both table kernels walk it
-    through ``_cylinders``.
+    through ``_cylinders``, on windows of 2**W * state at the plan's own W.
     """
     p, q = beta.numerator, beta.denominator
     # an inner block widens the window by about beta per step: stop while
@@ -562,7 +563,7 @@ def _kernel_plan(beta: Fraction, u: Fraction, W: int) -> _Plan:
                  tuple(-((-lo << W) // unit) for lo in lows[1:])
                  + ((q // (p - q) + 2) << (W + 4),),
                  tuple(digits[i:i + K] for i in range(0, len(digits), K)), offsets,
-                 tuple(o << W for o in offsets), u)
+                 tuple(o << W for o in offsets), u, W)
 
 
 def _cylinders(plan: _Plan, lo: int, hi: int):
@@ -596,7 +597,7 @@ def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
     """
     p, q = beta.numerator, beta.denominator
     r, s = u.numerator, u.denominator
-    K, k_blk, k_mid, PK, QK, _, words, offsets, _, _ = plan = _kernel_plan(beta, u, W)
+    K, k_blk, k_mid, PK, QK, _, words, offsets, _, _, _ = plan = _kernel_plan(beta, u, W)
     W2 = _MID_FACTOR * W
     drop = W2 - W
 

@@ -119,7 +119,7 @@ class WordDistribution:
     def to_csv_rows(self) -> list:
         with decimal_context(28):
             return [{"word": word_to_str(word, self.m), "p": format_rational(p),
-                     "decimal": decimal_str(as_decimal(p), 12)}
+                     "decimal": decimal_str(as_decimal(p))}
                     for word, p in sorted(self.entries.items())]
 
 

@@ -40,6 +40,7 @@ from .numerics import (
     cmp_pow2,
     decimal_context,
     decimal_str,
+    floor_log2,
     format_rational,
     least_power_at_least,
     log2_decimal,
@@ -328,11 +329,8 @@ class PipelineConfig:
 
 
 def _budget_bits(block_bits: int, beta_min, beta_max) -> int:
-    """floor(log2(beta_min**block_bits / kappa)), negative when the block is short."""
-    value = as_fraction(beta_min) ** block_bits / state_bound(as_fraction(beta_max))
-    # log2(value) lies within 1 of n
-    n = value.numerator.bit_length() - value.denominator.bit_length()
-    return n - (cmp_pow2(value, n) < 0)
+    """The exact floor of the budget block_bits*log2(beta_min) - log2(kappa), maybe negative."""
+    return floor_log2(as_fraction(beta_min) ** block_bits / state_bound(as_fraction(beta_max)))
 
 
 def entropy_budget_ok(block_bits: int, out_bits: int, beta_min, beta_max) -> bool:
@@ -451,12 +449,12 @@ def pipeline_extract(bits, config: PipelineConfig):
             "beta_min": format_rational(config.beta_min),
             "beta_max": format_rational(config.beta_max),
             "kappa": format_rational(kappa),
-            "entropy_budget_bits": decimal_str(budget_dec, 12),
+            "entropy_budget_bits": decimal_str(budget_dec),
             "max_whole_out_bits": max_extractable_bits(
                 m, config.beta_min, config.beta_max
             ),
-            "rate_overhead_factor": decimal_str(overhead, 12),
-            "implied_alpha": decimal_str(implied_alpha, 12),
+            "rate_overhead_factor": decimal_str(overhead),
+            "implied_alpha": decimal_str(implied_alpha),
             "seed": seed_origin,
             "warnings": warnings,
         }

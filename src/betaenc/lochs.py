@@ -29,7 +29,7 @@ from itertools import accumulate, chain
 from typing import Optional
 
 from .converter import _scan, scan_targets
-from .encoder import _WINDOW_BITS, ConstantThreshold, _kernel_plan, check_role, prefix_leaves
+from .encoder import ConstantThreshold, _kernel_plan, check_role, prefix_leaves
 from .errors import ConfigurationError, DomainError
 from .numerics import (
     as_decimal,
@@ -186,7 +186,7 @@ def _chunk(exp: LochsExperiment, bounds) -> tuple:
     _, cap_max, first = targets[-1]
     process = exp.thresholds
     if isinstance(process, ConstantThreshold):
-        thresholds = _kernel_plan(exp.beta, process.value, _WINDOW_BITS)  # once per chunk
+        thresholds = _kernel_plan(exp.beta, process.value)  # once per chunk
     elif not process.is_random:
         thresholds = process.scaled(cap_max)  # listed thresholds, shared by every sample
     else:
@@ -260,9 +260,9 @@ def _row(exp: LochsExperiment, m: int, hist: Counter, cap_hits: int) -> dict:
             exceed.append(
                 {
                     "eps": format_rational(eps),
-                    "c_eps": decimal_str(c_eps, 12),
+                    "c_eps": decimal_str(c_eps),
                     "fraction": format_rational(frac),
-                    "fraction_decimal": decimal_str(as_decimal(frac), 12),
+                    "fraction_decimal": decimal_str(as_decimal(frac)),
                     "bound_ok": frac < eps,
                     # |frac - eps| <= 2 * sqrt(eps * (1 - eps) / n), squared
                     "within_2se": (frac - eps) ** 2 * n <= 4 * eps * (1 - eps),
@@ -297,24 +297,24 @@ def _row(exp: LochsExperiment, m: int, hist: Counter, cap_hits: int) -> dict:
             "cap_hits": cap_hits,
             "lower_bound_violations": lower_violations,
             "mean_k": format_rational(mean_k),
-            "mean_k_over_m": decimal_str(mean_ratio_dec, 12),
-            "target": decimal_str(ratio, 12),
-            "rel_error": decimal_str((mean_ratio_dec - ratio) / ratio, 12),
+            "mean_k_over_m": decimal_str(mean_ratio_dec),
+            "target": decimal_str(ratio),
+            "rel_error": decimal_str((mean_ratio_dec - ratio) / ratio),
             "min_k": min_k,
             "max_k": max_k,
-            "min_deviation": decimal_str(Decimal(min_k) - target_k, 12),
+            "min_deviation": decimal_str(Decimal(min_k) - target_k),
             "quantile_k": quantiles,
             "exceed": exceed,
             "tail": {
                 "eps": format_rational(exp.tail_eps),
                 "n_m": n_m_label,
                 "mass": format_rational(tail_mass),
-                "mass_decimal": decimal_str(as_decimal(tail_mass), 12),
+                "mass_decimal": decimal_str(as_decimal(tail_mass)),
             },
             "scaled_variance": {
                 "n_m_squared": format_rational(n_m_sq),
                 "value": format_rational(scaled_variance),
-                "decimal": decimal_str(as_decimal(scaled_variance), 12),
+                "decimal": decimal_str(as_decimal(scaled_variance)),
             },
         }
 

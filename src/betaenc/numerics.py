@@ -16,6 +16,10 @@ Conventions, fixed once here and used everywhere:
   (the scan's per-bit test is an inline copy).
 * Expansion cylinders are the closed intervals
   ``[sum b_i beta^-i, sum b_i beta^-i + beta^-k/(beta-1)]``.
+* ``floor_log2`` is the one floor(log2) of a rational (the extraction
+  budget and ``round_to_bits`` ask it), ``_rounded_squares`` the one
+  squaring loop (``cmp_pow2`` and ``least_power_at_least`` read it), and
+  report decimals are ``decimal_str``'s, half-even at 12 places.
 """
 
 from __future__ import annotations
@@ -156,6 +160,15 @@ def cell_of(lo_n: int, lo_d: int, hi_n: int, hi_d: int, m: int) -> Optional[int]
     return a if (hi_n << m) < (a + 1) * hi_d else None
 
 
+def floor_log2(value: Fraction) -> int:
+    """floor(log2(value)) for a positive rational, by bit lengths and one shifted comparison."""
+    n, d = value.numerator, value.denominator
+    if n <= 0:
+        raise DomainError("log of a nonpositive value")
+    e = n.bit_length() - d.bit_length()  # 2**(e - 1) < value < 2**(e + 1)
+    return e - (n < (d << e) if e >= 0 else (n << -e) < d)
+
+
 def cmp_pow2(value: Fraction, exponent: Union[Fraction, int]) -> int:
     """Exact sign of value - 2**exponent for rational value and exponent.
 
@@ -202,15 +215,17 @@ def _upper(p: int, q: int) -> tuple:
 
 
 def _power(bound: tuple, b: int) -> tuple:
-    """A short (m, e) with m * 2**e >= (bound[0] * 2**bound[1])**b, by squaring."""
+    """A short (m, e) with m * 2**e >= (bound[0] * 2**bound[1])**b, for b >= 1.
+
+    The product of the rounded squares that b's set bits select, lowest first.
+    """
     result = (1, 0)
-    while True:
+    for square in _rounded_squares(bound):
         if b & 1:
-            result = _times(result, bound)
+            result = _times(result, square)
         b >>= 1
         if not b:
             return result
-        bound = _times(bound, bound)
 
 
 def _sign(bound: tuple, a: int) -> int:
@@ -224,16 +239,15 @@ def _sign(bound: tuple, a: int) -> int:
     return (m > t) - (m < t)
 
 
-def _rounded_squares(beta: Fraction):
-    """Short (m, e) with m * 2**e >= beta**(2**i), for i = 0, 1, 2, ...
+def _rounded_squares(bound: tuple):
+    """Short (m, e) with m * 2**e >= x**(2**i), i = 0, 1, ..., from such a bound on x.
 
-    Each square is rounded up to 64 bits, so the i-th bound exceeds
-    beta**(2**i) by a factor of at most about 1 + 4 * 2**i / 2**64.
+    Each square is rounded up to 64 bits, so from a 64-bit bound the i-th
+    exceeds x**(2**i) by a factor of at most about 1 + 4 * 2**i / 2**64.
     """
-    square = _upper(beta.numerator, beta.denominator)
     while True:
-        yield square
-        square = _times(square, square)
+        yield bound
+        bound = _times(bound, bound)
 
 
 def least_power_at_least(
@@ -282,7 +296,7 @@ def least_power_at_least(
         return 0
     limit = _POWER_SEARCH_LIMIT
     lifted, k, squares = _upper(coefficient.numerator, coefficient.denominator), 0, []
-    for square in _rounded_squares(beta):
+    for square in _rounded_squares(_upper(beta.numerator, beta.denominator)):
         squares.append(square)
         if 1 << len(squares) > limit or not misses(_times(lifted, square)):
             break
@@ -334,11 +348,10 @@ def as_decimal(value: Fraction) -> Decimal:
     return Decimal(value.numerator) / Decimal(value.denominator)
 
 
-def decimal_str(value: Decimal, places: int = 12) -> str:
-    with decimal_context(places + 30):
-        q = Decimal(value).quantize(
-            Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN
-        )
+def decimal_str(value: Decimal) -> str:
+    """``value`` rounded half-even to 12 decimal places, in fixed-point notation."""
+    with decimal_context(42):
+        q = Decimal(value).quantize(Decimal(1).scaleb(-12), rounding=ROUND_HALF_EVEN)
     return format(q, "f")
 
 
@@ -346,33 +359,13 @@ def round_to_bits(x: Fraction, bits: int) -> Fraction:
     """Round-to-nearest-even at `bits` significant binary digits.
 
     The result is exactly the value an ideal binary float with a
-    `bits`-bit mantissa (and unbounded exponent) would store.
+    `bits`-bit mantissa (and unbounded exponent) would store:
+    ``Fraction.__round__`` rounds x / ulp half to even, on negatives too.
     """
     if bits < 1:
         raise DomainError("need a positive mantissa width")
     x = as_fraction(x)
     if x == 0:
         return ZERO
-    sign = 1 if x > 0 else -1
-    n, d = abs(x).numerator, abs(x).denominator
-    e = n.bit_length() - d.bit_length()
-    # normalize so 2^e <= n/d < 2^(e+1)
-    if e >= 0:
-        if n < (d << e):
-            e -= 1
-    else:
-        if (n << (-e)) < d:
-            e -= 1
-    shift = bits - 1 - e
-    if shift >= 0:
-        num, den = n << shift, d
-    else:
-        num, den = n, d << (-shift)
-    q, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and q & 1):
-        q += 1
-    if shift >= 0:
-        out = Fraction(q, 1 << shift)
-    else:
-        out = Fraction(q << (-shift))
-    return sign * out
+    ulp = TWO ** (floor_log2(abs(x)) + 1 - bits)
+    return round(x / ulp) * ulp

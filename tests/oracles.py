@@ -507,6 +507,63 @@ def least_power_at_least(beta, exponent2, coefficient=ONE, strict=False, limit=1
             raise ValueError(f"no power up to {limit}")
 
 
+def _times_up(a: tuple, b: tuple) -> tuple:
+    """(m, e) with m * 2**e >= a[0] * 2**a[1] * b[0] * 2**b[1], m rounded up to 64 bits."""
+    m, e = a[0] * b[0], a[1] + b[1]
+    drop = m.bit_length() - 64
+    return (-(-m >> drop), e + drop) if drop > 0 else (m, e)
+
+
+def power_bound(bound: tuple, b: int) -> tuple:
+    """A short (m, e) with m * 2**e >= (bound[0] * 2**bound[1])**b, by squaring.
+
+    Each product is rounded up to 64 bits.  This is the loop the package's
+    power bound replaced by a walk over its one squaring loop.
+    """
+    result = (1, 0)
+    while True:
+        if b & 1:
+            result = _times_up(result, bound)
+        b >>= 1
+        if not b:
+            return result
+        bound = _times_up(bound, bound)
+
+
+def round_to_bits(x, bits: int) -> Fraction:
+    """Nearest value with ``bits`` significant binary digits, ties to the even mantissa.
+
+    Normalises |x| = n/d into [2**e, 2**(e+1)), scales it to a ``bits``-digit
+    integer part, and settles the remainder by divmod: the body the
+    package's ``round`` of x / ulp replaced.
+    """
+    x = Fraction(x)
+    if x == 0:
+        return Fraction(0)
+    sign = 1 if x > 0 else -1
+    n, d = abs(x).numerator, abs(x).denominator
+    e = n.bit_length() - d.bit_length()
+    if e >= 0:
+        if n < (d << e):
+            e -= 1
+    else:
+        if (n << (-e)) < d:
+            e -= 1
+    shift = bits - 1 - e
+    if shift >= 0:
+        num, den = n << shift, d
+    else:
+        num, den = n, d << (-shift)
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    if shift >= 0:
+        out = Fraction(q, 1 << shift)
+    else:
+        out = Fraction(q << (-shift))
+    return sign * out
+
+
 def cylinder_k(x: Fraction, m: int, beta: Fraction, u_values=None, k_cap: int = 4096):
     """Brute-force least k making m digits of x certain, or None at the cap.
 

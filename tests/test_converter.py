@@ -19,7 +19,6 @@ from betaenc.converter import (
     uncertainty_interval,
 )
 from betaenc.encoder import (
-    _WINDOW_BITS,
     ConstantThreshold,
     ExplicitThresholds,
     FixedBeta,
@@ -232,9 +231,9 @@ def scan_cases(draw):
     return x, beta, u, ms, k_cap
 
 
-@given(scan_cases(), st.integers(0, 1 << 32))
+@given(scan_cases(), st.integers(0, 1 << 32), st.sampled_from([16, 64, 256, 1024]))
 @settings(max_examples=150, deadline=None)
-def test_scan_matches_the_per_step_oracle(case, seed):
+def test_scan_matches_the_per_step_oracle(case, seed, window_bits):
     x, beta, u, ms, k_cap = case
     constant = (u.numerator, u.denominator)
     # the drawn cap, and caps one below and at each uncapped answer
@@ -242,7 +241,7 @@ def test_scan_matches_the_per_step_oracle(case, seed):
     for cap in {k_cap} | {k + d for k, _ in uncapped for d in (-1, 0) if k + d >= 1}:
         targets = scan_targets(ms, beta, cap)
         want = oracles.scan_steps(x, targets, beta, itertools.repeat(constant))
-        plan = _kernel_plan(beta, u, _WINDOW_BITS)
+        plan = _kernel_plan(beta, u, window_bits)
         assert [tuple(r) for r in _scan(x, targets, beta, plan)] == want, cap
     # uniform thresholds take the per-step path through the same entry point
     targets = scan_targets(ms, beta, k_cap)

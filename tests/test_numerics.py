@@ -18,6 +18,7 @@ from betaenc.numerics import (
     check_beta,
     cmp_pow2,
     decimal_str,
+    floor_log2,
     format_rational,
     least_power_at_least,
     log2_decimal,
@@ -119,6 +120,7 @@ def integer_root(n: int, b: int) -> int:
 @example(2, 1, 40, 0)  # 4 at 2
 @example(-3, 1, 40, 0)  # 1/8 at -3
 @example(6, 3, 60, 0)  # 4 at 6/3 = 2
+@example(-40, 1, 40, -1)  # r = 1, so the value is 0 and has no reciprocal
 @settings(max_examples=300)
 def test_cmp_pow2_matches_the_full_power_at_and_near_ties(a, b, precision, offset):
     # r / 2**precision is the largest such value at most 2**(a/b): a tie when
@@ -128,7 +130,8 @@ def test_cmp_pow2_matches_the_full_power_at_and_near_ties(a, b, precision, offse
     if offset == 0 and a % b == 0:
         assert cmp_pow2(value, exponent) == 0
     assert cmp_pow2(value, exponent) == oracles.cmp_pow2(value, exponent)
-    assert cmp_pow2(1 / value, -exponent) == oracles.cmp_pow2(1 / value, -exponent)
+    if value > 0:
+        assert cmp_pow2(1 / value, -exponent) == oracles.cmp_pow2(1 / value, -exponent)
 
 
 @given(rationals, st.fractions(min_value=-40, max_value=40, max_denominator=50))
@@ -313,8 +316,11 @@ def test_log_ratio_matches_float_log():
 
 
 def test_decimal_str_formatting():
-    assert decimal_str(Decimal("1.5"), 3) == "1.500"
-    assert decimal_str(Decimal("2") / Decimal("3"), 6) == "0.666667"
+    assert decimal_str(Decimal("1.5")) == "1.500000000000"
+    assert decimal_str(Decimal("2") / Decimal("3")) == "0.666666666667"
+    # half-even at the twelfth place
+    assert decimal_str(Decimal("0.0000000000025")) == "0.000000000002"
+    assert decimal_str(Decimal("-0.0000000000035")) == "-0.000000000004"
     assert format_rational(Fraction(-3, 7)) == "-3/7"
 
 
@@ -342,6 +348,59 @@ def test_round_to_bits_is_closest(x):
     assert abs(r - x) <= scale  # coarse sanity; exactness checked at ties above
 
 
+@st.composite
+def rounding_cases(draw):
+    """(x, bits): exact half-ulp ties of odd and even mantissas, values near
+    ties, and any rationals, of either sign and far above and below 1."""
+    bits, e = draw(st.integers(1, 60)), draw(st.integers(-300, 300))
+    ulp = Fraction(2) ** (e + 1 - bits)  # of the binade [2**e, 2**(e + 1))
+    mantissa = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    kind = draw(st.sampled_from(["tie", "near", "any"]))
+    if kind == "tie":
+        x = (mantissa + Fraction(1, 2)) * ulp
+    elif kind == "near":
+        x = (mantissa + Fraction(1, 2) + draw(st.sampled_from([-1, 1])) * Fraction(
+            1, 1 << draw(st.integers(2, 80)))) * ulp
+    else:
+        x = Fraction(draw(st.integers(1, 1 << 200)), draw(st.integers(1, 1 << 200))) * 2 * ulp
+    return (-x if draw(st.booleans()) else x), bits
+
+
+@given(rounding_cases())
+@example((Fraction(17), 4))  # tie, down to the even mantissa
+@example((Fraction(-19), 4))  # tie, up to the even mantissa
+@example((Fraction(3, 2), 1))  # a one-bit tie: 2 has the even mantissa
+@example((Fraction(-1, 3), 60))
+def test_round_to_bits_matches_the_divmod_oracle(case):
+    x, bits = case
+    got = round_to_bits(x, bits)
+    assert isinstance(got, Fraction) and got == oracles.round_to_bits(x, bits)
+
+
+@given(st.integers(-300, 300), st.integers(1, 80), st.integers(1, 1 << 200),
+       st.integers(1, 1 << 200))
+@example(0, 1, 1, 1)
+def test_floor_log2_matches_cmp_pow2_at_and_beside_powers_of_two(e, j, n, d):
+    power, near = Fraction(2) ** e, Fraction(1, 1 << j)
+    # 2**e and its neighbours 2**e * (1 +- 2**-j), above and below 1
+    for value, want in [(power, e), (power * (1 + near), e), (power * (1 - near), e - 1)]:
+        assert floor_log2(value) == want
+    value = Fraction(n, d) * power
+    got = floor_log2(value)
+    assert cmp_pow2(value, got) >= 0 > cmp_pow2(value, got + 1)
+
+
+def test_floor_log2_refuses_nonpositive_values():
+    for value in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(DomainError, match="^log of a nonpositive value$"):
+            floor_log2(value)
+
+
+@given(st.integers(1, (1 << 64) - 1), st.integers(-300, 300), st.integers(1, 299))
+def test_power_bound_matches_the_squaring_loop_it_replaced(m, e, b):
+    assert numerics._power((m, e), b) == oracles.power_bound((m, e), b)
+
+
 def test_least_power_refuses_the_band_below_the_limit_at_once():
     # K = 2**20 and beta = 1 + e with K*e in [1/2, 4]: beta**K is about
     # 1.65 and 2.72, below the targets 2 and 4; the upward-rounded bound
@@ -361,7 +420,8 @@ def test_rounded_squares_are_tight_and_above():
     for beta, levels in [(Fraction(3, 2), 8), (Fraction(2**21 + 1, 2**21), 13),
                          (Fraction(9, 5), 1), (Fraction(7, 2), 6), (Fraction(8), 4),
                          (Fraction(2**48 + 1, 2**48), 12)]:
-        squares = itertools.islice(numerics._rounded_squares(beta), levels)
+        start = numerics._upper(beta.numerator, beta.denominator)
+        squares = itertools.islice(numerics._rounded_squares(start), levels)
         for i, (m, e) in enumerate(squares):
             k = 1 << i
             bound = m * Fraction(2) ** e
