@@ -11,10 +11,20 @@ interval, any word containing a 1 leaves a residual uncertainty that never
 shrinks, no matter how many bits are spent.
 
 ``push_bit`` and the cost scan walk the same integer cylinder, so neither
-touches a Fraction per bit; the scan is also the Monte-Carlo kernel.
-Under a constant threshold it pulls K bits per cylinder from the stream
-kernel's walker (``encoder._cylinders``) and takes one exact step where
-the walk stops; other thresholds take one exact step per bit.
+touches a Fraction per bit.  Under a constant threshold the scan pulls K
+bits per cylinder from the stream kernel's walker (``encoder._cylinders``)
+and takes one exact step where the walk stops; other thresholds take one
+exact step per bit.
+
+``_lockstep`` is the Monte-Carlo kernel: it gives the scan's results for a
+block of inputs, stepping all of them together.  Each lane holds
+outward-rounded int64 windows, at F fraction bits, of its state and of two
+distances d and e of its cylinder from its pending target's cell edges;
+the state window decides the bit against the threshold's window, and d and
+e rule containment out.  What they cannot rule out takes the exact cell
+test on the lane's L, P and Q, and a bit they cannot decide sends the lane
+to ``_scan`` from scratch.  Every J steps the lanes' int64 offsets fold
+into L and every window is rebuilt exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +34,17 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .encoder import ConstantThreshold, _cylinders, _kernel_plan, _Plan, _window, check_role
+import numpy as np
+
+from .encoder import (
+    _WINDOW_BITS,
+    ConstantThreshold,
+    _cylinders,
+    _kernel_plan,
+    _Plan,
+    _window,
+    check_role,
+)
 from .errors import ConfigurationError, DomainError
 from .numerics import (
     ONE,
@@ -44,7 +64,7 @@ from .numerics import (
     log_ratio_decimal,
     state_bound,
 )
-from .prng import SplitMix64
+from .prng import SplitMix64, _counter_words
 
 
 @dataclass(frozen=True)
@@ -148,10 +168,10 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
     After k bits the cylinder is [L/P, (L*(p-q) + Q*q) / (P*(p-q))] with
     P = p**k and Q = q**k, and the state is A/D = (P*x - L)/Q.
 
-    ``thresholds`` is the caller's ``_kernel_plan(beta, u)`` for a
-    constant u, or an iterable of one (numerator, denominator) pair per
-    bit, covering the largest cap, which takes one exact step on A/D per
-    bit.  With a plan, each exact step starts an ``encoder._cylinders``
+    ``thresholds`` is the caller's ``_kernel_plan(beta, u, _WINDOW_BITS)``
+    for a constant u, or an iterable of one (numerator, denominator) pair
+    per bit, covering the largest cap, which takes one exact step on A/D
+    per bit.  With a plan, each exact step starts an ``encoder._cylinders``
     walk of the outward-rounded window of 2**W * state, W the plan's own
     window width; each cylinder it yields decides K bits, and the pending
     target is tested at block ends only.  A block whose end settles it is
@@ -245,6 +265,208 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
     return results
 
 
+# a uniform process's threshold words are drawn for this many steps at a time
+_WORD_BLOCK = 32
+# a uniform draw enters its threshold window through its numerator's top bits
+_DRAW_BITS = 32
+_NEVER = 1 << 62  # the k_min of a lane that has no target left
+
+
+def _fraction_bits(beta: Fraction) -> int:
+    """F: the kernel holds 2**F * value in int64, with p * (kappa + 2) * 2**F < 2**62."""
+    return 62 - (-(-beta.numerator * (state_bound(beta) + 2) // 1)).bit_length()
+
+
+def _draw_bounds(process, keys, start: int, q: int, F: int) -> tuple:
+    """Bounds (lo, hi) on 2**F * q * u for the uniform draws u numbered start..start+_WORD_BLOCK-1.
+
+    Row i of each (_WORD_BLOCK, len(keys)) array belongs to draw start + i
+    of every key's stream.  The draw is u = lo + span * odd / 2**64 (see
+    ``encoder._Uniform``), and with h the top G = _DRAW_BITS bits of odd,
+    2**F * q * u lies in [A_lo + c_lo * h, A_hi + c_hi * (h + 1)], where
+    A = 2**F * q * lo and C = 2**(F-G) * q * span are rounded down and up.
+    """
+    G = _DRAW_BITS
+    A = q * process.lo * (1 << F)
+    C = q * (process.hi - process.lo) * Fraction(2) ** (F - G)
+    h = _counter_words(keys, start, _WORD_BLOCK).T
+    h >>= np.uint64(63 - G)
+    h = h.astype(np.int64, order="C")
+    h &= (1 << G) - 1  # odd = 2 * word + 1 mod 2**64: its top G bits are word bits 63-G..62
+    hi = h + 1
+    hi *= -(-C.numerator // C.denominator)
+    hi += -(-A.numerator // A.denominator)
+    h *= C.numerator // C.denominator
+    h += A.numerator // A.denominator
+    return h, hi
+
+
+def _lockstep(xns, precision: int, targets, beta: Fraction, process, keys=None) -> tuple:
+    """``_scan``'s results for every x = xns[i] / 2**precision, one step for all lanes at once.
+
+    Returns (ks, exceeded), one row per lane and one column per target.
+    A random threshold ``process`` draws lane i's thresholds from the
+    stream whose key is keys[i], as ``process.scaled`` would.
+
+    After k bits, let y be a lane's state, l its cylinder's lower end and a
+    the cell of order m of its pending target; d = beta**k (l - a/2**m)
+    and e = beta**k ((a+1)/2**m - l) - kappa.  The cylinder sits in the
+    cell exactly when d >= 0 and e > 0 (e >= 0 in the closed last cell),
+    and a step takes y to beta*y - b, d to beta*d + b and e to
+    beta*e + 1 - b, as (beta - 1) * kappa = 1.  A lane holds four int64
+    bounds in units of 2**-F, rounded outward at each step: y's window
+    [zlo, zhi], an upper bound on d and a lower bound on -e, the last two
+    cut at 2**F (a d or e past it stays positive).  Its bit is 1 when
+    p * zlo reaches the upper end of the window of q * 2**F * u and 0 when
+    p * zhi is below its lower end; a uniform u enters through the top
+    _DRAW_BITS bits of its numerator, drawn for _WORD_BLOCK steps at a time.
+    A lane whose bit is undecided goes to ``_scan`` from scratch.
+
+    From k_min on, a lane whose bounds do not rule containment out, or
+    that reaches its cap, takes the exact cell test on L, P = p**k and
+    Q = q**k, which settles or caps its targets as ``_scan`` does and
+    rebuilds the bounds of the next one.  Its bits fold into the int64
+    offset S <- p*S + b*q**j, j steps after a refresh, so that
+    L = L0 * p**j + Q0 * S.  Every J steps (p**J * kappa < 2**62), and
+    once half the lanes are done, a refresh folds S into L (Python ints),
+    rebuilds every window exactly and drops the finished lanes.
+    """
+    p, q = beta.numerator, beta.denominator
+    pmq = p - q
+    n, nt = len(xns), len(targets)
+    cap_max = targets[-1][1]
+    ks = np.zeros((n, nt), dtype=np.int64)
+    exceeded = np.zeros((n, nt), dtype=bool)
+    if not process.is_random:
+        us = process.realize(cap_max)  # one value, or the list every lane shares
+
+    def rescan(lanes):
+        """``_scan`` each lane from scratch."""
+        for o in lanes:
+            if isinstance(process, ConstantThreshold):
+                thresholds = _kernel_plan(beta, process.value, _WINDOW_BITS)
+            else:
+                thresholds = process.scaled(
+                    cap_max, SplitMix64(0, (), int(keys[o])) if process.is_random else None)
+            for t, res in enumerate(_scan(Fraction(xns[o], 1 << precision), targets, beta,
+                                          thresholds)):
+                ks[o, t], exceeded[o, t] = res
+        return ks, exceeded
+
+    F = _fraction_bits(beta)
+    if F < 1:  # a gain this close to 1 leaves int64 no room for a window
+        return rescan(range(n))
+    one, kappa_F = 1 << F, (q << F) // pmq
+    J = 1
+    while p ** (J + 1) * q < pmq << 62:
+        J += 1
+    q_pows = [q**j for j in range(J + 1)]
+    cap_steps = {cap for _, cap, _ in targets}
+    # per slot, and for finished (nt) and undecided (nt + 1) lanes
+    k_mins = np.array([k_min for _, _, k_min in targets] + [_NEVER] * 2)
+    caps = np.array([cap for _, cap, _ in targets] + [-1] * 2)
+    # a step floors zlo and the bound on -e and ceils zhi and the bound on d
+    ceil_rows = np.array([[0], [q - 1], [q - 1], [0]])
+    adds = np.array([[-one, 0], [-one, 0], [one, 0], [0, -one]])  # by bit: 1, 0
+    retired = np.array([0, 0, -1, -one])  # decides 0, never an event
+
+    xo = np.array(xns, dtype=object)
+    fallbacks = []
+    lane = np.arange(n)  # the lanes the arrays hold, by position in xns
+    slot = np.zeros(n, dtype=np.int64)
+    k_min, cap = k_mins[slot], caps[slot]
+    W = np.empty((4, n), dtype=np.int64)
+    S = np.zeros(n, dtype=np.int64)
+    Ls = np.zeros(n, dtype=object)
+    P0 = Q0 = 1  # p**k and q**k at the last refresh
+    k = j = 0
+    live = n
+
+    def settle(pos, L, P, Q):
+        """Exact cell tests at k for the lanes at pos, with exact L; fresh bounds on d and e."""
+        for t, (m, cap_t, k_min_t) in enumerate(targets):
+            sel = (slot[pos] == t).nonzero()[0]
+            if not sel.size:
+                continue
+            at, o = pos[sel], lane[pos[sel]]
+            Qm = Q << m
+            cell = (xo[o] >> (precision - m)) + 1  # a + 1
+            last = cell >> m  # 1 in the last cell
+            N = cell * P - (L[sel] << m)  # d = (P - N)/Qm, e = N/Qm - kappa
+            hit = np.zeros(sel.size, dtype=bool)
+            if k >= k_min_t:
+                hit = (N <= P) & (N * pmq + last > q * Qm)
+                ks[o[hit], t] = k
+            if k >= cap_t:
+                exceeded[o[~hit], t] = True
+                ks[o[~hit], t] = cap_t
+                slot[at] = t + 1
+                continue
+            slot[at[hit]] = t + 1
+            rest = ~hit
+            tq = (N[rest] << F) // Qm
+            W[2, at[rest]] = np.minimum(-((-P << F) // Qm) - tq, one)
+            W[3, at[rest]] = np.maximum(kappa_F - 1 - tq - last[rest], -one)
+
+    while True:
+        refresh = not k or j == J or 2 * live < len(lane)
+        if refresh:
+            pos = (slot < nt).nonzero()[0]
+        else:
+            events = (W[2] >= 0) & (W[3] < 0) & (k_min <= k)
+            if k in cap_steps:
+                events |= cap == k
+            pos = events.nonzero()[0]
+        if pos.size:
+            pj = p**j
+            P, Q = P0 * pj, Q0 * q_pows[j]
+            L = Ls[pos] * pj + Q0 * S[pos].astype(object)
+            settle(pos, L, P, Q)
+            done = pos[slot[pos] == nt]
+            W[:, done] = retired[:, None]
+            live -= done.size
+            k_min, cap = k_mins[slot], caps[slot]
+        if refresh:
+            keep = slot[pos] < nt
+            pos, Ls, P0, Q0, j = pos[keep], L[keep], P, Q, 0
+            lane, slot, k_min, cap, W = lane[pos], slot[pos], k_min[pos], cap[pos], W[:, pos]
+            S = np.zeros(pos.size, dtype=np.int64)
+            W[0] = ((xo[lane] * P - (Ls << precision)) << F) // (Q << precision)
+            W[1] = W[0] + 1
+            if process.is_random and k % _WORD_BLOCK:
+                block_lo, block_hi = block_lo[:, pos], block_hi[:, pos]
+        if not live:
+            break
+        if not process.is_random:
+            r, s = us[k].numerator, us[k].denominator
+            qu_lo, qu_hi = (q * r << F) // s, -((-q * r << F) // s)
+        else:
+            c = k % _WORD_BLOCK
+            if not c:
+                block_lo = block_hi = None  # the used block goes before the next is drawn
+                block_lo, block_hi = _draw_bounds(process, keys[lane], k, q, F)
+            qu_lo, qu_hi = block_lo[c], block_hi[c]
+        M = W * p
+        bit = M[0] >= qu_hi
+        undecided = bit == (M[1] < qu_lo)
+        W = (M + ceil_rows) // q + np.where(bit, adds[:, :1], adds[:, 1:])
+        np.minimum(W[2], one, out=W[2])
+        np.maximum(W[3], -one, out=W[3])
+        k += 1
+        j += 1
+        S = S * p + bit * q_pows[j]
+        if undecided.any():
+            at = undecided.nonzero()[0]
+            fallbacks += lane[at].tolist()
+            slot[at] = nt + 1
+            k_min[at], cap[at] = k_mins[-1], caps[-1]
+            W[:, at] = retired[:, None]
+            live -= at.size
+            if not live:
+                break
+    return rescan(fallbacks)
+
+
 def k_profile(
     x,
     m_values: Sequence[int],
@@ -261,7 +483,7 @@ def k_profile(
     check_thresholds(thresholds.threshold_range, state_bound(beta), ConfigurationError)
     targets = scan_targets(ms, beta, k_cap)
     if isinstance(thresholds, ConstantThreshold):
-        return _scan(x, targets, beta, _kernel_plan(beta, thresholds.value))
+        return _scan(x, targets, beta, _kernel_plan(beta, thresholds.value, _WINDOW_BITS))
     seq = thresholds.scaled(targets[-1][1], rng.derive("thresholds") if rng else None)
     return _scan(x, targets, beta, seq)
 

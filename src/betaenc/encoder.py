@@ -167,12 +167,8 @@ class _Uniform:
         """
         if rng is None:
             raise ConfigurationError(f"{self._label} process draws random values; pass rng=")
-        return self.pairs(rng.odd_numerators(64, n_steps))
-
-    def pairs(self, odds) -> list:
-        """``scaled``'s pairs for given odd numerators."""
         base, step, den = self._scale
-        return [(base + step * odd, den) for odd in odds]
+        return [(base + step * odd, den) for odd in rng.odd_numerators(64, n_steps)]
 
     @cached_property
     def _scale(self) -> tuple:
@@ -524,8 +520,11 @@ class _Plan(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _kernel_plan(beta: Fraction, u: Fraction, W: int = _WINDOW_BITS) -> _Plan:
-    """The stream kernel's constants for one (beta, u, W), W = 256 by default.
+def _kernel_plan(beta: Fraction, u: Fraction, W: int, /) -> _Plan:
+    """The stream kernel's constants for one (beta, u, W); callers pass W = _WINDOW_BITS.
+
+    W has no default and no keyword form, so every call keys the cache the
+    same way and one (beta, u, W) builds one plan.
 
     The table lists the depth-K cylinders of the state range [0, kappa),
     one entry per cylinder, lowest first.  Cylinder i holds the states x

@@ -2,12 +2,17 @@
 
 The Monte-Carlo side samples uniform inputs as full-precision dyadic
 rationals (odd numerators, so no sample ever sits on a probed cell
-boundary) and scans each orbit once with the integer kernel from
-``converter``, collecting the exact histogram of the transfer count k for
-every requested digit order m.  Each count in a report row is the samples
-below an integer cut, found by one exact power search against the
-irrational rate log2/log(beta), except the sqrt tail's two cuts on 60-digit
-decimals; logarithms appear only as 50-digit decimals in the report text.
+boundary) and collects the exact histogram of the transfer count k for
+every requested digit order m.  Samples go in lane blocks of _LANES: one
+set of uint64 array operations gives each block's keys and x numerators,
+and ``converter._lockstep`` takes one encoder step for every lane of the
+block at once on int64 windows, deciding each bit, and each containment
+it cannot rule out, on integers (a lane whose bit the window cannot decide
+is scanned again by ``converter._scan``).  Each count in a report row is
+the samples below an integer cut, found by one exact power search against
+the irrational rate log2/log(beta), or for the sqrt tail by rational
+brackets of that rate and of sqrt(m); logarithms appear only as 50-digit
+decimals in the report text.
 
 The exact side (``pm_measure_exact``) walks the prefix tree of
 ``encoder.prefix_leaves`` to every attainable bit prefix of a chosen depth
@@ -25,11 +30,11 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Optional
 
-from .converter import _scan, scan_targets
-from .encoder import ConstantThreshold, _kernel_plan, check_role, prefix_leaves
+from .converter import _lockstep, scan_targets
+from .encoder import ConstantThreshold, check_role, prefix_leaves
 from .errors import ConfigurationError, DomainError
 from .numerics import (
     as_decimal,
@@ -43,6 +48,7 @@ from .numerics import (
     cmp_pow2,
     decimal_context,
     decimal_str,
+    floor_log_ratio_sqrt,
     format_rational,
     least_power_at_least,
     log2_decimal,
@@ -156,64 +162,34 @@ class LochsReport:
         return out
 
 
-# samples whose keys and first draws are computed together; the word arrays
-# of odd_numerator_rows stay under 512 KiB whatever the precision
-_SUB_BATCH = 128
-# threshold draws past the deepest target's k_min made with the sub-batch;
-# the scan seldom needs more, and draws any further ones lazily
-_HEAD_MARGIN = 16
-
-
-def _lazy_scaled(process, rng, count: int):
-    """``count`` thresholds as integer pairs, drawn 32 at a time as they are consumed."""
-    return (pair for done in range(0, count, 32)
-            for pair in process.scaled(min(32, count - done), rng))
+# lanes ``_lockstep`` steps together: on the benchmark's lochs workload,
+# 1024 lanes took wall_s from 0.35 s to 0.135 s but raised peak RSS by 2.0 MiB
+# (5%), 512 lanes took it to 0.19 s for 1.0 MiB
+_LANES = 512
 
 
 def _chunk(exp: LochsExperiment, bounds) -> tuple:
-    """Histograms of samples start..stop-1, drawn in sub-batches.
+    """Histograms of samples start..stop-1, stepped in blocks of _LANES lanes.
 
     Sample i scans x = sub.derive("x").odd_dyadic(P) with sub =
     SplitMix64(rng_seed).derive("lochs", "sample", i); a random process
-    draws its thresholds from sub.derive("thresholds").  Each sub-batch
-    computes those keys, the x numerators and every sample's first
-    ``head`` threshold numerators as arrays; a sample's later thresholds
-    come from its own stream, positioned after the head.
+    draws its thresholds from sub.derive("thresholds").
     """
     start, stop = bounds
     targets = scan_targets(exp.m_values, exp.beta, exp.k_cap)
-    # the scan always draws up to the deepest target's k_min or its cap
-    _, cap_max, first = targets[-1]
-    process = exp.thresholds
-    if isinstance(process, ConstantThreshold):
-        thresholds = _kernel_plan(exp.beta, process.value)  # once per chunk
-    elif not process.is_random:
-        thresholds = process.scaled(cap_max)  # listed thresholds, shared by every sample
-    else:
-        head = min(first + _HEAD_MARGIN, cap_max)
     base = SplitMix64(exp.rng_seed).derive("lochs")
     precision = exp.resolved_precision()
-    den = 1 << precision
     hists = [Counter() for _ in exp.m_values]
     cap_hits = [0] * len(exp.m_values)
-    for lo in range(start, stop, _SUB_BATCH):
-        keys = base.derive_array("sample", range(lo, min(lo + _SUB_BATCH, stop)))
-        xs = odd_numerator_rows(derive_keys(keys, "x"), precision, 1)
-        if process.is_random:
-            threshold_keys = derive_keys(keys, "thresholds")
-            heads = odd_numerator_rows(threshold_keys, 64, head)
-            tail_keys = threshold_keys.tolist()
-        for j, (xn,) in enumerate(xs):
-            if process.is_random:
-                # one stream word per draw: the tail starts at word `head`
-                tail = SplitMix64(exp.rng_seed, (), tail_keys[j], head)
-                thresholds = chain(process.pairs(next(heads)),
-                                   _lazy_scaled(process, tail, cap_max - head))
-            for slot, res in enumerate(_scan(Fraction(xn, den), targets, exp.beta, thresholds)):
-                if res.exceeded:
-                    cap_hits[slot] += 1
-                else:
-                    hists[slot][res.k] += 1
+    for lo in range(start, stop, _LANES):
+        keys = base.derive_array("sample", range(lo, min(lo + _LANES, stop)))
+        xns = [xn for xn, in odd_numerator_rows(derive_keys(keys, "x"), precision, 1)]
+        if exp.thresholds.is_random:
+            keys = derive_keys(keys, "thresholds")
+        ks, exceeded = _lockstep(xns, precision, targets, exp.beta, exp.thresholds, keys)
+        for slot, hist in enumerate(hists):
+            cap_hits[slot] += int(exceeded[:, slot].sum())
+            hist.update(ks[~exceeded[:, slot], slot].tolist())
     return hists, cap_hits
 
 
@@ -221,8 +197,8 @@ def _row(exp: LochsExperiment, m: int, hist: Counter, cap_hits: int) -> dict:
     """The report row of order m, read off ``hist``, the histogram of k, sorted once.
 
     Every count is the samples below a cut, the least k where a rule starts
-    or stops holding: one ``least_power_at_least`` search, except the sqrt
-    tail's, the integers around the 60-digit decimals target_k -+ t.
+    or stops holding: one ``least_power_at_least`` search, or for the sqrt
+    tail one ``floor_log_ratio_sqrt`` bracket.
     """
     if not hist:
         return {"m": m, "samples": 0, "cap_hits": cap_hits}
@@ -272,9 +248,9 @@ def _row(exp: LochsExperiment, m: int, hist: Counter, cap_hits: int) -> dict:
         # |k - target_k| > t holds below lo and from hi on
         if exp.scaling == "sqrt":
             n_m_sq = Fraction(m)
-            t_dec = as_decimal(exp.tail_eps) * Decimal(m).sqrt()
-            centre, t = Fraction(target_k), Fraction(t_dec)
-            lo, hi = -(-(centre - t) // 1), (centre + t) // 1 + 1
+            # m*r -+ t with t = tail_eps*sqrt(m) is never an integer
+            lo = floor_log_ratio_sqrt(beta, m, -exp.tail_eps) + 1
+            hi = floor_log_ratio_sqrt(beta, m, exp.tail_eps) + 1
             n_m_label = f"sqrt({m})"
         else:
             n_m_sq = Fraction(m * m)

@@ -312,6 +312,56 @@ def least_power_at_least(
     raise DomainError("power search ran away; check arguments")
 
 
+def _ln_bounds(p: int, q: int, bits: int) -> tuple:
+    """(lo, hi) with lo <= 2**bits * ln(p/q) <= hi, for 0 < q < p <= 2q.
+
+    ln(p/q) = 2 * sum z**(2i+1) / (2i+1) with z = (p-q)/(p+q) <= 1/3.  Each
+    power is the last one times z**2, floored, so it falls short by less
+    than 1/(1 - z**2) <= 9/8, and each floored quotient by less than 3.  The
+    sum stops at the first power that floors to 0; the terms from there on
+    add up to less than (9/8)**2 < 2.
+    """
+    a, b = p - q, p + q
+    power, total, n = (a << bits) // b, 0, 0
+    while power:
+        total += power // (2 * n + 1)
+        power = power * a * a // (b * b)
+        n += 1
+    return 2 * total, 2 * (total + 3 * n + 2)
+
+
+def _isqrt(n: int) -> int:
+    """floor(sqrt(n)) for n > 0, by Newton's method from above."""
+    x = 1 << (n.bit_length() + 1) // 2
+    while (y := (x + n // x) // 2) < x:
+        x = y
+    return x
+
+
+def floor_log_ratio_sqrt(beta: Fraction, m: int, coefficient: Fraction) -> int:
+    """floor(m * log2/log(beta) + coefficient * sqrt(m)) for beta in (1, 2], decided exactly.
+
+    For rational beta in (1, 2), log2/log(beta) is transcendental
+    (Gelfond-Schneider), so the value is never an integer: rational
+    brackets of the two logs and of sqrt(m), with twice the bits each
+    round, end with both ends on one side of the integer next to it.
+    """
+    p, q = beta.numerator, beta.denominator
+    bits = 64
+    while True:
+        two_lo, two_hi = _ln_bounds(2, 1, bits)
+        beta_lo, beta_hi = _ln_bounds(p, q, bits)
+        root = _isqrt(m << 2 * bits)
+        roots = (Fraction(root, 1 << bits), Fraction(root + 1, 1 << bits))
+        if coefficient < 0:
+            roots = roots[::-1]
+        lo = m * Fraction(two_lo, beta_hi) + coefficient * roots[0]
+        hi = m * Fraction(two_hi, beta_lo) + coefficient * roots[1]
+        if lo // 1 == hi // 1:
+            return lo // 1
+        bits *= 2
+
+
 def decimal_context(prec: int):
     """A fresh ``prec``-digit decimal context, half-even with the default traps."""
     return localcontext(Context(prec=prec, rounding=ROUND_HALF_EVEN))

@@ -38,9 +38,12 @@ def _mix64(z: int) -> int:
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     """``_mix64`` on every element of a uint64 array (arithmetic wraps mod 2**64)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z = z ^ (z >> np.uint64(30))  # a fresh array; the other steps work on it in place
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _counter_words(keys: np.ndarray, start: int, count: int) -> np.ndarray:

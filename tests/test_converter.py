@@ -370,3 +370,18 @@ def test_k_profile_refuses_a_gain_process_as_thresholds():
     with pytest.raises(ConfigurationError,
                        match="^expected a threshold process, got IidSupportBetas$"):
         k_profile(F(1, 3), (4,), F(3, 2), betas)
+
+
+def test_the_stream_kernel_and_the_scan_build_one_plan():
+    """encode_bits and k_profile at one (beta, u) share a cache entry; the
+    plan's window width has no default or keyword form that would key it twice."""
+    _kernel_plan.cache_clear()
+    beta, u = F(7, 4), F(5, 4)
+    encode_bits(F(1, 3), beta, u, 300)
+    k_profile(F(1, 3), (4, 8), beta, ConstantThreshold(u))
+    info = _kernel_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    with pytest.raises(TypeError):
+        _kernel_plan(beta, u)
+    with pytest.raises(TypeError):
+        _kernel_plan(beta, u, W=256)

@@ -154,6 +154,12 @@ def test_exact_layer_uses_no_floats():
     assert float_uses((PACKAGE / "numerics.py").read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("module", ["converter.py", "lochs.py"])
+def test_digit_transfer_kernels_use_no_floats(module):
+    # the scan, the lockstep kernel and the lochs rows decide on integers too
+    assert float_uses((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
 def test_the_check_sees_float_uses():
     source = (
         "import math, os\n"

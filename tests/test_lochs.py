@@ -5,12 +5,13 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from betaenc import lochs
+from betaenc import converter, lochs
 from betaenc.converter import _scan, k_profile, scan_targets
 from betaenc.encoder import (
     _WINDOW_BITS,
@@ -24,7 +25,6 @@ from betaenc.errors import ConfigurationError, DomainError, ResourceBudgetError
 from betaenc.extract import PipelineConfig, flat_source_family
 from betaenc.lochs import (
     LochsExperiment,
-    _lazy_scaled,
     default_kbar,
     pm_bound_holds,
     pm_measure_exact,
@@ -258,60 +258,151 @@ def test_deep_reports_are_frozen(beta, seed, precision_bits, digest, workers):
     assert report_digest(exp, doc) == digest
 
 
+def count_rescans(monkeypatch) -> list:
+    """Wrap the ``_scan`` the lockstep kernel hands undecided lanes to; returns their x."""
+    rescans = []
+
+    def counted(x, *args):
+        rescans.append(x)
+        return scan(x, *args)
+
+    scan = converter._scan
+    monkeypatch.setattr(converter, "_scan", counted)
+    return rescans
+
+
+def oracle_thresholds(beta, kind, m_values, k_cap):
+    """The process of a kind, and ``oracles.lochs_histograms``' (fixed, uniform) for it.
+
+    Constant u = 1; per-sample uniform thresholds on [1, kappa], on
+    [7/6, 5/4] (a common denominator of 6*12*2**64) or on [1, 1]
+    (unreduced pairs equal to 1); or the list a seed-5 process shared.
+    """
+    kappa = state_bound(beta)
+    if kind == "constant":
+        return ConstantThreshold(1), _kernel_plan(beta, F(1), _WINDOW_BITS), None
+    if kind == "listed":
+        thresholds, _ = seeded_thresholds(beta, m_values, 5, 64)
+        return thresholds, thresholds.scaled(scan_targets(m_values, beta, k_cap)[-1][1]), None
+    lo, hi = {"uniform": (F(1), kappa), "narrow": (F(7, 6), F(5, 4)), "point": (F(1), F(1))}[kind]
+    return UniformThresholds(lo, hi), None, (lo, hi, 64)
+
+
+def assert_chunk_matches_the_oracle(exp, kind, bounds):
+    targets = scan_targets(exp.m_values, exp.beta, exp.k_cap)
+    _, fixed, uniform = oracle_thresholds(exp.beta, kind, exp.m_values, exp.k_cap)
+    hists, cap_hits = oracles.lochs_histograms(exp.rng_seed, exp.beta, targets,
+                                               exp.resolved_precision(), bounds, _scan,
+                                               fixed, uniform)
+    got_hists, got_caps = lochs._chunk(exp, bounds)
+    assert [dict(h) for h in got_hists] == hists and got_caps == cap_hits
+
+
+def kind_experiment(beta, kind, **kw) -> LochsExperiment:
+    """A LochsExperiment whose thresholds are ``oracle_thresholds``' process of ``kind``."""
+    thresholds = oracle_thresholds(beta, kind, kw["m_values"], kw.get("k_cap"))[0]
+    return LochsExperiment(beta=beta, thresholds=thresholds, **kw)
+
+
 @pytest.mark.parametrize("beta", [F(3, 2), F(9, 5)])
 @pytest.mark.parametrize("kind, k_cap", [
     ("constant", None), ("constant", 40), ("uniform", None), ("uniform", 40), ("uniform", 12),
     ("narrow", None), ("point", None), ("listed", None), ("listed", 40)])
 def test_batched_chunks_match_the_scalar_loop(beta, kind, k_cap, monkeypatch):
-    """Constant u = 1; per-sample uniform thresholds on [1, kappa], on
-    [7/6, 5/4] (a common denominator of 6*12*2**64) or on [1, 1]
-    (unreduced pairs equal to 1); or the list a seed-5 process shared.
+    """The lockstep kernel against the per-sample loop of ``_scan``.
 
-    Sub-batches of 7 split the chunk 3..26 unevenly.  Head margins of 0 and
-    -k_min (no head at all) send most samples into the lazy tail; the
-    wrapped tail counts the pairs it hands out.  A cap of 12 lies inside
-    every head but the empty one, and then no sample has a tail.
+    Lane blocks of 7 split the chunk 3..26 unevenly, and no lane leaves
+    the kernel for ``_scan``.  A cap of 12 stops every lane before the
+    deepest target's k_min.
     """
-    kappa = state_bound(beta)
-    ranges = {"uniform": (F(1), kappa), "narrow": (F(7, 6), F(5, 4)), "point": (F(1), F(1))}
-    m_values = (4, 16, 64)
-    fixed = uniform = None
-    if kind == "constant":
-        thresholds = ConstantThreshold(1)
-        fixed = _kernel_plan(beta, F(1), _WINDOW_BITS)
-    elif kind == "listed":
-        thresholds, _ = seeded_thresholds(beta, m_values, 5, 64)
-        fixed = thresholds.scaled(scan_targets(m_values, beta, k_cap)[-1][1])
-    else:
-        thresholds = UniformThresholds(*ranges[kind])
-        uniform = ranges[kind] + (64,)
-    exp = LochsExperiment(beta=beta, thresholds=thresholds, m_values=m_values,
-                          n_samples=30, rng_seed=(1 << 64) - 3, k_cap=k_cap)
-    targets = scan_targets(exp.m_values, beta, k_cap)
-    hists, cap_hits = oracles.lochs_histograms(exp.rng_seed, beta, targets,
-                                               exp.resolved_precision(), (3, 26), _scan,
+    monkeypatch.setattr(lochs, "_LANES", 7)
+    rescans = count_rescans(monkeypatch)
+    exp = kind_experiment(beta, kind, m_values=(4, 16, 64), n_samples=30,
+                          rng_seed=(1 << 64) - 3, k_cap=k_cap)
+    assert_chunk_matches_the_oracle(exp, kind, (3, 26))
+    assert not rescans
+
+
+# digit orders per gain: the kernel's windows hold F = 58, 57, 53 and 48
+# fraction bits, and refresh every 38, 19, 14 and 8 steps
+LOCKSTEP_ORDERS = {F(3, 2): (3, 12, 40), F(9, 5): (3, 12, 40), F(17, 16): (2, 5),
+                   F(101, 100): (2, 4)}
+
+
+@pytest.mark.parametrize("kind", ["constant", "uniform", "narrow", "point", "listed"])
+@pytest.mark.parametrize("beta", list(LOCKSTEP_ORDERS), ids=str)
+def test_lockstep_matches_the_scan_oracle(beta, kind, monkeypatch):
+    """Histograms and cap hits of the kernel equal the per-sample ``_scan``
+    loop at m+1, 64, 65 and 130 sample bits and caps None, 12 and 40, in
+    lane blocks of 4, 4 and 1; none of the lanes needs ``_scan``."""
+    monkeypatch.setattr(lochs, "_LANES", 4)
+    rescans = count_rescans(monkeypatch)
+    ms = LOCKSTEP_ORDERS[beta]
+    for precision_bits in (ms[-1] + 1, 64, 65, 130):
+        for k_cap in (None, 12, 40):
+            exp = kind_experiment(beta, kind, m_values=ms, n_samples=9, rng_seed=precision_bits,
+                                  precision_bits=precision_bits, k_cap=k_cap)
+            assert_chunk_matches_the_oracle(exp, kind, (0, 9))
+    assert not rescans
+
+
+@pytest.mark.parametrize("kind", ["uniform", "listed"])
+def test_two_workers_match_the_scan_oracle(kind):
+    """run_lochs with two workers gives the rows of the oracle's histograms."""
+    beta, ms = F(9, 5), (4, 16, 64)
+    exp = kind_experiment(beta, kind, m_values=ms, n_samples=37, rng_seed=19, workers=2)
+    _, fixed, uniform = oracle_thresholds(beta, kind, ms, None)
+    hists, cap_hits = oracles.lochs_histograms(exp.rng_seed, beta, scan_targets(ms, beta),
+                                               exp.resolved_precision(), (0, 37), _scan,
                                                fixed, uniform)
-    tail_pairs = []
+    rows = [lochs._row(exp, m, Counter(h), c) for m, h, c in zip(ms, hists, cap_hits)]
+    assert list(run_lochs(exp).rows) == rows
 
-    def counted_tail(*args):
-        for pair in lazy(*args):
-            tail_pairs.append(pair)
-            yield pair
 
-    lazy = lochs._lazy_scaled
-    monkeypatch.setattr(lochs, "_lazy_scaled", counted_tail)
-    monkeypatch.setattr(lochs, "_SUB_BATCH", 7)
-    for margin in (16, 0, -targets[-1][2]):
-        monkeypatch.setattr(lochs, "_HEAD_MARGIN", margin)
-        tail_pairs.clear()
-        got_hists, got_caps = lochs._chunk(exp, (3, 26))
-        assert [dict(h) for h in got_hists] == hists and got_caps == cap_hits
-        if uniform is not None and k_cap is None:
-            # with no head every sample takes at least k_min pairs from its tail
-            least = {16: 0, 0: 1}.get(margin, 23 * targets[-1][2])
-            assert len(tail_pairs) >= least
-        elif uniform is None or (k_cap == 12 and margin >= 0):
-            assert not tail_pairs
+@pytest.mark.parametrize("fraction_bits", [6, 16])
+@pytest.mark.parametrize("kind", ["constant", "uniform", "listed"])
+def test_narrow_windows_hand_lanes_to_the_scan(kind, fraction_bits, monkeypatch):
+    """With 6 or 16 fraction bits the windows straddle thresholds within a
+    few steps: the undecided lanes rescan from scratch, the rest decide
+    every bit on coarse windows, and the results do not change.  At 16 bits
+    a window whose upper ends were floored instead of ceiled gave wrong
+    histograms under u = 1."""
+    monkeypatch.setattr(converter, "_fraction_bits", lambda beta: fraction_bits)
+    monkeypatch.setattr(lochs, "_LANES", 128)
+    rescans = count_rescans(monkeypatch)
+    exp = kind_experiment(F(3, 2), kind, m_values=(4, 16, 64), n_samples=300, rng_seed=23)
+    assert_chunk_matches_the_oracle(exp, kind, (0, 300))
+    assert len(rescans) > 0
+
+
+@pytest.mark.parametrize("kind", ["constant", "uniform"])
+def test_a_gain_with_huge_terms_rescans_every_lane(kind, monkeypatch):
+    """At beta = (2**61 + 2**55 + 1)/2**61, p * (kappa + 2) passes 2**62, so
+    int64 has no room for a window: every lane goes to ``_scan``."""
+    rescans = count_rescans(monkeypatch)
+    beta = F(2**61 + 2**55 + 1, 2**61)
+    assert converter._fraction_bits(beta) < 1
+    exp = kind_experiment(beta, kind, m_values=(2, 4), n_samples=3, rng_seed=5)
+    assert_chunk_matches_the_oracle(exp, kind, (0, 3))
+    assert len(rescans) == 3
+
+
+def test_the_benchmark_configs_need_no_rescan(monkeypatch):
+    """The six lochs runs of ``perfbench`` at seed 0 (1000 samples each): no lane
+    leaves the kernel, so its windows decide every bit there."""
+    rescans = count_rescans(monkeypatch)
+    root = SplitMix64(0).derive("bench-lochs")
+    for beta in (F(3, 2), F(9, 5)):
+        kappa = state_bound(beta)
+        name = f"beta{beta.numerator}_{beta.denominator}"
+        for label, thresholds in ((".u1", ConstantThreshold(1)),
+                                  (".ukappa", ConstantThreshold(kappa)),
+                                  (".uiid", UniformThresholds(1, kappa))):
+            exp = LochsExperiment(beta=beta, thresholds=thresholds, n_samples=1000,
+                                  rng_seed=root.derive(name + label).next64())
+            hists, cap_hits = lochs._chunk(exp, (0, 1000))
+            assert sum(hists[-1].values()) == 1000 and not any(cap_hits)
+    assert not rescans
 
 
 @pytest.mark.parametrize("beta", [F(3, 2), F(9, 5)])
@@ -341,15 +432,23 @@ def test_listed_thresholds_take_the_shared_route(beta, precision_bits):
 
 @pytest.mark.parametrize("cap", [1, 31, 32, 33, 70, 502])
 def test_lazy_thresholds_match_the_fraction_oracle(cap):
-    thresholds = UniformThresholds(F(7, 6), F(5, 4))
-    expected = oracles.uniform_draws(F(7, 6), F(5, 4), 64, SplitMix64(3), cap)
-    # whatever the head drawn before it, the lazy rest continues the same
-    # counter-mode words
-    for first in (0, 1, 32, 112, 600):
-        rng = SplitMix64(3)
-        head = thresholds.scaled(min(first, cap), rng)
-        pairs = head + list(_lazy_scaled(thresholds, rng, cap - len(head)))
-        assert tuple(F(r, d) for r, d in pairs) == expected
+    """The kernel's threshold bounds, drawn one word block at a time as the
+    steps reach it, hold 2**F * q * u for each draw u of the fraction
+    oracle, within 2**_DRAW_BITS + 2**(F - _DRAW_BITS) * q * span + 2."""
+    lo, hi = F(7, 6), F(5, 4)
+    thresholds = UniformThresholds(lo, hi)
+    keys = SplitMix64(3).derive_array("sample", range(5))
+    draws = [oracles.uniform_draws(lo, hi, 64, SplitMix64(0, (), int(key)), cap) for key in keys]
+    for q, fraction_bits in ((2, 58), (5, 57), (100, 48), (2, 6)):
+        blocks = [converter._draw_bounds(thresholds, keys, start, q, fraction_bits)
+                  for start in range(0, cap, converter._WORD_BLOCK)]
+        lows = np.concatenate([b[0] for b in blocks])[:cap].T.tolist()
+        highs = np.concatenate([b[1] for b in blocks])[:cap].T.tolist()
+        scale = q * 2**fraction_bits
+        slack = (1 << converter._DRAW_BITS) + scale * (hi - lo) / 2**converter._DRAW_BITS + 2
+        for row, low, high in zip(draws, lows, highs):
+            for u, a, b in zip(row, low, high):
+                assert a <= scale * u <= b and b - a <= slack
 
 
 def test_scaling_variants():

@@ -1,11 +1,11 @@
 import itertools
 import math
 import time
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,6 +19,7 @@ from betaenc.numerics import (
     cmp_pow2,
     decimal_str,
     floor_log2,
+    floor_log_ratio_sqrt,
     format_rational,
     least_power_at_least,
     log2_decimal,
@@ -462,3 +463,37 @@ def test_least_power_band_refusal_is_exact_at_a_small_limit(den, e, coefficient,
                 least_power_at_least(beta, e, coefficient=coefficient, strict=strict)
         else:
             assert least_power_at_least(beta, e, coefficient=coefficient, strict=strict) == expected
+
+
+def wide_log_ratio_sqrt(beta, m, coefficient, digits=200) -> Decimal:
+    """m * log2/log(beta) + coefficient * sqrt(m) on ``digits``-digit decimals."""
+    ctx = Context(prec=digits)
+    ratio = ctx.divide(ctx.ln(2), ctx.subtract(ctx.ln(beta.numerator), ctx.ln(beta.denominator)))
+    t = ctx.multiply(ctx.divide(coefficient.numerator, coefficient.denominator), ctx.sqrt(m))
+    return ctx.add(ctx.multiply(m, ratio), t)
+
+
+@settings(max_examples=300)
+@given(beta=st.fractions(Fraction(1001, 1000), Fraction(1999, 1000), max_denominator=1000),
+       m=st.integers(1, 10**6),
+       coefficient=st.fractions(-1000, 1000, max_denominator=1000))
+def test_floor_log_ratio_sqrt_matches_wide_decimals(beta, m, coefficient):
+    assume(1 < beta < 2)
+    value = wide_log_ratio_sqrt(beta, m, coefficient)
+    assert floor_log_ratio_sqrt(beta, m, coefficient) == math.floor(value)
+    # the row's cut is never on an integer: 200 digits see it clear of one
+    assert abs(value - round(value)) > Decimal(10) ** -150
+
+
+@pytest.mark.parametrize("beta", [Fraction(3, 2), Fraction(9, 5), Fraction(101, 100)])
+def test_floor_log_ratio_sqrt_decides_ties_sixty_digits_miss(beta):
+    """At m = 4, sqrt(m) = 2: a coefficient that puts the value within 1e-79
+    of 100.  The 60-digit decimals the sqrt tail used to read put it on the
+    wrong side of 100 at 3/2 and 101/100; the brackets refine until they clear it."""
+    m = 4
+    ratio = wide_log_ratio_sqrt(beta, 1, Fraction(0))
+    close = Fraction(ratio.quantize(Decimal(10) ** -80, context=Context(prec=200)))
+    coefficient = (100 - m * close) / 2
+    value = wide_log_ratio_sqrt(beta, m, coefficient)
+    assert 0 < abs(value - 100) < Decimal(10) ** -79
+    assert floor_log_ratio_sqrt(beta, m, coefficient) == math.floor(value)
