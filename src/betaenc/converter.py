@@ -20,11 +20,11 @@ exact step per bit.
 block of inputs, stepping all of them together.  Each lane holds
 outward-rounded int64 windows, at F fraction bits, of its state and of two
 distances d and e of its cylinder from its pending target's cell edges;
-the state window decides the bit against the threshold's window, and d and
-e rule containment out.  What they cannot rule out takes the exact cell
-test on the lane's L, P and Q, and a bit they cannot decide sends the lane
-to ``_scan`` from scratch.  Every J steps the lanes' int64 offsets fold
-into L and every window is rebuilt exactly.
+the state window decides the bit against the threshold's window, and the
+bounds on d and e prove containment or rule it out.  What they leave open
+takes the exact cell test on the lane's L, P and Q, and a bit they cannot
+decide sends the lane to ``_scan`` from scratch.  Every J steps the lanes'
+int64 offsets fold into L and every window is rebuilt exactly.
 """
 
 from __future__ import annotations
@@ -265,8 +265,9 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
     return results
 
 
-# a uniform process's threshold words are drawn for this many steps at a time
-_WORD_BLOCK = 32
+# a uniform process's threshold words are drawn for this many steps at a time:
+# at 1024 lanes, 32 steps held the lochs benchmark's peak RSS 0.5 MiB higher
+_WORD_BLOCK = 16
 # a uniform draw enters its threshold window through its numerator's top bits
 _DRAW_BITS = 32
 _NEVER = 1 << 62  # the k_min of a lane that has no target left
@@ -304,28 +305,36 @@ def _draw_bounds(process, keys, start: int, q: int, F: int) -> tuple:
 def _lockstep(xns, precision: int, targets, beta: Fraction, process, keys=None) -> tuple:
     """``_scan``'s results for every x = xns[i] / 2**precision, one step for all lanes at once.
 
-    Returns (ks, exceeded), one row per lane and one column per target.
-    A random threshold ``process`` draws lane i's thresholds from the
-    stream whose key is keys[i], as ``process.scaled`` would.
+    Returns (ks, exceeded, proved, exact): ks and exceeded have one row per
+    lane and one column per target; proved counts the targets the int64
+    bounds settled and exact the lane tests the exact path took outside
+    refreshes.  A random threshold ``process`` draws lane i's thresholds
+    from the stream whose key is keys[i], as ``process.scaled`` would.
 
     After k bits, let y be a lane's state, l its cylinder's lower end and a
     the cell of order m of its pending target; d = beta**k (l - a/2**m)
     and e = beta**k ((a+1)/2**m - l) - kappa.  The cylinder sits in the
     cell exactly when d >= 0 and e > 0 (e >= 0 in the closed last cell),
     and a step takes y to beta*y - b, d to beta*d + b and e to
-    beta*e + 1 - b, as (beta - 1) * kappa = 1.  A lane holds four int64
+    beta*e + 1 - b, as (beta - 1) * kappa = 1.  A lane holds six int64
     bounds in units of 2**-F, rounded outward at each step: y's window
-    [zlo, zhi], an upper bound on d and a lower bound on -e, the last two
-    cut at 2**F (a d or e past it stays positive).  Its bit is 1 when
-    p * zlo reaches the upper end of the window of q * 2**F * u and 0 when
-    p * zhi is below its lower end; a uniform u enters through the top
-    _DRAW_BITS bits of its numerator, drawn for _WORD_BLOCK steps at a time.
+    [zlo, zhi] and two-sided bounds on d and on -e, cut at 2**F (a d or e
+    past it stays positive).  Its bit is 1 when p * zlo reaches the upper
+    end of the window of q * 2**F * u and 0 when p * zhi is below its lower
+    end; a uniform u enters through the top _DRAW_BITS bits of its
+    numerator, drawn for _WORD_BLOCK steps at a time.
     A lane whose bit is undecided goes to ``_scan`` from scratch.
 
-    From k_min on, a lane whose bounds do not rule containment out, or
-    that reaches its cap, takes the exact cell test on L, P = p**k and
-    Q = q**k, which settles or caps its targets as ``_scan`` does and
-    rebuilds the bounds of the next one.  Its bits fold into the int64
+    From k_min on, a lane whose bounds prove d >= 0 and e > 0 settles its
+    target at k on them.  One whose bounds straddle zero, or that reaches
+    its due step, takes the exact cell test on L, P = p**k and Q = q**k,
+    which settles or caps its targets as ``_scan`` does and rebuilds the
+    bounds of the next one; so does a lane in the closed last cell with
+    e = 0.  A lane's due step is its cap, or after a settle on its bounds,
+    which keeps the bounds of the target settled, the next target's k_min
+    if that comes first: no target settles before its k_min, which every
+    lane shares, so the next refresh or one batched exact test there
+    rebuilds the bounds in time.  Its bits fold into the int64
     offset S <- p*S + b*q**j, j steps after a refresh, so that
     L = L0 * p**j + Q0 * S.  Every J steps (p**J * kappa < 2**62), and
     once half the lanes are done, a refresh folds S into L (Python ints),
@@ -339,6 +348,7 @@ def _lockstep(xns, precision: int, targets, beta: Fraction, process, keys=None) 
     exceeded = np.zeros((n, nt), dtype=bool)
     if not process.is_random:
         us = process.realize(cap_max)  # one value, or the list every lane shares
+    proved = exact = 0
 
     def rescan(lanes):
         """``_scan`` each lane from scratch."""
@@ -351,7 +361,7 @@ def _lockstep(xns, precision: int, targets, beta: Fraction, process, keys=None) 
             for t, res in enumerate(_scan(Fraction(xns[o], 1 << precision), targets, beta,
                                           thresholds)):
                 ks[o, t], exceeded[o, t] = res
-        return ks, exceeded
+        return ks, exceeded, proved, exact
 
     F = _fraction_bits(beta)
     if F < 1:  # a gain this close to 1 leaves int64 no room for a window
@@ -361,21 +371,25 @@ def _lockstep(xns, precision: int, targets, beta: Fraction, process, keys=None) 
     while p ** (J + 1) * q < pmq << 62:
         J += 1
     q_pows = [q**j for j in range(J + 1)]
-    cap_steps = {cap for _, cap, _ in targets}
+    due_steps = {cap for _, cap, _ in targets} | {k_min for _, _, k_min in targets}
     # per slot, and for finished (nt) and undecided (nt + 1) lanes
     k_mins = np.array([k_min for _, _, k_min in targets] + [_NEVER] * 2)
     caps = np.array([cap for _, cap, _ in targets] + [-1] * 2)
-    # a step floors zlo and the bound on -e and ceils zhi and the bound on d
-    ceil_rows = np.array([[0], [q - 1], [q - 1], [0]])
-    adds = np.array([[-one, 0], [-one, 0], [one, 0], [0, -one]])  # by bit: 1, 0
-    retired = np.array([0, 0, -1, -one])  # decides 0, never an event
+    # rows: zlo, zhi, the upper and lower bounds on d, the lower and upper
+    # bounds on -e.  A step takes them to (p * row + ceil_rows) // q + b * adds:
+    # beta*y - b, beta*d + b and beta*(-e) - 1 + b, flooring the lower bounds
+    # and ceiling the upper ones
+    ceil_rows = np.array([0, q - 1, q - 1, 0, -q * one, q - 1 - q * one])[:, None]
+    adds = one * np.array([-1, -1, 1, 1, 1, 1])[:, None]
+    retired = np.array([0, 0, -1, -1, -one, -one])  # decides 0, never an event
 
     xo = np.array(xns, dtype=object)
     fallbacks = []
     lane = np.arange(n)  # the lanes the arrays hold, by position in xns
     slot = np.zeros(n, dtype=np.int64)
-    k_min, cap = k_mins[slot], caps[slot]
-    W = np.empty((4, n), dtype=np.int64)
+    # due: the step at which a lane takes the exact test whatever its bounds say
+    k_min, due = k_mins[slot], caps[slot]
+    W = np.empty((6, n), dtype=np.int64)
     S = np.zeros(n, dtype=np.int64)
     Ls = np.zeros(n, dtype=object)
     P0 = Q0 = 1  # p**k and q**k at the last refresh
@@ -404,19 +418,37 @@ def _lockstep(xns, precision: int, targets, beta: Fraction, process, keys=None) 
                 continue
             slot[at[hit]] = t + 1
             rest = ~hit
+            # tq is within a unit of 2**F * N/Qm, and the terms of P and kappa
+            # are rounded within a unit, so 2**F * d lies in [d_hi - 2, d_hi]
+            # and 2**F * -e in [e_lo, e_lo + 3]
             tq = (N[rest] << F) // Qm
-            W[2, at[rest]] = np.minimum(-((-P << F) // Qm) - tq, one)
-            W[3, at[rest]] = np.maximum(kappa_F - 1 - tq - last[rest], -one)
+            d_hi = np.minimum(-((-P << F) // Qm) - tq, one)
+            e_lo = np.maximum(kappa_F - 1 - tq - last[rest], -one)
+            W[2:, at[rest]] = d_hi, d_hi - 2, e_lo, e_lo + 3
 
     while True:
         refresh = not k or j == J or 2 * live < len(lane)
         if refresh:
             pos = (slot < nt).nonzero()[0]
         else:
-            events = (W[2] >= 0) & (W[3] < 0) & (k_min <= k)
-            if k in cap_steps:
-                events |= cap == k
+            events = (W[2] >= 0) & (W[4] < 0) & (k_min <= k)
+            if k in due_steps:
+                events |= due == k
             pos = events.nonzero()[0]
+            if pos.size:
+                sure = (W[3, pos] >= 0) & (W[5, pos] < 0) & (due[pos] > k)
+                won, pos = pos[sure], pos[~sure]
+                if won.size:
+                    ks[lane[won], slot[won]] = k
+                    slot[won] += 1
+                    proved += won.size
+                    # the bounds are still those of the target just settled:
+                    # the exact test rebuilds them at the next one's k_min or
+                    # cap, now if that has come (a finished lane retires then)
+                    k_min[won] = k_mins[slot[won]]
+                    due[won] = np.minimum(caps[slot[won]], k_min[won])
+                    pos = np.concatenate((pos, won[due[won] <= k]))
+                exact += int(np.count_nonzero(slot[pos] < nt))
         if pos.size:
             pj = p**j
             P, Q = P0 * pj, Q0 * q_pows[j]
@@ -425,11 +457,11 @@ def _lockstep(xns, precision: int, targets, beta: Fraction, process, keys=None) 
             done = pos[slot[pos] == nt]
             W[:, done] = retired[:, None]
             live -= done.size
-            k_min, cap = k_mins[slot], caps[slot]
+            k_min[pos], due[pos] = k_mins[slot[pos]], caps[slot[pos]]
         if refresh:
             keep = slot[pos] < nt
             pos, Ls, P0, Q0, j = pos[keep], L[keep], P, Q, 0
-            lane, slot, k_min, cap, W = lane[pos], slot[pos], k_min[pos], cap[pos], W[:, pos]
+            lane, slot, k_min, due, W = lane[pos], slot[pos], k_min[pos], due[pos], W[:, pos]
             S = np.zeros(pos.size, dtype=np.int64)
             W[0] = ((xo[lane] * P - (Ls << precision)) << F) // (Q << precision)
             W[1] = W[0] + 1
@@ -449,9 +481,9 @@ def _lockstep(xns, precision: int, targets, beta: Fraction, process, keys=None) 
         M = W * p
         bit = M[0] >= qu_hi
         undecided = bit == (M[1] < qu_lo)
-        W = (M + ceil_rows) // q + np.where(bit, adds[:, :1], adds[:, 1:])
-        np.minimum(W[2], one, out=W[2])
-        np.maximum(W[3], -one, out=W[3])
+        W = (M + ceil_rows) // q + bit * adds
+        np.minimum(W[2:4], one, out=W[2:4])
+        np.maximum(W[4:], -one, out=W[4:])
         k += 1
         j += 1
         S = S * p + bit * q_pows[j]
@@ -459,7 +491,7 @@ def _lockstep(xns, precision: int, targets, beta: Fraction, process, keys=None) 
             at = undecided.nonzero()[0]
             fallbacks += lane[at].tolist()
             slot[at] = nt + 1
-            k_min[at], cap[at] = k_mins[-1], caps[-1]
+            k_min[at], due[at] = k_mins[-1], caps[-1]
             W[:, at] = retired[:, None]
             live -= at.size
             if not live:

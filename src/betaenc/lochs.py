@@ -3,16 +3,17 @@
 The Monte-Carlo side samples uniform inputs as full-precision dyadic
 rationals (odd numerators, so no sample ever sits on a probed cell
 boundary) and collects the exact histogram of the transfer count k for
-every requested digit order m.  Samples go in lane blocks of _LANES: one
-set of uint64 array operations gives each block's keys and x numerators,
-and ``converter._lockstep`` takes one encoder step for every lane of the
-block at once on int64 windows, deciding each bit, and each containment
-it cannot rule out, on integers (a lane whose bit the window cannot decide
-is scanned again by ``converter._scan``).  Each count in a report row is
-the samples below an integer cut, found by one exact power search against
-the irrational rate log2/log(beta), or for the sqrt tail by rational
-brackets of that rate and of sqrt(m); logarithms appear only as 50-digit
-decimals in the report text.
+every requested digit order m.  Samples go in lane blocks of _LANES (a
+pool of workers takes whole blocks): one set of uint64 array operations
+gives each block's keys and x numerators, and ``converter._lockstep``
+takes one encoder step for every lane of the block at once, deciding
+each bit and most containments on int64 bounds and the containments
+those leave open on exact integers (a lane whose bit the bounds cannot
+decide is scanned again by ``converter._scan``).  Each count in a report
+row is the samples below an integer cut, found by one exact power search
+against the irrational rate log2/log(beta), or for the sqrt tail by
+rational brackets of that rate and of sqrt(m); logarithms appear only as
+50-digit decimals in the report text.
 
 The exact side (``pm_measure_exact``) walks the prefix tree of
 ``encoder.prefix_leaves`` to every attainable bit prefix of a chosen depth
@@ -162,10 +163,11 @@ class LochsReport:
         return out
 
 
-# lanes ``_lockstep`` steps together: on the benchmark's lochs workload,
-# 1024 lanes took wall_s from 0.35 s to 0.135 s but raised peak RSS by 2.0 MiB
-# (5%), 512 lanes took it to 0.19 s for 1.0 MiB
-_LANES = 512
+# lanes ``_lockstep`` steps together, so that the default 1000 samples take
+# one block: on the benchmark's lochs workload the kernel read wall_s
+# 0.13-0.15 s at 512 lanes and 0.105-0.12 s at 1024 lanes, for 0.6 MiB more
+# peak RSS (five alternating runs each, 2-CPU Xeon)
+_LANES = 1024
 
 
 def _chunk(exp: LochsExperiment, bounds) -> tuple:
@@ -186,7 +188,7 @@ def _chunk(exp: LochsExperiment, bounds) -> tuple:
         xns = [xn for xn, in odd_numerator_rows(derive_keys(keys, "x"), precision, 1)]
         if exp.thresholds.is_random:
             keys = derive_keys(keys, "thresholds")
-        ks, exceeded = _lockstep(xns, precision, targets, exp.beta, exp.thresholds, keys)
+        ks, exceeded, _, _ = _lockstep(xns, precision, targets, exp.beta, exp.thresholds, keys)
         for slot, hist in enumerate(hists):
             cap_hits[slot] += int(exceeded[:, slot].sum())
             hist.update(ks[~exceeded[:, slot], slot].tolist())
@@ -295,13 +297,18 @@ def _row(exp: LochsExperiment, m: int, hist: Counter, cap_hits: int) -> dict:
         }
 
 
+def _pieces(n: int, workers: int) -> list:
+    """Bounds of the pieces a pool of workers takes: whole lane blocks, or less
+    than one block each when that leaves a worker without a piece."""
+    step = min(_LANES, -(-n // workers))
+    return [(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 def run_lochs(exp: LochsExperiment) -> LochsReport:
     """Run the experiment; deterministic given the config, whatever the worker count."""
     n = exp.n_samples
     if exp.workers > 1 and n > 1:
-        pieces = min(4 * exp.workers, n)
-        step = -(-n // pieces)
-        bounds = [(i, min(i + step, n)) for i in range(0, n, step)]
+        bounds = _pieces(n, exp.workers)
         hists = [Counter() for _ in exp.m_values]
         cap_hits = [0] * len(exp.m_values)
         # imported here: loading multiprocessing costs every import of the package

@@ -120,11 +120,11 @@ def odd_numerator_rows(keys: np.ndarray, precision_bits: int, count: int, start:
             continue
         words = words.reshape(len(words), count, width)
         words[:, :, -1] &= np.uint64((1 << bits - 64 * (width - 1)) - 1)
-        size = 8 * width
-        for row in words:
-            raw = row.astype("<u8").tobytes()
+        size, row_size = 8 * width, 8 * width * count
+        raw = words.astype("<u8").tobytes()  # one copy per block, rows sliced from it
+        for r in range(len(words)):
             yield [int.from_bytes(raw[i:i + size], "little") << 1 | 1
-                   for i in range(0, len(raw), size)]
+                   for i in range(r * row_size, (r + 1) * row_size, size)]
 
 
 class SplitMix64:

@@ -271,6 +271,22 @@ def count_rescans(monkeypatch) -> list:
     return rescans
 
 
+def count_settles(monkeypatch) -> Counter:
+    """Tally, over the lockstep kernel's calls, the targets its int64 bounds
+    settle ("proved") and the lane tests its exact path takes outside a
+    refresh ("exact")."""
+    counts = Counter()
+
+    def counted(*args):
+        ks, exceeded, proved, exact = kernel(*args)
+        counts.update(proved=proved, exact=exact)
+        return ks, exceeded, proved, exact
+
+    kernel = lochs._lockstep
+    monkeypatch.setattr(lochs, "_lockstep", counted)
+    return counts
+
+
 def oracle_thresholds(beta, kind, m_values, k_cap):
     """The process of a kind, and ``oracles.lochs_histograms``' (fixed, uniform) for it.
 
@@ -375,6 +391,50 @@ def test_narrow_windows_hand_lanes_to_the_scan(kind, fraction_bits, monkeypatch)
     assert len(rescans) > 0
 
 
+@pytest.mark.parametrize("beta, fraction_bits, kind, proved, exact", [
+    (F(3, 2), 5, "constant", 27, 41),
+    (F(3, 2), 6, "constant", 44, 36), (F(3, 2), 6, "listed", 30, 41),
+    (F(3, 2), 16, "constant", 291, 185), (F(3, 2), 16, "listed", 287, 157),
+    (F(9, 5), 6, "constant", 41, 74), (F(9, 5), 6, "listed", 29, 62),
+    (F(9, 5), 16, "constant", 270, 219), (F(9, 5), 16, "listed", 262, 222)], ids=str)
+def test_coarse_bounds_take_the_exact_path(beta, fraction_bits, kind, proved, exact,
+                                           monkeypatch):
+    """With 5, 6 or 16 fraction bits the bounds on d and e often straddle
+    zero: those lanes take the exact cell test, the rest settle on their
+    bounds, and the histograms equal the scan's.  The two counts are
+    frozen, so a change to which lanes the bounds settle shows here even
+    where it leaves these results alone: a proof on d > 0 in place of
+    d >= 0 moves lanes at 5 bits and at 6 bits under listed thresholds, and
+    one on -e <= 0 in place of -e < 0 at 5 bits."""
+    monkeypatch.setattr(converter, "_fraction_bits", lambda beta: fraction_bits)
+    monkeypatch.setattr(lochs, "_LANES", 64)
+    counts = count_settles(monkeypatch)
+    exp = kind_experiment(beta, kind, m_values=(3, 6, 12), n_samples=150, rng_seed=29)
+    assert_chunk_matches_the_oracle(exp, kind, (0, 150))
+    assert counts == {"proved": proved, "exact": exact}
+
+
+@pytest.mark.parametrize("kind", ["constant", "uniform"])
+def test_full_lane_blocks_match_the_scan_oracle(kind):
+    """_LANES + 3 samples: one full lane block and one of 3 lanes."""
+    exp = kind_experiment(F(9, 5), kind, m_values=(3, 10), n_samples=lochs._LANES + 3,
+                          rng_seed=31)
+    assert_chunk_matches_the_oracle(exp, kind, (0, lochs._LANES + 3))
+
+
+@pytest.mark.parametrize("n, workers, bounds", [
+    (1000, 2, [(0, 500), (500, 1000)]),
+    (10_000, 2, [(i, min(i + 1024, 10_000)) for i in range(0, 10_000, 1024)]),
+    (2048, 3, [(0, 683), (683, 1366), (1366, 2048)]),
+    (3, 8, [(0, 1), (1, 2), (2, 3)]),
+])
+def test_workers_take_whole_lane_blocks(n, workers, bounds):
+    """run_lochs' pieces are whole lane blocks, cut smaller only when a
+    worker would otherwise get none."""
+    assert lochs._LANES == 1024
+    assert lochs._pieces(n, workers) == bounds
+
+
 @pytest.mark.parametrize("kind", ["constant", "uniform"])
 def test_a_gain_with_huge_terms_rescans_every_lane(kind, monkeypatch):
     """At beta = (2**61 + 2**55 + 1)/2**61, p * (kappa + 2) passes 2**62, so
@@ -389,8 +449,10 @@ def test_a_gain_with_huge_terms_rescans_every_lane(kind, monkeypatch):
 
 def test_the_benchmark_configs_need_no_rescan(monkeypatch):
     """The six lochs runs of ``perfbench`` at seed 0 (1000 samples each): no lane
-    leaves the kernel, so its windows decide every bit there."""
+    leaves the kernel, so its windows decide every bit there, and its int64
+    bounds settle most of the 24 000 targets without an exact test."""
     rescans = count_rescans(monkeypatch)
+    counts = count_settles(monkeypatch)
     root = SplitMix64(0).derive("bench-lochs")
     for beta in (F(3, 2), F(9, 5)):
         kappa = state_bound(beta)
@@ -403,6 +465,7 @@ def test_the_benchmark_configs_need_no_rescan(monkeypatch):
             hists, cap_hits = lochs._chunk(exp, (0, 1000))
             assert sum(hists[-1].values()) == 1000 and not any(cap_hits)
     assert not rescans
+    assert counts["proved"] > 24_000 * 4 // 5 and counts["exact"] < 24_000 // 5
 
 
 @pytest.mark.parametrize("beta", [F(3, 2), F(9, 5)])
