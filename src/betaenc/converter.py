@@ -10,11 +10,10 @@ conversion (``uncertainty_interval``): with beta known only up to an
 interval, any word containing a 1 leaves a residual uncertainty that never
 shrinks, no matter how many bits are spent.
 
-``push_bit`` and the cost scan walk the same integer cylinder, so neither
-touches a Fraction per bit.  Under a constant threshold the scan pulls K
-bits per cylinder from the stream kernel's walker (``encoder._cylinders``)
-and takes one exact step where the walk stops; other thresholds take one
-exact step per bit.
+``push_bit`` and the cost scan (``_scan``) walk the same integer
+cylinder, so neither touches a Fraction per bit: the scan takes one exact
+step per bit, reading every threshold process as the integer pairs of its
+``scaled``.
 
 ``_lockstep`` is the Monte-Carlo kernel: it gives the scan's results for a
 block of inputs, stepping all of them together.  Each lane holds
@@ -36,15 +35,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .encoder import (
-    _WINDOW_BITS,
-    ConstantThreshold,
-    _cylinders,
-    _kernel_plan,
-    _Plan,
-    _window,
-    check_role,
-)
+from .encoder import ConstantThreshold, check_role
 from .errors import ConfigurationError, DomainError
 from .numerics import (
     ONE,
@@ -168,85 +159,31 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
     After k bits the cylinder is [L/P, (L*(p-q) + Q*q) / (P*(p-q))] with
     P = p**k and Q = q**k, and the state is A/D = (P*x - L)/Q.
 
-    ``thresholds`` is the caller's ``_kernel_plan(beta, u, _WINDOW_BITS)``
-    for a constant u, or an iterable of one (numerator, denominator) pair
-    per bit, covering the largest cap, which takes one exact step on A/D
-    per bit.  With a plan, each exact step starts an ``encoder._cylinders``
-    walk of the outward-rounded window of 2**W * state, W the plan's own
-    window width; each cylinder it yields decides K bits, and the pending
-    target is tested at block ends only.  A block whose end settles it is
-    stepped again through its word for the least k (a later target its end
-    misses resumes the walk there).  A straddle, or a block that would
-    pass the cap, takes one exact step on A/D rebuilt from L, P and Q and
-    starts a new walk; a window widens by about beta per step, so it
-    straddles in the end.
+    ``thresholds`` yields one (numerator, denominator) pair per bit,
+    covering the largest cap, as a process's ``scaled`` does; each bit
+    takes one exact step on A/D.
     """
     p, q = beta.numerator, beta.denominator
     pmq = p - q
     xn, xd = x.numerator, x.denominator
-
-    plan = thresholds if isinstance(thresholds, _Plan) else None
-    if plan:
-        K, PK, QK, words, offsets, u = plan.K, plan.PK, plan.QK, plan.words, plan.offsets, plan.u
-        r, s = u.numerator, u.denominator
-    else:
-        thresholds = iter(thresholds)
+    thresholds = iter(thresholds)
     results = []
     L, P, Q, k = 0, 1, 1, 0
     A, D = xn, xd
-    walk = None  # the cylinder walk of the window of 2**W * state after k bits
-    rest = None  # the bits of a block whose end settles the pending target
     for m, cap, k_min in targets:
         a = cell_of(xn, xd, xn, xd, m)  # x's own cell: a point always has one
         hi_cell, last_cell = (a + 1) * pmq, int(a == (1 << m) - 1)
-        if rest is not None and (k1 < k_min or
-                                 cell_of(L1, P1, L1 * pmq + Q1 * q, P1 * pmq, m) != a):
-            # the settling block's end does not settle this target: skip there
-            L, P, Q, k, rest = L1, P1, Q1, k1, None
-        # cell_of(L, P, L * pmq + Q * q, P * pmq, m) == a written out: the
-        # per-step path tests it every bit (~21k tests per 1000 samples at
-        # beta = 3/2, u = 1; ~118k under u ~ U[1, 2]), and a call there took
-        # the six lochs configurations of the benchmark from a median 0.53 s
-        # to 0.57 s (16 interleaved pairs, 2-CPU Xeon, noisy)
+        # cell_of(L, P, L * pmq + Q * q, P * pmq, m) == a written out: a call
+        # at every bit made a k_cap = 20000 scan of x = 1/2 2-3x slower (2-CPU Xeon)
         while not (k >= k_min and (L << m) >= a * P
                    and ((L * pmq + Q * q) << m) < hi_cell * P + last_cell):
             if k >= cap:  # containment at k == cap still counts
                 results.append(KResult(cap, True))
                 break
-            if rest is not None:
-                # the block's end settles this target: step its word bit by
-                # bit, straight up to k_min, below which nothing settles
-                for b in rest:
-                    k += 1
-                    P *= p
-                    Q *= q
-                    L = L * p + Q * b
-                    if k >= k_min:
-                        break
-                continue
-            if walk is not None and k + K <= cap:
-                # whole blocks while the window lies in one cylinder; the
-                # target is tested at each block end only
-                for c in walk:
-                    L1, P1, Q1, k1 = L * PK + Q * offsets[c], P * PK, Q * QK, k + K
-                    if k1 >= k_min and cell_of(L1, P1, L1 * pmq + Q1 * q, P1 * pmq, m) == a:
-                        rest = iter(words[c])
-                        break
-                    L, P, Q, k = L1, P1, Q1, k1
-                    if k + K > cap:
-                        break
-                else:
-                    walk = None  # the window straddles two cylinders
-                continue
-            if plan:
-                A, D = P * xn - L * xd, Q * xd
-            else:
-                try:
-                    r, s = next(thresholds)
-                except StopIteration:
-                    raise ConfigurationError(
-                        f"threshold sequence exhausted after {k} values"
-                    ) from None
+            try:
+                r, s = next(thresholds)
+            except StopIteration:
+                raise ConfigurationError(f"threshold sequence exhausted after {k} values") from None
             k += 1
             A *= p
             D *= q
@@ -257,9 +194,6 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
                 L = L * p + Q
             else:
                 L = L * p
-            if plan:
-                lo, w = _window(A, D, plan.W)
-                walk = _cylinders(plan, lo, lo + w)
         else:
             results.append(KResult(k, False))
     return results
@@ -347,19 +281,15 @@ def _lockstep(xns, precision: int, targets, beta: Fraction, process, keys=None) 
     ks = np.zeros((n, nt), dtype=np.int64)
     exceeded = np.zeros((n, nt), dtype=bool)
     if not process.is_random:
-        us = process.realize(cap_max)  # one value, or the list every lane shares
+        us = iter(process.scaled(cap_max))  # one pair per step, the same for every lane
     proved = exact = 0
 
     def rescan(lanes):
         """``_scan`` each lane from scratch."""
         for o in lanes:
-            if isinstance(process, ConstantThreshold):
-                thresholds = _kernel_plan(beta, process.value, _WINDOW_BITS)
-            else:
-                thresholds = process.scaled(
-                    cap_max, SplitMix64(0, (), int(keys[o])) if process.is_random else None)
-            for t, res in enumerate(_scan(Fraction(xns[o], 1 << precision), targets, beta,
-                                          thresholds)):
+            x = Fraction(xns[o], 1 << precision)
+            rng = SplitMix64(0, (), int(keys[o])) if process.is_random else None
+            for t, res in enumerate(_scan(x, targets, beta, process.scaled(cap_max, rng))):
                 ks[o, t], exceeded[o, t] = res
         return ks, exceeded, proved, exact
 
@@ -470,7 +400,7 @@ def _lockstep(xns, precision: int, targets, beta: Fraction, process, keys=None) 
         if not live:
             break
         if not process.is_random:
-            r, s = us[k].numerator, us[k].denominator
+            r, s = next(us)
             qu_lo, qu_hi = (q * r << F) // s, -((-q * r << F) // s)
         else:
             c = k % _WORD_BLOCK
@@ -514,10 +444,8 @@ def k_profile(
     thresholds = check_role(ConstantThreshold(1) if thresholds is None else thresholds, "threshold")
     check_thresholds(thresholds.threshold_range, state_bound(beta), ConfigurationError)
     targets = scan_targets(ms, beta, k_cap)
-    if isinstance(thresholds, ConstantThreshold):
-        return _scan(x, targets, beta, _kernel_plan(beta, thresholds.value, _WINDOW_BITS))
-    seq = thresholds.scaled(targets[-1][1], rng.derive("thresholds") if rng else None)
-    return _scan(x, targets, beta, seq)
+    return _scan(x, targets, beta, thresholds.scaled(
+        targets[-1][1], rng.derive("thresholds") if rng else None))
 
 
 def k_of_m(

@@ -13,6 +13,7 @@ seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from bisect import bisect_right
@@ -99,6 +100,10 @@ class _One:
     def realize(self, n_steps: int, rng: Optional[SplitMix64] = None) -> tuple:
         return (self.value,) * n_steps
 
+    def scaled(self, n_steps: int, rng: Optional[SplitMix64] = None):
+        """The value n_steps times as an integer pair (num, den), lazily."""
+        return itertools.repeat(self.value.as_integer_ratio(), n_steps)
+
     def to_json(self) -> dict:
         return {"kind": self._kind, self._key: format_rational(self.value)}
 
@@ -134,6 +139,10 @@ class _Listed:
         return {"kind": "explicit", self._key + "s": [format_rational(v) for v in self.values]}
 
 
+# uniform draws leave the rng this many at a time
+_DRAW_BLOCK = 1024
+
+
 @dataclass(frozen=True)
 class _Uniform:
     """Fresh dyadic draw from [lo, hi] at every step, kept rational.
@@ -160,15 +169,19 @@ class _Uniform:
     def realize(self, n_steps: int, rng: Optional[SplitMix64] = None) -> tuple:
         return tuple(Fraction(r, d) for r, d in self.scaled(n_steps, rng))
 
-    def scaled(self, n_steps: int, rng: Optional[SplitMix64] = None) -> list:
-        """The next n_steps draws of rng as unreduced integer pairs (num, den).
+    def scaled(self, n_steps: int, rng: Optional[SplitMix64] = None):
+        """The next n_steps draws of rng as unreduced integer pairs (num, den), lazily.
 
-        Every pair shares the denominator lo_d*span_d*2**64.
+        Every pair shares the denominator lo_d*span_d*2**64.  The draws
+        leave rng _DRAW_BLOCK at a time as they are read, so a reader that
+        stops early never draws or holds the rest of a deep cap.
         """
         if rng is None:
             raise ConfigurationError(f"{self._label} process draws random values; pass rng=")
         base, step, den = self._scale
-        return [(base + step * odd, den) for odd in rng.odd_numerators(64, n_steps)]
+        blocks = (rng.odd_numerators(64, min(_DRAW_BLOCK, n_steps - i))
+                  for i in range(0, n_steps, _DRAW_BLOCK))
+        return ((base + step * odd, den) for odd in itertools.chain.from_iterable(blocks))
 
     @cached_property
     def _scale(self) -> tuple:
@@ -514,14 +527,12 @@ class _Plan(NamedTuple):
     bounds: tuple  # the cylinder table, see _kernel_plan
     words: tuple
     offsets: tuple
-    scaled: tuple
-    u: Fraction  # the constant threshold
-    W: int  # the bounds and scaled offsets are in units of 2**-W
+    scaled: tuple  # offsets * 2**W: like bounds, in units of 2**-W
 
 
 @lru_cache(maxsize=64)
 def _kernel_plan(beta: Fraction, u: Fraction, W: int, /) -> _Plan:
-    """The stream kernel's constants for one (beta, u, W); callers pass W = _WINDOW_BITS.
+    """The stream kernel's constants for one (beta, u, W), W its inner window width.
 
     W has no default and no keyword form, so every call keys the cache the
     same way and one (beta, u, W) builds one plan.
@@ -535,8 +546,8 @@ def _kernel_plan(beta: Fraction, u: Fraction, W: int, /) -> _Plan:
     hi < 2**W c', so a window [lo, hi] with bounds[i - 1] <= lo and hi <
     bounds[i] lies in cylinder i exactly.  Its states then emit the K bytes
     words[i] and move to (PK * x - offsets[i]) / QK with PK = p**K and QK =
-    q**K; scaled[i] is offsets[i] * 2**W.  Both table kernels walk it
-    through ``_cylinders``, on windows of 2**W * state at the plan's own W.
+    q**K; scaled[i] is offsets[i] * 2**W.  ``_stream_kernel`` walks it
+    through ``_cylinders``, on windows of 2**W * state.
     """
     p, q = beta.numerator, beta.denominator
     # an inner block widens the window by about beta per step: stop while
@@ -562,7 +573,7 @@ def _kernel_plan(beta: Fraction, u: Fraction, W: int, /) -> _Plan:
                  tuple(-((-lo << W) // unit) for lo in lows[1:])
                  + ((q // (p - q) + 2) << (W + 4),),
                  tuple(digits[i:i + K] for i in range(0, len(digits), K)), offsets,
-                 tuple(o << W for o in offsets), u, W)
+                 tuple(o << W for o in offsets))
 
 
 def _cylinders(plan: _Plan, lo: int, hi: int):
@@ -596,7 +607,7 @@ def _stream_kernel(x0: Fraction, beta: Fraction, u: Fraction, n_bits: int,
     """
     p, q = beta.numerator, beta.denominator
     r, s = u.numerator, u.denominator
-    K, k_blk, k_mid, PK, QK, _, words, offsets, _, _, _ = plan = _kernel_plan(beta, u, W)
+    K, k_blk, k_mid, PK, QK, _, words, offsets, _ = plan = _kernel_plan(beta, u, W)
     W2 = _MID_FACTOR * W
     drop = W2 - W
 

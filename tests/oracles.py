@@ -292,8 +292,9 @@ def scan_steps(x, targets, beta, u_iter) -> list:
     beta = p/q; a target settles at the least k whose cylinder sits in
     x's order-m dyadic cell (half-open, the last cell closed), or at its
     cap.  ``u_iter`` yields one (numerator, denominator) threshold per
-    bit.  This is the per-step loop the cylinder-table scan replaced for
-    constant thresholds.
+    bit.  Written apart from ``converter._scan``, which takes the same
+    exact step per bit, as the slow path the scan and the lockstep kernel
+    are checked against.
     """
     x, beta = Fraction(x), Fraction(beta)
     p, q = beta.numerator, beta.denominator

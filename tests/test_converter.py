@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,6 @@ from betaenc.encoder import (
     IidSupportBetas,
     UniformBetas,
     UniformThresholds,
-    _kernel_plan,
     encode,
     encode_bits,
 )
@@ -191,6 +191,25 @@ def test_k_profile_draws_thresholds_from_the_callers_rng(beta, lo, hi):
     assert [tuple(r) for r in results] == want
 
 
+@pytest.mark.parametrize("thresholds, k_cap", [(UniformThresholds(1, 2), 10**7),
+                                               (ConstantThreshold(1), 10**8)],
+                         ids=["uniform", "constant"])
+def test_a_huge_cap_holds_only_the_thresholds_the_scan_reads(thresholds, k_cap):
+    """Thresholds reach the scan lazily: at a cap of 10**7 or 10**8 the
+    profile is the one at a cap of 1000, and the scan's memory stays small.
+    Uniform draws made for the whole cap up front took 555 MiB at 3 * 10**6."""
+    args = (F(1, 3), (4, 64), F(3, 2), thresholds)
+    want = k_profile(*args, k_cap=1000, rng=SplitMix64(1))
+    tracemalloc.start()
+    try:
+        got = k_profile(*args, k_cap=k_cap, rng=SplitMix64(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and not any(r.exceeded for r in got)
+    assert peak < 4 << 20
+
+
 # every entry point that draws refuses a random process with no rng, naming its role
 NO_RNG_CALLS = {
     "encode-uniform-gains": (lambda: encode(F(1, 2), UniformBetas(F(3, 2), F(9, 5)),
@@ -231,9 +250,9 @@ def scan_cases(draw):
     return x, beta, u, ms, k_cap
 
 
-@given(scan_cases(), st.integers(0, 1 << 32), st.sampled_from([16, 64, 256, 1024]))
+@given(scan_cases(), st.integers(0, 1 << 32))
 @settings(max_examples=150, deadline=None)
-def test_scan_matches_the_per_step_oracle(case, seed, window_bits):
+def test_scan_matches_the_per_step_oracle(case, seed):
     x, beta, u, ms, k_cap = case
     constant = (u.numerator, u.denominator)
     # the drawn cap, and caps one below and at each uncapped answer
@@ -241,11 +260,11 @@ def test_scan_matches_the_per_step_oracle(case, seed, window_bits):
     for cap in {k_cap} | {k + d for k, _ in uncapped for d in (-1, 0) if k + d >= 1}:
         targets = scan_targets(ms, beta, cap)
         want = oracles.scan_steps(x, targets, beta, itertools.repeat(constant))
-        plan = _kernel_plan(beta, u, window_bits)
-        assert [tuple(r) for r in _scan(x, targets, beta, plan)] == want, cap
-    # uniform thresholds take the per-step path through the same entry point
+        got = _scan(x, targets, beta, ConstantThreshold(u).scaled(targets[-1][1]))
+        assert [tuple(r) for r in got] == want, cap
+    # uniform thresholds take the same entry point
     targets = scan_targets(ms, beta, k_cap)
-    pairs = UniformThresholds(1, 1 / (beta - 1)).scaled(targets[-1][1], SplitMix64(seed))
+    pairs = list(UniformThresholds(1, 1 / (beta - 1)).scaled(targets[-1][1], SplitMix64(seed)))
     want = oracles.scan_steps(x, targets, beta, iter(pairs))
     assert [tuple(r) for r in _scan(x, targets, beta, iter(pairs))] == want
     # the last target settles at the last bit drawn: one draw fewer runs out
@@ -370,18 +389,3 @@ def test_k_profile_refuses_a_gain_process_as_thresholds():
     with pytest.raises(ConfigurationError,
                        match="^expected a threshold process, got IidSupportBetas$"):
         k_profile(F(1, 3), (4,), F(3, 2), betas)
-
-
-def test_the_stream_kernel_and_the_scan_build_one_plan():
-    """encode_bits and k_profile at one (beta, u) share a cache entry; the
-    plan's window width has no default or keyword form that would key it twice."""
-    _kernel_plan.cache_clear()
-    beta, u = F(7, 4), F(5, 4)
-    encode_bits(F(1, 3), beta, u, 300)
-    k_profile(F(1, 3), (4, 8), beta, ConstantThreshold(u))
-    info = _kernel_plan.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    with pytest.raises(TypeError):
-        _kernel_plan(beta, u)
-    with pytest.raises(TypeError):
-        _kernel_plan(beta, u, W=256)

@@ -18,6 +18,7 @@ from betaenc.encoder import (
     IidSupportBetas,
     UniformBetas,
     UniformThresholds,
+    _DRAW_BLOCK,
     _cylinders,
     _kernel_plan,
     _map_window,
@@ -616,6 +617,35 @@ def test_uniform_integer_draws_match_the_fraction_oracle(case, chunks, seed):
     assert tuple(F(r, d) for r, d in pairs) == expected
     rng = SplitMix64(seed)
     assert tuple(v for n in chunks for v in process.realize(n, rng)) == expected
+
+
+def test_uniform_draws_leave_the_rng_in_blocks():
+    """A long ``scaled`` run draws a block at a time, with the values of one
+    batch of draws; it refuses a missing rng when called, not when read."""
+    process, n = UniformThresholds(F(7, 6), F(5, 4)), 2 * _DRAW_BLOCK + 5
+    draws = process.scaled(n, SplitMix64(3))
+    assert [F(r, d) for r, d in draws] == list(oracles.uniform_draws(
+        F(7, 6), F(5, 4), 64, SplitMix64(3), n))
+    rng = SplitMix64(3)
+    next(process.scaled(n, rng))
+    assert rng.next64() == SplitMix64(3).next64_array(_DRAW_BLOCK + 1)[-1]
+    with pytest.raises(ConfigurationError, match="pass rng=$"):
+        process.scaled(n)
+
+
+def test_the_kernel_plan_takes_its_window_width_positionally():
+    """Two encode_bits runs at one (beta, u) share a cache entry; the plan's
+    window width has no default or keyword form that would key it twice."""
+    _kernel_plan.cache_clear()
+    beta, u = F(7, 4), F(5, 4)
+    encode_bits(F(1, 3), beta, u, 300)
+    encode_bits(F(2, 3), beta, u, 300)
+    info = _kernel_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    with pytest.raises(TypeError):
+        _kernel_plan(beta, u)
+    with pytest.raises(TypeError):
+        _kernel_plan(beta, u, W=256)
 
 
 def test_encode_refuses_processes_in_the_wrong_role():

@@ -208,6 +208,40 @@ def test_the_check_sees_package_imports():
     ]
 
 
+def private_imports(source: str, module: str) -> list:
+    """'name (line n)' for each _-prefixed name imported from the package's ``module``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
+                (1, module), (0, f"betaenc.{module}")):
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.startswith("_")]
+    return found
+
+
+def test_the_converter_imports_no_private_encoder_name():
+    # the digit-transfer scan reads thresholds through the processes' scaled(),
+    # not through the stream kernel's cylinder table
+    source = (PACKAGE / "converter.py").read_text(encoding="utf-8")
+    assert private_imports(source, "encoder") == []
+
+
+def test_the_check_sees_private_imports():
+    source = (
+        "from .encoder import ConstantThreshold, _Plan\n"
+        "from betaenc.encoder import _window as w\n"
+        "from .numerics import _rounded\n"
+        "from ..encoder import _far\n"
+        "def f():\n"
+        "    from . import encoder\n"
+        "    from .encoder import (_cylinders,\n"
+        "                          check_role)\n"
+    )
+    assert private_imports(source, "encoder") == [
+        "_Plan (line 1)", "_window (line 2)", "_cylinders (line 7)",
+    ]
+
+
 def test_importing_the_package_loads_no_worker_pool():
     # run_lochs imports its process pool only when it starts workers
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}

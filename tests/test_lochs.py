@@ -13,14 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from betaenc import converter, lochs
 from betaenc.converter import _scan, k_profile, scan_targets
-from betaenc.encoder import (
-    _WINDOW_BITS,
-    ConstantThreshold,
-    ExplicitThresholds,
-    FixedBeta,
-    UniformThresholds,
-    _kernel_plan,
-)
+from betaenc.encoder import ConstantThreshold, ExplicitThresholds, FixedBeta, UniformThresholds
 from betaenc.errors import ConfigurationError, DomainError, ResourceBudgetError
 from betaenc.extract import PipelineConfig, flat_source_family
 from betaenc.lochs import (
@@ -295,11 +288,11 @@ def oracle_thresholds(beta, kind, m_values, k_cap):
     (unreduced pairs equal to 1); or the list a seed-5 process shared.
     """
     kappa = state_bound(beta)
-    if kind == "constant":
-        return ConstantThreshold(1), _kernel_plan(beta, F(1), _WINDOW_BITS), None
-    if kind == "listed":
-        thresholds, _ = seeded_thresholds(beta, m_values, 5, 64)
-        return thresholds, thresholds.scaled(scan_targets(m_values, beta, k_cap)[-1][1]), None
+    cap = scan_targets(m_values, beta, k_cap)[-1][1]
+    if kind in ("constant", "listed"):
+        thresholds = (ConstantThreshold(1) if kind == "constant"
+                      else seeded_thresholds(beta, m_values, 5, 64)[0])
+        return thresholds, list(thresholds.scaled(cap)), None  # every sample reads the list
     lo, hi = {"uniform": (F(1), kappa), "narrow": (F(7, 6), F(5, 4)), "point": (F(1), F(1))}[kind]
     return UniformThresholds(lo, hi), None, (lo, hi, 64)
 
