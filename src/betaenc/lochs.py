@@ -10,10 +10,11 @@ takes one encoder step for every lane of the block at once, deciding
 each bit and most containments on int64 bounds and the containments
 those leave open on exact integers (a lane whose bit the bounds cannot
 decide is scanned again by ``converter._scan``).  Each count in a report
-row is the samples below an integer cut, found by one exact power search
-against the irrational rate log2/log(beta), or for the sqrt tail by
-rational brackets of that rate and of sqrt(m); logarithms appear only as
-50-digit decimals in the report text.
+row is the samples below an integer cut against the irrational rate
+log2/log(beta), decided exactly on the integer brackets of log2 that
+``numerics`` keeps: one power search per cut, or for the sqrt tail one
+bracket of the rate and of sqrt(m); logarithms appear only as 50-digit
+decimals in the report text.
 
 The exact side (``pm_measure_exact``) walks the prefix tree of
 ``encoder.prefix_leaves`` to every attainable bit prefix of a chosen depth

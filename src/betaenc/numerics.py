@@ -17,9 +17,10 @@ Conventions, fixed once here and used everywhere:
 * Expansion cylinders are the closed intervals
   ``[sum b_i beta^-i, sum b_i beta^-i + beta^-k/(beta-1)]``.
 * ``floor_log2`` is the one floor(log2) of a rational (the extraction
-  budget and ``round_to_bits`` ask it), ``_rounded_squares`` the one
-  squaring loop (``cmp_pow2`` and ``least_power_at_least`` read it), and
-  report decimals are ``decimal_str``'s, half-even at 12 places.
+  budget, ``round_to_bits`` and ``cmp_pow2`` ask it), ``_log2_bounds``
+  the one integer bracket of a log2 (``cmp_pow2``, ``least_power_at_least``
+  and ``floor_log_ratio_sqrt`` read it), and report decimals are
+  ``decimal_str``'s, half-even at 12 places.
 """
 
 from __future__ import annotations
@@ -172,22 +173,29 @@ def floor_log2(value: Fraction) -> int:
 def cmp_pow2(value: Fraction, exponent: Union[Fraction, int]) -> int:
     """Exact sign of value - 2**exponent for rational value and exponent.
 
-    With exponent a/b this is the sign of value**b - 2**a.  For b > 1,
-    64-bit upper bounds on value**b and on value**-b decide it first; they
-    exceed them by a factor of about 1 + 2b/2**62 at most, so value**b
-    itself is formed only on a near-tie.
+    An integer exponent a is decided by ``floor_log2``; when that is a,
+    value is 2**a exactly if it is a power of two, so no |a|-bit integer is
+    formed.  For an exponent a/b with b > 1, 2**(a/b) is irrational, so
+    b * log2(value) is never a, and a 64-bit ``_log2_bounds`` bracket
+    decides it unless it is a near-tie; only then is value**b compared
+    with 2**a.
     """
     value = as_fraction(value)
     if value <= 0:
         return -1
     e = as_fraction(exponent)
     a, b = e.numerator, e.denominator
-    if b > 1:
-        p, q = value.numerator, value.denominator
-        if _sign(_power(_upper(p, q), b), a) < 0:
-            return -1
-        if _sign(_power(_upper(q, p), b), -a) < 0:  # (1/value)**b < 2**-a
-            return 1
+    if b == 1:
+        n, d = value.numerator, value.denominator
+        t = floor_log2(value)
+        if t != a:
+            return 1 if t > a else -1
+        return 0 if n & (n - 1) == 0 == d & (d - 1) else 1
+    lo, hi = _log2_bounds(value, 64)
+    if b * lo > a << 64:
+        return 1
+    if b * hi < a << 64:
+        return -1
     powed = value**b
     num, den = powed.numerator, powed.denominator
     if a >= 0:
@@ -200,56 +208,6 @@ def cmp_pow2(value: Fraction, exponent: Union[Fraction, int]) -> int:
 _POWER_SEARCH_LIMIT = 1 << 20
 
 
-def _times(a: tuple, b: tuple) -> tuple:
-    """(m, e) with m * 2**e >= a[0] * 2**a[1] * b[0] * 2**b[1], m rounded up to 64 bits."""
-    m, e = a[0] * b[0], a[1] + b[1]
-    drop = m.bit_length() - 64
-    return (-(-m >> drop), e + drop) if drop > 0 else (m, e)
-
-
-def _upper(p: int, q: int) -> tuple:
-    """A short (m, e) with m * 2**e >= p/q > 0."""
-    shift = 66 + q.bit_length() - p.bit_length()  # a quotient of 66 or 67 bits
-    m = -(-(p << shift) // q) if shift >= 0 else -(-p // (q << -shift))
-    return _times((m, -shift), (1, 0))
-
-
-def _power(bound: tuple, b: int) -> tuple:
-    """A short (m, e) with m * 2**e >= (bound[0] * 2**bound[1])**b, for b >= 1.
-
-    The product of the rounded squares that b's set bits select, lowest first.
-    """
-    result = (1, 0)
-    for square in _rounded_squares(bound):
-        if b & 1:
-            result = _times(result, square)
-        b >>= 1
-        if not b:
-            return result
-
-
-def _sign(bound: tuple, a: int) -> int:
-    """Exact sign of m * 2**e - 2**a for a bound (m, e) with m >= 1."""
-    m, e = bound
-    if a < e:
-        return 1
-    if a - e >= m.bit_length():
-        return -1
-    t = 1 << (a - e)
-    return (m > t) - (m < t)
-
-
-def _rounded_squares(bound: tuple):
-    """Short (m, e) with m * 2**e >= x**(2**i), i = 0, 1, ..., from such a bound on x.
-
-    Each square is rounded up to 64 bits, so from a 64-bit bound the i-th
-    exceeds x**(2**i) by a factor of at most about 1 + 4 * 2**i / 2**64.
-    """
-    while True:
-        yield bound
-        bound = _times(bound, bound)
-
-
 def least_power_at_least(
     beta: Fraction,
     exponent2: Union[Fraction, int],
@@ -260,15 +218,14 @@ def least_power_at_least(
     """Least k >= 0 with coefficient * beta**k >= 2**exponent2 (or > if strict).
 
     This is the exact evaluation of ceilings like ``ceil(s * log2/log(beta))``
-    without touching floating point.  Upward-rounded 64-bit bounds on
-    beta**(2**i) are squared until one carries the coefficient past the
-    target; k is then lifted from the top level down, taking a step of 2**i
-    only while the bound on coefficient * beta**(k + 2**i) misses the target.
-    So every k up to the lifted one misses.  The bounds exceed beta**k by
-    a factor of at most about 1 + 4k/2**64, so exact ``cmp_pow2`` steps
-    from the lifted k + 1 prove the answer in one or two tests unless
-    beta - 1 is below about 4k/2**64.  Answers above K = 2**20 are
-    refused; when the lifting reaches K no exact power is formed.
+    without touching floating point.  When k = 0 misses, the answer is the
+    least integer at least t = (exponent2 - log2(coefficient)) / log2(beta),
+    or above t if strict.  ``_log2_bounds`` brackets t with twice the bits
+    each round until the bracket holds one answer.  Answers above K = 2**20
+    are refused once the bracket's lower end rules out every k <= K.  Only
+    a tie (t an integer) or a near-tie, where a bracket narrower than 1
+    still holds two answers, forms exact powers: at most two ``cmp_pow2``
+    tests from the least answer the bracket allows.
     """
     beta = as_fraction(beta)
     coefficient = as_fraction(coefficient)
@@ -280,33 +237,30 @@ def least_power_at_least(
         c = cmp_pow2(value, exponent2)
         return c > 0 or (c == 0 and not strict)
 
-    # for an int t, t <= exponent2 iff t <= floor and t > exponent2 iff t > floor
-    floor = exponent2.numerator // exponent2.denominator
-
-    def misses(bound: tuple) -> bool:
-        m, e = bound
-        top = e + m.bit_length()  # 2**(top - 1) <= m * 2**e < 2**top
-        if top <= floor:
-            return True
-        if top - 1 > floor:
-            return False
-        return not meets(Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e))
+    def answer(t: Fraction) -> int:
+        return t // 1 + 1 if strict else -(-t // 1)
 
     if meets(coefficient):
         return 0
     limit = _POWER_SEARCH_LIMIT
-    lifted, k, squares = _upper(coefficient.numerator, coefficient.denominator), 0, []
-    for square in _rounded_squares(_upper(beta.numerator, beta.denominator)):
-        squares.append(square)
-        if 1 << len(squares) > limit or not misses(_times(lifted, square)):
+    a, b = exponent2.numerator, exponent2.denominator
+    bits = 64
+    while True:
+        c_lo, c_hi = _log2_bounds(coefficient, bits)
+        beta_lo, beta_hi = _log2_bounds(beta, bits)
+        # k = 0 misses, so t >= 0
+        t_lo = Fraction(max((a << bits) - b * c_hi, 0), b * beta_hi)
+        k = answer(t_lo)
+        if k > limit:
             break
-    for i in reversed(range(len(squares))):
-        step = _times(lifted, squares[i])
-        if misses(step):
-            lifted, k = step, k + (1 << i)
-    # every k' <= k misses even by an upper bound, so exact tests start at k + 1
-    while k < limit:
-        k += 1
+        if beta_lo > 0:
+            t_hi = Fraction((a << bits) - b * c_lo, b * beta_lo)
+            if answer(t_hi) == k:
+                return k
+            if t_hi - t_lo < 1:
+                break
+        bits *= 2
+    for k in range(max(k, 1), limit + 1):
         if meets(coefficient * beta**k):
             return k
     raise DomainError("power search ran away; check arguments")
@@ -330,6 +284,30 @@ def _ln_bounds(p: int, q: int, bits: int) -> tuple:
     return 2 * total, 2 * (total + 3 * n + 2)
 
 
+def _log2_bounds(value: Fraction, bits: int) -> tuple:
+    """(lo, hi) with lo <= 2**bits * log2(value) <= hi, for a positive rational.
+
+    value = 2**t * w with t = floor_log2(value) and 1 <= w < 2; a power of
+    two gives lo == hi == t * 2**bits, and otherwise log2(w) lies between
+    the quotients of the ``_ln_bounds`` brackets of ln(w) and ln(2), taken
+    at s = bits + 8 bits so that the two ends are a few units apart.  A w
+    with terms longer than s bits is first cut to s bits, f/2**s <= w <
+    (f + 1)/2**s, which adds less than 1/f <= 2**-s to ln(w): one unit on
+    the upper end, added every time.
+    """
+    t = floor_log2(value)
+    p, q = value.numerator, value.denominator
+    p, q = (p, q << t) if t >= 0 else (p << -t, q)
+    if p == q:
+        return t << bits, t << bits
+    s = bits + 8
+    if q.bit_length() > s:
+        p, q = (p << s) // q, 1 << s
+    ln_lo, ln_hi = _ln_bounds(p, q, s)
+    two_lo, two_hi = _ln_bounds(2, 1, s)
+    return (t << bits) + (ln_lo << bits) // two_hi, (t << bits) - (-(ln_hi + 1) << bits) // two_lo
+
+
 def _isqrt(n: int) -> int:
     """floor(sqrt(n)) for n > 0, by Newton's method from above."""
     x = 1 << (n.bit_length() + 1) // 2
@@ -343,22 +321,21 @@ def floor_log_ratio_sqrt(beta: Fraction, m: int, coefficient: Fraction) -> int:
 
     For rational beta in (1, 2), log2/log(beta) is transcendental
     (Gelfond-Schneider), so the value is never an integer: rational
-    brackets of the two logs and of sqrt(m), with twice the bits each
+    brackets of log2(beta) and of sqrt(m), with twice the bits each
     round, end with both ends on one side of the integer next to it.
     """
-    p, q = beta.numerator, beta.denominator
     bits = 64
     while True:
-        two_lo, two_hi = _ln_bounds(2, 1, bits)
-        beta_lo, beta_hi = _ln_bounds(p, q, bits)
+        log_lo, log_hi = _log2_bounds(beta, bits)
         root = _isqrt(m << 2 * bits)
         roots = (Fraction(root, 1 << bits), Fraction(root + 1, 1 << bits))
         if coefficient < 0:
             roots = roots[::-1]
-        lo = m * Fraction(two_lo, beta_hi) + coefficient * roots[0]
-        hi = m * Fraction(two_hi, beta_lo) + coefficient * roots[1]
-        if lo // 1 == hi // 1:
-            return lo // 1
+        if log_lo > 0:
+            lo = Fraction(m << bits, log_hi) + coefficient * roots[0]
+            hi = Fraction(m << bits, log_lo) + coefficient * roots[1]
+            if lo // 1 == hi // 1:
+                return lo // 1
         bits *= 2
 
 

@@ -508,29 +508,6 @@ def least_power_at_least(beta, exponent2, coefficient=ONE, strict=False, limit=1
             raise ValueError(f"no power up to {limit}")
 
 
-def _times_up(a: tuple, b: tuple) -> tuple:
-    """(m, e) with m * 2**e >= a[0] * 2**a[1] * b[0] * 2**b[1], m rounded up to 64 bits."""
-    m, e = a[0] * b[0], a[1] + b[1]
-    drop = m.bit_length() - 64
-    return (-(-m >> drop), e + drop) if drop > 0 else (m, e)
-
-
-def power_bound(bound: tuple, b: int) -> tuple:
-    """A short (m, e) with m * 2**e >= (bound[0] * 2**bound[1])**b, by squaring.
-
-    Each product is rounded up to 64 bits.  This is the loop the package's
-    power bound replaced by a walk over its one squaring loop.
-    """
-    result = (1, 0)
-    while True:
-        if b & 1:
-            result = _times_up(result, bound)
-        b >>= 1
-        if not b:
-            return result
-        bound = _times_up(bound, bound)
-
-
 def round_to_bits(x, bits: int) -> Fraction:
     """Nearest value with ``bits`` significant binary digits, ties to the even mantissa.
 

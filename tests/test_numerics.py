@@ -1,6 +1,6 @@
-import itertools
 import math
 import time
+import tracemalloc
 from decimal import Context, Decimal
 from fractions import Fraction
 
@@ -138,6 +138,28 @@ def test_cmp_pow2_matches_the_full_power_at_and_near_ties(a, b, precision, offse
 @given(rationals, st.fractions(min_value=-40, max_value=40, max_denominator=50))
 def test_cmp_pow2_matches_the_full_power(value, exponent):
     assert cmp_pow2(value, exponent) == oracles.cmp_pow2(value, exponent)
+
+
+@pytest.mark.parametrize("a", [10**8, -10**8])
+def test_cmp_pow2_decides_a_huge_integer_exponent_without_its_power(a):
+    # 2**a itself would be a 10**8-bit integer: 12.5 MB
+    tracemalloc.start()
+    try:
+        got = cmp_pow2(Fraction(1, 3), a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (1 if a < 0 else -1)
+    assert peak < 1 << 20
+
+
+def test_cmp_pow2_ties_at_integer_exponents():
+    for a in range(-70, 71):
+        power = Fraction(2) ** a
+        assert cmp_pow2(power, a) == 0
+        assert cmp_pow2(power * Fraction(3, 2), a) == 1 == -cmp_pow2(power * Fraction(3, 4), a)
+        # an odd numerator or denominator at floor_log2 == a is never a power of two
+        assert cmp_pow2(power * Fraction(2**40 + 1, 2**40), a) == 1
 
 
 def test_least_power_forms_no_full_power_to_decide_its_last_step():
@@ -397,11 +419,6 @@ def test_floor_log2_refuses_nonpositive_values():
             floor_log2(value)
 
 
-@given(st.integers(1, (1 << 64) - 1), st.integers(-300, 300), st.integers(1, 299))
-def test_power_bound_matches_the_squaring_loop_it_replaced(m, e, b):
-    assert numerics._power((m, e), b) == oracles.power_bound((m, e), b)
-
-
 def test_least_power_refuses_the_band_below_the_limit_at_once():
     # K = 2**20 and beta = 1 + e with K*e in [1/2, 4]: beta**K is about
     # 1.65 and 2.72, below the targets 2 and 4; the upward-rounded bound
@@ -417,19 +434,6 @@ def test_least_power_refuses_the_band_below_the_limit_at_once():
     assert time.perf_counter() - start < 1
 
 
-def test_rounded_squares_are_tight_and_above():
-    for beta, levels in [(Fraction(3, 2), 8), (Fraction(2**21 + 1, 2**21), 13),
-                         (Fraction(9, 5), 1), (Fraction(7, 2), 6), (Fraction(8), 4),
-                         (Fraction(2**48 + 1, 2**48), 12)]:
-        start = numerics._upper(beta.numerator, beta.denominator)
-        squares = itertools.islice(numerics._rounded_squares(start), levels)
-        for i, (m, e) in enumerate(squares):
-            k = 1 << i
-            bound = m * Fraction(2) ** e
-            assert beta**k <= bound < beta**k * (1 + Fraction(4 * k + 4, 2**64))
-            assert m.bit_length() <= 64
-
-
 def test_least_power_near_one_is_proved_by_two_exact_comparisons():
     # 64 * log2 / log(1 + 1/4096) is about 181727; each exact power there has
     # over two million bits, so the time bound allows only a few of them
@@ -439,6 +443,70 @@ def test_least_power_near_one_is_proved_by_two_exact_comparisons():
     assert time.perf_counter() - start < 2
     assert k == 181727
     assert cmp_pow2(beta**k, 64) >= 0 > cmp_pow2(beta ** (k - 1), 64)
+
+
+ONE = Fraction(1)
+
+
+def count_exact_tests(patch) -> list:
+    """Count the ``cmp_pow2`` calls the power search makes, one entry per call."""
+    calls, inner = [], numerics.cmp_pow2
+
+    def counted(value, exponent):
+        calls.append(exponent)
+        return inner(value, exponent)
+
+    patch.setattr(numerics, "cmp_pow2", counted)
+    return calls
+
+
+def lochs_typical_searches():
+    """A lochs run's searches at the default eps and tail cuts: (beta, e, coefficient, strict)."""
+    for beta in (Fraction(3, 2), Fraction(9, 5)):
+        inv_kappa = beta - 1
+        for m in (8, 16, 32, 64):
+            yield beta, m, ONE, True  # beta**k > 2**m
+            yield beta, m, inv_kappa, False  # scan_targets' k_min
+            for eps in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)):
+                yield beta, m + 1, eps, True
+            tn, td = (Fraction(1, 10) * m).as_integer_ratio()
+            yield beta**td, m * td, beta**tn, False
+            yield beta**td, m * td, beta**-tn, True
+
+
+def test_searches_the_brackets_decide_form_no_exact_power():
+    for beta, e, coefficient, strict in lochs_typical_searches():
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_exact_tests(patch)
+            k = least_power_at_least(beta, e, coefficient=coefficient, strict=strict)
+        assert len(calls) == 1  # the k = 0 check
+        assert k == oracles.least_power_at_least(beta, e, coefficient, strict)
+    # the two slowest searches known, each once proved by exact powers of millions of bits
+    worst = [(Fraction(2624, 2623), Fraction(794, 3), Fraction(377, 136), True, 478614),
+             (Fraction(4097, 4096), 64, ONE, False, 181727)]
+    for beta, e, coefficient, strict, want in worst:
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_exact_tests(patch)
+            assert least_power_at_least(beta, e, coefficient=coefficient, strict=strict) == want
+        assert len(calls) == 1
+
+
+def test_a_tie_still_reaches_its_exact_tests():
+    # (9/4)**3 * 2**5 * (4/9)**3 = 2**5: t = 3 exactly, which no bracket clears
+    beta, coefficient = Fraction(9, 4), 32 * Fraction(4, 9) ** 3
+    for strict, want, tests in [(False, 3, 2), (True, 4, 3)]:
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_exact_tests(patch)
+            assert least_power_at_least(beta, 5, coefficient=coefficient, strict=strict) == want
+        assert len(calls) == tests
+    # powers-of-two bases have exact brackets, so their ties need no exact power
+    for beta, e, coefficient, strict, want in [(Fraction(4), 4, ONE, False, 2),
+                                                (Fraction(4), 4, ONE, True, 3),
+                                                (Fraction(2), 3, Fraction(1, 2), False, 4)]:
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_exact_tests(patch)
+            assert least_power_at_least(beta, e, coefficient=coefficient, strict=strict) == want
+        assert len(calls) == 1
 
 
 @given(
@@ -497,3 +565,48 @@ def test_floor_log_ratio_sqrt_decides_ties_sixty_digits_miss(beta):
     value = wide_log_ratio_sqrt(beta, m, coefficient)
     assert 0 < abs(value - 100) < Decimal(10) ** -79
     assert floor_log_ratio_sqrt(beta, m, coefficient) == math.floor(value)
+
+
+log2_values = st.one_of(
+    st.fractions(min_value=Fraction(1, 2**80), max_value=1, max_denominator=10**30),
+    st.fractions(min_value=2, max_value=2**80, max_denominator=10**6),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),
+    st.integers(-300, 300).map(lambda t: Fraction(2) ** t),
+)
+
+
+@given(log2_values, st.sampled_from([1, 8, 64, 300]))
+@example(Fraction(1, 3), 1)
+@example(Fraction(2**40 + 1, 2**40), 64)
+@example(Fraction(3**300 + 1, 5**200), 64)  # terms longer than the bracket: cut first
+@settings(max_examples=300)
+def test_log2_bounds_bracket_wide_decimals(value, bits):
+    lo, hi = numerics._log2_bounds(value, bits)
+    t = floor_log2(value)
+    if value == Fraction(2) ** t:
+        assert lo == hi == t << bits
+        return
+    ctx = Context(prec=200)
+    log2 = ctx.divide(ctx.subtract(ctx.ln(value.numerator), ctx.ln(value.denominator)),
+                      ctx.ln(2))
+    scaled = ctx.multiply(log2, 2**bits)
+    assert lo <= scaled <= hi
+    assert hi - lo <= 16  # a few units of 2**-bits
+
+
+def test_floor_log_ratio_sqrt_refines_a_log_bracket_that_starts_at_zero():
+    # log2(1 + 2**-70) is below the 64-bit bracket's resolution, whose
+    # lower end is then 0; the next rounds have room for it
+    beta = Fraction(2**70 + 1, 2**70)
+    for m, coefficient in [(1, Fraction(0)), (3, Fraction(-7, 2)), (10**6, Fraction(5, 3))]:
+        value = wide_log_ratio_sqrt(beta, m, coefficient)
+        assert floor_log_ratio_sqrt(beta, m, coefficient) == math.floor(value)
+
+
+def test_least_power_refines_a_log_bracket_that_starts_at_zero():
+    # t = -log2(1 - 2**-61) / log2(1 + 2**-70), about 512, from a base whose
+    # 64-bit log2 bracket has lower end 0
+    beta, coefficient = Fraction(2**70 + 1, 2**70), 2 - Fraction(1, 2**60)
+    for strict in (False, True):
+        expected = oracles.least_power_at_least(beta, 1, coefficient, strict)
+        assert least_power_at_least(beta, 1, coefficient=coefficient, strict=strict) == expected
