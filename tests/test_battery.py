@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -283,14 +285,101 @@ def test_packed_counts_match_the_byte_counts_fuzzed(n, seed, kind):
     _same_as_byte_counts(bits)
 
 
-@pytest.mark.parametrize("significance", [0.01, 0.25])
-@pytest.mark.parametrize("n_bits", [256, 1000, 4097, 1 << 15])
-@pytest.mark.parametrize("n_runs", [1, 31, 32, 33, 100])
+@pytest.mark.parametrize(
+    "n_runs, n_bits, significance",
+    [(n_runs, n_bits, significance)
+     for n_runs in (1, 31, 32, 33, 100)
+     for n_bits in (256, 1000, 4097, 1 << 15)
+     for significance in (0.01, 0.25)]
+    # one run short of, at and past a decision chunk
+    + [(battery._DECISION_CHUNK + d, 256, significance)
+       for d in (-1, 0, 1) for significance in (0.01, 0.25)],
+)
 def test_rejection_rates_match_the_per_run_loop(n_runs, n_bits, significance):
     doc = rejection_rates(n_runs=n_runs, n_bits=n_bits, significance=significance, seed=3)
     want = oracles.rejection_rates_per_run(n_runs, n_bits, significance, seed=3)
     assert doc["rates"] == want
     assert list(doc["rates"]) == list(want)
+
+
+@pytest.mark.parametrize("significance", [Decimal("0.25"), F(1, 3), 1 / 3, 0.1])
+def test_rejection_rates_compare_the_significance_exactly(significance):
+    doc = rejection_rates(n_runs=50, n_bits=256, significance=significance, seed=1)
+    assert doc["rates"] == oracles.rejection_rates_per_run(50, 256, significance, seed=1)
+    assert doc["alpha"] is significance
+
+
+@pytest.mark.parametrize("n_bits", [256, 4097])
+def test_runs_at_their_own_p_values_decide_as_the_scalar_tests(n_bits):
+    # significance p passes the run (equality), while one float above p and
+    # a Fraction that rounds to p both reject it
+    n_runs = 48
+    rng = SplitMix64(0).derive("battery-calibration")
+    p_values = [
+        [test(n_bits, c.order3, c.wraps)[1] for test in battery._STATISTICS.values()]
+        for c in (pattern_counts(rng.derive("run", i).bit_array(n_bits)) for i in range(n_runs))
+    ]
+    for i in range(0, n_runs, 3):
+        for col, name in enumerate(battery._STATISTICS):
+            p = p_values[i][col]
+            if not 0 < p < 1:
+                continue
+            for significance in (p, math.nextafter(p, 1), F(p) * (1 + F(1, 1 << 60))):
+                want = sum(not (row[col] >= significance) for row in p_values)
+                doc = rejection_rates(n_runs=n_runs, n_bits=n_bits, significance=significance)
+                assert doc["rates"][name] == F(want, n_runs), (i, name, significance)
+
+
+def _streams(n):
+    rng = SplitMix64(n).derive("array-decisions")
+    yield np.zeros(n, dtype=np.uint8)
+    yield np.ones(n, dtype=np.uint8)
+    for pattern in ([1, 0], [1, 1, 0], [1, 0, 0, 1, 1]):
+        yield np.resize(np.array(pattern, dtype=np.uint8), n)
+    for i in range(4):
+        bits = rng.derive("random", i).bit_array(n)
+        yield bits
+        yield bits & rng.derive("bias", i).bit_array(n)  # p(1) = 1/4
+
+
+@pytest.mark.parametrize("n", [256, 257, 4097, 600_000])
+def test_array_decisions_match_the_scalar_tests(n):
+    counts = [pattern_counts(bits) for bits in _streams(n)]
+    assert all(type(c) is int for c in counts[0].order3 + (counts[0].wraps,))
+    order3 = np.array([c.order3 for c in counts], dtype=np.int64)
+    wraps = np.array([c.wraps for c in counts], dtype=np.int64)
+    p = battery._p_values(n, order3, wraps)
+    for significance in (0.01, 0.25, 0.5):
+        rejected = battery._rejections(n, order3, wraps, significance)
+        for row, c in enumerate(counts):
+            for col, test in enumerate(battery._STATISTICS.values()):
+                p_scalar = test(n, c.order3, c.wraps)[1]
+                assert rejected[row, col] == (not p_scalar >= significance), (row, col)
+                # the error bound stated by _p_values
+                assert abs(p[row, col] - p_scalar) <= p_scalar * (n + 1) * 2.0**-45, (row, col)
+
+
+def test_calibration_rarely_asks_the_scalar_tests(monkeypatch):
+    calls = []
+    for name, test in battery._STATISTICS.items():
+        def counted(*args, _test=test):
+            calls.append(args)
+            return _test(*args)
+        monkeypatch.setitem(battery._STATISTICS, name, counted)
+    doc = rejection_rates(n_runs=1000, n_bits=1 << 15, seed=0)
+    assert len(calls) <= 10  # of 4 000 (run, test) pairs
+    monkeypatch.undo()
+    assert doc == rejection_rates(n_runs=1000, n_bits=1 << 15, seed=0)
+
+
+def test_calibration_memory_does_not_grow_with_the_runs():
+    tracemalloc.start()
+    try:
+        rejection_rates(n_runs=20_000, n_bits=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_rejection_rates_refusals():
