@@ -3,17 +3,17 @@
 After k bits the input is pinned down to a closed interval of length
 beta**(-k) / (beta - 1) (the cylinder).  A binary digit of order j is
 certain as soon as the cylinder fits inside a single dyadic cell of order
-j, under the half-open cell convention of ``numerics.cell_of``.  This
+j, under the half-open cell convention of ``numerics.in_cell``.  This
 module streams that refinement (``push_bit``), answers "how many bits buy
 m digits" (``k_of_m``), and exhibits why a drifting gain destroys the
 conversion (``uncertainty_interval``): with beta known only up to an
 interval, any word containing a 1 leaves a residual uncertainty that never
 shrinks, no matter how many bits are spent.
 
-``push_bit`` and the cost scan (``_scan``) walk the same integer
-cylinder, so neither touches a Fraction per bit: the scan takes one exact
-step per bit, reading every threshold process as the integer pairs of its
-``scaled``.
+``push_bit`` and the cost scan (``_scan``) carry the same integer
+cylinder in the coordinates of its cell and ask ``in_cell``, so neither
+divides or touches a Fraction per bit; the scan takes one exact step per
+bit, reading every threshold process as the integer pairs of ``scaled``.
 
 ``_lockstep`` is the Monte-Carlo kernel: it gives the scan's results for a
 block of inputs, stepping all of them together.  Each lane holds
@@ -42,7 +42,6 @@ from .numerics import (
     ZERO,
     Interval,
     as_fraction,
-    cell_of,
     check_beta,
     check_orders,
     check_positive_int,
@@ -51,6 +50,7 @@ from .numerics import (
     decimal_context,
     decimal_str,
     format_rational,
+    in_cell,
     least_power_at_least,
     log_ratio_decimal,
     state_bound,
@@ -62,34 +62,33 @@ from .prng import SplitMix64, _counter_words
 class ConversionState:
     """Everything the streaming converter knows after k bits at gain beta = p/q.
 
-    The cylinder is [L/P, (L*(p-q) + Q*q) / (P*(p-q))] with P = p**k and
-    Q = q**k, as in ``_scan``, and its first ``m_confirmed`` digits are
-    certain.  Cylinders are nested, so those digits are the order-j cell
-    of L/P, j = m_confirmed.
+    Its first j = ``m_confirmed`` digits are certain: they are the bits of
+    ``cell``, the order-j cell that holds the cylinder.  In that cell's own
+    coordinates, as ``_scan`` carries it, the cylinder is
+    [R/P, (R*(p-q) + T*q) / (P*(p-q))] with P = p**k, T = q**k << j and
+    R = (L << j) - cell*P for its lower end L/P.
     """
 
     beta: Fraction
     k: int
-    L: int
+    R: int
     P: int
-    Q: int
+    T: int
+    cell: int
     m_confirmed: int
 
     @property
     def cylinder(self) -> Interval:
-        p, q = self.beta.numerator, self.beta.denominator
-        return Interval(Fraction(self.L, self.P),
-                        Fraction(self.L * (p - q) + self.Q * q, self.P * (p - q)))
+        lo = Fraction(self.R + self.cell * self.P, self.P << self.m_confirmed)
+        return Interval(lo, lo + Fraction(self.T, self.P << self.m_confirmed) / (self.beta - 1))
 
     @property
     def emitted(self) -> tuple:
-        j = self.m_confirmed
-        cell = (self.L << j) // self.P
-        return tuple(cell >> i & 1 for i in reversed(range(j)))
+        return tuple(self.cell >> i & 1 for i in reversed(range(self.m_confirmed)))
 
 
 def fresh_state(beta) -> ConversionState:
-    return ConversionState(check_beta(beta), 0, 0, 1, 1, 0)
+    return ConversionState(check_beta(beta), 0, 0, 1, 1, 0, 0)
 
 
 def push_bit(state: ConversionState, bit: int, beta):
@@ -107,15 +106,18 @@ def push_bit(state: ConversionState, bit: int, beta):
         raise DomainError(f"bits must be 0 or 1, got {bit!r}")
     beta = state.beta
     p, q = beta.numerator, beta.denominator
-    P, Q = state.P * p, state.Q * q
-    L = state.L * p + (Q if bit else 0)
-    hi_n, hi_d = L * (p - q) + Q * q, P * (p - q)
-    j = state.m_confirmed
+    P, T = state.P * p, state.T * q
+    R = state.R * p + (T if bit else 0)
+    cell, j = state.cell, state.m_confirmed
+    last = int(cell + 1 == 1 << j)  # 1 in the closed last cell, whose half d = 1 is one too
     fresh = []
-    while (cell := cell_of(L, P, hi_n, hi_d, j + 1)) is not None:
-        j += 1
-        fresh.append(cell & 1)
-    return ConversionState(beta, state.k + 1, L, P, Q, j), tuple(fresh)
+    while True:
+        d = int(R << 1 >= P)  # the half of the cell that holds the lower end
+        if not in_cell(R2 := (R << 1) - d * P, T << 1, P, p - q, q, last & d):
+            break
+        R, T, cell, j, last = R2, T << 1, cell << 1 | d, j + 1, last & d
+        fresh.append(d)
+    return ConversionState(beta, state.k + 1, R, P, T, cell, j), tuple(fresh)
 
 
 class KResult(NamedTuple):
@@ -156,8 +158,9 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
     returns one KResult per target.  Containment is monotone in k for
     fixed m (cylinders are nested) and the per-m answers are
     nondecreasing, so a single left-to-right scan settles every target.
-    After k bits the cylinder is [L/P, (L*(p-q) + Q*q) / (P*(p-q))] with
-    P = p**k and Q = q**k, and the state is A/D = (P*x - L)/Q.
+    After k bits the state is A/D = (P*x - L)/Q with P = p**k, Q = q**k and
+    L/P the cylinder's lower end, which is carried in x's order-m cell a for
+    ``in_cell``: R = (L << m) - a*P and T = Q << m, re-anchored per target.
 
     ``thresholds`` yields one (numerator, denominator) pair per bit,
     covering the largest cap, as a process's ``scaled`` does; each bit
@@ -168,15 +171,15 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
     xn, xd = x.numerator, x.denominator
     thresholds = iter(thresholds)
     results = []
-    L, P, Q, k = 0, 1, 1, 0
+    R, P, T, k = 0, 1, 1, 0
     A, D = xn, xd
+    m0 = a0 = 0  # R and T are in the coordinates of the order-m0 cell a0
     for m, cap, k_min in targets:
-        a = cell_of(xn, xd, xn, xd, m)  # x's own cell: a point always has one
-        hi_cell, last_cell = (a + 1) * pmq, int(a == (1 << m) - 1)
-        # cell_of(L, P, L * pmq + Q * q, P * pmq, m) == a written out: a call
-        # at every bit made a k_cap = 20000 scan of x = 1/2 2-3x slower (2-CPU Xeon)
-        while not (k >= k_min and (L << m) >= a * P
-                   and ((L * pmq + Q * q) << m) < hi_cell * P + last_cell):
+        top = (1 << m) - 1
+        a = min((xn << m) // xd, top)  # x's own cell, the last one closed
+        R, T = (R << m - m0) - (a - (a0 << m - m0)) * P, T << m - m0
+        m0, a0, last = m, a, int(a == top)
+        while not (k >= k_min and in_cell(R, T, P, pmq, q, last)):
             if k >= cap:  # containment at k == cap still counts
                 results.append(KResult(cap, True))
                 break
@@ -188,12 +191,12 @@ def _scan(x: Fraction, targets, beta: Fraction, thresholds) -> list:
             A *= p
             D *= q
             P *= p
-            Q *= q
+            T *= q
             if A * s >= r * D:
                 A -= D
-                L = L * p + Q
+                R = R * p + T
             else:
-                L = L * p
+                R *= p
         else:
             results.append(KResult(k, False))
     return results
@@ -338,7 +341,7 @@ def _lockstep(xns, precision: int, targets, beta: Fraction, process, keys=None) 
             last = cell >> m  # 1 in the last cell
             N = cell * P - (L[sel] << m)  # d = (P - N)/Qm, e = N/Qm - kappa
             hit = np.zeros(sel.size, dtype=bool)
-            if k >= k_min_t:
+            if k >= k_min_t:  # in_cell(P - N, Qm, P, pmq, q, last), on arrays
                 hit = (N <= P) & (N * pmq + last > q * Qm)
                 ks[o[hit], t] = k
             if k >= cap_t:

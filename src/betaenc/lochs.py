@@ -41,7 +41,6 @@ from .errors import ConfigurationError, DomainError
 from .numerics import (
     as_decimal,
     as_fraction,
-    cell_of,
     check_beta,
     check_orders,
     check_positive_int,
@@ -52,6 +51,7 @@ from .numerics import (
     decimal_str,
     floor_log_ratio_sqrt,
     format_rational,
+    in_cell,
     least_power_at_least,
     log2_decimal,
     log_ratio_decimal,
@@ -376,15 +376,15 @@ def pm_measure_exact(
         kbar = default_kbar(beta, m, eps)
     check_positive_int(kbar, "kbar", DomainError)
 
-    # a leaf's inputs lie in its cylinder [E/P, (E (p - q) + Q q) / (P (p - q))],
-    # so all of them are in the tail set unless the cylinder sits in its cell
+    # a leaf's inputs are all in the tail set unless its cylinder
+    # [E/P, (E (p - q) + Q q) / (P (p - q))] sits in the cell a of E/P
     p, q = beta.numerator, beta.denominator
-    pmq, P, Qq = p - q, p**kbar, q ** (kbar + 1)
-    Ppmq = P * pmq
+    P, T, top = p**kbar, q**kbar << m, (1 << m) - 1
     unit, leaves = prefix_leaves([[(beta, 1)]] * kbar, (u,) * kbar, node_budget=NODE_BUDGET)
     bad = 0
     for _, lo, hi, _, E in leaves:
-        if cell_of(E, P, E * pmq + Qq, Ppmq, m) is None:
+        a = min((E << m) // P, top)
+        if not in_cell((E << m) - a * P, T, P, p - q, q, int(a == top)):
             bad += hi - lo
     return Fraction(bad, unit)
 

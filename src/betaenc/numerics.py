@@ -10,10 +10,10 @@ Conventions, fixed once here and used everywhere:
 * Dyadic cells of order m are half-open ``[k/2^m, (k+1)/2^m)`` except the
   last cell, which closes at 1 so the cells cover [0, 1] exactly.
 * "Interval I sits inside cell D" means ``D.lo <= I.lo`` and ``I.hi < D.hi``,
-  with ``I.hi <= 1`` accepted for the last cell.  ``cell_of`` is the one
-  implementation of this rule, on integer numerators and denominators: the
-  streaming converter, the cost scan and the exact tail measure all ask it
-  (the scan's per-bit test is an inline copy).
+  with ``I.hi <= 1`` accepted for the last cell.  ``in_cell`` is the one
+  implementation of this rule, on a cylinder in the cell's own integer
+  coordinates: the streaming converter, the cost scan and the exact tail
+  measure all ask it.
 * Expansion cylinders are the closed intervals
   ``[sum b_i beta^-i, sum b_i beta^-i + beta^-k/(beta-1)]``.
 * ``floor_log2`` is the one floor(log2) of a rational (the extraction
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Union
 
 from .errors import DomainError
 
@@ -148,17 +148,13 @@ class Interval:
         return self.hi - self.lo
 
 
-def cell_of(lo_n: int, lo_d: int, hi_n: int, hi_d: int, m: int) -> Optional[int]:
-    """Index of the order-m dyadic cell that holds [lo_n/lo_d, hi_n/hi_d], or None.
+def in_cell(R: int, T: int, P: int, pmq: int, q: int, last: int) -> bool:
+    """Whether [R/P, (R*pmq + T*q) / (P*pmq)] sits in the cell [0, 1) of its coordinates.
 
-    Positive denominators and 0 <= lo <= hi.  A lower end at or past 1 is
-    clamped to the last cell, whose test hi <= 1 then fails unless lo == hi == 1.
+    The order-m cell a maps to [0, 1) by y -> 2**m * y - a; ``last`` is 1
+    in the closed last cell, which also takes an upper end at 1, else 0.
     """
-    last = (1 << m) - 1
-    a = (lo_n << m) // lo_d
-    if a >= last:  # the closed last cell: hi <= 1
-        return last if hi_n <= hi_d else None
-    return a if (hi_n << m) < (a + 1) * hi_d else None
+    return R >= 0 and R * pmq + T * q < P * pmq + last
 
 
 def floor_log2(value: Fraction) -> int:

@@ -105,6 +105,20 @@ def interval_in_dyadic_cell(interval, cell) -> bool:
     return interval.hi < cell.hi
 
 
+def cell_of(lo_n: int, lo_d: int, hi_n: int, hi_d: int, m: int):
+    """Index of the order-m dyadic cell that holds [lo_n/lo_d, hi_n/hi_d], or None.
+
+    The division form of the containment rule: positive denominators and
+    0 <= lo <= hi.  A lower end at or past 1 is clamped to the last cell,
+    whose test hi <= 1 then fails unless lo == hi == 1.
+    """
+    last = (1 << m) - 1
+    a = (lo_n << m) // lo_d
+    if a >= last:  # the closed last cell: hi <= 1
+        return last if hi_n <= hi_d else None
+    return a if (hi_n << m) < (a + 1) * hi_d else None
+
+
 def push_bit_fraction(state, bit: int, beta: Fraction) -> tuple:
     """(state, fresh digits) after one more expansion bit, all in Fractions.
 

@@ -115,8 +115,10 @@ def test_push_bit_takes_an_equal_gain_in_any_exact_form():
 
 @st.composite
 def bit_streams(draw):
-    """(beta, bits): random, all-ones, all-zeros or encoder streams."""
-    beta = draw(st.sampled_from([F(3, 2), F(9, 5), F(17, 16)]))
+    """(beta, bits): random, all-ones, all-zeros or encoder streams.
+
+    At beta = 4/3 the cylinder's ends are dyadic, so they can touch cell edges."""
+    beta = draw(st.sampled_from([F(3, 2), F(9, 5), F(17, 16), F(4, 3)]))
     n = draw(st.integers(min_value=1, max_value=240))
     kind = draw(st.sampled_from(["random", "ones", "zeros", "encoded"]))
     if kind == "random":
@@ -154,6 +156,49 @@ def test_cost_matches_brute_force_oracle(x, beta, m):
         assert res == KResult(cap, True)
     else:
         assert res == KResult(expected, False)
+
+
+@pytest.mark.parametrize("beta", [F(3, 2), F(9, 5), F(4, 3)])
+@pytest.mark.parametrize("x", [F(0), F(1), F(5, 8), F(1, 3)], ids=str)
+@pytest.mark.parametrize("kind", ["constant", "listed", "uniform"])
+def test_profile_across_wide_target_gaps_matches_brute_force_oracle(beta, x, kind):
+    """The scan re-anchors its cylinder once per target; over (1, 7, 40)
+    each target's cost is the oracle's.  5/8 sits on a cell edge at
+    orders 3 and up, and at beta = 4/3 every cylinder end is dyadic, so
+    a cylinder can end exactly on a cell edge."""
+    ms = (1, 7, 40)
+    targets = scan_targets(ms, beta)
+    kappa, n = state_bound(beta), targets[-1][1]
+    rng = None
+    if kind == "constant":
+        thresholds = ConstantThreshold(1)
+        seq = [F(1)] * n
+    elif kind == "listed":
+        thresholds = ExplicitThresholds([1 + (kappa - 1) * F(i % 7, 6) for i in range(n)])
+        seq = thresholds.values
+    else:
+        thresholds, rng = UniformThresholds(1, kappa), SplitMix64(5)
+        seq = thresholds.realize(n, SplitMix64(5).derive("thresholds"))
+    want = []
+    for m, cap, _ in targets:
+        k = oracles.cylinder_k(x, m, beta, u_values=seq, k_cap=cap)
+        want.append(KResult(cap, True) if k is None else KResult(k, False))
+    assert k_profile(x, ms, beta, thresholds, rng=rng) == want
+
+
+@pytest.mark.parametrize("beta", [F(3, 2), F(9, 5)])
+def test_push_bit_over_a_long_stream_matches_the_fraction_cylinder(beta):
+    """4 000 encoder bits of 5/17: the digits are 5/17's and the cylinder is
+    the Fraction one, far past the 240 bits of the hypothesis test."""
+    x = F(5, 17)
+    bits = [int(b) for b in encode_bits(x, beta, 1, 4000)]
+    state, digits = fresh_state(beta), []
+    for b in bits:
+        state, fresh = push_bit(state, b, beta)
+        digits.extend(fresh)
+    assert len(digits) > 2000
+    assert tuple(digits) == state.emitted == oracles.doubling_digits(x, len(digits))
+    assert (state.cylinder.lo, state.cylinder.hi) == oracles.beta_cylinder(bits, beta)
 
 
 @given(unit_fractions, small_betas)

@@ -14,13 +14,13 @@ from betaenc.errors import DomainError
 from betaenc.numerics import (
     Interval,
     as_fraction,
-    cell_of,
     check_beta,
     cmp_pow2,
     decimal_str,
     floor_log2,
     floor_log_ratio_sqrt,
     format_rational,
+    in_cell,
     least_power_at_least,
     log2_decimal,
     log_ratio_decimal,
@@ -283,32 +283,77 @@ def test_least_power_fast_refusal_is_exact_at_a_small_limit(big, e, coefficient,
 # -- dyadic cells ------------------------------------------------------------
 
 
-def point_cell(x: Fraction, m: int):
-    """cell_of on the one-point interval [x, x]."""
-    return cell_of(x.numerator, x.denominator, x.numerator, x.denominator, m)
+def cells_holding(lo: Fraction, hi: Fraction, m: int, cells=None) -> list:
+    """Those of the order-m ``cells`` (all by default) whose ``in_cell`` takes [lo, hi].
+
+    With p - q = q = 1, the interval in cell a is [R/P, (R + T)/P], where
+    P is the product of the two denominators, R = 2**m * P * lo - a * P
+    and T = 2**m * P * (hi - lo).
+    """
+    P = lo.denominator * hi.denominator
+    T = int((hi - lo) * P) << m
+    return [a for a in (range(1 << m) if cells is None else cells)
+            if in_cell((lo.numerator * hi.denominator << m) - a * P, T, P, 1, 1,
+                       int(a == (1 << m) - 1))]
 
 
-def test_cell_of_points_interior_and_edges():
-    assert point_cell(Fraction(0), 3) == 0
-    assert point_cell(Fraction(1, 8), 3) == 1  # cells are half-open below
-    assert point_cell(Fraction(1, 3), 2) == 1
-    assert point_cell(Fraction(1), 3) == 7  # x = 1 sits in the closed last cell
-    assert point_cell(Fraction(3, 2), 3) is None  # past 1 lies in no cell
+def test_in_cell_points_interior_and_edges():
+    def point(x, m):
+        return cells_holding(x, x, m)
+
+    assert point(Fraction(0), 3) == [0]
+    assert point(Fraction(1, 8), 3) == [1]  # cells are half-open below
+    assert point(Fraction(1, 3), 2) == [1]
+    assert point(Fraction(1), 3) == [7]  # x = 1 sits in the closed last cell
+    assert point(Fraction(3, 2), 3) == []  # past 1 lies in no cell
 
 
 @given(st.fractions(min_value=0, max_value=1, max_denominator=1 << 16),
        st.integers(min_value=1, max_value=16))
-def test_cell_of_point_is_the_cell_of_the_point(x, m):
-    k = point_cell(x, m)
-    assert k == oracles.dyadic_index(x, m)
-    assert 0 <= k < 1 << m
+def test_in_cell_point_is_the_cell_of_the_point(x, m):
+    k = oracles.dyadic_index(x, m)
+    # a cell past the two neighbours of k is no nearer x than they are
+    assert cells_holding(x, x, m, range(max(k - 1, 0), min(k + 2, 1 << m))) == [k]
     assert Fraction(k, 1 << m) <= x <= Fraction(k + 1, 1 << m)
 
 
-def test_cell_of_half_open_rule():
-    assert cell_of(1, 4, 2, 5, 2) == 1  # [1/4, 2/5] in [1/4, 1/2)
-    assert cell_of(1, 3, 1, 2, 2) is None  # [1/3, 1/2] touches 1/2, the next cell
-    assert cell_of(3, 4, 1, 1, 2) == 3  # [3/4, 1] in the closed last cell
+def test_in_cell_half_open_rule():
+    assert cells_holding(Fraction(1, 4), Fraction(2, 5), 2) == [1]  # in [1/4, 1/2)
+    assert cells_holding(Fraction(1, 3), Fraction(1, 2), 2) == []  # touches 1/2, the next cell
+    assert cells_holding(Fraction(3, 4), Fraction(1), 2) == [3]  # in the closed last cell
+
+
+@st.composite
+def cylinder_cells(draw):
+    """(beta, k, L, m, a): the depth-k cylinder with lower end L/p**k, up to
+    twice past 1, and the order-m cell a of that lower end or a neighbour."""
+    beta = draw(st.sampled_from([Fraction(3, 2), Fraction(9, 5), Fraction(4, 3),
+                                 Fraction(17, 16)]))
+    k = draw(st.integers(min_value=0, max_value=40))
+    P = beta.numerator**k
+    L = draw(st.integers(min_value=0, max_value=2 * P))
+    m = draw(st.integers(min_value=1, max_value=12))
+    top = (1 << m) - 1
+    a = min((L << m) // P, top) + draw(st.sampled_from([-1, 0, 1]))
+    return beta, k, L, m, min(max(a, 0), top)
+
+
+@given(cylinder_cells())
+@example((Fraction(4, 3), 10, 347141, 2, 1))  # upper end 1/2: touches the next cell
+@example((Fraction(4, 3), 10, 346141, 2, 1))  # just below 1/2: inside
+@example((Fraction(4, 3), 10, 871429, 1, 1))  # upper end 1 in the closed last cell
+@example((Fraction(3, 2), 4, 81, 3, 7))  # lower end at 1
+@example((Fraction(3, 2), 4, 82, 3, 7))  # lower end past 1
+def test_in_cell_agrees_with_the_division_oracles(case):
+    beta, k, L, m, a = case
+    p, q = beta.numerator, beta.denominator
+    P, Q = p**k, q**k
+    hi_n, hi_d = L * (p - q) + Q * q, P * (p - q)
+    got = in_cell((L << m) - a * P, Q << m, P, p - q, q, int(a == (1 << m) - 1))
+    cylinder = oracles.Cylinder(Fraction(L, P), Fraction(hi_n, hi_d))
+    cell = oracles.Cylinder(Fraction(a, 1 << m), Fraction(a + 1, 1 << m))
+    assert got == oracles.interval_in_dyadic_cell(cylinder, cell)
+    assert got == (oracles.cell_of(L, P, hi_n, hi_d, m) == a)
 
 
 def test_beta_cylinder_and_length():
