@@ -17,6 +17,7 @@ and ``flat_supports`` the one rule for its flat sources.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,15 +50,22 @@ def flat_supports(supports: Iterable, m: int) -> tuple:
 
     A flat support lists distinct integer words in [0, 2**m), at least one.
     ``words`` holds every support's words in order, as one integer array,
-    and ``sizes`` how many each support has.
+    and ``sizes`` how many each support has.  The words are converted in
+    one call that infers their dtype, so a float (``0.5``, ``1.0``,
+    ``np.float64(3)``), a string, an all-bool batch or an int past 64 bits
+    gives a non-integer array and is refused, never truncated.
     """
-    batch = [list(s) for s in supports]
-    if not batch or not all(batch):
+    batch = list(map(tuple, supports))
+    sizes = np.fromiter(map(len, batch), np.int64, len(batch))
+    if not batch or not sizes.all():
         raise ConfigurationError("flat source needs a non-empty support")
-    sizes = np.array([len(s) for s in batch], dtype=np.int32)
-    words = np.asarray([w for s in batch for w in s])
+    words = np.array(list(itertools.chain.from_iterable(batch)))
     if words.dtype.kind not in "iu" or words.min() < 0 or words.max() >= 1 << m:
         raise DomainError(f"support words must be integers in [0, 2**{m})")
+    # narrow numpy words would wrap in the key and index arithmetic; only
+    # uint64 words from 2**63 on (m = 64) stay unsigned
+    if words.max() < 1 << 63:
+        words = words.astype(np.int64, copy=False)
     # one int64 key per (support, word), so a word twice in one support repeats
     # a key; distinct while len(batch) * 2**m < 2**63, always for one support
     keys = np.sort(np.repeat(np.arange(len(batch)) * (words.max() + 1), sizes) + words)
@@ -105,8 +113,13 @@ class WordDistribution:
         return self.entries.get(word, ZERO)
 
     def max_probability(self):
-        """(word, probability) of the likeliest word; smallest word on ties."""
-        return min(self.entries.items(), key=lambda item: (-item[1], item[0]))
+        """(word, probability) of the likeliest word; smallest word on ties.
+
+        One ``max`` over the probabilities finds the peak, then the smallest
+        word among those that equal it is taken.
+        """
+        p = max(self.entries.values())
+        return min([word for word, q in self.entries.items() if q == p]), p
 
     def min_entropy_at_least(self, k) -> bool:
         """True iff the min-entropy is at least k >= 0 bits: max prob <= 2**(-k) exactly."""

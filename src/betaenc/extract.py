@@ -19,6 +19,7 @@ takes every GF(2) inner product as a popcount parity on 64-bit words.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -116,17 +117,17 @@ class SeededExtractor:
 _GATHER_ENTRIES = 1 << 18
 
 
-def _walsh(a: np.ndarray, stages: Optional[int] = None) -> np.ndarray:
+def _walsh(a: np.ndarray, scratch: np.ndarray, stages: Optional[int] = None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along axis 0 of a (2**k, ...) array.
 
     Only the first ``stages`` butterflies run when given: the transform over
     the low ``stages`` bits of the index.  Butterflies ping-pong between
-    ``a`` and one scratch array, so ``a`` is overwritten; the result is
-    whichever of the two holds the last stage.
+    ``a`` and ``scratch`` (an array of a's shape and dtype), so both are
+    overwritten; the result is whichever of the two holds the last stage.
     """
     size = a.shape[0]
     a = a.reshape(size, -1)
-    out = np.empty_like(a)
+    out = scratch.reshape(a.shape)
     end = size if stages is None else 1 << stages
     h = 1
     while h < end:
@@ -153,6 +154,76 @@ def _hash_characters(m: int, n: int) -> np.ndarray:
     return w
 
 
+def _line_sums(mags: np.ndarray, count: int) -> np.ndarray:
+    """Per-column int64 sums of a (rows, count) array, rows folded into ~4096-wide lines.
+
+    ufuncs down a few narrow columns are slow, so the rows are summed as
+    lines of about 4096 entries and the line sums folded back per column.
+    A line sum adds rows // fold entries, so it runs in int32 while that
+    many of the dtype's largest value stay below 2**31.
+    """
+    rows = mags.shape[0]
+    fold = min(rows, 1 << max(1, 4096 // count).bit_length() - 1)
+    acc = np.int32 if (rows // fold) * int(np.iinfo(mags.dtype).max) < 1 << 31 else np.int64
+    lines = mags.reshape(rows // fold, fold * count).sum(axis=0, dtype=acc)
+    return lines.reshape(fold, count).sum(axis=0, dtype=np.int64)
+
+
+class _Buffers:
+    """Pairs of flat arrays per (role, dtype), reused by every batch of one call.
+
+    A fresh array of a few hundred KiB is mapped anew and faults in every
+    page it is written to, which cost more than the arithmetic on it.
+    """
+
+    def __init__(self):
+        self.pool = {}
+
+    def pair(self, role: str, dtype, shape: tuple) -> list:
+        size = math.prod(shape)
+        bufs = self.pool.get((role, dtype))
+        if bufs is None or bufs[0].size < size:
+            bufs = self.pool[role, dtype] = (np.empty(size, dtype), np.empty(size, dtype))
+        return [b[:size].reshape(shape) for b in bufs]
+
+
+def _gathered_sums(spectrum: np.ndarray, sizes: np.ndarray, w: np.ndarray, m: int, n: int,
+                   buffers: _Buffers) -> np.ndarray:
+    """sum_{c < 2**(n-1), z} max(|Y[c, z]|, |Y[c + 2**(n-1), z]|) per column of spectrum.
+
+    Y is the Walsh transform over the low n - 1 bits of c of the block
+    X[c, z] = S^(w[c, z]), with X[0] = 0.  The character c = 2**(n-1)
+    has w[c, z] = z & (2**m - 1), so its row is S^ tiled 2**(n-1) times
+    and is written as a broadcast copy.  The rows between are gathered
+    through w in two runs, 0 < c < 2**(n-1) and 2**(n-1) < c < 2**n.
+    """
+    count = spectrum.shape[1]
+    d = m + n - 1
+    tile = 1 << (n - 1)
+    dtype = np.int16 if int(sizes.max()) << (n - 1) < 1 << 15 else np.int32
+    spectrum = spectrum.astype(dtype)
+    block, scratch = buffers.pair("block", dtype, (1 << n, 1 << d, count))
+    block[0] = 0
+    block[tile].reshape(tile, 1 << m, count)[...] = spectrum
+    # every index is in range; "clip" lets take write into block unbuffered
+    for run in (slice(1, tile), slice(tile + 1, 2 * tile)):
+        np.take(spectrum, w[run], axis=0, out=block[run], mode="clip")
+    block = _walsh(block, scratch, n - 1)
+    lo, hi = np.abs(block, out=block).reshape(2, -1, count)
+    return _line_sums(np.maximum(lo, hi, out=lo), count)
+
+
+def _batch_sizes(m: int, n: int) -> tuple:
+    """Supports per transform batch and per gather sub-batch of ``flat_avg_seed_tv``.
+
+    A sub-batch's block holds 2**(d+n) entries per support and stays within
+    ``_GATHER_ENTRIES`` (one support at least); a batch transforms at least
+    that many supports and otherwise fills half of it with 2**m-word columns.
+    """
+    per_gather = max(1, _GATHER_ENTRIES >> (m + 2 * n - 1))
+    return max(per_gather, _GATHER_ENTRIES >> (m + 1)), per_gather
+
+
 def flat_avg_seed_tv(m: int, n: int, supports: Iterable) -> list:
     """Exact seed-averaged TV from uniform of the Toeplitz hash, per flat source.
 
@@ -168,42 +239,47 @@ def flat_avg_seed_tv(m: int, n: int, supports: Iterable) -> list:
     halves lo and hi with |lo + hi| + |lo - hi| = 2 max(|lo|, |hi|), so the
     halves are transformed over n - 1 stages and summed that way.  At
     n = 1, w[1, z] = z and the deviation is 2 sum_u |S^(u)|, with no
-    gather.  Per batch of supports that is one transform over the 2**m
-    words and, for n > 1, one gather through w.  No value at any stage
-    exceeds 2**(n-1) * max |S| in magnitude, so a batch runs in int16
-    when that bound is below 2**15 and in int32 otherwise.
+    gather.  For n > 1 the character c = 2**(n-1) reads S^ as a tile and
+    the other 2**n - 2 characters c >= 1 are gathered through w (see
+    ``_gathered_sums``).
+
+    Per batch of supports the transform over the 2**m words runs once, in
+    int8 when every |S| <= 127 and in int16 otherwise (|S^| <= |S| at every
+    stage, and |S| <= 2**14).  The characters are then gathered in
+    sub-batches of at most ``_GATHER_ENTRIES`` block entries.  No block
+    value exceeds 2**(n-1) * max |S| in magnitude, so a sub-batch runs in
+    int16 when that bound is below 2**15 and in int32 otherwise.  Each
+    value is built once from its gcd-reduced numerator and denominator.
     """
     ext = SeededExtractor(m, n)
     d = ext.d
     if m > 14 or d > 16:
         raise ResourceBudgetError(f"seed table for m={m}, n={n} is past the budget")
-    w = _hash_characters(m, n)[1:] if n > 1 else None
-    half = 1 << (d + n - 1)
-    per_batch = max(1, _GATHER_ENTRIES >> (d + n))
-    # fold rows into lines ~4096 wide: ufuncs down a few narrow columns are slow
-    fold = min(half, max(1, 4096 // per_batch))
+    w = _hash_characters(m, n).astype(np.intp) if n > 1 else None
+    per_batch, per_gather = _batch_sizes(m, n)
+    buffers = _Buffers()
+    fraction = functools.cache(Fraction)
     supports = iter(supports)
     out = []
     while batch := list(itertools.islice(supports, per_batch)):
         words, sizes = flat_supports(batch, m)
-        dtype = np.int16 if int(sizes.max()) << (n - 1) < 1 << 15 else np.int32
-        cols = np.zeros((1 << m, len(batch)), dtype=dtype)
-        cols[words, np.repeat(np.arange(len(batch)), sizes)] = 1
-        spectrum = _walsh(cols)
+        count = len(batch)
+        cols, scratch = buffers.pair("cols", np.int8 if sizes.max() < 1 << 7 else np.int16,
+                                     (1 << m, count))
+        cols.fill(0)
+        cols.reshape(-1)[words * count + np.repeat(np.arange(count), sizes)] = 1
+        spectrum = _walsh(cols, scratch)
         if n == 1:
-            mags = np.abs(spectrum, out=spectrum)
+            sums = _line_sums(np.abs(spectrum, out=spectrum), count)
         else:
-            block = np.empty((1 << n, 1 << d, len(batch)), dtype=dtype)
-            block[0] = 0
-            # every index is in range; "clip" lets take write into block unbuffered
-            np.take(spectrum, w, axis=0, out=block[1:], mode="clip")
-            block = _walsh(block, n - 1)
-            lo, hi = np.abs(block, out=block).reshape(2, half, -1)
-            mags = np.maximum(lo, hi, out=lo)
-        lines = mags.reshape(half // fold, fold * len(batch))
-        deviation = 2 * lines.sum(axis=0, dtype=np.int64).reshape(fold, len(batch)).sum(axis=0)
-        for size, dev in zip(sizes.tolist(), deviation.tolist()):
-            out.append(Fraction(dev, (1 << (d + 1)) * size * (1 << n)))
+            sums = np.concatenate([
+                _gathered_sums(spectrum[:, j:j + per_gather], sizes[j:j + per_gather], w, m, n,
+                               buffers)
+                for j in range(0, count, per_gather)])
+        num = 2 * sums
+        den = sizes << (d + 1 + n)
+        g = np.gcd(num, den)
+        out += map(fraction, (num // g).tolist(), (den // g).tolist())
     return out
 
 

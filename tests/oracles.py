@@ -781,6 +781,62 @@ def flat_avg_seed_tv_gather(m: int, n: int, supports) -> list:
     return out
 
 
+def flat_avg_seed_tv_batched(m: int, n: int, supports) -> list:
+    """Seed-averaged TV of the Toeplitz hash over flat sources, one batch per gather.
+
+    The batched Walsh path ``flat_avg_seed_tv`` ran before its transform
+    and gather were split: per batch of 2**18 >> (d + n) supports (one at
+    least) it builds the indicator columns in int16 or int32 (int16 when
+    2**(n-1) * max |S| < 2**15), transforms them over the 2**m words,
+    gathers every character c >= 1 through w into a fresh block with a zero
+    c = 0 row, transforms that over n - 1 stages and sums
+    2 * max(|lo|, |hi|) over its halves.  The supports are assumed valid.
+    """
+    d = m + n - 1
+
+    def walsh(a, stages=None):
+        size = a.shape[0]
+        a = a.reshape(size, -1)
+        out = np.empty_like(a)
+        h = 1
+        while h < (size if stages is None else 1 << stages):
+            src = a.reshape(size // (2 * h), 2, -1)
+            dst = out.reshape(src.shape)
+            np.add(src[:, 0], src[:, 1], out=dst[:, 0])
+            np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
+            a, out = out, a
+            h *= 2
+        return a
+
+    w = hash_characters(m, n)[1:]
+    half = 1 << (d + n - 1)
+    per_batch = max(1, (1 << 18) >> (d + n))
+    fold = min(half, max(1, 4096 // per_batch))
+    supports = iter(supports)
+    out = []
+    while batch := [list(s) for s in itertools.islice(supports, per_batch)]:
+        sizes = np.array([len(s) for s in batch])
+        words = np.array([x for s in batch for x in s], dtype=np.int64)
+        dtype = np.int16 if int(sizes.max()) << (n - 1) < 1 << 15 else np.int32
+        cols = np.zeros((1 << m, len(batch)), dtype=dtype)
+        cols[words, np.repeat(np.arange(len(batch)), sizes)] = 1
+        spectrum = walsh(cols)
+        if n == 1:
+            mags = np.abs(spectrum)
+        else:
+            block = np.empty((1 << n, 1 << d, len(batch)), dtype=dtype)
+            block[0] = 0
+            np.take(spectrum, w, axis=0, out=block[1:], mode="clip")
+            block = walsh(block, n - 1)
+            lo, hi = np.abs(block).reshape(2, half, -1)
+            mags = np.maximum(lo, hi)
+        lines = mags.reshape(half // fold, fold * len(batch))
+        deviation = 2 * lines.sum(axis=0, dtype=np.int64).reshape(fold, len(batch)).sum(axis=0)
+        for size, dev in zip(sizes.tolist(), deviation.tolist()):
+            out.append(Fraction(dev, (1 << (d + 1)) * size * (1 << n)))
+    return out
+
+
 def avg_seed_tv_per_seed(dist, n: int) -> Fraction:
     """Seed-averaged TV from uniform of the Toeplitz hash, one seed at a time.
 

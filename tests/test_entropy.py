@@ -204,6 +204,14 @@ def test_max_probability_tie_prefers_smallest_word():
     assert uniform_dist(2).max_probability() == (0, F(1, 4))
 
 
+def test_max_probability_three_way_tie_after_a_larger_first_word():
+    # the peak 1/4 is held by words 6, 2 and 5, stored in that order after
+    # a smaller word with less mass; the smallest of the three wins
+    entries = {1: F(1, 8), 6: F(1, 4), 2: F(1, 4), 0: F(1, 8), 5: F(2, 8)}
+    assert WordDistribution(3, entries).max_probability() == (2, F(1, 4))
+    assert WordDistribution(3, {7: F(1, 2), 3: F(1, 4), 4: F(1, 4)}).max_probability() == (7, F(1, 2))
+
+
 def test_rejects_continuous_models():
     with pytest.raises(ConfigurationError):
         word_distribution(UniformBetas(F(3, 2), F(9, 5)), m=2)

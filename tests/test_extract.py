@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -240,19 +241,87 @@ def test_walsh_path_on_uneven_support_sizes():
 
 
 def test_walsh_path_batch_boundaries_and_generators():
+    # the batch sizes are read from the code, so the family crosses one
+    # transform batch and many gather sub-batches whatever they are
     m, n = 8, 3
-    per_batch = max(1, extract._GATHER_ENTRIES >> (m + n - 1 + n))
-    assert per_batch > 1
+    per_batch, per_gather = extract._batch_sizes(m, n)
+    assert per_batch > per_gather > 1 and per_batch % per_gather == 0
     rng = np.random.default_rng(8)
     supports = [tuple(rng.choice(256, int(size), replace=False).tolist())
-                for size in rng.integers(1, 257, size=per_batch + 1)]
+                for size in rng.integers(1, 257, size=per_batch + per_gather // 2)]
     expected = oracles.flat_avg_seed_tv_table(m, n, supports)
     assert flat_avg_seed_tv(m, n, []) == []
     assert flat_avg_seed_tv(m, n, supports[:1]) == expected[:1]
+    assert flat_avg_seed_tv(m, n, supports[:per_gather + 1]) == expected[:per_gather + 1]
     assert flat_avg_seed_tv(m, n, supports) == expected
     assert flat_avg_seed_tv(m, n, (s for s in supports)) == expected
     tiny = list(oracles.all_flat_sources(4, 2))
     assert flat_avg_seed_tv(4, 2, oracles.all_flat_sources(4, 2)) == flat_avg_seed_tv(4, 2, tiny)
+
+
+def test_walsh_path_matches_the_batched_oracle_on_the_criterion_family():
+    supports = flat_source_family(10, 6, 0)
+    for n in (1, 2):
+        assert flat_avg_seed_tv(10, n, supports) == oracles.flat_avg_seed_tv_batched(10, n, supports)
+    # n = 3 and 4 on every 7th support: runs of subcubes and the random ones
+    sample = supports[::7] + supports[-16:]
+    for n in (3, 4):
+        expected = oracles.flat_avg_seed_tv_batched(10, n, sample)
+        assert flat_avg_seed_tv(10, n, sample) == expected
+        assert oracles.flat_avg_seed_tv_gather(10, n, sample[::9]) == expected[::9]
+
+
+@st.composite
+def random_families(draw):
+    m = draw(st.integers(min_value=1, max_value=14))
+    n = draw(st.integers(min_value=1, max_value=min(4, m, 17 - m)))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    count = draw(st.integers(min_value=1, max_value=12))
+    return m, n, seed, count
+
+
+@given(random_families())
+@settings(max_examples=40, deadline=None)
+def test_walsh_path_matches_the_batched_oracle_on_random_families(case):
+    m, n, seed, count = case
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, (1 << m) + 1, size=count)
+    supports = [tuple(rng.choice(1 << m, int(size), replace=False).tolist()) for size in sizes]
+    assert flat_avg_seed_tv(m, n, supports) == oracles.flat_avg_seed_tv_batched(m, n, supports)
+
+
+def test_walsh_path_on_each_side_of_the_int8_bound():
+    # |S| <= 127 transforms in int8, 128 in int16; the full supports reach
+    # S^(0) = |S|, and a random one of each size mixes signs
+    rng = np.random.default_rng(127)
+    cases = [tuple(range(size)) for size in (127, 128)]
+    cases += [tuple(sorted(rng.choice(256, size, replace=False).tolist())) for size in (127, 128)]
+    for n in (1, 2):
+        for support in cases:
+            assert flat_avg_seed_tv(8, n, [support]) == oracles.flat_avg_seed_tv_gather(8, n, [support])
+        # one 128-word support puts a batch of small ones into int16
+        mixed = [(3,), cases[2], (0, 255), cases[1], tuple(range(0, 256, 9))]
+        expected = oracles.flat_avg_seed_tv_gather(8, n, mixed)
+        assert flat_avg_seed_tv(8, n, mixed) == expected
+        # uint8 words once wrapped the duplicate keys: 255 + 1 == 0 refused this family
+        assert flat_avg_seed_tv(8, n, [np.array(s, dtype=np.uint8) for s in mixed]) == expected
+
+
+def test_walsh_path_reuses_its_buffers_and_converts_per_batch():
+    # the parent's peaks on this family were 1 062 KiB at n = 1 and
+    # 1 926 KiB at n = 2; converting the whole family at once (216 064
+    # words, 1.7 MB as int64 alone) or a fresh block per sub-batch
+    # passes them
+    family = flat_source_family(10, 6, 0)
+    flat_avg_seed_tv(10, 2, family[:1])
+    for n, limit in ((1, 1062 << 10), (2, 1926 << 10)):
+        tracemalloc.start()
+        try:
+            flat_avg_seed_tv(10, n, family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, (n, peak)
 
 
 def test_gather_oracle_agrees_with_the_table_oracle():
@@ -297,6 +366,25 @@ def test_flat_supports_are_strict():
         flat_avg_seed_tv(4, 1, [(0, 1), (2**70,)])
     with pytest.raises(DomainError):
         flat_avg_seed_tv(4, 1, [(0.5, 1)])
+    # floats equal to an int too: an int64 conversion would truncate them
+    for bad in ([(1.0, 2)], [(np.float64(3),)], [(0, 1), (2, np.float64(3))]):
+        with pytest.raises(DomainError):
+            flat_avg_seed_tv(4, 1, bad)
+        with pytest.raises(DomainError):
+            flat_avg_seed_tv(4, 2, bad)
+        with pytest.raises(DomainError):
+            WordDistribution.flat(bad[-1], 4)
+        with pytest.raises(DomainError):
+            two_source_tv(bad[-1], [1])
+        with pytest.raises(DomainError):
+            two_source_tv([1], bad[-1])
+    # the same refusals through the other two callers
+    for support in ((-1, 0), (16, 0), (0, 0, 1), (2**70,), (0.5, 1)):
+        with pytest.raises(DomainError):
+            WordDistribution.flat(support, 4)
+    for support in ((-1,), (1 << 16,), (0, 0, 1), (2**70,), (0.5, 1)):
+        with pytest.raises(DomainError):
+            two_source_tv(support, [1])
 
 
 def test_output_table_budget():
