@@ -284,8 +284,12 @@ _TESTS = (monobit_test, runs_test, serial_test, approximate_entropy_test)
 
 def _check_battery(n: int, significance: float) -> None:
     """The refusals of every battery run: a significance outside (0, 1), then a short stream."""
-    if not (0 < significance < 1):
-        raise DomainError(f"significance must lie in (0,1), got {significance}")
+    try:
+        inside = 0 < significance < 1
+    except (TypeError, ArithmeticError):  # a str has no order; a Decimal NaN signals
+        inside = False
+    if not inside:
+        raise DomainError(f"significance must lie in (0,1), got {significance!r}")
     if n < max(MINIMUM_BITS.values()):
         mins = ", ".join(f"{name} {m}" for name, m in MINIMUM_BITS.items())
         raise InsufficientLengthError(f"stream of {n} bits is below the battery minimums ({mins})")

@@ -52,7 +52,7 @@ from .numerics import (
     format_rational,
     in_cell,
     least_power_at_least,
-    log_ratio_decimal,
+    log2_decimal,
     state_bound,
 )
 from .prng import SplitMix64, _counter_words
@@ -501,7 +501,8 @@ def transfer_rows(
 ) -> list:
     """CSV-ready records: (x, m, k, k - m*log2/log(beta), exceeded)."""
     beta = check_beta(beta)
-    ratio = log_ratio_decimal(beta)
+    with decimal_context(60):
+        ratio = Decimal(1) / log2_decimal(beta)
     rows = []
     for m, res in zip(m_values, k_profile(x, m_values, beta, thresholds, k_cap, rng)):
         with decimal_context(28):

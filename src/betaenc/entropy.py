@@ -84,10 +84,12 @@ class WordDistribution:
     def __post_init__(self):
         limit = 1 << check_positive_int(self.m, "word length", ConfigurationError)
         for word, p in self.entries.items():
-            if isinstance(word, bool):
+            if isinstance(word, bool) or not isinstance(word, int):
                 raise ConfigurationError(f"words must be ints, got {word!r}")
             if not (0 <= word < limit):
                 raise ConfigurationError(f"word {word} does not fit in {self.m} bits")
+            if isinstance(p, bool) or not isinstance(p, (Fraction, int)):
+                raise ConfigurationError(f"probabilities must be Fractions or ints, got {p!r}")
             if p.numerator <= 0:  # denominators are positive
                 raise ConfigurationError("stored probabilities must be positive")
         # the total as an integer over the common denominator

@@ -10,11 +10,11 @@ takes one encoder step for every lane of the block at once, deciding
 each bit and most containments on int64 bounds and the containments
 those leave open on exact integers (a lane whose bit the bounds cannot
 decide is scanned again by ``converter._scan``).  Each count in a report
-row is the samples below an integer cut against the irrational rate
-log2/log(beta), decided exactly on the integer brackets of log2 that
-``numerics`` keeps: one power search per cut, or for the sqrt tail one
-bracket of the rate and of sqrt(m); logarithms appear only as 50-digit
-decimals in the report text.
+row is the samples below an integer cut, decided exactly on the integer
+brackets of log2 that ``numerics`` keeps: a cut at the irrational
+m*log2/log(beta) -+ t is one ``floor_log_ratio`` bracket of the rate (and
+of sqrt(m) for the sqrt tail), and an eps cut one power search;
+logarithms appear only as 50-digit decimals in the report text.
 
 The exact side (``pm_measure_exact``) walks the prefix tree of
 ``encoder.prefix_leaves`` to every attainable bit prefix of a chosen depth
@@ -49,12 +49,11 @@ from .numerics import (
     cmp_pow2,
     decimal_context,
     decimal_str,
-    floor_log_ratio_sqrt,
+    floor_log_ratio,
     format_rational,
     in_cell,
     least_power_at_least,
     log2_decimal,
-    log_ratio_decimal,
     state_bound,
 )
 from .prng import PRNG_ID, SplitMix64, derive_keys, odd_numerator_rows
@@ -200,8 +199,11 @@ def _row(exp: LochsExperiment, m: int, hist: Counter, cap_hits: int) -> dict:
     """The report row of order m, read off ``hist``, the histogram of k, sorted once.
 
     Every count is the samples below a cut, the least k where a rule starts
-    or stops holding: one ``least_power_at_least`` search, or for the sqrt
-    tail one ``floor_log_ratio_sqrt`` bracket.
+    or stops holding.  A cut at the irrational m*r + t, r = log2/log(beta)
+    (the lower bound at t = 0, the tail at t = -+tail_eps*m or
+    -+tail_eps*sqrt(m)), is floor(m*r + t) + 1 from one ``floor_log_ratio``
+    bracket; an eps cut, where eps * beta**(k - 1) can equal 2**(m + 1),
+    is one ``least_power_at_least`` search.
     """
     if not hist:
         return {"m": m, "samples": 0, "cap_hits": cap_hits}
@@ -214,7 +216,7 @@ def _row(exp: LochsExperiment, m: int, hist: Counter, cap_hits: int) -> dict:
         return cum[bisect_left(ks, cut)]
 
     with decimal_context(60):
-        ratio = log_ratio_decimal(beta)
+        ratio = Decimal(1) / log2_decimal(beta)
         target_k = Decimal(m) * ratio
 
         mean_k = Fraction(sum(k * c for k, c in hist.items()), n)
@@ -223,8 +225,8 @@ def _row(exp: LochsExperiment, m: int, hist: Counter, cap_hits: int) -> dict:
         mean_ratio = mean_k / m
         mean_ratio_dec = as_decimal(mean_ratio)
 
-        # beta**k <= 2**m below the cut
-        lower_violations = below(least_power_at_least(beta, m, strict=True))
+        # beta**k <= 2**m, k <= m*r, below the cut
+        lower_violations = below(floor_log_ratio(beta, m, 0, 1) + 1)
 
         # the least k whose cumulative count reaches ceil(level * n)
         quantiles = {format_rational(q): ks[bisect_left(cum, -(-q * n // 1)) - 1]
@@ -248,24 +250,14 @@ def _row(exp: LochsExperiment, m: int, hist: Counter, cap_hits: int) -> dict:
                 }
             )
 
-        # |k - target_k| > t holds below lo and from hi on
+        # |k - target_k| > t holds below lo and from hi on; t = c * sqrt(radicand)
         if exp.scaling == "sqrt":
-            n_m_sq = Fraction(m)
-            # m*r -+ t with t = tail_eps*sqrt(m) is never an integer
-            lo = floor_log_ratio_sqrt(beta, m, -exp.tail_eps) + 1
-            hi = floor_log_ratio_sqrt(beta, m, exp.tail_eps) + 1
-            n_m_label = f"sqrt({m})"
+            n_m_sq, c, radicand, n_m_label = Fraction(m), exp.tail_eps, m, f"sqrt({m})"
         else:
-            n_m_sq = Fraction(m * m)
-            # t = tn/td: beta**(k*td + tn) < 2**(m*td) below lo, and
-            # beta**(k*td - tn) > 2**(m*td) from hi on, searched over beta**td
-            tn, td = (exp.tail_eps * m).as_integer_ratio()
-            base = beta**td
-            lo = least_power_at_least(base, m * td, coefficient=beta**tn)
-            # t >= max k: no k passes m*r + t, a cut whose search could pass the 2**20 limit
-            hi = ks[-1] + 1 if tn >= ks[-1] * td else least_power_at_least(
-                base, m * td, coefficient=beta**-tn, strict=True)
+            n_m_sq, c, radicand = Fraction(m * m), exp.tail_eps * m, 1
             n_m_label = format_rational(Fraction(m))
+        lo = floor_log_ratio(beta, m, -c, radicand) + 1
+        hi = floor_log_ratio(beta, m, c, radicand) + 1
         tail_mass = Fraction(below(lo) + n - below(hi), n)
         scaled_variance = variance / n_m_sq
 
@@ -309,19 +301,19 @@ def run_lochs(exp: LochsExperiment) -> LochsReport:
     """Run the experiment; deterministic given the config, whatever the worker count."""
     n = exp.n_samples
     if exp.workers > 1 and n > 1:
-        bounds = _pieces(n, exp.workers)
-        hists = [Counter() for _ in exp.m_values]
-        cap_hits = [0] * len(exp.m_values)
         # imported here: loading multiprocessing costs every import of the package
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=exp.workers) as pool:
-            for part_hists, part_caps in pool.map(partial(_chunk, exp), bounds):
-                for slot in range(len(exp.m_values)):
-                    hists[slot].update(part_hists[slot])
-                    cap_hits[slot] += part_caps[slot]
+            parts = list(pool.map(partial(_chunk, exp), _pieces(n, exp.workers)))
     else:
-        hists, cap_hits = _chunk(exp, (0, n))
+        parts = [_chunk(exp, (0, n))]
+    hists = [Counter() for _ in exp.m_values]
+    cap_hits = [0] * len(exp.m_values)
+    for part_hists, part_caps in parts:
+        for slot in range(len(exp.m_values)):
+            hists[slot].update(part_hists[slot])
+            cap_hits[slot] += part_caps[slot]
 
     precision = exp.resolved_precision()
     rows = tuple(map(partial(_row, exp), exp.m_values, hists, cap_hits))

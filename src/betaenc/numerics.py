@@ -19,8 +19,9 @@ Conventions, fixed once here and used everywhere:
 * ``floor_log2`` is the one floor(log2) of a rational (the extraction
   budget, ``round_to_bits`` and ``cmp_pow2`` ask it), ``_log2_bounds``
   the one integer bracket of a log2 (``cmp_pow2``, ``least_power_at_least``
-  and ``floor_log_ratio_sqrt`` read it), and report decimals are
-  ``decimal_str``'s, half-even at 12 places.
+  and ``floor_log_ratio`` read it), the rate log2/log(beta) is
+  ``1 / log2_decimal(beta)``, and report decimals are ``decimal_str``'s,
+  half-even at 12 places.
 """
 
 from __future__ import annotations
@@ -312,18 +313,18 @@ def _isqrt(n: int) -> int:
     return x
 
 
-def floor_log_ratio_sqrt(beta: Fraction, m: int, coefficient: Fraction) -> int:
-    """floor(m * log2/log(beta) + coefficient * sqrt(m)) for beta in (1, 2], decided exactly.
+def floor_log_ratio(beta: Fraction, m: int, coefficient: Fraction, radicand: int) -> int:
+    """floor(m * log2/log(beta) + coefficient * sqrt(radicand)), beta in (1, 2), decided exactly.
 
     For rational beta in (1, 2), log2/log(beta) is transcendental
     (Gelfond-Schneider), so the value is never an integer: rational
-    brackets of log2(beta) and of sqrt(m), with twice the bits each
+    brackets of log2(beta) and of sqrt(radicand), with twice the bits each
     round, end with both ends on one side of the integer next to it.
     """
     bits = 64
     while True:
         log_lo, log_hi = _log2_bounds(beta, bits)
-        root = _isqrt(m << 2 * bits)
+        root = _isqrt(radicand << 2 * bits)
         roots = (Fraction(root, 1 << bits), Fraction(root + 1, 1 << bits))
         if coefficient < 0:
             roots = roots[::-1]
@@ -340,12 +341,15 @@ def decimal_context(prec: int):
     return localcontext(Context(prec=prec, rounding=ROUND_HALF_EVEN))
 
 
-# The two logs below are pure and their Decimals immutable, so reports that
-# ask for the same log many times compute it once; typed, so a refused type
-# (a float) never gets the entry of the rational it equals.
+# log2 is pure and its Decimals immutable, so reports that ask for the same
+# log many times compute it once; typed, so a refused type (a float) never
+# gets the entry of the rational it equals.
 @lru_cache(maxsize=256, typed=True)
 def log2_decimal(value: Fraction) -> Decimal:
-    """log2 of a positive rational, correct to ~50 significant digits."""
+    """log2 of a positive rational, correct to ~50 significant digits.
+
+    The digit-transfer rate log2/log(beta) is ``1 / log2_decimal(beta)``.
+    """
     value = as_fraction(value)
     if value <= 0:
         raise DomainError("log of a nonpositive value")
@@ -353,17 +357,6 @@ def log2_decimal(value: Fraction) -> Decimal:
         num = Decimal(value.numerator).ln()
         den = Decimal(value.denominator).ln()
         return (num - den) / Decimal(2).ln()
-
-
-@lru_cache(maxsize=64, typed=True)
-def log_ratio_decimal(beta: Fraction) -> Decimal:
-    """log2 / log(beta), the ideal digit-transfer rate, to ~50 significant digits."""
-    beta = as_fraction(beta)
-    if beta <= 1:
-        raise DomainError("rate needs beta > 1")
-    with decimal_context(60):
-        lnb = Decimal(beta.numerator).ln() - Decimal(beta.denominator).ln()
-        return Decimal(2).ln() / lnb
 
 
 def as_decimal(value: Fraction) -> Decimal:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -467,8 +467,7 @@ def lochs_row_counts(beta, m: int, hist: dict, levels, eps_values, tail_eps, sca
     if scaling == "sqrt":
         with localcontext() as ctx:
             ctx.prec = 60
-            lnb = Decimal(beta.numerator).ln() - Decimal(beta.denominator).ln()
-            target = Decimal(m) * (Decimal(2).ln() / lnb)
+            target = Decimal(m) * log_ratio_decimal(beta)
             t = Decimal(tail_eps.numerator) / Decimal(tail_eps.denominator) * Decimal(m).sqrt()
             tail = sum(c for k, c in hist.items() if abs(Decimal(k) - target) > t)
     else:
@@ -487,6 +486,45 @@ def lochs_row_counts(beta, m: int, hist: dict, levels, eps_values, tail_eps, sca
                 break
     return {"lower_bound_violations": lower, "exceed": exceed, "tail": tail,
             "quantiles": quantiles, "min_k": min(hist), "max_k": max(hist)}
+
+
+def log_ratio_decimal(beta, digits: int = 60) -> Decimal:
+    """ln 2 / ln(beta), the digit-transfer rate r = log2/log(beta), on ``digits``-digit decimals."""
+    beta, ctx = Fraction(beta), Context(prec=digits)
+    return ctx.divide(ctx.ln(2), ctx.subtract(ctx.ln(beta.numerator), ctx.ln(beta.denominator)))
+
+
+def log_ratio_value(beta, m: int, coefficient, radicand: int, digits: int = 200) -> Decimal:
+    """m * r + coefficient * sqrt(radicand) on ``digits``-digit decimals."""
+    c, ctx = Fraction(coefficient), Context(prec=digits)
+    t = ctx.multiply(ctx.divide(c.numerator, c.denominator), ctx.sqrt(radicand))
+    return ctx.add(ctx.multiply(m, log_ratio_decimal(beta, digits)), t)
+
+
+def rate_cut(beta, m: int, coefficient, radicand: int, digits: int = 120) -> int:
+    """floor(m * r + coefficient * sqrt(radicand)) + 1, the least integer k above it."""
+    return math.floor(log_ratio_value(beta, m, coefficient, radicand, digits)) + 1
+
+
+def rate_cuts_by_powers(beta, m: int, t) -> tuple:
+    """(lower, lo, hi): the least k with beta**k > 2**m, beta**(k + t) > 2**m
+    and beta**(k - t) > 2**m, for a rational t >= 0, by exact powers.
+
+    These are the cuts floor(m*r) + 1 and floor(m*r -+ t) + 1.  With t =
+    tn/td, beta**(k*td + shift) is compared with 2**(m*td) for k = -floor(t)
+    - 1 (every exponent negative there), then k + 1, ...: small t only.
+    """
+    beta, t = Fraction(beta), Fraction(t)
+    tn, td = t.numerator, t.denominator
+    goal = Fraction(2) ** (m * td)
+
+    def least(shift: int) -> int:
+        k = -(tn // td) - 1
+        while beta ** (k * td + shift) <= goal:
+            k += 1
+        return k
+
+    return least(0), least(tn), least(-tn)
 
 
 def cmp_pow2(value, exponent) -> int:

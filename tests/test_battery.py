@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from decimal import Decimal
 
@@ -391,7 +392,10 @@ def test_rejection_rates_refusals():
             f"stream of {n_bits} bits is below the battery minimums "
             "(monobit 100, runs 100, serial 64, approximate-entropy 256)"
         )
-    for significance in (0, 1, -0.5, float("nan")):
-        with pytest.raises(DomainError,
-                           match=fr"^significance must lie in \(0,1\), got {significance}$"):
+    # a str or None raised TypeError from the comparison, a Decimal NaN InvalidOperation
+    for significance in (0, 1, -0.5, float("nan"), Decimal(1), Decimal("NaN"), "0.5", None):
+        message = fr"^significance must lie in \(0,1\), got {re.escape(repr(significance))}$"
+        with pytest.raises(DomainError, match=message):
             rejection_rates(n_runs=3, n_bits=256, significance=significance)
+        with pytest.raises(DomainError, match=message):
+            run_battery(prng_bits(512), significance)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,11 @@ def test_distribution_validation():
     (1, {0: F(1, 2), 2: F(1, 2)}, "word 2 does not fit in 1 bits"),
     (1, {0: F(3, 2), 1: F(-1, 2)}, "stored probabilities must be positive"),
     (1, {0: F(1), 1: 0}, "stored probabilities must be positive"),
+    # a float raised AttributeError on its numerator
+    (1, {0: 0.5, 1: 0.5}, "probabilities must be Fractions or ints, got 0.5"),
+    (1, {0: F(1, 2), 1: Decimal("0.5")},
+     r"probabilities must be Fractions or ints, got Decimal\('0.5'\)"),
+    (1, {0: True}, "probabilities must be Fractions or ints, got True"),
 ])
 def test_distribution_check_messages(m, entries, message):
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
@@ -190,6 +196,9 @@ def test_distribution_refuses_a_bool_word():
     # accepted before, and printed as word 1
     with pytest.raises(ConfigurationError, match="^words must be ints, got True$"):
         WordDistribution(1, {True: F(1)})
+    # accepted before, and refused only by to_csv_rows' binary format
+    with pytest.raises(ConfigurationError, match=r"^words must be ints, got 0\.5$"):
+        WordDistribution(2, {0.5: F(1)})
 
 
 def test_distribution_total_is_exact_over_unlike_denominators():

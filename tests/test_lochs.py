@@ -574,6 +574,33 @@ def assert_row_matches_the_oracle(beta, m, hist, eps_values, tail_eps, scaling) 
     return row
 
 
+@pytest.mark.parametrize("scaling", lochs.SCALINGS)
+@pytest.mark.parametrize("tail_eps", [F(1, 10), F(1), F(10), F(1000)])
+@pytest.mark.parametrize("m", [1, 8, 64, 500])
+@pytest.mark.parametrize("beta", [F(3, 2), F(9, 5), F(4, 3)])
+def test_row_cuts_match_the_decimal_and_power_references(beta, m, tail_eps, scaling):
+    """The lower bound and the tail cut at floor(m*r -+ t) + 1, r = log2/log(beta).
+
+    The cuts are read off 120-digit decimals, and for a rational t up to
+    1000 also off exact powers.  The histogram holds every k in [1, 2*lower
+    + 10] within 2 of a cut, so a large t leaves m*r - t below 0 and m*r + t
+    above the largest k.
+    """
+    c, radicand = (tail_eps, m) if scaling == "sqrt" else (tail_eps * m, 1)
+    lower, lo, hi = (oracles.rate_cut(beta, m, s * c, radicand) for s in (0, -1, 1))
+    root = math.isqrt(radicand)
+    if root * root == radicand and c * root <= 1000:
+        assert oracles.rate_cuts_by_powers(beta, m, c * root) == (lower, lo, hi)
+    top = 2 * lower + 10
+    ks = {k for cut in (lower, lo, hi) for k in range(cut - 2, cut + 3) if 1 <= k <= top}
+    hist = Counter({k: 1 + k % 3 for k in ks})
+    exp = LochsExperiment(beta=beta, m_values=(m,), tail_eps=tail_eps, scaling=scaling)
+    row = lochs._row(exp, m, hist, 0)
+    assert row["lower_bound_violations"] == sum(n for k, n in hist.items() if k < lower)
+    tail = sum(n for k, n in hist.items() if not lo <= k < hi)
+    assert F(row["tail"]["mass"]) == F(tail, sum(hist.values()))
+
+
 @pytest.mark.parametrize("m, tail_eps, ks, mass", [
     # m*log2/log(3/2) = 109.45..., more than t = 64/9973 from every integer
     (64, F(1, 9973), range(100, 120), "1/1"),
@@ -581,9 +608,9 @@ def assert_row_matches_the_oracle(beta, m, hist, eps_values, tail_eps, scaling) 
     (8, F(1 << 17), range(20, 30), "0/1"),
 ])
 def test_rows_at_extreme_tail_eps_are_fast(m, tail_eps, ks, mass):
-    """One search per cut: a test per bin forms beta**(k*td -+ tn) for each
-    bin, about 3 s for either row, and a search for the upper cut of the
-    second would be refused."""
+    """One bracket per cut: a test per bin forms beta**(k*td -+ tn) for each
+    bin, about 3 s for either row, and a power search for the upper cut of
+    the second would be refused."""
     exp = LochsExperiment(beta=F(3, 2), m_values=(m,), tail_eps=tail_eps)
     hist = Counter({k: 1 + k % 3 for k in ks})
     start = time.perf_counter()

@@ -18,12 +18,12 @@ from betaenc.numerics import (
     cmp_pow2,
     decimal_str,
     floor_log2,
-    floor_log_ratio_sqrt,
+    floor_log_ratio,
     format_rational,
     in_cell,
     least_power_at_least,
+    decimal_context,
     log2_decimal,
-    log_ratio_decimal,
     round_to_bits,
     state_bound,
 )
@@ -372,15 +372,33 @@ def test_log2_decimal_exact_powers():
     assert log2_decimal(Fraction(1, 4)) == Decimal(-2)
     with pytest.raises(DomainError, match="^log of a nonpositive value$"):
         log2_decimal(Fraction(0))
-    with pytest.raises(DomainError, match="^rate needs beta > 1$"):
-        log_ratio_decimal(Fraction(1))
 
 
-def test_log_ratio_matches_float_log():
+def rate(beta: Fraction) -> Decimal:
+    """log2/log(beta) as the reports take it."""
+    with decimal_context(60):
+        return Decimal(1) / log2_decimal(beta)
+
+
+def test_rate_matches_float_log():
     for beta in (Fraction(3, 2), Fraction(9, 5), Fraction(8, 5)):
-        got = float(log_ratio_decimal(beta))
         want = math.log(2) / math.log(float(beta))
-        assert abs(got - want) < 1e-12
+        assert abs(float(rate(beta)) - want) < 1e-12
+
+
+def test_rate_reports_as_ln2_over_ln_beta_at_every_small_gain():
+    """1 / log2(beta) and ln 2 / ln(beta) may differ in their last digits, but
+    not at 12 places or in a 28-digit product m * r, for every p/q in (1, 2)
+    with q < 60."""
+    gains = [Fraction(p, q) for q in range(2, 60) for p in range(q + 1, 2 * q)
+             if math.gcd(p, q) == 1]
+    assert len(gains) == 1085
+    products = Context(prec=28)
+    for beta in gains:
+        got, want = rate(beta), oracles.log_ratio_decimal(beta)
+        assert decimal_str(got) == decimal_str(want)
+        for m in (8, 16, 32, 64, 128, 1000):
+            assert products.multiply(m, got) == products.multiply(m, want)
 
 
 def test_decimal_str_formatting():
@@ -578,38 +596,35 @@ def test_least_power_band_refusal_is_exact_at_a_small_limit(den, e, coefficient,
             assert least_power_at_least(beta, e, coefficient=coefficient, strict=strict) == expected
 
 
-def wide_log_ratio_sqrt(beta, m, coefficient, digits=200) -> Decimal:
-    """m * log2/log(beta) + coefficient * sqrt(m) on ``digits``-digit decimals."""
-    ctx = Context(prec=digits)
-    ratio = ctx.divide(ctx.ln(2), ctx.subtract(ctx.ln(beta.numerator), ctx.ln(beta.denominator)))
-    t = ctx.multiply(ctx.divide(coefficient.numerator, coefficient.denominator), ctx.sqrt(m))
-    return ctx.add(ctx.multiply(m, ratio), t)
-
-
 @settings(max_examples=300)
 @given(beta=st.fractions(Fraction(1001, 1000), Fraction(1999, 1000), max_denominator=1000),
        m=st.integers(1, 10**6),
-       coefficient=st.fractions(-1000, 1000, max_denominator=1000))
-def test_floor_log_ratio_sqrt_matches_wide_decimals(beta, m, coefficient):
+       coefficient=st.fractions(-1000, 1000, max_denominator=1000),
+       sqrt_tail=st.booleans())
+def test_floor_log_ratio_matches_wide_decimals(beta, m, coefficient, sqrt_tail):
+    """Radicand m as for the sqrt tail, radicand 1 as for the linear tail and
+    the lower bound."""
     assume(1 < beta < 2)
-    value = wide_log_ratio_sqrt(beta, m, coefficient)
-    assert floor_log_ratio_sqrt(beta, m, coefficient) == math.floor(value)
+    radicand = m if sqrt_tail else 1
+    value = oracles.log_ratio_value(beta, m, coefficient, radicand)
+    assert floor_log_ratio(beta, m, coefficient, radicand) == math.floor(value)
     # the row's cut is never on an integer: 200 digits see it clear of one
     assert abs(value - round(value)) > Decimal(10) ** -150
 
 
+@pytest.mark.parametrize("radicand", [1, 4])
 @pytest.mark.parametrize("beta", [Fraction(3, 2), Fraction(9, 5), Fraction(101, 100)])
-def test_floor_log_ratio_sqrt_decides_ties_sixty_digits_miss(beta):
-    """At m = 4, sqrt(m) = 2: a coefficient that puts the value within 1e-79
-    of 100.  The 60-digit decimals the sqrt tail used to read put it on the
-    wrong side of 100 at 3/2 and 101/100; the brackets refine until they clear it."""
+def test_floor_log_ratio_decides_ties_sixty_digits_miss(beta, radicand):
+    """At m = 4, a coefficient that puts the value within 1e-79 of 100.
+    The 60-digit decimals the sqrt tail used to read put it on the wrong
+    side of 100 at 3/2 and 101/100; the brackets refine until they clear it."""
     m = 4
-    ratio = wide_log_ratio_sqrt(beta, 1, Fraction(0))
+    ratio = oracles.log_ratio_decimal(beta, 200)
     close = Fraction(ratio.quantize(Decimal(10) ** -80, context=Context(prec=200)))
-    coefficient = (100 - m * close) / 2
-    value = wide_log_ratio_sqrt(beta, m, coefficient)
+    coefficient = (100 - m * close) / math.isqrt(radicand)
+    value = oracles.log_ratio_value(beta, m, coefficient, radicand)
     assert 0 < abs(value - 100) < Decimal(10) ** -79
-    assert floor_log_ratio_sqrt(beta, m, coefficient) == math.floor(value)
+    assert floor_log_ratio(beta, m, coefficient, radicand) == math.floor(value)
 
 
 log2_values = st.one_of(
@@ -639,13 +654,14 @@ def test_log2_bounds_bracket_wide_decimals(value, bits):
     assert hi - lo <= 16  # a few units of 2**-bits
 
 
-def test_floor_log_ratio_sqrt_refines_a_log_bracket_that_starts_at_zero():
+def test_floor_log_ratio_refines_a_log_bracket_that_starts_at_zero():
     # log2(1 + 2**-70) is below the 64-bit bracket's resolution, whose
     # lower end is then 0; the next rounds have room for it
     beta = Fraction(2**70 + 1, 2**70)
     for m, coefficient in [(1, Fraction(0)), (3, Fraction(-7, 2)), (10**6, Fraction(5, 3))]:
-        value = wide_log_ratio_sqrt(beta, m, coefficient)
-        assert floor_log_ratio_sqrt(beta, m, coefficient) == math.floor(value)
+        for radicand in (1, m):
+            value = oracles.log_ratio_value(beta, m, coefficient, radicand)
+            assert floor_log_ratio(beta, m, coefficient, radicand) == math.floor(value)
 
 
 def test_least_power_refines_a_log_bracket_that_starts_at_zero():
