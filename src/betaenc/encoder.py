@@ -14,8 +14,6 @@ seed.
 from __future__ import annotations
 
 import itertools
-import math
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -24,9 +22,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ResourceBudgetError
+from .errors import ConfigurationError, DomainError
 from .numerics import (
-    ONE,
     ZERO,
     as_fraction,
     check_beta,
@@ -41,6 +38,7 @@ from .numerics import (
     state_bound,
 )
 from .prng import PRNG_ID, SplitMix64
+from .tree import prefix_leaves
 
 
 # ---------------------------------------------------------------------------
@@ -466,56 +464,6 @@ def _steps_above(beta: Fraction, e: int, cap: int) -> int:
     return max(1, least_power_at_least(beta, e, strict=True))
 
 
-def prefix_leaves(choices, u_seq, end=ONE, node_budget: Optional[int] = None):
-    """The forward tree of output prefixes over the inputs in [0, end).
-
-    ``choices[j]`` lists the (gain, integer weight) branches of step j and
-    ``u_seq[j]`` is its threshold.  Returns (unit, leaves): per attained word
-    of length m = len(u_seq) and gain path, ``leaves`` yields (word, lo, hi,
-    weight, E); the inputs in [lo/unit, hi/unit) emit ``word`` on a path whose
-    branch weights multiply to ``weight``, with state (P*x - E)/Q for P/Q the
-    path's gain product.  Past ``node_budget`` visited nodes it raises
-    ResourceBudgetError.  All integers: with u_j = r_j/s (s takes in end's
-    denominator) and L_j the lcm of step j's gain numerators, unit =
-    s L_1...L_m and a node carries E, Q and N = L_1...L_m / P.  Branch p/q
-    emits 1 from split = (r Q' + s p E) N' on, with Q' = Q q and N' = N/p;
-    E' is p E below the split, p E + Q' above.
-    """
-    s = math.lcm(end.denominator, *(u.denominator for u in u_seq))
-    steps = [(u.numerator * (s // u.denominator),
-              [(g.numerator, g.denominator, w) for g, w in options])
-             for options, u in zip(choices, u_seq)]
-    top = math.prod(math.lcm(*(g.numerator for g, _ in options)) for options in choices)
-    unit, m = s * top, len(steps)
-    limit = sys.maxsize if node_budget is None else node_budget
-
-    def leaves():
-        visited = 0
-        stack = [(0, 0, 0, end.numerator * (unit // end.denominator), 1, 0, 1, top)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            visited += 1
-            if visited > limit:
-                raise ResourceBudgetError(f"prefix-tree walk passed {node_budget} nodes; "
-                                          "shrink the depth")
-            depth, word, lo, hi, weight, E, Q, N = pop()
-            if depth == m:
-                yield word, lo, hi, weight, E
-                continue
-            r, branches = steps[depth]
-            word <<= 1
-            depth += 1
-            for p, q, w in branches:
-                Q1, N1, pE, w = Q * q, N // p, p * E, weight * w
-                split = (r * Q1 + s * pE) * N1
-                if split > lo:
-                    push((depth, word, lo, split if split < hi else hi, w, pE, Q1, N1))
-                if hi > split:
-                    push((depth, word | 1, split if split > lo else lo, hi, w, pE + Q1, Q1, N1))
-
-    return unit, leaves()
-
-
 class _Plan(NamedTuple):
     """Spans, cylinder table and one cylinder's step of the stream kernel for one (beta, u, W)."""
 
@@ -560,12 +508,13 @@ def _kernel_plan(beta: Fraction, u: Fraction, W: int, /) -> _Plan:
     W2 = _MID_FACTOR * W
     k_mid = min(W2, _steps_above(beta, W2 // 2, W2))
 
-    # the depth-K cylinders of [0, kappa); the walk yields the highest first.
-    # The lowest is open below, and the last bound is far above
+    # the depth-K cylinders of [0, kappa), sorted by their lower ends.  The
+    # lowest is open below, and the last bound is far above
     # 2**W * kappa = 2**W * q / (p - q).  Tuples: the cache hands the same
     # plan to every caller.
-    unit, leaves = prefix_leaves([[(beta, 1)]] * K, (u,) * K, state_bound(beta))
-    words, lows, _, _, offsets = zip(*reversed(list(leaves)))
+    unit, batches = prefix_leaves([[(beta, 1)]] * K, (u,) * K, state_bound(beta))
+    table = np.concatenate(list(batches), axis=1)
+    words, lows, _, _, offsets = map(tuple, table[:, table[1].argsort()].tolist())
     # one byte per bit: the low K (<= _TABLE_DEPTH_CAP = 16) bits of each word
     digits = np.unpackbits(np.array(words, ">u2").view(np.uint8)).reshape(-1, 16)
     digits = digits[:, 16 - K:].tobytes()

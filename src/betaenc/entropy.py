@@ -5,10 +5,11 @@ produce a given bit word is a finite union over gain realizations of
 intervals, and each interval is computable exactly: the state after j
 steps is an increasing affine function of the input, so every threshold
 comparison splits the consistency interval at one rational point.  The
-integer walk of that forward tree (``encoder.prefix_leaves``, which also
+integer walk of that forward tree (``tree.prefix_leaves``, which also
 builds the stream kernel's table and the tail-set measure in ``lochs``)
-counts every leaf in one unit, so the probability of each word of length
-m under Lebesgue-uniform input is an integer sum made one Fraction at the
+counts every leaf in one unit and yields the leaves in batches of integer
+arrays, each summed by word, so the probability of each word of length m
+under Lebesgue-uniform input is an integer sum made one Fraction at the
 end.  The min-entropy and the kappa / beta_min**m ceiling on word
 probabilities are checked as pure rational inequalities.  Logarithms only
 ever appear in reports.  ``WordDistribution`` is also ``extract``'s source type,
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bitio import word_to_str
-from .encoder import ConstantThreshold, ExplicitBetas, IidSupportBetas, check_role, prefix_leaves
+from .encoder import ConstantThreshold, ExplicitBetas, IidSupportBetas, check_role
 from .errors import ConfigurationError, DomainError, ResourceBudgetError
 from .numerics import (
     ZERO,
@@ -41,6 +42,7 @@ from .numerics import (
     log2_decimal,
     state_bound,
 )
+from .tree import prefix_leaves
 
 ENUMERATION_BUDGET = 1 << 24
 
@@ -92,12 +94,15 @@ class WordDistribution:
                 raise ConfigurationError(f"probabilities must be Fractions or ints, got {p!r}")
             if p.numerator <= 0:  # denominators are positive
                 raise ConfigurationError("stored probabilities must be positive")
-        # the total as an integer over the common denominator
+        # the total and the peak as integers over the common denominator
         probs = self.entries.values()
         den = math.lcm(*(p.denominator for p in probs))
-        total = sum(p.numerator * (den // p.denominator) for p in probs)
+        scaled = [p.numerator * (den // p.denominator) for p in probs]
+        total = sum(scaled)
         if total != den:
             raise ConfigurationError(f"probabilities sum to {Fraction(total, den)}, not 1")
+        peak = max(scaled)
+        object.__setattr__(self, "_peak", min(w for w, n in zip(self.entries, scaled) if n == peak))
 
     @classmethod
     def uniform(cls, m: int) -> "WordDistribution":
@@ -117,11 +122,10 @@ class WordDistribution:
     def max_probability(self):
         """(word, probability) of the likeliest word; smallest word on ties.
 
-        One ``max`` over the probabilities finds the peak, then the smallest
-        word among those that equal it is taken.
+        The word is found once, in ``__post_init__``'s pass over the
+        probabilities scaled to integers over their common denominator.
         """
-        p = max(self.entries.values())
-        return min([word for word, q in self.entries.items() if q == p]), p
+        return self._peak, self.entries[self._peak]
 
     def min_entropy_at_least(self, k) -> bool:
         """True iff the min-entropy is at least k >= 0 bits: max prob <= 2**(-k) exactly."""
@@ -184,10 +188,22 @@ def word_distribution(betas, thresholds=None, m: int = 1) -> WordDistribution:
     u_seq = thresholds.realize(m)
     check_thresholds(u_seq, state_bound(betas.beta_range[1]), ConfigurationError)
 
-    unit, leaves = prefix_leaves(choices, u_seq)
+    unit, batches = prefix_leaves(choices, u_seq)
+    # a leaf's mass weight * (hi - lo) is at most `most`; past int64 it is a
+    # Python int.  Masses are summed in 32-bit halves, so a batch of fewer
+    # than 2**31 leaves sums them in int64 while `most` fits.
+    most = unit * math.prod(max(w for _, w in options) for options in choices)
+    dtype = object if most >> 63 else None
     sums: dict = {}
-    for word, lo, hi, weight, _ in leaves:
-        sums[word] = sums.get(word, 0) + weight * (hi - lo)
+    for word, lo, hi, weight, _ in batches:
+        # one sum per word: the batch sorted by word, then one sum per run
+        order = word.argsort()
+        word, mass = word[order], np.multiply(weight, hi - lo, dtype=dtype)[order]
+        first = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])
+        high, low = (np.add.reduceat(half, first).tolist()
+                     for half in (mass >> 32, mass & 0xFFFFFFFF))
+        for w, a, b in zip(word[first].tolist(), high, low):
+            sums[w] = sums.get(w, 0) + (a << 32) + b
     den = unit * weight_den**m
     return WordDistribution(m, {word: Fraction(n, den) for word, n in sums.items() if n})
 

@@ -17,11 +17,12 @@ of sqrt(m) for the sqrt tail), and an eps cut one power search;
 logarithms appear only as 50-digit decimals in the report text.
 
 The exact side (``pm_measure_exact``) walks the prefix tree of
-``encoder.prefix_leaves`` to every attainable bit prefix of a chosen depth
+``tree.prefix_leaves`` to every attainable bit prefix of a chosen depth
 together with its interval of consistent inputs and returns the exact
 Lebesgue measure of the set of inputs whose prefix cylinder still
 straddles a dyadic cell boundary - the quantity the tail-set bound
-2*2**(-eps*m) is about.
+2*2**(-eps*m) is about.  The walk yields its leaves in batches of integer
+arrays, and ``numerics.in_cell`` tests a whole batch at once.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ from functools import partial
 from itertools import accumulate
 from typing import Optional
 
+import numpy as np
+
 from .converter import _lockstep, scan_targets
-from .encoder import ConstantThreshold, check_role, prefix_leaves
+from .encoder import ConstantThreshold, check_role
 from .errors import ConfigurationError, DomainError
 from .numerics import (
     as_decimal,
@@ -57,6 +60,7 @@ from .numerics import (
     state_bound,
 )
 from .prng import PRNG_ID, SplitMix64, derive_keys, odd_numerator_rows
+from .tree import prefix_leaves
 
 SCALINGS = ("linear", "sqrt")
 QUANTILE_LEVELS = (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100))
@@ -354,7 +358,7 @@ def pm_measure_exact(
     threshold u together with its exact interval of consistent inputs in
     [0,1]; an input is in the tail set when its cylinder is not contained
     in its own order-m dyadic cell.  Small m only: the tree has roughly
-    beta**kbar live nodes per level, and a walk past NODE_BUDGET nodes
+    beta**kbar nodes per level, and a walk past NODE_BUDGET nodes
     raises ResourceBudgetError.
     """
     beta = check_beta(beta)
@@ -372,12 +376,16 @@ def pm_measure_exact(
     # [E/P, (E (p - q) + Q q) / (P (p - q))] sits in the cell a of E/P
     p, q = beta.numerator, beta.denominator
     P, T, top = p**kbar, q**kbar << m, (1 << m) - 1
-    unit, leaves = prefix_leaves([[(beta, 1)]] * kbar, (u,) * kbar, node_budget=NODE_BUDGET)
+    unit, batches = prefix_leaves([[(beta, 1)]] * kbar, (u,) * kbar, node_budget=NODE_BUDGET)
+    # E <= P, so every term of the test is below this bound
+    wide = max(P << m, P * (p - q) + T * q) >> 63
     bad = 0
-    for _, lo, hi, _, E in leaves:
-        a = min((E << m) // P, top)
-        if not in_cell((E << m) - a * P, T, P, p - q, q, int(a == top)):
-            bad += hi - lo
+    for _, lo, hi, _, E in batches:
+        if wide:
+            E = E.astype(object)
+        a = np.minimum((E << m) // P, top)
+        out = ~in_cell((E << m) - a * P, T, P, p - q, q, (a == top).astype(E.dtype))
+        bad += int((hi - lo)[out].sum())
     return Fraction(bad, unit)
 
 

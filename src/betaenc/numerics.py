@@ -154,8 +154,9 @@ def in_cell(R: int, T: int, P: int, pmq: int, q: int, last: int) -> bool:
 
     The order-m cell a maps to [0, 1) by y -> 2**m * y - a; ``last`` is 1
     in the closed last cell, which also takes an upper end at 1, else 0.
+    On integer arrays it decides every column at once.
     """
-    return R >= 0 and R * pmq + T * q < P * pmq + last
+    return (R >= 0) & (R * pmq + T * q < P * pmq + last)
 
 
 def floor_log2(value: Fraction) -> int:

@@ -686,6 +686,49 @@ def prefix_leaves_fraction(choices, u_seq, end=1, node_budget=None):
                               shift * gain + 1))
 
 
+def prefix_leaves_dfs(choices, u_seq, end=ONE, node_budget=None):
+    """(unit, leaves): the integer prefix-tree walk, one node at a time.
+
+    The depth-first walk the batched ``tree.prefix_leaves`` replaced,
+    with the same arguments: ``leaves`` yields one (word, lo, hi, weight, E)
+    per leaf, in units of 1/unit, and past ``node_budget`` visited nodes
+    raises RuntimeError with the package's message.  With u_j = r_j/s and
+    L_j the lcm of step j's gain numerators, unit = s L_1...L_m; a node
+    carries E, Q and N = L_1...L_m / P, and branch p/q emits 1 from split =
+    (r Q' + s p E) N' on, with Q' = Q q and N' = N/p.
+    """
+    end = Fraction(end)
+    s = math.lcm(end.denominator, *(Fraction(u).denominator for u in u_seq))
+    steps = [(Fraction(u).numerator * (s // Fraction(u).denominator),
+              [(Fraction(g).numerator, Fraction(g).denominator, w) for g, w in options])
+             for options, u in zip(choices, u_seq)]
+    top = math.prod(math.lcm(*(Fraction(g).numerator for g, _ in options)) for options in choices)
+    unit, m = s * top, len(steps)
+
+    def leaves():
+        visited = 0
+        stack = [(0, 0, 0, end.numerator * (unit // end.denominator), 1, 0, 1, top)]
+        while stack:
+            visited += 1
+            if node_budget is not None and visited > node_budget:
+                raise RuntimeError(f"prefix-tree walk passed {node_budget} nodes; shrink the depth")
+            depth, word, lo, hi, weight, E, Q, N = stack.pop()
+            if depth == m:
+                yield word, lo, hi, weight, E
+                continue
+            r, branches = steps[depth]
+            for p, q, w in branches:
+                Q1, N1, pE = Q * q, N // p, p * E
+                split = (r * Q1 + s * pE) * N1
+                if split > lo:
+                    stack.append((depth + 1, word << 1, lo, min(split, hi), weight * w, pE, Q1, N1))
+                if hi > split:
+                    stack.append((depth + 1, word << 1 | 1, max(split, lo), hi, weight * w,
+                                  pE + Q1, Q1, N1))
+
+    return unit, leaves()
+
+
 def pm_measure_fraction(beta, u, m: int, kbar: int) -> Fraction:
     """Measure of the inputs in [0, 1) whose depth-kbar cylinder leaves their order-m cell.
 

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,6 @@ from betaenc.encoder import (
     IidSupportBetas,
     UniformBetas,
     UniformThresholds,
-    prefix_leaves,
 )
 from betaenc.entropy import (
     WordDistribution,
@@ -25,6 +26,7 @@ from betaenc.entropy import (
 )
 from betaenc.errors import ConfigurationError, ResourceBudgetError
 from betaenc.numerics import state_bound
+from betaenc.tree import _BATCH, prefix_leaves
 
 F = Fraction
 
@@ -268,15 +270,19 @@ def test_bound_holds_across_gains(beta, m):
     assert check.ok and check.slack >= 0
 
 
-def _walk(leaves) -> tuple:
-    """(leaves, exception): what a walk yields before its node budget stops it."""
-    out = []
+def _budget_error(walk):
+    """The exception that stops a walk at its node budget, or None if it ends."""
     try:
-        for leaf in leaves:
-            out.append(leaf)
+        for _ in walk:
+            pass
     except RuntimeError as exc:  # ResourceBudgetError is one
-        return out, exc
-    return out, None
+        return exc
+    return None
+
+
+def _leaves(batches) -> list:
+    """Every leaf of a batched walk as a (word, lo, hi, weight, E) tuple of ints."""
+    return [leaf for batch in batches for leaf in zip(*batch.tolist())]
 
 
 @st.composite
@@ -314,25 +320,26 @@ def test_integer_walk_matches_the_fraction_walk(case):
     u_seq = thresholds.realize(m)
     fraction_choices = [[(g, F(w, den)) for g, w in options] for options in choices]
     want = list(oracles.prefix_leaves_fraction(fraction_choices, u_seq, end))
-    unit, leaves = prefix_leaves(choices, u_seq, end)
-    got = list(leaves)
-    # leaf for leaf, in walk order: the state is (P x - E)/Q on the path's gains
-    assert len(got) == len(want)
-    for (word, lo, hi, weight, E), (*head, path, slope, shift) in zip(got, want):
+    unit, batches = prefix_leaves(choices, u_seq, end)
+    # the same leaves in any order: the state is (P x - E)/Q on the path's gains
+    expected = []
+    for word, lo, hi, weight, path, slope, shift in want:
         P = math.prod(g.numerator for g in path)
         Q = math.prod(g.denominator for g in path)
-        assert [word, F(lo, unit), F(hi, unit), F(weight, den**m)] == head
-        assert slope == F(P, Q) and shift == F(E, Q)
+        assert slope == F(P, Q)
+        expected.append((word, lo, hi, weight, shift * Q))
+    got = [(word, F(lo, unit), F(hi, unit), F(weight, den**m), F(E))
+           for word, lo, hi, weight, E in _leaves(batches)]
+    assert sorted(got) == sorted(expected)
 
-    # the same tree: a budget of its node count passes, one less stops both
-    # walks after the same leaves with the same message, and so does 10
+    # the same tree: a budget of its node count passes, and one less stops
+    # both walks with the same message, and so does 10
     nodes = {(path[:d], word >> (m - d)) for word, *_, path, _, _ in want for d in range(m + 1)}
-    assert _walk(prefix_leaves(choices, u_seq, end, len(nodes))[1])[1] is None
+    assert _budget_error(prefix_leaves(choices, u_seq, end, len(nodes))[1]) is None
     for budget in (10, len(nodes) - 1):
-        got_cut, got_exc = _walk(prefix_leaves(choices, u_seq, end, budget)[1])
-        want_cut, want_exc = _walk(
+        got_exc = _budget_error(prefix_leaves(choices, u_seq, end, budget)[1])
+        want_exc = _budget_error(
             oracles.prefix_leaves_fraction(fraction_choices, u_seq, end, budget))
-        assert len(got_cut) == len(want_cut)
         assert (got_exc is None) == (want_exc is None) == (budget >= len(nodes))
         if got_exc is not None:
             assert isinstance(got_exc, ResourceBudgetError)
@@ -364,6 +371,87 @@ def test_integer_walk_matches_the_fraction_walk(case):
             model.values, model.probs)
         oracle = oracles.word_distribution_oracle(support, probs, u_seq, m)
     assert dist.entries == {w: p for w, p in oracle.items() if p > 0}
+
+
+@pytest.mark.parametrize("m", [19, 20])
+def test_batched_walk_matches_the_node_walk_where_splits_pass_int64(m):
+    # unit = 9**m, and splits reach unit * (u + end) = 2 * 9**m, past 2**63
+    # from m = 20 on: the columns turn from int64 to Python ints there
+    choices, u_seq = [[(F(9, 5), 1)]] * m, (F(1),) * m
+    unit, batches = prefix_leaves(choices, u_seq)
+    batches = list(batches)
+    assert {b.dtype for b in batches} == {np.dtype(np.int64 if m == 19 else object)}
+    assert max(b.shape[1] for b in batches) <= _BATCH
+    want_unit, want = oracles.prefix_leaves_dfs(choices, u_seq)
+    assert unit == want_unit == 9**m
+    assert sorted(_leaves(batches)) == sorted(want)
+
+
+@pytest.mark.parametrize("support, m, word_past", [
+    ((F(3, 2), F(8, 5)), 11, False),
+    ((F(3, 2), F(8, 5)), 12, False),
+    ((F(5, 4), F(7, 6)), 12, True),
+])
+def test_word_law_matches_the_node_walk_where_mass_sums_pass_int64(support, m, word_past):
+    # the law's denominator unit * 2**m, the sum of every leaf's mass, is
+    # 48**m for {3/2, 8/5}, past 2**63 from m = 12 on.  For {5/4, 7/6} at m =
+    # 12 the walk is on int64 (unit = 35**12 < 2**62) and one word's masses
+    # sum past 2**63, within a batch too
+    model = IidSupportBetas(support)
+    choices, den = _gain_choices(model, m)
+    unit, leaves = oracles.prefix_leaves_dfs(choices, (F(1),) * m)
+    assert (unit * den**m >= 1 << 63) == (m == 12)
+    sums: dict = {}
+    for word, lo, hi, weight, _ in leaves:
+        sums[word] = sums.get(word, 0) + weight * (hi - lo)
+    assert (max(sums.values()) >= 1 << 63) == word_past
+    assert word_distribution(model, m=m).entries == {
+        w: F(n, unit * den**m) for w, n in sums.items() if n}
+
+
+def test_word_law_takes_python_ints_where_leaf_masses_pass_int64():
+    # weights 1 and 999 of 1000 keep the walk on int64 (999**6 < 2**63), but
+    # a leaf's mass weight * (hi - lo) reaches 999**6 * 24**6
+    support, probs, m = (F(3, 2), F(8, 5)), (F(1, 1000), F(999, 1000)), 6
+    oracle = oracles.word_distribution_oracle(support, probs, [F(1)] * m, m)
+    assert word_distribution(IidSupportBetas(support, probs), m=m).entries == {
+        w: p for w, p in oracle.items() if p}
+
+
+def test_word_law_walk_holds_a_bounded_set_of_nodes():
+    # 1 102 954 leaves, about 44 MB as five int64 rows; the walk keeps at
+    # most about 2 m * branches * _BATCH nodes of seven int64 rows live.
+    # Children cut in halves instead of _BATCH-node pieces form batches
+    # that grow with depth, past this bound here
+    m, model = 12, IidSupportBetas((F(3, 2), F(8, 5)))
+    tracemalloc.start()
+    try:
+        dist = word_distribution(model, m=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dist.entries) == 348
+    assert peak < 2 * m * 2 * _BATCH * 7 * 8
+
+
+@st.composite
+def word_laws(draw):
+    """Entries of a law on 4-bit words, in any order, often with a tied peak."""
+    words = draw(st.lists(st.integers(0, 15), min_size=1, max_size=16, unique=True))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=len(words), max_size=len(words)))
+    if draw(st.booleans()):
+        top = max(sizes)
+        sizes = [top if draw(st.booleans()) else s for s in sizes]
+    # unlike denominators: a word's probability is reduced on its own
+    return {w: F(n, sum(sizes)) for w, n in zip(words, sizes)}
+
+
+@given(word_laws())
+@settings(max_examples=200, deadline=None)
+def test_max_probability_matches_a_max_over_fractions(entries):
+    peak = max(entries.values())
+    want = (min(w for w, p in entries.items() if p == peak), peak)
+    assert WordDistribution(4, entries).max_probability() == want
 
 
 def test_word_distribution_refuses_processes_in_the_wrong_role():

@@ -25,6 +25,7 @@ from betaenc.lochs import (
 )
 from betaenc.numerics import Interval, state_bound
 from betaenc.prng import SplitMix64
+from betaenc.tree import prefix_leaves
 
 F = Fraction
 
@@ -674,6 +675,24 @@ def test_straddle_measure_matches_the_fraction_walk(beta, u, ms):
         assert pm_measure_exact(beta, u, m, F(1, 2)) == oracles.pm_measure_fraction(beta, u, m, kbar)
         assert pm_measure_exact(beta, u, m, F(1, 2), kbar=kbar + 2) == \
             oracles.pm_measure_fraction(beta, u, m, kbar + 2)
+
+
+@pytest.mark.parametrize("kbar", [15, 16, 64, 70])
+def test_deep_narrow_walk_matches_the_fraction_and_node_walks(kbar):
+    # beta = 17/16 walks one narrow path per level.  unit = 17**kbar keeps
+    # the walk on int64 up to kbar = 15 (2 * 17**15 < 2**63), where the cell
+    # test's P << m already passes 2**63; from kbar = 64 on words do too
+    beta, u, m = F(17, 16), F(1), 2
+    assert pm_measure_exact(beta, u, m, F(1, 2), kbar=kbar) == \
+        oracles.pm_measure_fraction(beta, u, m, kbar)
+    choices, u_seq = [[(beta, 1)]] * kbar, (u,) * kbar
+    unit, batches = prefix_leaves(choices, u_seq)
+    batches = list(batches)
+    assert {b.dtype for b in batches} == {np.dtype(np.int64 if kbar == 15 else object)}
+    leaves = sorted(leaf for batch in batches for leaf in zip(*batch.tolist()))
+    want_unit, want = oracles.prefix_leaves_dfs(choices, u_seq)
+    assert unit == want_unit and leaves == sorted(want)
+    assert (leaves[-1][0] >= 1 << 63) == (kbar >= 64)
 
 
 def test_straddle_measure_matches_grid():
