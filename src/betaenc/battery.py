@@ -6,10 +6,11 @@ incomplete-gamma tables are needed.  Each test is one float function of
 the stream's cyclic order-3 pattern count (n, order3, wraps), which exact
 popcounts of the stream packed into 64-bit words give.  The calibration
 draws its PRNG runs 32 at a time as packed SplitMix64 words and decides
-1024 runs at a time on arrays (``_p_values``), asking those functions only
-where an array p-value lies within its error band of the significance; it
-builds no TestResult.  This is supporting evidence for the extraction
-pipeline, not a conformance suite.
+1024 runs at a time: the same functions score the runs' count columns
+(numpy's exp and log where a number takes math's), and a call on one run's
+numbers decides only where a column p-value lies within its error band of
+the significance; it builds no TestResult.  This is supporting evidence
+for the extraction pipeline, not a conformance suite.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ MINIMUM_BITS = {
 }
 
 
+def _alpha_json(alpha):
+    """A float significance as a JSON number; a Decimal or Fraction as its exact str."""
+    return alpha if isinstance(alpha, float) else str(alpha)
+
+
 @dataclass(frozen=True)
 class TestResult:
     name: str
@@ -56,7 +62,7 @@ class TestResult:
             "statistic": "nan" if math.isnan(stat) else decimal_str(Decimal(repr(float(stat)))),
             "p_value": decimal_str(Decimal(repr(float(self.p_value)))),
             "pass": self.passed,
-            "alpha": self.alpha,
+            "alpha": _alpha_json(self.alpha),
             "extras": {k: repr(v) if isinstance(v, float) else v for k, v in self.extras.items()},
         }
 
@@ -134,72 +140,92 @@ def pattern_counts(bits) -> PatternCounts:
 
 
 def _marginals(c: tuple) -> tuple:
-    """The order-1 and order-2 counts of an order-3 pattern count."""
+    """The order-1 and order-2 counts of an order-3 pattern count (numbers or columns)."""
     pairs = (c[0] + c[1], c[2] + c[3], c[4] + c[5], c[6] + c[7])
     return (pairs[0] + pairs[1], pairs[2] + pairs[3]), pairs
 
 
-def _monobit(n: int, order3: tuple, wraps: int) -> tuple:
+# A test scores one stream from plain numbers, or a block of calibration runs
+# from count columns; only these four helpers tell the two apart.
+def _erfc(x):
+    """math.erfc of a number, or of each entry of a column."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.erfc, x.tolist()), np.float64, x.size)
+    return math.erfc(x)
+
+
+def _exp(x):
+    """math.exp of a number; np.exp of a column."""
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+
+
+def _plogp(x):
+    """x log x, 0 at x = 0: math.log for a number; np.log for a column."""
+    if isinstance(x, np.ndarray):
+        return np.where(x != 0, x * np.log(x), 0.0)
+    return x * math.log(x) if x else 0.0
+
+
+def _where(keep, value, other):
+    """``value if keep else other`` for a number; np.where for a column."""
+    if isinstance(keep, np.ndarray):
+        return np.where(keep, value, other)
+    return value if keep else other
+
+
+def _monobit(n: int, order3: tuple, wraps) -> tuple:
     total = 2 * _marginals(order3)[0][1] - n
     s_obs = abs(total) / math.sqrt(n)
-    return s_obs, math.erfc(s_obs / math.sqrt(2)), {"bit_sum": total}
+    return s_obs, _erfc(s_obs / math.sqrt(2)), {"bit_sum": total}
 
 
-def _runs(n: int, order3: tuple, wraps: int) -> tuple:
+def _runs(n: int, order3: tuple, wraps) -> tuple:
     ones, pairs = _marginals(order3)
     pi = ones[1] / n
-    if abs(pi - 0.5) >= 2 / math.sqrt(n):
-        # monobit prerequisite failed; the runs statistic is meaningless here
+    # monobit prerequisite; where it fails the runs statistic is meaningless and p = 0.0
+    failed = abs(pi - 0.5) >= 2 / math.sqrt(n)
+    if not isinstance(failed, np.ndarray) and failed:
         return float("nan"), 0.0, {"ones_fraction": pi, "prerequisite": "failed"}
-    v = 1 + pairs[0b01] + pairs[0b10] - wraps
+    v = 1.0 + pairs[0b01] + pairs[0b10] - wraps  # an integer below 2**53, exact
     num = abs(v - 2 * n * pi * (1 - pi))
     den = 2 * math.sqrt(2 * n) * pi * (1 - pi)
-    return float(v), math.erfc(num / den), {"ones_fraction": pi}
+    return v, _where(failed, 0.0, _erfc(num / den)), {"ones_fraction": pi}
 
 
-def _serial(n: int, order3: tuple, wraps: int) -> tuple:
+def _serial(n: int, order3: tuple, wraps) -> tuple:
     """Order-2 overlapping serial test; p = exp(-delta_psi2 / 2)."""
     ones, pairs = _marginals(order3)
     delta = (4 / n * sum(c * c for c in pairs) - n) - (2 / n * sum(c * c for c in ones) - n)
     # delta >= 0 up to rounding; clamp so p stays a probability
-    return delta, min(1.0, math.exp(-delta / 2)), {}
+    p = _exp(-delta / 2)
+    return delta, _where(p < 1.0, p, 1.0), {}
 
 
-def _approximate_entropy(n: int, order3: tuple, wraps: int) -> tuple:
+def _approximate_entropy(n: int, order3: tuple, wraps) -> tuple:
     """Order-2 approximate entropy; p = exp(-x/2) * (1 + x/2) for x = chi2."""
 
-    def phi(counts: tuple) -> float:
-        acc = 0.0
-        for c in counts:
-            if c:
-                acc += (c / n) * math.log(c / n)
-        return acc
+    def phi(counts: tuple):
+        return sum(_plogp(c / n) for c in counts)
 
     ap_en = phi(_marginals(order3)[1]) - phi(order3)
     chi2 = 2 * n * (math.log(2) - ap_en)
     x = chi2 / 2
-    return chi2, min(1.0, math.exp(-x) * (1 + x)), {"ap_en": ap_en}
+    p = _exp(-x) * (1 + x)
+    return chi2, _where(p < 1.0, p, 1.0), {"ap_en": ap_en}
 
 
 # (statistic, p_value, extras) of each test from (n, order3, wraps), by test name
 _STATISTICS = dict(zip(MINIMUM_BITS, (_monobit, _runs, _serial, _approximate_entropy)))
 
 
-def _erfc(a: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.erfc, a.tolist()), np.float64, a.size)
+def _rejections(n: int, order3: np.ndarray, wraps: np.ndarray, significance) -> np.ndarray:
+    """(rows, 4) bool: not (p >= significance), the scalar tests' decision, per row and test.
 
-
-def _at_most_one(a: np.ndarray) -> np.ndarray:
-    return np.where(a < 1.0, a, 1.0)  # min(1.0, a), NaN included
-
-
-def _p_values(n: int, order3: np.ndarray, wraps: np.ndarray) -> np.ndarray:
-    """(rows, 4) p-values of the four tests on rows of ``_packed_counts``, in _STATISTICS order.
-
-    Each column repeats its scalar test's float expressions in the same
-    order.  Conversions, + - * / and sqrt round correctly in numpy as in
-    Python, and erfc is ``math.erfc`` itself, so the monobit and runs
-    columns equal the scalar p-values bit for bit.  Only ``np.exp`` and
+    ``order3`` and ``wraps`` are rows of ``_packed_counts``; each
+    ``_STATISTICS`` function scores all rows at once on their count
+    columns.  Conversions, + - * / and sqrt round correctly in numpy as in
+    Python, and erfc is ``math.erfc`` on each entry, so the monobit and
+    runs columns equal the scalar p-values bit for bit.  Only ``np.exp`` and
     ``np.log`` may differ from ``math.exp`` and ``math.log``; taking numpy's
     within 4 ulp of the true value and libm's within 1, by at most 5 ulp:
     - serial: p = exp(-delta/2) with delta the scalar's, so |dp| <= 2**-49 p;
@@ -207,50 +233,18 @@ def _p_values(n: int, order3: np.ndarray, wraps: np.ndarray) -> np.ndarray:
       sums of size at most log 8, so log 2 - ApEn moves by under 2**-46,
       which x = chi2/2 = n (log 2 - ApEn) multiplies by n.  As |dp/dx| =
       p x/(1+x) < p, |dp| <= p (n + 1) 2**-45.
-    The bound grows linearly in n, as the band of ``_rejections`` does.
+    A column p-value within significance * (n + 1) * 2**-40 of the
+    significance (32 times that bound, which also covers rounding the
+    significance to a float) is decided by the scalar function against the
+    caller's own significance, so a Decimal or Fraction compares exactly.
+    A NaN p-value rejects.
     """
-    pairs = order3[:, 0::2] + order3[:, 1::2]
-    ones = pairs[:, 0::2] + pairs[:, 1::2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_obs = np.abs(2 * ones[:, 1] - n) / math.sqrt(n)
-        monobit = _erfc(s_obs / math.sqrt(2))
-
-        pi = ones[:, 1] / n
-        v = 1 + pairs[:, 0b01] + pairs[:, 0b10] - wraps
-        num = np.abs(v - 2 * n * pi * (1 - pi))
-        den = 2 * math.sqrt(2 * n) * pi * (1 - pi)
-        # p = 0.0 where the monobit prerequisite fails
-        runs = np.where(np.abs(pi - 0.5) >= 2 / math.sqrt(n), 0.0, _erfc(num / den))
-
-        delta = ((4 / n * (pairs * pairs).sum(axis=1) - n)
-                 - (2 / n * (ones * ones).sum(axis=1) - n))
-        serial = _at_most_one(np.exp(-delta / 2))
-
-        def phi(counts):
-            acc = 0.0
-            for c in counts.T:
-                acc = acc + np.where(c != 0, (c / n) * np.log(c / n), 0.0)
-            return acc
-
-        ap_en = phi(pairs) - phi(order3)
-        x = 2 * n * (math.log(2) - ap_en) / 2  # chi2 / 2
-        entropy = _at_most_one(np.exp(-x) * (1 + x))
-    return np.stack((monobit, runs, serial, entropy), axis=1)
-
-
-def _rejections(n: int, order3: np.ndarray, wraps: np.ndarray, significance) -> np.ndarray:
-    """(rows, 4) bool: not (p >= significance), the scalar tests' decision, per row and test.
-
-    An array p-value within significance * (n + 1) * 2**-40 of the
-    significance (32 times the error bound of ``_p_values``, which also
-    covers rounding the significance to a float) is decided by the scalar
-    ``_STATISTICS`` function against the caller's own significance, so a
-    Decimal or Fraction compares exactly.  A NaN p-value rejects.
-    """
-    p = _p_values(n, order3, wraps)
+    tests = tuple(_STATISTICS.values())
+    columns = tuple(order3.T)
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked by the tests' own np.where
+        p = np.stack([test(n, columns, wraps)[1] for test in tests], axis=1)
     alpha = float(significance)
     rejected = ~(p >= alpha)
-    tests = tuple(_STATISTICS.values())
     for row, col in zip(*np.nonzero(np.abs(p - alpha) <= alpha * (n + 1) * 2.0**-40)):
         p_scalar = tests[col](n, tuple(order3[row].tolist()), int(wraps[row]))[1]
         rejected[row, col] = not (p_scalar >= significance)
@@ -305,7 +299,7 @@ def run_battery(bits, significance: float = 0.01) -> list:
 def battery_report(results, n_bits: int) -> dict:
     return {
         "n_bits": n_bits,
-        "alpha": results[0].alpha if results else None,
+        "alpha": _alpha_json(results[0].alpha) if results else None,
         "all_pass": all(r.passed for r in results),
         "tests": [r.to_json() for r in results],
     }

@@ -341,8 +341,8 @@ def _lockstep(xns, precision: int, targets, beta: Fraction, process, keys=None) 
             last = cell >> m  # 1 in the last cell
             N = cell * P - (L[sel] << m)  # d = (P - N)/Qm, e = N/Qm - kappa
             hit = np.zeros(sel.size, dtype=bool)
-            if k >= k_min_t:  # in_cell(P - N, Qm, P, pmq, q, last), on arrays
-                hit = (N <= P) & (N * pmq + last > q * Qm)
+            if k >= k_min_t:
+                hit = in_cell(P - N, Qm, P, pmq, q, last)
                 ks[o[hit], t] = k
             if k >= cap_t:
                 exceeded[o[~hit], t] = True

@@ -1232,6 +1232,49 @@ def battery_four_histograms(bits, alpha: float = 0.01) -> list:
     return out
 
 
+def battery_p_values_columns(n: int, order3: np.ndarray, wraps: np.ndarray) -> np.ndarray:
+    """(rows, 4) p-values of the four tests on (rows, 8) order-3 counts, in battery order.
+
+    The calibration's array path before each test was written once for
+    numbers and columns: every column repeats its scalar test's float
+    expressions in the same order, with ``math.erfc`` per entry and
+    ``np.exp`` / ``np.log`` on the columns.
+    """
+    def erfc(a):
+        return np.fromiter(map(math.erfc, a.tolist()), np.float64, a.size)
+
+    def at_most_one(a):
+        return np.where(a < 1.0, a, 1.0)  # min(1.0, a), NaN included
+
+    pairs = order3[:, 0::2] + order3[:, 1::2]
+    ones = pairs[:, 0::2] + pairs[:, 1::2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_obs = np.abs(2 * ones[:, 1] - n) / math.sqrt(n)
+        monobit = erfc(s_obs / math.sqrt(2))
+
+        pi = ones[:, 1] / n
+        v = 1 + pairs[:, 0b01] + pairs[:, 0b10] - wraps
+        num = np.abs(v - 2 * n * pi * (1 - pi))
+        den = 2 * math.sqrt(2 * n) * pi * (1 - pi)
+        # p = 0.0 where the monobit prerequisite fails
+        runs = np.where(np.abs(pi - 0.5) >= 2 / math.sqrt(n), 0.0, erfc(num / den))
+
+        delta = ((4 / n * (pairs * pairs).sum(axis=1) - n)
+                 - (2 / n * (ones * ones).sum(axis=1) - n))
+        serial = at_most_one(np.exp(-delta / 2))
+
+        def phi(counts):
+            acc = 0.0
+            for c in counts.T:
+                acc = acc + np.where(c != 0, (c / n) * np.log(c / n), 0.0)
+            return acc
+
+        ap_en = phi(pairs) - phi(order3)
+        x = 2 * n * (math.log(2) - ap_en) / 2  # chi2 / 2
+        entropy = at_most_one(np.exp(-x) * (1 + x))
+    return np.stack((monobit, runs, serial, entropy), axis=1)
+
+
 def pattern_counts_bytes(bits) -> tuple:
     """(n, order3, wraps) of a 0/1 uint8 stream, counted on the bytes.
 

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -25,7 +26,7 @@ from betaenc.battery import (
 from betaenc import battery
 from betaenc.encoder import encode_bits
 from betaenc.errors import DomainError, InsufficientLengthError
-from betaenc.prng import SplitMix64
+from betaenc.prng import SplitMix64, _counter_words
 
 from fractions import Fraction
 
@@ -155,6 +156,19 @@ def test_result_json_round_trip():
     assert 0.0 <= float(doc["p_value"]) <= 1.0
     nan_doc = runs_test(np.zeros(512, dtype=np.uint8)).to_json()
     assert nan_doc["statistic"] == "nan"
+
+
+@pytest.mark.parametrize(
+    "significance, written",
+    [(0.01, 0.01), (Decimal("0.010"), "0.010"), (F(1, 100), "1/100")],
+)
+def test_reports_are_json_for_every_significance(significance, written):
+    # a float stays a JSON number; a Decimal or Fraction is written exactly
+    results = run_battery(prng_bits(512), significance)
+    report = battery_report(results, 512)
+    for doc in [r.to_json() for r in results] + [report]:
+        assert doc["alpha"] == written and type(doc["alpha"]) is type(written)
+    assert json.loads(json.dumps(report))["tests"] == [r.to_json() for r in results]
 
 
 def test_calibration_tolerance_formula():
@@ -343,28 +357,49 @@ def _streams(n):
         yield bits & rng.derive("bias", i).bit_array(n)  # p(1) = 1/4
 
 
-@pytest.mark.parametrize("n", [256, 257, 4097, 600_000])
-def test_array_decisions_match_the_scalar_tests(n):
-    counts = [pattern_counts(bits) for bits in _streams(n)]
-    assert all(type(c) is int for c in counts[0].order3 + (counts[0].wraps,))
-    order3 = np.array([c.order3 for c in counts], dtype=np.int64)
-    wraps = np.array([c.wraps for c in counts], dtype=np.int64)
-    p = battery._p_values(n, order3, wraps)
+def _column_p_values(n, order3, wraps):
+    """The four tests on count columns, stacked as ``battery._rejections`` stacks them."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        columns = tuple(order3.T)
+        return np.stack([test(n, columns, wraps)[1] for test in battery._STATISTICS.values()],
+                        axis=1)
+
+
+def _calibration_counts(n_runs, n_bits):
+    keys = SplitMix64(0).derive("battery-calibration").derive_array("run", range(n_runs))
+    return battery._packed_counts(_counter_words(keys, 0, -(-n_bits // 64)), n_bits)
+
+
+@pytest.mark.parametrize("n, rows", [pytest.param(n, "streams", id=str(n))
+                                     for n in (256, 257, 4097, 600_000)]
+                         + [pytest.param(1 << 15, "calibration", id="calibration")])
+def test_array_decisions_match_the_scalar_tests(n, rows):
+    # each test is one function of numbers or columns: its columns equal the
+    # per-column copy it replaced bit for bit, and decide as its numbers do
+    if rows == "streams":
+        counts = [pattern_counts(bits) for bits in _streams(n)]
+        assert all(type(c) is int for c in counts[0].order3 + (counts[0].wraps,))
+        order3 = np.array([c.order3 for c in counts], dtype=np.int64)
+        wraps = np.array([c.wraps for c in counts], dtype=np.int64)
+    else:
+        order3, wraps = _calibration_counts(1000, n)
+    p = _column_p_values(n, order3, wraps)
+    assert np.array_equal(p, oracles.battery_p_values_columns(n, order3, wraps), equal_nan=True)
+    scalar = np.array([[test(n, tuple(c), w)[1] for test in battery._STATISTICS.values()]
+                       for c, w in zip(order3.tolist(), wraps.tolist())])
     for significance in (0.01, 0.25, 0.5):
         rejected = battery._rejections(n, order3, wraps, significance)
-        for row, c in enumerate(counts):
-            for col, test in enumerate(battery._STATISTICS.values()):
-                p_scalar = test(n, c.order3, c.wraps)[1]
-                assert rejected[row, col] == (not p_scalar >= significance), (row, col)
-                # the error bound stated by _p_values
-                assert abs(p[row, col] - p_scalar) <= p_scalar * (n + 1) * 2.0**-45, (row, col)
+        assert np.array_equal(rejected, ~(scalar >= significance))
+    # the error bound stated by _rejections
+    assert np.all(np.abs(p - scalar) <= scalar * (n + 1) * 2.0**-45)
 
 
 def test_calibration_rarely_asks_the_scalar_tests(monkeypatch):
     calls = []
     for name, test in battery._STATISTICS.items():
         def counted(*args, _test=test):
-            calls.append(args)
+            if not isinstance(args[2], np.ndarray):  # a call on plain numbers, not on columns
+                calls.append(args)
             return _test(*args)
         monkeypatch.setitem(battery._STATISTICS, name, counted)
     doc = rejection_rates(n_runs=1000, n_bits=1 << 15, seed=0)
