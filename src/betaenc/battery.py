@@ -182,8 +182,9 @@ def _monobit(n: int, order3: tuple, wraps) -> tuple:
 def _runs(n: int, order3: tuple, wraps) -> tuple:
     ones, pairs = _marginals(order3)
     pi = ones[1] / n
-    # monobit prerequisite; where it fails the runs statistic is meaningless and p = 0.0
-    failed = abs(pi - 0.5) >= 2 / math.sqrt(n)
+    # monobit prerequisite; where it fails the runs statistic is meaningless and p = 0.0.
+    # Below 16 bits 2/sqrt(n) exceeds 1/2, and the cap still fails a constant stream
+    failed = abs(pi - 0.5) >= min(2 / math.sqrt(n), 0.5)
     if not isinstance(failed, np.ndarray) and failed:
         return float("nan"), 0.0, {"ones_fraction": pi, "prerequisite": "failed"}
     v = 1.0 + pairs[0b01] + pairs[0b10] - wraps  # an integer below 2**53, exact

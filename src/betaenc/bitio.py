@@ -35,13 +35,21 @@ def word_to_str(word: int, n: int) -> str:
 
 
 def as_bit_array(bits) -> np.ndarray:
-    """A one-dimensional uint8 array of 0/1 values, or DomainError."""
-    arr = np.asarray(bits, dtype=np.uint8)
+    """A one-dimensional uint8 array of 0/1 values, or DomainError.
+
+    Bools and integers holding only 0 and 1 pass; kind and values are checked
+    before the cast, so floats and out-of-range integers are never truncated.
+    """
+    arr = np.asarray(bits)
     if arr.ndim != 1:
         raise DomainError("bit stream must be one-dimensional")
-    if arr.size and arr.max() > 1:
+    if not arr.size:  # [] reads as float64
+        return arr.astype(np.uint8)
+    if arr.dtype.kind not in "biu":
+        raise DomainError(f"bit stream must hold bools or integers, got {arr.dtype}")
+    if arr.dtype.kind != "b" and (arr.max() > 1 or arr.dtype.kind == "i" and arr.min() < 0):
         raise DomainError("bit stream contains non-bits")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 def pack_bits(bits: Sequence[int]) -> bytes:

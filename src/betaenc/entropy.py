@@ -1,19 +1,18 @@
 """Exact output-word laws and their worst-case predictability.
 
-For a fixed or finitely supported random gain, the set of inputs that
-produce a given bit word is a finite union over gain realizations of
-intervals, and each interval is computable exactly: the state after j
-steps is an increasing affine function of the input, so every threshold
-comparison splits the consistency interval at one rational point.  The
-integer walk of that forward tree (``tree.prefix_leaves``, which also
-builds the stream kernel's table and the tail-set measure in ``lochs``)
-counts every leaf in one unit and yields the leaves in batches of integer
-arrays, each summed by word, so the probability of each word of length m
-under Lebesgue-uniform input is an integer sum made one Fraction at the
-end.  The min-entropy and the kappa / beta_min**m ceiling on word
-probabilities are checked as pure rational inequalities.  Logarithms only
-ever appear in reports.  ``WordDistribution`` is also ``extract``'s source type,
-and ``flat_supports`` the one rule for its flat sources.
+For a fixed or finitely supported random gain, the inputs that produce a
+given bit word are a finite union over gain realizations of intervals,
+each computable exactly: the state after j steps is an increasing affine
+function of the input, so every threshold comparison splits the
+consistency interval at one rational point.  The integer walk of that
+forward tree (``tree.prefix_leaves``, shared with the stream kernel's
+table and ``lochs``' tail-set measure) counts every leaf in one unit and
+yields batches of integer arrays, each summed by word.  A law keeps those
+sums as integer weights (``WordDistribution``) and builds its Fractions
+only when read.  The min-entropy and the kappa / beta_min**m ceiling on
+word probabilities are checked as pure rational inequalities; logarithms
+only appear in reports.  ``WordDistribution`` is also ``extract``'s
+source type, and ``flat_supports`` the one rule for its flat sources.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -30,7 +30,6 @@ from .bitio import word_to_str
 from .encoder import ConstantThreshold, ExplicitBetas, IidSupportBetas, check_role
 from .errors import ConfigurationError, DomainError, ResourceBudgetError
 from .numerics import (
-    ZERO,
     as_decimal,
     as_fraction,
     check_positive_int,
@@ -78,62 +77,62 @@ def flat_supports(supports: Iterable, m: int) -> tuple:
 
 @dataclass(frozen=True)
 class WordDistribution:
-    """Exact law on m-bit words; only positive-probability words are stored."""
+    """Exact law on m-bit words: ``weights`` maps each stored word to a positive int.
+
+    Weights are kept divided by their gcd.  P(word) is a word's weight over
+    ``total``, so a law sums to 1 by construction; ``entries`` reads it out.
+    """
 
     m: int
-    entries: dict
+    weights: dict
 
     def __post_init__(self):
         limit = 1 << check_positive_int(self.m, "word length", ConfigurationError)
-        for word, p in self.entries.items():
+        if not self.weights:
+            raise ConfigurationError("a word law needs at least one word")
+        for word, n in self.weights.items():
             if isinstance(word, bool) or not isinstance(word, int):
                 raise ConfigurationError(f"words must be ints, got {word!r}")
             if not (0 <= word < limit):
                 raise ConfigurationError(f"word {word} does not fit in {self.m} bits")
-            if isinstance(p, bool) or not isinstance(p, (Fraction, int)):
-                raise ConfigurationError(f"probabilities must be Fractions or ints, got {p!r}")
-            if p.numerator <= 0:  # denominators are positive
-                raise ConfigurationError("stored probabilities must be positive")
-        # the total and the peak as integers over the common denominator
-        probs = self.entries.values()
-        den = math.lcm(*(p.denominator for p in probs))
-        scaled = [p.numerator * (den // p.denominator) for p in probs]
-        total = sum(scaled)
-        if total != den:
-            raise ConfigurationError(f"probabilities sum to {Fraction(total, den)}, not 1")
-        peak = max(scaled)
-        object.__setattr__(self, "_peak", min(w for w, n in zip(self.entries, scaled) if n == peak))
+            if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
+                raise ConfigurationError(f"weights must be positive ints, got {n!r}")
+        if (g := math.gcd(*self.weights.values())) > 1:
+            object.__setattr__(self, "weights", {w: n // g for w, n in self.weights.items()})
 
     @classmethod
     def uniform(cls, m: int) -> "WordDistribution":
-        p = Fraction(1, 1 << m)
-        return cls(m, {w: p for w in range(1 << m)})
+        return cls(m, dict.fromkeys(range(1 << m), 1))
 
     @classmethod
     def flat(cls, support: Sequence[int], m: int) -> "WordDistribution":
         """The uniform law on a flat support (see ``flat_supports``)."""
         words, _ = flat_supports([support], m)
-        p = Fraction(1, words.size)
-        return cls(m, {w: p for w in sorted(words.tolist())})
+        return cls(m, dict.fromkeys(sorted(words.tolist()), 1))
+
+    @cached_property
+    def total(self) -> int:
+        return sum(self.weights.values())
+
+    @cached_property
+    def entries(self) -> dict:
+        """word -> P(word) as a reduced Fraction, in the order of ``weights``."""
+        return {w: Fraction(n, self.total) for w, n in self.weights.items()}
 
     def prob(self, word: int) -> Fraction:
-        return self.entries.get(word, ZERO)
+        return Fraction(self.weights.get(word, 0), self.total)
 
     def max_probability(self):
-        """(word, probability) of the likeliest word; smallest word on ties.
-
-        The word is found once, in ``__post_init__``'s pass over the
-        probabilities scaled to integers over their common denominator.
-        """
-        return self._peak, self.entries[self._peak]
+        """(word, probability) of the likeliest word; smallest word on ties."""
+        peak = max(self.weights.values())
+        return min(w for w, n in self.weights.items() if n == peak), Fraction(peak, self.total)
 
     def min_entropy_at_least(self, k) -> bool:
         """True iff the min-entropy is at least k >= 0 bits: max prob <= 2**(-k) exactly."""
         k = as_fraction(k)
         if k < 0:
             raise ConfigurationError(f"entropy target must be nonnegative, got {k}")
-        _, p = self.max_probability()
-        return cmp_pow2(p, -k) <= 0
+        return cmp_pow2(self.max_probability()[1], -k) <= 0
 
     def to_csv_rows(self) -> list:
         with decimal_context(28):
@@ -204,8 +203,10 @@ def word_distribution(betas, thresholds=None, m: int = 1) -> WordDistribution:
                      for half in (mass >> 32, mass & 0xFFFFFFFF))
         for w, a, b in zip(word[first].tolist(), high, low):
             sums[w] = sums.get(w, 0) + (a << 32) + b
-    den = unit * weight_den**m
-    return WordDistribution(m, {word: Fraction(n, den) for word, n in sums.items() if n})
+    # every leaf's mass lies once in the unit, so the sums fill it exactly
+    if sum(sums.values()) != unit * weight_den**m:
+        raise ConfigurationError("the walk's word masses do not sum to 1")
+    return WordDistribution(m, {word: n for word, n in sums.items() if n})
 
 
 @dataclass(frozen=True)
@@ -223,20 +224,18 @@ class BoundCheck:
 
     def to_json(self) -> dict:
         with decimal_context(28):
-            min_entropy_bits = str(-log2_decimal(self.max_probability))
-            bound_bits = str(-log2_decimal(self.bound))
-        return {
-            "m": self.m,
-            "beta_min": format_rational(self.beta_min),
-            "kappa": format_rational(self.kappa),
-            "bound": format_rational(self.bound),
-            "max_word": word_to_str(self.max_word, self.m),
-            "max_probability": format_rational(self.max_probability),
-            "slack": format_rational(self.slack),
-            "ok": self.ok,
-            "min_entropy_bits": min_entropy_bits,
-            "bound_bits": bound_bits,
-        }
+            return {
+                "m": self.m,
+                "beta_min": format_rational(self.beta_min),
+                "kappa": format_rational(self.kappa),
+                "bound": format_rational(self.bound),
+                "max_word": word_to_str(self.max_word, self.m),
+                "max_probability": format_rational(self.max_probability),
+                "slack": format_rational(self.slack),
+                "ok": self.ok,
+                "min_entropy_bits": str(-log2_decimal(self.max_probability)),
+                "bound_bits": str(-log2_decimal(self.bound)),
+            }
 
 
 def min_entropy_bound_check(dist: WordDistribution, beta_min, kappa) -> BoundCheck:

@@ -156,7 +156,7 @@ def in_cell(R: int, T: int, P: int, pmq: int, q: int, last: int) -> bool:
     in the closed last cell, which also takes an upper end at 1, else 0.
     On integer arrays it decides every column at once.
     """
-    return (R >= 0) & (R * pmq + T * q < P * pmq + last)
+    return (R >= 0) & (R * pmq < P * pmq - T * q + last)
 
 
 def floor_log2(value: Fraction) -> int:

@@ -8,6 +8,7 @@ then compared against the package.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from decimal import Context, Decimal, localcontext
@@ -786,30 +787,41 @@ def toeplitz_apply(x_bits, z_bits, n: int) -> tuple:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=8)
+def toeplitz_table(m: int, n: int) -> np.ndarray:
+    """Y[z, x]: the n-bit Toeplitz hash of every m-bit word x under every seed z (read-only)."""
+    mask = (1 << m) - 1
+    zs = np.arange(1 << (m + n - 1), dtype=np.uint16)[:, None]
+    xs = np.arange(1 << m, dtype=np.uint16)[None, :]
+    table = np.zeros((zs.size, xs.size), dtype=np.uint8)
+    for i in range(n):
+        table <<= 1
+        table |= (np.bitwise_count(((zs >> i) & mask) & xs) & 1).astype(np.uint8)
+    table.flags.writeable = False
+    return table
+
+
 def flat_avg_seed_tv_table(m: int, n: int, supports) -> list:
     """Seed-averaged TV of the Toeplitz hash over flat sources, by counting.
 
-    Builds the output table Y[z, x] of every seed and input word, then for
+    Takes the output table Y[z, x] of every seed and input word, then for
     each support bincounts its columns into (seed, output) cells and sums
-    |2**n * count - |S||.  This is the table path the Walsh-Hadamard
-    evaluation of ``flat_avg_seed_tv`` replaced.
+    |2**n * count - |S||.  The seeds are counted 256 at a time on int32
+    keys, so each block's arrays stay in cache.  This is the table path the
+    Walsh-Hadamard evaluation of ``flat_avg_seed_tv`` replaced.
     """
-    d = m + n - 1
-    mask = (1 << m) - 1
-    zs = np.arange(1 << d, dtype=np.uint16)[:, None]
-    xs = np.arange(1 << m, dtype=np.uint16)[None, :]
-    table = np.zeros((1 << d, 1 << m), dtype=np.uint8)
-    for i in range(n):
-        parity = np.bitwise_count(((zs >> i) & mask) & xs) & 1
-        table = (table << 1) | parity.astype(np.uint8)
-    seed_ids = np.arange(1 << d, dtype=np.int64)[:, None] << n
+    table = toeplitz_table(m, n)
+    rows = min(table.shape[0], 256)
+    keys = np.arange(rows, dtype=np.int32)[:, None] << n
     out = []
     for support in supports:
-        sup = np.asarray(sorted(support), dtype=np.int64)
-        cols = table[:, sup].astype(np.int64)
-        counts = np.bincount((seed_ids | cols).ravel(), minlength=1 << (d + n))
-        deviation = np.abs(counts * (1 << n) - len(sup)).sum()
-        out.append(Fraction(int(deviation), (1 << (d + 1)) * len(sup) * (1 << n)))
+        cols = table[:, np.asarray(sorted(support), dtype=np.int64)]
+        size = cols.shape[1]
+        deviation = 0
+        for z in range(0, table.shape[0], rows):
+            counts = np.bincount((keys | cols[z:z + rows]).ravel(), minlength=rows << n)
+            deviation += int(np.abs(counts * (1 << n) - size).sum())
+        out.append(Fraction(deviation, 2 * table.shape[0] * size * (1 << n)))
     return out
 
 

@@ -280,9 +280,9 @@ def test_criterion_08_one_function_postprocessing_fails():
         assert source.min_entropy_at_least(9), i
         worst_peak = max(worst_peak, source.max_probability()[1])
         out = {}
-        for word, p in source.entries.items():
+        for word, n in source.weights.items():
             y = ext(word_to_bits(word, 10))
-            out[y] = out.get(y, Fraction(0)) + p
+            out[y] = out.get(y, 0) + n
         assert oracles.tv_from_uniform(WordDistribution(1, out)) == half, i
     line = record(
         8, True,

@@ -69,6 +69,17 @@ def test_all_zero_stream_fails_monobit():
     assert math.isnan(runs.statistic)
 
 
+@pytest.mark.parametrize("n", range(1, 16))
+@pytest.mark.parametrize("bit", [0, 1])
+def test_runs_prerequisite_fails_a_short_constant_stream(n, bit):
+    # below 16 bits 2/sqrt(n) exceeds 1/2: a constant stream passed the
+    # bound and divided by pi * (1 - pi) = 0
+    runs = runs_test(np.full(n, bit, dtype=np.uint8))
+    assert runs.p_value == 0.0 and not runs.passed
+    assert runs.extras["prerequisite"] == "failed"
+    assert math.isnan(runs.statistic)
+
+
 def test_ideal_bits_pass_everything():
     bits = prng_bits(1 << 14)
     results = run_battery(bits)

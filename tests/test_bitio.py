@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from betaenc.bitio import (
+    as_bit_array,
     bits_to_word,
     pack_bits,
     read_bit_file,
@@ -98,3 +99,31 @@ def test_file_round_trip(tmp_path):
 
 def test_empty_stream_round_trip():
     assert list(unpack_bits(pack_bits([]))) == []
+
+
+@pytest.mark.parametrize("bits", [
+    [0, 1, 1], (1, 0), [True, False], np.array([True, False]),
+    np.array([0, 1, 0], dtype=np.int64), np.array([1, 0], dtype=np.int8),
+    np.array([0, 1], dtype=np.uint16), np.array([1, 1], dtype=np.uint64),
+    np.array([0, 1, 1], dtype=np.uint8),
+])
+def test_as_bit_array_takes_bools_and_integer_bits(bits):
+    arr = as_bit_array(bits)
+    assert arr.dtype == np.uint8 and arr.tolist() == [int(b) for b in bits]
+
+
+@pytest.mark.parametrize("bits", [
+    # each was cast to uint8 before it was checked: wrapped, truncated or raised another error
+    np.array([256, 1, 0], dtype=np.int64), np.array([-1, 0], dtype=np.int8),
+    np.array([2, 0], dtype=np.uint64), np.array([0.5, 1.9]), np.array([-0.5, 1.0]),
+    np.array([0.0, 1.0]), np.full(1000, 0.9), [256, 1], [-1, 0], ["a"], [None, 1],
+    [0, 1.0], ["0", "1"], [2**64], np.array([[0, 1]]), 1,
+])
+def test_as_bit_array_refuses_non_bits_before_any_cast(bits):
+    with pytest.raises(DomainError):
+        as_bit_array(bits)
+
+
+def test_as_bit_array_keeps_a_uint8_array():
+    bits = np.array([0, 1, 1], dtype=np.uint8)
+    assert as_bit_array(bits) is bits

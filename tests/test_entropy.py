@@ -32,7 +32,7 @@ F = Fraction
 
 
 def uniform_dist(m: int) -> WordDistribution:
-    return WordDistribution(m, {w: F(1, 1 << m) for w in range(1 << m)})
+    return WordDistribution(m, dict.fromkeys(range(1 << m), 1))
 
 
 def test_one_bit_law():
@@ -148,8 +148,8 @@ def test_explicit_threshold_sequence():
 def test_mk_source_predicate():
     assert uniform_dist(3).min_entropy_at_least(3)
     assert not uniform_dist(3).min_entropy_at_least(F(301, 100))
-    assert not WordDistribution(1, {0: F(1)}).min_entropy_at_least(F(1, 10))
-    assert WordDistribution(1, {0: F(1)}).min_entropy_at_least(0)
+    assert not WordDistribution(1, {0: 1}).min_entropy_at_least(F(1, 10))
+    assert WordDistribution(1, {0: 1}).min_entropy_at_least(0)
     with pytest.raises(ConfigurationError):
         uniform_dist(1).min_entropy_at_least(F(-1))
 
@@ -168,47 +168,63 @@ def test_distribution_validation():
     with pytest.raises(ConfigurationError):
         WordDistribution(0, {})
     with pytest.raises(ConfigurationError):
-        WordDistribution(1, {0: F(1, 2), 1: F(1, 3)})
+        WordDistribution(1, {0: 1, 1: 0})
     with pytest.raises(ConfigurationError):
-        WordDistribution(1, {0: F(1, 2), 2: F(1, 2)})
+        WordDistribution(1, {0: 1, 2: 1})
     with pytest.raises(ConfigurationError):
-        WordDistribution(1, {0: F(3, 2), 1: F(-1, 2)})
+        WordDistribution(1, {0: 3, 1: -1})
 
 
-@pytest.mark.parametrize("m, entries, message", [
-    (2, {0: F(1, 2), 1: F(1, 3)}, "probabilities sum to 5/6, not 1"),
-    (2, {0: F(1, 2), 1: F(1, 3), 3: F(1, 4)}, "probabilities sum to 13/12, not 1"),
-    (1, {}, "probabilities sum to 0, not 1"),
-    (1, {0: 2}, "probabilities sum to 2, not 1"),
-    (1, {0: F(1, 2), 2: F(1, 2)}, "word 2 does not fit in 1 bits"),
-    (1, {0: F(3, 2), 1: F(-1, 2)}, "stored probabilities must be positive"),
-    (1, {0: F(1), 1: 0}, "stored probabilities must be positive"),
-    # a float raised AttributeError on its numerator
-    (1, {0: 0.5, 1: 0.5}, "probabilities must be Fractions or ints, got 0.5"),
-    (1, {0: F(1, 2), 1: Decimal("0.5")},
-     r"probabilities must be Fractions or ints, got Decimal\('0.5'\)"),
-    (1, {0: True}, "probabilities must be Fractions or ints, got True"),
+@pytest.mark.parametrize("m, weights, message", [
+    (0, {0: 1}, "word length must be a positive integer, got 0"),
+    (1, {}, "a word law needs at least one word"),
+    (1, {0: 1, 2: 1}, "word 2 does not fit in 1 bits"),
+    (1, {0: 3, 1: -1}, "weights must be positive ints, got -1"),
+    (1, {0: 1, 1: 0}, "weights must be positive ints, got 0"),
+    (1, {0: 0.5, 1: 0.5}, "weights must be positive ints, got 0.5"),
+    (1, {0: 1, 1: Decimal("0.5")}, r"weights must be positive ints, got Decimal\('0.5'\)"),
+    (1, {0: F(1, 2), 1: F(1, 2)}, r"weights must be positive ints, got Fraction\(1, 2\)"),
+    (1, {0: True}, "weights must be positive ints, got True"),
 ])
-def test_distribution_check_messages(m, entries, message):
+def test_distribution_check_messages(m, weights, message):
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
-        WordDistribution(m, entries)
+        WordDistribution(m, weights)
 
 
 def test_distribution_refuses_a_bool_word():
     # accepted before, and printed as word 1
     with pytest.raises(ConfigurationError, match="^words must be ints, got True$"):
-        WordDistribution(1, {True: F(1)})
+        WordDistribution(1, {True: 1})
     # accepted before, and refused only by to_csv_rows' binary format
     with pytest.raises(ConfigurationError, match=r"^words must be ints, got 0\.5$"):
-        WordDistribution(2, {0.5: F(1)})
+        WordDistribution(2, {0.5: 1})
 
 
 def test_distribution_total_is_exact_over_unlike_denominators():
     # 3**20 and 2**40 share no factor: the integer total must still be exact
     third = F(1, 3**20)
     entries = {0: third, 1: 1 - third - F(1, 1 << 40), 2: F(1, 1 << 40)}
-    assert WordDistribution(2, entries).entries == entries
+    weights = {0: 1 << 40, 1: 3**20 * (1 << 40) - (1 << 40) - 3**20, 2: 3**20}
+    assert WordDistribution(2, weights).entries == entries
     WordDistribution(1, {0: 1})
+
+
+def test_distribution_keeps_its_weights_over_their_gcd():
+    dist = WordDistribution(2, {3: 6, 1: 4, 2: 2})
+    assert dist.weights == {3: 3, 1: 2, 2: 1} and dist.total == 6
+    assert dist == WordDistribution(2, {3: 3, 1: 2, 2: 1})
+    assert dist.prob(1) == F(1, 3) and dist.prob(0) == 0
+
+
+def test_word_distribution_refuses_a_walk_whose_masses_miss_the_unit(monkeypatch):
+    def short_walk(choices, u_seq):
+        unit, batches = prefix_leaves(choices, u_seq)
+        return unit, ((word[1:], lo[1:], hi[1:], weight[1:], rest)
+                      for word, lo, hi, weight, rest in batches)
+
+    monkeypatch.setattr("betaenc.entropy.prefix_leaves", short_walk)
+    with pytest.raises(ConfigurationError, match="^the walk's word masses do not sum to 1$"):
+        word_distribution(FixedBeta(F(3, 2)), m=3)
 
 
 def test_max_probability_tie_prefers_smallest_word():
@@ -218,9 +234,9 @@ def test_max_probability_tie_prefers_smallest_word():
 def test_max_probability_three_way_tie_after_a_larger_first_word():
     # the peak 1/4 is held by words 6, 2 and 5, stored in that order after
     # a smaller word with less mass; the smallest of the three wins
-    entries = {1: F(1, 8), 6: F(1, 4), 2: F(1, 4), 0: F(1, 8), 5: F(2, 8)}
-    assert WordDistribution(3, entries).max_probability() == (2, F(1, 4))
-    assert WordDistribution(3, {7: F(1, 2), 3: F(1, 4), 4: F(1, 4)}).max_probability() == (7, F(1, 2))
+    weights = {1: 1, 6: 2, 2: 2, 0: 1, 5: 2}
+    assert WordDistribution(3, weights).max_probability() == (2, F(1, 4))
+    assert WordDistribution(3, {7: 2, 3: 1, 4: 1}).max_probability() == (7, F(1, 2))
 
 
 def test_rejects_continuous_models():
@@ -436,22 +452,23 @@ def test_word_law_walk_holds_a_bounded_set_of_nodes():
 
 @st.composite
 def word_laws(draw):
-    """Entries of a law on 4-bit words, in any order, often with a tied peak."""
+    """Weights of a law on 4-bit words, in any order, often with a tied peak."""
     words = draw(st.lists(st.integers(0, 15), min_size=1, max_size=16, unique=True))
     sizes = draw(st.lists(st.integers(1, 4), min_size=len(words), max_size=len(words)))
     if draw(st.booleans()):
         top = max(sizes)
         sizes = [top if draw(st.booleans()) else s for s in sizes]
-    # unlike denominators: a word's probability is reduced on its own
-    return {w: F(n, sum(sizes)) for w, n in zip(words, sizes)}
+    return dict(zip(words, sizes))
 
 
 @given(word_laws())
 @settings(max_examples=200, deadline=None)
-def test_max_probability_matches_a_max_over_fractions(entries):
+def test_max_probability_matches_a_max_over_fractions(weights):
+    # unlike denominators: a word's probability is reduced on its own
+    entries = {w: F(n, sum(weights.values())) for w, n in weights.items()}
     peak = max(entries.values())
     want = (min(w for w, p in entries.items() if p == peak), peak)
-    assert WordDistribution(4, entries).max_probability() == want
+    assert WordDistribution(4, weights).max_probability() == want
 
 
 def test_word_distribution_refuses_processes_in_the_wrong_role():
